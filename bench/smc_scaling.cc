@@ -1,4 +1,4 @@
-// SMC particle-filter scaling: one pass's wall time and logZ across a
+// SMC particle-filter scaling: filter-pass wall time and logZ across a
 // particles x backend x threads sweep. Particle propagation is
 // embarrassingly parallel over fixed-size blocks (par/kernel.h
 // launchBlocked with per-slot RNG streams) and the likelihood work is
@@ -13,16 +13,24 @@
 //                   [--backend arena|batched|both] [--require-scaling PCT]
 //                   [--metrics 0|1]
 //
-// --require-scaling PCT exits 1 if the widest pool's throughput falls
-// below PCT% of the 1-thread rate for any particle count, evaluated on
-// the batched backend's rows (the CI regression gate against nominal
-// parallelism).
+// Each cell repeats the pass until it has run at least kMinPasses passes
+// and kMinCellSeconds of wall time, and reports the median pass time with
+// its min and max: a single 20-60 ms pass swung by 1.6x between runs on a
+// 4-core host, which made a one-pass gate a coin flip.
+//
+// --require-scaling PCT exits 1 if the median throughput at
+// min(8, hardwareThreads()) threads falls below PCT% of the 1-thread
+// median for any particle count, evaluated on the batched backend's rows
+// (the CI regression gate against nominal parallelism). Gating at the
+// host's width keeps an oversubscribed 8-thread pool on a 4-core runner
+// from failing a healthy build.
 //
 // --metrics (default 1) arms the metrics registry; the per-row backend
 // execution counters come straight from it (obs::reset() between rows),
 // not from any bench-private stats copy. Run with --metrics 0 to measure
 // the armed-vs-unarmed overhead (contract: within 2% at 8 threads);
 // unarmed rows report zero counters.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -36,17 +44,24 @@
 #include "smc/smc_sampler.h"
 #include "util/build_info.h"
 #include "util/error.h"
+#include "util/stats.h"
 #include "util/table.h"
 #include "util/timer.h"
 
 namespace {
 
+constexpr std::size_t kMinPasses = 5;
+constexpr double kMinCellSeconds = 0.2;
+
 struct Row {
     std::size_t particles;
     const char* backend;
     unsigned threads;
-    double seconds;
-    double particlesPerSec;
+    std::size_t passes;
+    double seconds;     ///< median pass time
+    double minSeconds;
+    double maxSeconds;
+    double particlesPerSec;  ///< at the median pass time
     double logZ;
     double speedupVs1T;
     std::uint64_t combineOps;         ///< lik.combine_ops over the pass
@@ -82,17 +97,25 @@ int main(int argc, char** argv) {
     const bool metricsArmed = cli.getBool("metrics", true);
     if (metricsArmed) obs::arm();
 
-    printHeader("SMC scaling (one filter pass per particles x backend x threads cell)");
+    printHeader("SMC scaling (median filter pass per particles x backend x threads cell)");
     const Alignment data = makeDataset(nSeq, length, 1.0, 31);
     const F81Model model(data.baseFrequencies());
     const DataLikelihood lik(data, model);
-    std::printf("%d sequences x %zu bp, theta = 1.0, systematic resampling\n\n", nSeq,
-                length);
+    const unsigned gateThreads = std::min(8u, hardwareThreads());
+    std::vector<unsigned> threadCounts = {1u, 2u, 4u, 8u};
+    if (std::find(threadCounts.begin(), threadCounts.end(), gateThreads) ==
+        threadCounts.end()) {
+        threadCounts.push_back(gateThreads);
+        std::sort(threadCounts.begin(), threadCounts.end());
+    }
+    std::printf("%d sequences x %zu bp, theta = 1.0, systematic resampling; "
+                ">= %zu passes and >= %.1f s per cell; %u hardware threads\n\n",
+                nSeq, length, kMinPasses, kMinCellSeconds, hardwareThreads());
 
     bool bitwiseOk = true;
     std::vector<Row> rows;
-    Table table({"particles", "backend", "threads", "time (s)", "particles/sec", "logZ",
-                 "speedup"});
+    Table table({"particles", "backend", "threads", "passes", "median (s)", "min (s)",
+                 "max (s)", "particles/sec", "logZ", "speedup"});
     for (std::size_t particles = 256; particles <= maxParticles; particles *= 4) {
         bool haveReference = false;
         double referenceLogZ = 0.0;  // 1-thread logZ of the first backend
@@ -101,34 +124,46 @@ int main(int argc, char** argv) {
             opts.particles = particles;
             opts.backend = backend;
             double oneThreadSeconds = 0.0;
-            for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+            for (const unsigned threads : threadCounts) {
                 ThreadPool pool(threads);
-                obs::reset();  // row isolation: counters below are per-pass
-                Timer timer;
-                const SmcPassResult res = runSmcPass(lik, 1.0, opts, 47, &pool);
-                const double seconds = timer.seconds();
-                const obs::MetricsSnapshot snap = obs::snapshot();
-                if (threads == 1) oneThreadSeconds = seconds;
-                if (!haveReference) {
-                    referenceLogZ = res.logZ;
-                    haveReference = true;
-                } else if (std::memcmp(&res.logZ, &referenceLogZ, sizeof(double)) != 0) {
-                    std::fprintf(stderr,
-                                 "BITWISE MISMATCH: %zu particles, %s backend, %u "
-                                 "threads: logZ %.17g vs reference %.17g\n",
-                                 particles, res.backend.c_str(), threads, res.logZ,
-                                 referenceLogZ);
-                    bitwiseOk = false;
+                std::vector<double> times;
+                double cellSeconds = 0.0;
+                double logZ = 0.0;
+                obs::MetricsSnapshot snap;
+                while (times.size() < kMinPasses || cellSeconds < kMinCellSeconds) {
+                    obs::reset();  // row isolation: counters below are per-pass
+                    Timer timer;
+                    const SmcPassResult res = runSmcPass(lik, 1.0, opts, 47, &pool);
+                    times.push_back(timer.seconds());
+                    cellSeconds += times.back();
+                    snap = obs::snapshot();
+                    logZ = res.logZ;
+                    if (!haveReference) {
+                        referenceLogZ = res.logZ;
+                        haveReference = true;
+                    } else if (std::memcmp(&res.logZ, &referenceLogZ, sizeof(double))) {
+                        std::fprintf(stderr,
+                                     "BITWISE MISMATCH: %zu particles, %s backend, %u "
+                                     "threads: logZ %.17g vs reference %.17g\n",
+                                     particles, res.backend.c_str(), threads, res.logZ,
+                                     referenceLogZ);
+                        bitwiseOk = false;
+                    }
                 }
+                const double seconds = median(times);
+                const auto [lo, hi] = std::minmax_element(times.begin(), times.end());
+                if (threads == 1) oneThreadSeconds = seconds;
                 const double rate = static_cast<double>(particles) / seconds;
-                rows.push_back({particles, likBackendName(backend), threads, seconds,
-                                rate, res.logZ, oneThreadSeconds / seconds,
+                rows.push_back({particles, likBackendName(backend), threads, times.size(),
+                                seconds, *lo, *hi, rate, logZ, oneThreadSeconds / seconds,
                                 snap.counter(obs::Counter::LikCombineOps),
                                 snap.counter(obs::Counter::LikMatricesRequested),
                                 snap.counter(obs::Counter::LikMatricesComputed)});
                 table.addRow({Table::integer(particles), likBackendName(backend),
-                              Table::integer(threads), Table::num(seconds, 3),
-                              Table::num(rate, 0), Table::num(res.logZ, 3),
+                              Table::integer(threads), Table::integer(times.size()),
+                              Table::num(seconds, 4), Table::num(*lo, 4),
+                              Table::num(*hi, 4),
+                              Table::num(rate, 0), Table::num(logZ, 3),
                               Table::num(oneThreadSeconds / seconds, 2)});
             }
         }
@@ -144,12 +179,15 @@ int main(int argc, char** argv) {
     json << "  \"config\": {\"sequences\": " << nSeq << ", \"length\": " << length
          << ", \"scheme\": \"systematic\", \"bitwise_thread_invariant\": "
          << (bitwiseOk ? "true" : "false") << ", \"metrics_armed\": "
-         << (metricsArmed ? "true" : "false") << "},\n  \"results\": [\n";
+         << (metricsArmed ? "true" : "false") << ", \"gate_threads\": " << gateThreads
+         << "},\n  \"results\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row& r = rows[i];
         json << "    {\"particles\": " << r.particles << ", \"backend\": \""
              << r.backend << "\", \"threads\": " << r.threads
-             << ", \"seconds\": " << r.seconds << ", \"particles_per_sec\": "
+             << ", \"passes\": " << r.passes << ", \"seconds\": " << r.seconds
+             << ", \"seconds_min\": " << r.minSeconds
+             << ", \"seconds_max\": " << r.maxSeconds << ", \"particles_per_sec\": "
              << r.particlesPerSec << ", \"logZ\": " << r.logZ
              << ", \"speedup_vs_1t\": " << r.speedupVs1T
              << ", \"combine_ops\": " << r.combineOps
@@ -161,17 +199,19 @@ int main(int argc, char** argv) {
     std::printf("wrote BENCH_smc.json (%zu rows)\n", rows.size());
 
     bool scalingOk = true;
+    if (requireScaling > 0 && gateThreads < 2)
+        std::printf("scaling gate skipped: %u hardware thread\n", gateThreads);
     if (requireScaling > 0) {
-        // Regression gate: for every particle count, the widest pool must
-        // reach at least PCT% of the 1-thread rate on the gate backend.
+        // Regression gate: for every particle count, the pool at the
+        // host's width (capped at 8) must reach at least PCT% of the
+        // 1-thread median rate on the gate backend.
         for (const Row& base : rows) {
             if (base.threads != 1 || std::strcmp(base.backend, gateBackend) != 0)
                 continue;
             const Row* widest = &base;
             for (const Row& r : rows)
                 if (r.particles == base.particles &&
-                    std::strcmp(r.backend, gateBackend) == 0 &&
-                    r.threads > widest->threads)
+                    std::strcmp(r.backend, gateBackend) == 0 && r.threads == gateThreads)
                     widest = &r;
             if (widest == &base) continue;
             const double floor =

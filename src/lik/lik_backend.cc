@@ -1,7 +1,5 @@
 #include "lik/lik_backend.h"
 
-#include <cstring>
-
 #include "util/error.h"
 
 namespace mpcgs {
@@ -41,13 +39,6 @@ void SlotArenaBackend::resizeSlots(std::size_t n) {
     slots_ = n;
     data_.ensure(n * dataStride_);
     scale_.ensure(n * scaleStride_);
-}
-
-void SlotArenaBackend::copySlot(Slot dst, Slot src) {
-    if (dst == src) return;
-    std::memcpy(dataPtr(dst), dataPtr(src), dataLen_ * sizeof(double));
-    std::memcpy(scalePtr(dst), scalePtr(src),
-                patterns_.patternCount() * sizeof(double));
 }
 
 std::unique_ptr<LikelihoodBackend> makeArenaBackend(const DataLikelihood& lik);

@@ -18,12 +18,15 @@
 // backends and thread counts. This is the seam where a GPU or distributed
 // backend plugs in later without touching sampler code.
 //
-// Enqueue thread-safety: tipInit/combine/rootLogLik may be called
-// concurrently from inside a parallel launch (the SMC propagation phase),
-// provided no two concurrent operations write the same parent slot and a
-// batch never chains dependent combines (a combine's parent must not be
-// another queued combine's child). flush(), resizeSlots() and copySlot()
-// are serial-context only.
+// Thread-safety: tipInit/combine/rootLogLik may be called concurrently
+// from inside a parallel launch (the SMC propagation phase), provided no
+// two concurrent operations write the same parent slot and a batch never
+// chains dependent combines (a combine's parent must not be another queued
+// combine's child). The SMC filter meets both by construction: each slot
+// is written once per pass, and every child it reads was written by an
+// earlier flush. flush() and resizeSlots() are serial-context only. No
+// operation moves partials between slots; callers that need a slot's
+// content elsewhere share the handle (smc/particle_cloud.h).
 #pragma once
 
 #include <cstdint>
@@ -88,9 +91,7 @@ class LikelihoodBackend {
     /// (nullptr = serial).
     virtual void flush(ThreadPool* pool) = 0;
 
-    // --- state management (resampling, diagnostics, tests) -----------------
-    /// Copy one slot's content onto another (no-op when dst == src).
-    virtual void copySlot(Slot dst, Slot src) = 0;
+    // --- slot contents (online rebuild, diagnostics, tests) ----------------
     /// Raw views of a slot's conditional vectors / per-pattern log scale
     /// (valid until the next resizeSlots). CPU backends expose their arena
     /// directly; a device backend would stage through a host mirror.
@@ -122,7 +123,6 @@ class SlotArenaBackend : public LikelihoodBackend {
     void resizeSlots(std::size_t n) override;
     std::size_t slotCount() const final { return slots_; }
 
-    void copySlot(Slot dst, Slot src) final;
     std::span<const double> slotData(Slot slot) const final {
         return {dataPtr(slot), dataLen_};
     }

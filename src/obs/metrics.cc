@@ -110,6 +110,7 @@ void reset() {
             for (std::size_t b = 0; b < kHistogramBuckets; ++b)
                 sh.hist[h][b].store(0, std::memory_order_relaxed);
             sh.histSumUs[h].store(0, std::memory_order_relaxed);
+            sh.histMaxUs[h].store(0, std::memory_order_relaxed);
         }
     }
     for (std::size_t g = 0; g < kGaugeCount; ++g) {
@@ -135,10 +136,9 @@ std::uint64_t MetricsSnapshot::histQuantileUs(Histogram h, double q) const {
     for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
         seen += hist[hi][b];
         if (static_cast<double>(seen) >= target)
-            return b < kHistogramBuckets - 1 ? (std::uint64_t{1} << b)
-                                             : histSumUs[hi];  // +Inf bucket: cap at sum
+            return b < kHistogramBuckets - 1 ? (std::uint64_t{1} << b) : histMaxUs[hi];
     }
-    return histSumUs[hi];
+    return histMaxUs[hi];
 }
 
 MetricsSnapshot snapshot() {
@@ -153,6 +153,8 @@ MetricsSnapshot snapshot() {
             for (std::size_t b = 0; b < kHistogramBuckets; ++b)
                 out.hist[h][b] += sh.hist[h][b].load(std::memory_order_relaxed);
             out.histSumUs[h] += sh.histSumUs[h].load(std::memory_order_relaxed);
+            out.histMaxUs[h] = std::max(out.histMaxUs[h],
+                                        sh.histMaxUs[h].load(std::memory_order_relaxed));
         }
     }
     for (std::size_t g = 0; g < kGaugeCount; ++g) {

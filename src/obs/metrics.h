@@ -16,7 +16,9 @@
 //     from serial sections (the same rule the fail points follow), so the
 //     relaxed store is race-free in practice and benign otherwise.
 //   * Histograms use power-of-two microsecond buckets (le 1, 2, 4, ...,
-//     2^14, +Inf) — bucket selection is a bit scan, no search, no floats.
+//     2^24 ~ 16.8 s, +Inf) — bucket selection is a bit scan, no search, no
+//     floats — and track their largest observation, which is what a
+//     quantile landing in the +Inf bucket reports.
 //
 // Instrumentation NEVER touches an RNG stream and never branches on
 // sampler state, so arming the registry cannot perturb any estimate: the
@@ -95,19 +97,21 @@ inline constexpr std::size_t kCounterCount = static_cast<std::size_t>(Counter::k
 inline constexpr std::size_t kGaugeCount = static_cast<std::size_t>(Gauge::kCount);
 inline constexpr std::size_t kHistogramCount =
     static_cast<std::size_t>(Histogram::kCount);
-/// Buckets 0..14 hold values <= 2^i microseconds; bucket 15 is +Inf.
-inline constexpr std::size_t kHistogramBuckets = 16;
+/// Buckets 0..24 hold values <= 2^i microseconds; bucket 25 is +Inf.
+inline constexpr std::size_t kHistogramBuckets = 26;
 
 namespace detail {
 
 /// One thread's private slice of the registry. Cells are single-writer:
 /// only the owning thread stores, so increments are a relaxed load + store
-/// (no RMW, no lock prefix); snapshot() reads them relaxed from the
+/// (no RMW, no lock prefix; a histogram max takes a relaxed CAS only when
+/// an observation raises it); snapshot() reads them relaxed from the
 /// folding thread — every ordering is benign for monotonic counters.
 struct alignas(64) Shard {
     std::atomic<std::uint64_t> counters[kCounterCount];
     std::atomic<std::uint64_t> hist[kHistogramCount][kHistogramBuckets];
     std::atomic<std::uint64_t> histSumUs[kHistogramCount];
+    std::atomic<std::uint64_t> histMaxUs[kHistogramCount];
 };
 
 extern std::atomic<bool> gArmed;
@@ -155,6 +159,11 @@ inline void observe(Histogram h, std::uint64_t us) {
     if (b >= kHistogramBuckets) b = kHistogramBuckets - 1;
     detail::bump(s->hist[hi][b], 1);
     detail::bump(s->histSumUs[hi], us);
+    std::atomic<std::uint64_t>& max = s->histMaxUs[hi];
+    std::uint64_t seen = max.load(std::memory_order_relaxed);
+    while (us > seen &&
+           !max.compare_exchange_weak(seen, us, std::memory_order_relaxed)) {
+    }
 }
 
 /// Arm / disarm the registry process-wide. Shards persist across
@@ -173,14 +182,16 @@ struct MetricsSnapshot {
     bool gaugeSet[kGaugeCount] = {};
     std::uint64_t hist[kHistogramCount][kHistogramBuckets] = {};
     std::uint64_t histSumUs[kHistogramCount] = {};
+    std::uint64_t histMaxUs[kHistogramCount] = {};  ///< largest observation
     std::uint64_t droppedThreads = 0;  ///< threads that exhausted the shard pool
 
     std::uint64_t counter(Counter c) const {
         return counters[static_cast<std::size_t>(c)];
     }
     std::uint64_t histCount(Histogram h) const;
-    /// Upper-bound quantile estimate from the bucket boundaries (returns
-    /// the `le` bound of the bucket holding quantile q; 0 when empty).
+    /// Upper-bound quantile estimate from the bucket boundaries: the `le`
+    /// bound of the bucket holding quantile q, or the largest observation
+    /// when that bucket is +Inf; 0 when empty.
     std::uint64_t histQuantileUs(Histogram h, double q) const;
 };
 

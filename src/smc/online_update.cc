@@ -348,11 +348,9 @@ OnlineState initOnlineState(const Alignment& aln, double theta, const SmcOptions
     const std::span<const double> logW = std::as_const(cloud).logWeights();
     st.particles.resize(N);
     for (std::size_t p = 0; p < N; ++p) {
-        Particle& src = cloud.particle(p);
-        src.tree.setRoot(src.roots.front());
-        st.particles[p].tree = std::move(src.tree);
+        st.particles[p].tree = cloud.genealogy(p);
         st.particles[p].logW = logW[p];
-        st.particles[p].logL = src.rootLogL.front();
+        st.particles[p].logL = cloud.particle(p).rootLogL.front();
     }
     st.hostRng = cloud.hostRng();
     st.slotRngs.reserve(N);

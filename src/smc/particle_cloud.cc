@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "rng/splitmix.h"
+#include "util/error.h"
 #include "util/logspace.h"
 
 namespace mpcgs {
@@ -12,21 +13,17 @@ ParticleCloud::ParticleCloud(std::size_t n, LikelihoodBackend& backend, int tipC
     : backend_(backend),
       tipCount_(static_cast<std::size_t>(tipCount)),
       hostRng_(Mt19937::fromSplitMix(splitMix64At(passSeed, 0))) {
-    // Slot pool: shared tips + one internal region per particle + the
-    // staging region used to break resampling copy cycles.
-    backend_.resizeSlots(tipCount_ + (n + 1) * (tipCount_ - 1));
+    // Slot pool: shared tips + one write-once internal region per particle.
+    backend_.resizeSlots(tipCount_ + n * (tipCount_ - 1));
+    merges_.resize(n * (tipCount_ - 1));
 
     // One shared template: the initial forest is identical for every
     // particle (all tips uncoalesced, referencing the shared tip slots),
     // so batch the tip vectors once through a single flush.
     Particle init;
-    init.tree = Genealogy(tipCount);
-    init.tree.setTipNames(backend_.tipNames());
-    init.roots.reserve(tipCount_);
     init.slots.reserve(tipCount_);
     init.rootLogL.resize(tipCount_);
     for (int t = 0; t < tipCount; ++t) {
-        init.roots.push_back(t);
         init.slots.push_back(static_cast<Slot>(t));
         backend_.tipInit(static_cast<Slot>(t), t);
         backend_.rootLogLik(static_cast<Slot>(t), &init.rootLogL[t]);
@@ -35,7 +32,10 @@ ParticleCloud::ParticleCloud(std::size_t n, LikelihoodBackend& backend, int tipC
     logL0_ = 0.0;
     for (int t = 0; t < tipCount; ++t) logL0_ += init.rootLogL[t];
 
+    // Both particle arrays start at full-forest capacity, so resampling's
+    // handle copies never reallocate.
     particles_.assign(n, init);
+    next_.assign(n, init);
     slotRngs_.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
         slotRngs_.push_back(Mt19937::fromSplitMix(splitMix64At(passSeed, i + 1)));
@@ -43,14 +43,30 @@ ParticleCloud::ParticleCloud(std::size_t n, LikelihoodBackend& backend, int tipC
     const double uniform = -std::log(static_cast<double>(n));
     for (std::size_t i = 0; i < n; ++i) logW_.data()[i] = uniform;
     probs_.assign(n, 1.0 / static_cast<double>(n));
+}
 
-    // Pre-size the resample scratch (steady state allocates nothing; the
-    // staging particle grows to full-tree capacity on first use and is
-    // reused after).
-    pendingReads_.resize(n);
-    copyQueue_.reserve(n);
-    copied_.resize(n);
-    staged_ = init;
+Genealogy ParticleCloud::genealogy(std::size_t p) const {
+    const Particle& pt = particles_[p];
+    require(pt.lineageCount() == 1, "genealogy: particle is still a forest");
+    Genealogy g(static_cast<int>(tipCount_));
+    g.setTipNames(backend_.tipNames());
+    // Every internal slot reachable from the root is one coalescence of
+    // this particle's ancestry; link its children in merge order.
+    std::vector<Slot> pending{pt.slots.front()};
+    while (!pending.empty()) {
+        const Slot s = pending.back();
+        pending.pop_back();
+        if (s < tipCount_) continue;
+        const MergeRecord& m = merges_[s - tipCount_];
+        const NodeId id = nodeOf(s);
+        g.node(id).time = m.time;
+        g.link(id, nodeOf(m.childA));
+        g.link(id, nodeOf(m.childB));
+        pending.push_back(m.childA);
+        pending.push_back(m.childB);
+    }
+    g.setRoot(nodeOf(pt.slots.front()));
+    return g;
 }
 
 double ParticleCloud::normalizeWeights() {
@@ -60,72 +76,15 @@ double ParticleCloud::normalizeWeights() {
     return logSum;
 }
 
-void ParticleCloud::assignParticle(Particle& dst, const Particle& src,
-                                   std::size_t dstRegion) {
-    dst.tree = src.tree;
-    dst.roots = src.roots;
-    dst.rootLogL = src.rootLogL;
-    dst.lastEventTime = src.lastEventTime;
-    dst.slots.resize(src.slots.size());
-    for (std::size_t r = 0; r < src.slots.size(); ++r) {
-        const Slot s = src.slots[r];
-        if (s < tipCount_) {
-            // Tip slots are shared read-only state: reference, don't copy.
-            dst.slots[r] = s;
-        } else {
-            const Slot d = internalSlot(dstRegion, eventOfSlot(s));
-            backend_.copySlot(d, s);
-            dst.slots[r] = d;
-        }
-    }
-}
-
 void ParticleCloud::resample(ResamplingScheme scheme) {
     const std::size_t n = particles_.size();
     resampleAncestors(scheme, probs_, hostRng_, ancestry_);
 
-    // Overwrite slots in place, keeping survivors (ancestry[i] == i) where
-    // they are — after a typical ESS-triggered resample most slots survive,
-    // and particle states are heavyweight (a genealogy arena plus per-root
-    // conditional vectors in the backend). Copies are ordered so every
-    // copy reads pre-resample state: a slot is overwritten only once no
-    // pending copy still reads it (Kahn over the read graph), and pure
-    // copy cycles are broken by staging one particle's state in the spare
-    // backend region. Slot RNG streams deliberately stay with the slot, so
-    // none of this affects the determinism contract.
-    for (std::size_t i = 0; i < n; ++i) pendingReads_[i] = 0;
-    for (std::size_t i = 0; i < n; ++i) copied_[i] = ancestry_[i] == i;
-    for (std::size_t i = 0; i < n; ++i)
-        if (ancestry_[i] != i) ++pendingReads_[ancestry_[i]];
-
-    copyQueue_.clear();
-    for (std::size_t i = 0; i < n; ++i)
-        if (!copied_[i] && pendingReads_[i] == 0)
-            copyQueue_.push_back(static_cast<std::uint32_t>(i));
-    for (std::size_t head = 0; head < copyQueue_.size(); ++head) {
-        const std::uint32_t i = copyQueue_[head];
-        const std::uint32_t a = ancestry_[i];
-        assignParticle(particles_[i], particles_[a], i);
-        copied_[i] = 1;
-        if (--pendingReads_[a] == 0 && !copied_[a])
-            copyQueue_.push_back(a);
-    }
-
-    // Remaining uncopied slots form disjoint cycles (every node still has
-    // exactly one pending reader). Walk each: stage the entry's state,
-    // shift the rest of the cycle down, close from the stage.
-    for (std::size_t i = 0; i < n; ++i) {
-        if (copied_[i]) continue;
-        assignParticle(staged_, particles_[i], n);
-        std::size_t j = i;
-        while (ancestry_[j] != i) {
-            assignParticle(particles_[j], particles_[ancestry_[j]], j);
-            copied_[j] = 1;
-            j = ancestry_[j];
-        }
-        assignParticle(particles_[j], staged_, j);
-        copied_[j] = 1;
-    }
+    // Every slot a particle references was written at an earlier event and
+    // is never written again this pass, so the handles ARE the state:
+    // offspring share their ancestor's slots.
+    for (std::size_t i = 0; i < n; ++i) next_[i] = particles_[ancestry_[i]];
+    particles_.swap(next_);
 
     const double uniform = -std::log(static_cast<double>(n));
     for (double& x : logWeights()) x = uniform;

@@ -12,19 +12,33 @@
 // static for a whole pass —
 //
 //   tip slots      [0, tips): shared read-only by every particle,
-//   internal slots tips + p*(tips-1) + e: particle p's node for event e,
-//   staging region p == N: one spare particle's worth, used to break
-//                  copy cycles during resampling,
+//   internal slots tips + p*(tips-1) + e: written at event e by the
+//                  particle at index p,
 //
-// so propagation never allocates: event e of particle p always writes the
-// same slot, and resampling copies slot contents between fixed regions
-// (Kahn-ordered so every copy reads pre-resample state, cycles broken
-// through the staging region).
+// — so the backend holds tips + N*(tips-1) slots and propagation never
+// allocates.
+//
+// Write-once rule: every internal slot is written exactly once per pass,
+// at its event, and never again. A slot written at an earlier event is
+// therefore immutable, and particles SHARE slots instead of owning them:
+// a particle is only handles (its live roots' slots, their cached root
+// logL, its last event time). Resampling copies those handles from the
+// ancestor — next[i] = cur[ancestry[i]] into a second pre-sized particle
+// array, then a swap — and no partials move in the backend. Offspring of
+// one ancestor read the same slots until each writes its own next event.
+//
+// Merge records: genealogies are not stored per particle either. Each
+// internal slot carries one write-once record {child slot A, child slot
+// B, node time}, written with the slot's combine by the same particle.
+// Following the records down from a particle's root slot recovers its
+// whole genealogy, so a Genealogy is built only where one is consumed
+// (genealogy()): the node of event e gets id tips + e, and its children
+// keep the order the merge linked them in.
 //
 // Determinism contract (mirrors the sampler runtime): every particle SLOT
 // owns a fixed SplitMix64-derived Mt19937 stream for the whole pass.
-// Resampling copies particle STATES between slots but never moves the
-// streams, and propagation touches only slot-local state, so a cloud
+// Resampling copies particle STATES between indices but never moves the
+// streams, and propagation touches only index-local state, so a cloud
 // stepped thread-parallel over particle blocks (par/kernel.h
 // launchBlocked) is bitwise invariant to the worker count.
 #pragma once
@@ -41,17 +55,23 @@
 
 namespace mpcgs {
 
-/// One particle: a forest over n tips after `coalescences()` merge events.
-/// Live roots reference their subtree partials by backend slot and cache
-/// their root log-likelihood so one coalescence costs a single combine().
+/// One particle: a forest over n tips, held as handles. Live roots
+/// reference their subtree partials by backend slot and cache their root
+/// log-likelihood so one coalescence costs a single combine().
 struct Particle {
-    Genealogy tree;             ///< arena; topology grows as events land
-    std::vector<NodeId> roots;  ///< live subtree roots, oldest arena ids
-    std::vector<LikelihoodBackend::Slot> slots;  ///< parallel to roots
-    std::vector<double> rootLogL;                ///< parallel to roots
+    std::vector<LikelihoodBackend::Slot> slots;  ///< live subtree roots
+    std::vector<double> rootLogL;                ///< parallel to slots
     double lastEventTime = 0.0;  ///< most ancient coalescence so far
 
-    int lineageCount() const { return static_cast<int>(roots.size()); }
+    int lineageCount() const { return static_cast<int>(slots.size()); }
+};
+
+/// The write-once record of one internal slot: the coalescence that
+/// produced it.
+struct MergeRecord {
+    LikelihoodBackend::Slot childA = 0;  ///< first linked child
+    LikelihoodBackend::Slot childB = 0;  ///< second linked child
+    double time = 0.0;                   ///< node time of the merge
 };
 
 class ParticleCloud {
@@ -72,14 +92,29 @@ class ParticleCloud {
     const Particle& particle(std::size_t i) const { return particles_[i]; }
     Mt19937& slotRng(std::size_t i) { return slotRngs_[i]; }
     Mt19937& hostRng() { return hostRng_; }
-    LikelihoodBackend& backend() { return backend_; }
 
-    /// Backend slot owned by particle `p`'s internal node of coalescence
-    /// event `e` (in [0, tips-1)); the pass-static write target.
+    /// Backend slot written by particle `p` at coalescence event `e` (in
+    /// [0, tips-1)); the pass-static write target.
     Slot internalSlot(std::size_t p, int e) const {
         return static_cast<Slot>(tipCount_ + p * (tipCount_ - 1) +
                                  static_cast<std::size_t>(e));
     }
+
+    /// Record the merge that produces internal slot `parent`. Called once
+    /// per slot per pass, by the particle that writes the slot; safe to
+    /// call concurrently for distinct slots.
+    void recordMerge(Slot parent, Slot childA, Slot childB, double time) {
+        merges_[parent - tipCount_] = {childA, childB, time};
+    }
+
+    /// Node time of the subtree in `slot`: 0 for tips, else its merge time.
+    double slotTime(Slot slot) const {
+        return slot < tipCount_ ? 0.0 : merges_[slot - tipCount_].time;
+    }
+
+    /// Build particle `p`'s genealogy from the merge records. The particle
+    /// must be complete (one live root).
+    Genealogy genealogy(std::size_t p) const;
 
     /// The log of the forest likelihood every particle shares at step 0
     /// (the deterministic initial state's weight — part of logZ).
@@ -99,40 +134,31 @@ class ParticleCloud {
     double ess() const { return weightEss(probs_); }
 
     /// Resample ancestors under `scheme` from the current probabilities
-    /// (drawn with the host stream), copy particle states slot-by-slot,
-    /// and reset the weights to uniform. Slot RNG streams stay put. All
-    /// scratch is persistent: steady-state resampling allocates nothing.
+    /// (drawn with the host stream), give every particle its ancestor's
+    /// handles, and reset the weights to uniform. Slot RNG streams stay
+    /// put. Both particle arrays are pre-sized: steady-state resampling
+    /// allocates nothing.
     void resample(ResamplingScheme scheme);
 
-    /// Ancestor indices chosen by the most recent resample() (diagnostics).
-    const std::vector<std::uint32_t>& lastAncestry() const { return ancestry_; }
-
   private:
-    /// Event index of an internal slot (inverse of internalSlot's e).
-    int eventOfSlot(Slot s) const {
-        return static_cast<int>((s - tipCount_) % (tipCount_ - 1));
+    /// Genealogy node id of a slot's subtree root: tips keep their index,
+    /// the internal slot of event e is node tips + e.
+    NodeId nodeOf(Slot s) const {
+        return static_cast<NodeId>(
+            s < tipCount_ ? s : tipCount_ + (s - tipCount_) % (tipCount_ - 1));
     }
-    /// Copy particle state `src` into `dst`: genealogy, roots and cached
-    /// logL by value, partials slot-by-slot through the backend with
-    /// internal slots remapped into `dstRegion`'s slot region (the staging
-    /// region is dstRegion == size()).
-    void assignParticle(Particle& dst, const Particle& src, std::size_t dstRegion);
 
     LikelihoodBackend& backend_;
     std::size_t tipCount_ = 0;
     std::vector<Particle> particles_;
+    std::vector<Particle> next_;  ///< resample target, swapped with particles_
+    std::vector<MergeRecord> merges_;  ///< one per internal slot
     std::vector<Mt19937> slotRngs_;
     Mt19937 hostRng_;
     AlignedDoubles logW_;
     std::vector<double> probs_;
-    std::vector<std::uint32_t> ancestry_;
+    std::vector<std::uint32_t> ancestry_;  ///< resample scratch
     double logL0_ = 0.0;
-
-    // Persistent resample scratch (Kahn ordering + cycle staging).
-    std::vector<std::uint32_t> pendingReads_;
-    std::vector<std::uint32_t> copyQueue_;
-    std::vector<std::uint8_t> copied_;
-    Particle staged_;  ///< cycle breaker; its internal slots live in region N
 };
 
 }  // namespace mpcgs

@@ -52,71 +52,25 @@ void SmcFilter::step() {
     const std::size_t N = cloud_.size();
     const int n = totalEvents_ + 1;
     const int event = event_;
-    const NodeId newNode = n + event;
 
     // Phase one — parallel over particle blocks: each slot draws its own
-    // event with its own stream, updates slot-local topology, and enqueues
-    // the generation's likelihood work (one combine + one root fold per
-    // particle) against pass-static backend slots. The block partition
-    // depends only on (N, blockSize).
-    launchBlocked(pool_, N, opts_.blockSize,
-                  [&](std::size_t, std::size_t begin, std::size_t end) {
-                      for (std::size_t p = begin; p < end; ++p) {
-                          Particle& pt = cloud_.particle(p);
-                          Mt19937& rng = cloud_.slotRng(p);
-                          const int k = pt.lineageCount();
-                          // Waiting time of the NEXT coalescence among k
-                          // lineages: total rate k(k-1)/theta (Eq. 17
-                          // summed over the k(k-1)/2 pairs).
-                          const double rate = static_cast<double>(k) *
-                                              static_cast<double>(k - 1) / theta_;
-                          const double t = pt.lastEventTime + rng.exponential(rate);
-
-                          // Uniform unordered pair (i, j), i < j.
-                          const std::size_t i = static_cast<std::size_t>(
-                              rng.below(static_cast<std::uint64_t>(k)));
-                          std::size_t j = static_cast<std::size_t>(
-                              rng.below(static_cast<std::uint64_t>(k - 1)));
-                          if (j >= i) ++j;
-                          const std::size_t a = i < j ? i : j;
-                          const std::size_t b = i < j ? j : i;
-
-                          const NodeId ra = pt.roots[a];
-                          const NodeId rb = pt.roots[b];
-                          const double lenA = t - pt.tree.node(ra).time;
-                          const double lenB = t - pt.tree.node(rb).time;
-
-                          pt.tree.node(newNode).time = t;
-                          pt.tree.link(newNode, ra);
-                          pt.tree.link(newNode, rb);
-
-                          const ParticleCloud::Slot parent =
-                              cloud_.internalSlot(p, event);
-                          backend_.combine(parent, pt.slots[a], lenA, pt.slots[b],
-                                           lenB);
-                          backend_.rootLogLik(parent, &mergedLogL_[p]);
-                          oldA_[p] = pt.rootLogL[a];
-                          oldB_[p] = pt.rootLogL[b];
-                          mergedPos_[p] = static_cast<std::uint32_t>(a);
-
-                          // Replace root a with the merged subtree, drop
-                          // root b (swap-with-back keeps the arrays dense;
-                          // a < b, so position a survives the swap). The
-                          // merged logL lands after the flush.
-                          pt.roots[a] = newNode;
-                          pt.slots[a] = parent;
-                          pt.roots[b] = pt.roots.back();
-                          pt.roots.pop_back();
-                          pt.slots[b] = pt.slots.back();
-                          pt.slots.pop_back();
-                          pt.rootLogL[b] = pt.rootLogL.back();
-                          pt.rootLogL.pop_back();
-                          pt.lastEventTime = t;
-                      }
-                  });
+    // event with its own stream, records the merge in the write-once slot
+    // of (p, event), and enqueues the generation's likelihood work (one
+    // combine + one root fold per particle). The block partition depends
+    // only on (N, blockSize).
+    {
+        const obs::TraceSpan propose("smc_propose", "smc");
+        launchBlocked(pool_, N, opts_.blockSize,
+                      [&](std::size_t, std::size_t begin, std::size_t end) {
+                          for (std::size_t p = begin; p < end; ++p) propagate(p, event);
+                      });
+    }
 
     // Phase two — execute the generation's likelihood batch.
-    backend_.flush(pool_);
+    {
+        const obs::TraceSpan flush("smc_flush", "smc");
+        backend_.flush(pool_);
+    }
     for (std::size_t p = 0; p < N; ++p) {
         cloud_.particle(p).rootLogL[mergedPos_[p]] = mergedLogL_[p];
         // Incremental log-weight: the partial-likelihood ratio.
@@ -188,6 +142,7 @@ void SmcFilter::step() {
     const bool forceResample = opts_.essThreshold >= 1.0;
     if (!lastEvent &&
         (forceResample || cloud_.ess() < opts_.essThreshold * static_cast<double>(N))) {
+        const obs::TraceSpan resample("smc_resample", "smc");
         cloud_.resample(opts_.scheme);
         ++res_.resamples;
         obs::add(obs::Counter::SmcResamples);
@@ -195,14 +150,51 @@ void SmcFilter::step() {
     ++event_;
 }
 
+void SmcFilter::propagate(std::size_t p, int event) {
+    Particle& pt = cloud_.particle(p);
+    Mt19937& rng = cloud_.slotRng(p);
+    const int k = pt.lineageCount();
+    // Waiting time of the NEXT coalescence among k lineages: total rate
+    // k(k-1)/theta (Eq. 17 summed over the k(k-1)/2 pairs).
+    const double rate = static_cast<double>(k) * static_cast<double>(k - 1) / theta_;
+    const double t = pt.lastEventTime + rng.exponential(rate);
+
+    // Uniform unordered pair (i, j), i < j.
+    const std::size_t i =
+        static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(k)));
+    std::size_t j =
+        static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(k - 1)));
+    if (j >= i) ++j;
+    const std::size_t a = i < j ? i : j;
+    const std::size_t b = i < j ? j : i;
+
+    const ParticleCloud::Slot sa = pt.slots[a];
+    const ParticleCloud::Slot sb = pt.slots[b];
+    const ParticleCloud::Slot parent = cloud_.internalSlot(p, event);
+    cloud_.recordMerge(parent, sa, sb, t);
+    backend_.combine(parent, sa, t - cloud_.slotTime(sa), sb, t - cloud_.slotTime(sb));
+    backend_.rootLogLik(parent, &mergedLogL_[p]);
+    oldA_[p] = pt.rootLogL[a];
+    oldB_[p] = pt.rootLogL[b];
+    mergedPos_[p] = static_cast<std::uint32_t>(a);
+
+    // Replace root a with the merged subtree, drop root b (swap-with-back
+    // keeps the arrays dense; a < b, so position a survives the swap). The
+    // merged logL lands after the flush.
+    pt.slots[a] = parent;
+    pt.slots[b] = pt.slots.back();
+    pt.slots.pop_back();
+    pt.rootLogL[b] = pt.rootLogL.back();
+    pt.rootLogL.pop_back();
+    pt.lastEventTime = t;
+}
+
 SmcPassResult SmcFilter::finish() {
     // Draw one genealogy from the final weighted cloud (host stream).
     const std::size_t pick = cloud_.hostRng().categorical(cloud_.probabilities());
-    Particle& chosen = cloud_.particle(pick);
-    chosen.tree.setRoot(chosen.roots.front());
-    res_.sampled = std::move(chosen.tree);
-    res_.sampledLogPosterior =
-        chosen.rootLogL.front() + logCoalescentPrior(res_.sampled, theta_);
+    res_.sampled = cloud_.genealogy(pick);
+    res_.sampledLogPosterior = cloud_.particle(pick).rootLogL.front() +
+                               logCoalescentPrior(res_.sampled, theta_);
     res_.backend = backend_.name();
     return std::move(res_);
 }

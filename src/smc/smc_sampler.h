@@ -108,6 +108,10 @@ class SmcFilter {
     double theta() const { return theta_; }
 
   private:
+    /// Phase-one work of particle `p` at `event`: draw the coalescence,
+    /// record its merge, enqueue its combine and root fold.
+    void propagate(std::size_t p, int event);
+
     LikelihoodBackend& backend_;
     double theta_;
     SmcOptions opts_;

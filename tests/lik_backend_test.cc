@@ -137,8 +137,8 @@ TEST(LikBackendTest, BothBackendsMatchForestEvaluatorBitwise) {
 }
 
 /// Full-pass invariance matrix: backend x thread count, on a config with
-/// real resampling pressure (essThreshold 1.0 = resample every step, the
-/// path that exercises the Kahn-ordered slot copies and cycle staging).
+/// real resampling pressure (essThreshold 1.0 = resample every step, so
+/// every generation's offspring read slots their ancestors wrote).
 TEST(LikBackendTest, SmcPassBitwiseInvariantAcrossBackendsAndThreads) {
     const Alignment aln = simulateData(8, 1.0, 200, 31);
     const F81Model model(aln.baseFrequencies());

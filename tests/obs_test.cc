@@ -1,9 +1,12 @@
 // The observability layer (src/obs/): registry no-op-when-unarmed and
-// cross-thread counter folding, histogram bucket/quantile math, the JSON
-// and Prometheus emitters, the trace recorder's Chrome trace_event
-// format, obs.emit fault semantics — and the layer's central promise:
+// cross-thread counter folding, histogram bucket/quantile math (the +Inf
+// bucket reports the max), the JSON and Prometheus emitters, the trace
+// recorder's Chrome trace_event format, the SMC generation's sub-phase
+// spans, obs.emit fault semantics — and the layer's central promise:
 // arming metrics NEVER perturbs an estimate (bitwise logZ equality armed
 // vs unarmed, and thread-count invariance with metrics on).
+#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -22,6 +25,7 @@
 #include "par/thread_pool.h"
 #include "rng/mt19937.h"
 #include "seq/seqgen.h"
+#include "seq/subst_model.h"
 #include "serve/json_mini.h"
 #include "smc/smc_sampler.h"
 #include "util/error.h"
@@ -109,12 +113,39 @@ TEST_F(ObsTest, HistogramBucketsAndQuantilesFollowPowerOfTwoBounds) {
     EXPECT_EQ(snap.histSumUs[hi], 10u + (std::uint64_t{1} << 40));
 
     // Quantiles report the le bound of the covering bucket: the 3rd of 6
-    // observations sits in bucket 1 (le 2), the last in +Inf (capped at
-    // the sum rather than inventing a bound).
+    // observations sits in bucket 1 (le 2), the last in +Inf (which reports
+    // the largest observation rather than inventing a bound).
     EXPECT_EQ(snap.histQuantileUs(h, 0.50), 2u);
     EXPECT_EQ(snap.histQuantileUs(h, 0.75), 4u);
-    EXPECT_EQ(snap.histQuantileUs(h, 1.00), snap.histSumUs[hi]);
+    EXPECT_EQ(snap.histMaxUs[hi], std::uint64_t{1} << 40);
+    EXPECT_EQ(snap.histQuantileUs(h, 1.00), snap.histMaxUs[hi]);
     EXPECT_EQ(snap.histQuantileUs(obs::Histogram::ServeLogzUs, 0.5), 0u);  // empty
+}
+
+TEST_F(ObsTest, QuantilesAboveTheTopBucketReportTheMaxNeverTheSum) {
+    obs::arm();
+    const auto h = obs::Histogram::PoolLaunchLatencyUs;
+    const std::size_t hi = static_cast<std::size_t>(h);
+    constexpr std::uint64_t kTop = std::uint64_t{1} << (obs::kHistogramBuckets - 2);
+    // 100 fast observations, then two beyond the top finite bucket from
+    // two threads (two shards): p99 lands in +Inf.
+    for (int i = 0; i < 100; ++i) obs::observe(h, 10);
+    std::thread a([&] { obs::observe(h, kTop + 5); });
+    std::thread b([&] { obs::observe(h, 3 * kTop); });
+    a.join();
+    b.join();
+    const obs::MetricsSnapshot snap = obs::snapshot();
+    EXPECT_EQ(kTop, std::uint64_t{1} << 24);  // top finite bucket ~16.8 s
+    EXPECT_EQ(snap.hist[hi][obs::kHistogramBuckets - 1], 2u);
+    EXPECT_EQ(snap.histMaxUs[hi], 3 * kTop);  // folded across shards
+    EXPECT_EQ(snap.histQuantileUs(h, 0.99), snap.histMaxUs[hi]);
+    EXPECT_NE(snap.histQuantileUs(h, 0.99), snap.histSumUs[hi]);
+    EXPECT_EQ(snap.histQuantileUs(h, 0.50), 16u);
+    const auto obj = json_mini::parse(obs::toJson(snap));
+    EXPECT_EQ(json_mini::getNumber(obj, "pool.launch_latency_us.p99"),
+              static_cast<double>(3 * kTop));
+    obs::reset();
+    EXPECT_EQ(obs::snapshot().histMaxUs[hi], 0u);
 }
 
 TEST_F(ObsTest, ResetZeroesEverything) {
@@ -155,7 +186,7 @@ TEST_F(ObsTest, PrometheusExpositionMatchesTheTextFormat) {
     obs::add(obs::Counter::LikMatricesComputed, 5);
     obs::set(obs::Gauge::McmcRhat, 1.01);
     obs::observe(obs::Histogram::ServeSnapshotUs, 3);
-    obs::observe(obs::Histogram::ServeSnapshotUs, 3000000);  // +Inf bucket
+    obs::observe(obs::Histogram::ServeSnapshotUs, 3000000);  // le 2^22 bucket
     const std::string text = obs::toPrometheus(obs::snapshot());
     EXPECT_NE(text.find("# TYPE mpcgs_lik_matrices_computed counter\n"
                         "mpcgs_lik_matrices_computed 5\n"),
@@ -252,6 +283,75 @@ TEST_F(ObsTest, TraceSpansRecordOnlyWhileArmed) {
     EXPECT_NE(json.find("\"name\":\"outer\""), std::string::npos);
     EXPECT_EQ(json.find("\"name\":\"ghost\""), std::string::npos);
     EXPECT_EQ(json.find("\"name\":\"after\""), std::string::npos);
+}
+
+namespace {
+
+struct SpanEvent {
+    std::string name;
+    std::uint64_t ts = 0, dur = 0;
+    unsigned tid = 0;
+};
+
+/// The complete events of TraceRecorder::toJson(), in order.
+std::vector<SpanEvent> parseSpans(const std::string& json) {
+    std::vector<SpanEvent> out;
+    const std::string key = "{\"name\":\"";
+    for (std::size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + 1)) {
+        const std::size_t nameBegin = at + key.size();
+        SpanEvent e;
+        e.name = json.substr(nameBegin, json.find('"', nameBegin) - nameBegin);
+        const char* rest = json.c_str() + json.find("\"ts\":", nameBegin);
+        EXPECT_EQ(std::sscanf(rest, "\"ts\":%" SCNu64 ",\"dur\":%" SCNu64
+                                    ",\"pid\":1,\"tid\":%u",
+                              &e.ts, &e.dur, &e.tid),
+                  3);
+        out.push_back(e);
+    }
+    return out;
+}
+
+}  // namespace
+
+TEST_F(ObsTest, SmcGenerationsTraceTheirSubPhases) {
+    Mt19937 rng(11);
+    const Genealogy truth = simulateCoalescent(6, 1.0, rng);
+    const auto gen = makeF84(2.0, kUniformFreqs);
+    const Alignment aln = simulateSequences(truth, *gen, {120, 1.0}, rng);
+    const F81Model model(kUniformFreqs);
+    const DataLikelihood lik(aln, model);
+    SmcOptions opts;
+    opts.particles = 32;
+    opts.essThreshold = 1.0;  // resample after every event but the last
+
+    obs::TraceRecorder rec;
+    obs::armTrace(&rec);
+    const SmcPassResult res = runSmcPass(lik, 1.0, opts, 5);
+    obs::armTrace(nullptr);
+    ASSERT_EQ(res.resamples, 4u);
+
+    const std::vector<SpanEvent> spans = parseSpans(rec.toJson());
+    std::vector<const SpanEvent*> generations;
+    for (const SpanEvent& e : spans)
+        if (e.name == "smc_generation") generations.push_back(&e);
+    ASSERT_EQ(generations.size(), 5u);
+    std::size_t propose = 0, flush = 0, resample = 0;
+    for (const SpanEvent& e : spans) {
+        if (e.name != "smc_propose" && e.name != "smc_flush" && e.name != "smc_resample")
+            continue;
+        propose += e.name == "smc_propose";
+        flush += e.name == "smc_flush";
+        resample += e.name == "smc_resample";
+        bool nested = false;
+        for (const SpanEvent* g : generations)
+            nested = nested || (g->tid == e.tid && g->ts <= e.ts &&
+                                e.ts + e.dur <= g->ts + g->dur);
+        EXPECT_TRUE(nested) << e.name << " at " << e.ts << " outside every smc_generation";
+    }
+    EXPECT_EQ(propose, 5u);
+    EXPECT_EQ(flush, 5u);
+    EXPECT_EQ(resample, res.resamples);
 }
 
 // --- the central guarantee: metrics never perturb an estimate ----------

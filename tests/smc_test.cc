@@ -1,15 +1,20 @@
 // SMC subsystem: partial-forest likelihood agreement with the pruning
 // reference, exact-marginal validation of the unbiased logZ estimator on
 // tiny trees (quadrature over all of genealogy space), bitwise
-// thread-count invariance of logZ and of a full PMMH run, kill+resume of
-// PMMH being bitwise-identical, scheme cross-agreement, the
-// SmcThetaLikelihood curve behaving as a likelihood (maximizer near the
-// data's information), and checkpoint format v5 with v1-v4 read-compat.
+// thread-count invariance of logZ and of a full PMMH run, the particle
+// cloud's write-once slot discipline (audited through a forwarding
+// backend), kill+resume of PMMH being bitwise-identical, scheme
+// cross-agreement, the SmcThetaLikelihood curve behaving as a likelihood
+// (maximizer near the data's information), and checkpoint format v5 with
+// v1-v4 read-compat.
 #include "smc/smc_sampler.h"
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -250,6 +255,114 @@ TEST(SmcDeterminismTest, EveryResamplingSchemeGivesAFiniteConsistentLogZ) {
     // All four schemes target the same marginal likelihood.
     for (std::size_t i = 1; i < logZs.size(); ++i)
         EXPECT_NEAR(logZs[i], logZs[0], 1.0) << "scheme " << i;
+}
+
+// --- write-once slots --------------------------------------------------
+
+/// Forwards every operation to a real backend and audits the particle
+/// cloud's slot discipline: each parent slot is written by exactly one
+/// combine per pass, and every child a combine reads is a tip slot or was
+/// written in an earlier generation (before the last flush). Combines
+/// arrive concurrently from the propagation launch, so the audit state is
+/// atomic and violations are counted, then asserted on the test thread.
+class WriteOnceAudit final : public LikelihoodBackend {
+  public:
+    explicit WriteOnceAudit(LikelihoodBackend& inner) : inner_(inner) {}
+
+    LikBackendKind kind() const override { return inner_.kind(); }
+    std::size_t patternCount() const override { return inner_.patternCount(); }
+    std::size_t categoryCount() const override { return inner_.categoryCount(); }
+    const std::vector<std::string>& tipNames() const override {
+        return inner_.tipNames();
+    }
+
+    void resizeSlots(std::size_t n) override {
+        requested_.push_back(n);
+        isTip_.assign(n, 0);
+        writes_ = std::make_unique<std::atomic<int>[]>(n);
+        writtenIn_ = std::make_unique<std::atomic<int>[]>(n);
+        inner_.resizeSlots(n);
+    }
+    std::size_t slotCount() const override { return inner_.slotCount(); }
+
+    void tipInit(Slot dst, int tip) override {
+        isTip_[dst] = 1;
+        inner_.tipInit(dst, tip);
+    }
+    void combine(Slot parent, Slot childA, double lenA, Slot childB,
+                 double lenB) override {
+        writes_[parent].fetch_add(1, std::memory_order_relaxed);
+        writtenIn_[parent].store(generation_, std::memory_order_relaxed);
+        for (const Slot child : {childA, childB}) {
+            const bool earlier =
+                writes_[child].load(std::memory_order_relaxed) == 1 &&
+                writtenIn_[child].load(std::memory_order_relaxed) < generation_;
+            if (!isTip_[child] && !earlier)
+                badChildren_.fetch_add(1, std::memory_order_relaxed);
+        }
+        inner_.combine(parent, childA, lenA, childB, lenB);
+    }
+    void rootLogLik(Slot slot, double* out) override { inner_.rootLogLik(slot, out); }
+    void flush(ThreadPool* pool) override {
+        inner_.flush(pool);
+        ++generation_;
+    }
+
+    std::span<const double> slotData(Slot slot) const override {
+        return inner_.slotData(slot);
+    }
+    std::span<const double> slotScale(Slot slot) const override {
+        return inner_.slotScale(slot);
+    }
+
+    const std::vector<std::size_t>& requestedSizes() const { return requested_; }
+    int writes(Slot s) const { return writes_[s].load(std::memory_order_relaxed); }
+    std::size_t badChildren() const { return badChildren_.load(); }
+
+  private:
+    LikelihoodBackend& inner_;
+    std::vector<std::size_t> requested_;
+    std::vector<std::uint8_t> isTip_;
+    std::unique_ptr<std::atomic<int>[]> writes_;
+    std::unique_ptr<std::atomic<int>[]> writtenIn_;  ///< generation of the write
+    int generation_ = 1;  ///< bumped by each flush (serial context)
+    std::atomic<std::size_t> badChildren_{0};
+};
+
+TEST(SmcWriteOnceTest, SlotsAreWrittenOnceAndReadOnlyAfterTheirGeneration) {
+    const Alignment aln = simulateData(8, 1.0, 200, 31);
+    const F81Model model(aln.baseFrequencies());
+    const DataLikelihood lik(aln, model);
+    constexpr std::size_t kTips = 8;
+    SmcOptions opts;
+    opts.particles = 96;
+    opts.essThreshold = 1.0;  // resample every step: offspring share slots
+    ThreadPool pool(4);
+
+    for (const auto backend : {LikBackendKind::Arena, LikBackendKind::Batched}) {
+        SCOPED_TRACE(likBackendName(backend));
+        opts.backend = backend;
+        const auto real = makeLikelihoodBackend(backend, lik);
+        WriteOnceAudit audit(*real);
+        SmcFilter filter(audit, 1.0, opts, 4711, &pool);
+        while (!filter.done()) filter.step();
+        const SmcPassResult res = filter.finish();
+
+        // No staging region: tips plus one write-once region per particle.
+        const std::size_t slots = kTips + opts.particles * (kTips - 1);
+        EXPECT_EQ(audit.requestedSizes(), std::vector<std::size_t>{slots});
+        EXPECT_EQ(res.resamples, kTips - 2);  // every event but the last
+        EXPECT_EQ(audit.badChildren(), 0u);
+        for (std::size_t s = 0; s < slots; ++s)
+            EXPECT_EQ(audit.writes(static_cast<LikelihoodBackend::Slot>(s)),
+                      s < kTips ? 0 : 1)
+                << "slot " << s;
+
+        // Auditing is transparent: the pass equals an unaudited one.
+        const SmcPassResult plain = runSmcPass(lik, 1.0, opts, 4711, &pool);
+        EXPECT_EQ(std::memcmp(&res.logZ, &plain.logZ, sizeof(double)), 0);
+        EXPECT_EQ(res.sampled, plain.sampled);
+    }
 }
 
 // --- SmcThetaLikelihood ------------------------------------------------

@@ -250,8 +250,8 @@ TEST(ZeroAllocTest, SmcResampleSteadyStateAllocatesNothing) {
     opts.backend = LikBackendKind::Arena;
     const auto backend = makeLikelihoodBackend(opts.backend, lik);
     SmcFilter filter(*backend, 1.0, opts, 7);
-    // Warm-up covers the first resample (ancestry buffer + cycle-staging
-    // particle grow to their pass-wide sizes there).
+    // Warm-up covers the first resample (the ancestry buffer grows to its
+    // pass-wide size there; both particle arrays are pre-sized).
     for (int e = 0; e < 3; ++e) filter.step();
 
     AllocWindow window;
