@@ -20,6 +20,7 @@
 #include "core/neighborhood.h"
 #include "core/recoalesce.h"
 #include "lik/felsenstein.h"
+#include "lik/lik_backend.h"
 #include "par/kernel.h"
 #include "util/build_info.h"
 #include "phylo/upgma.h"
@@ -121,6 +122,43 @@ void BM_LikelihoodScalarReference(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_LikelihoodScalarReference)->Arg(200)->Arg(1000)->Arg(2000);
+
+/// One SMC combine item (Eq. 19 + power-of-two rescale + root fold) over a
+/// pre-filled slot arena, args {rate categories C, patterns P}: 10 tips
+/// whose columns spell 0..P-1 in base 4, so P is exact. Children are two
+/// internal slots with distinct branch lengths (2C matrices per item).
+/// items/sec is patterns/sec.
+void BM_SmcCombine(benchmark::State& state) {
+    const std::size_t C = static_cast<std::size_t>(state.range(0));
+    const std::size_t P = static_cast<std::size_t>(state.range(1));
+    std::vector<Sequence> seqs;
+    for (std::size_t s = 0; s < 10; ++s) {
+        std::string chars;
+        for (std::size_t j = 0; j < P; ++j) chars += "ACGT"[(j >> (2 * s)) & 3];
+        seqs.push_back(Sequence::fromString("s" + std::to_string(s), chars));
+    }
+    const Alignment data(std::move(seqs));
+    const F81Model model(data.baseFrequencies());
+    const DataLikelihood lik(data, model,
+                             C == 1 ? RateCategories::uniformRate()
+                                    : RateCategories::discreteGamma(0.5, static_cast<int>(C)));
+    const auto backend = makeLikelihoodBackend(LikBackendKind::Arena, lik);
+    backend->resizeSlots(7);
+    for (int t = 0; t < 4; ++t) backend->tipInit(t, t, nullptr);
+    backend->flush(nullptr);
+    backend->combine(4, 0, 0.05, 1, 0.05, nullptr);
+    backend->combine(5, 2, 0.08, 3, 0.08, nullptr);
+    backend->flush(nullptr);
+    double rootLogL = 0.0;
+    for (auto _ : state) {
+        backend->combine(6, 4, 0.11, 5, 0.08, &rootLogL);
+        backend->flush(nullptr);
+        benchmark::DoNotOptimize(rootLogL);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(P));
+}
+BENCHMARK(BM_SmcCombine)->ArgsProduct({{1, 4}, {255, 1607}});
 
 /// Thread scaling of the blocked stateless evaluation (arg = pool width)
 /// on the Fig 15 workload shape (48 sequences x 1000 sites, uncompressed).

@@ -1,11 +1,8 @@
-// ArenaBackend — eager reference execution of the likelihood operation
-// queue. Every operation runs at enqueue time through the shared
-// forest_kernels, serially on the enqueueing thread; flush() is a no-op
-// barrier. This wraps the pre-backend SIMD pattern-major arena execution
-// exactly (same kernels, same order), so it is the bitwise reference the
-// batched backend is gated against — and it stays the simplest thing to
-// read when debugging a numerical question.
-#include "lik/forest_kernels.h"
+// ArenaBackend — eager execution of the likelihood operation queue. Every
+// operation runs its fused item at enqueue time, serially on the
+// enqueueing thread; flush() is a no-op barrier. Same items, same slots as
+// the batched backend, so the two agree bitwise — and this one stays the
+// simplest thing to read when debugging a numerical question.
 #include "lik/lik_backend.h"
 #include "obs/metrics.h"
 
@@ -19,39 +16,17 @@ class ArenaBackend final : public SlotArenaBackend {
 
     LikBackendKind kind() const override { return LikBackendKind::Arena; }
 
-    void tipInit(Slot dst, int tip) override {
-        const std::size_t P = patterns_.patternCount();
-        forestTipInitRange(patterns_, tip, dataPtr(dst), scalePtr(dst), P,
-                           rates_.count(), 0, P);
+    void tipInit(Slot dst, int tip, double* rootLogL) override {
+        tipItem(dst, tip, rootLogL);
     }
 
-    void combine(Slot parent, Slot childA, double lenA, Slot childB,
-                 double lenB) override {
-        const std::size_t P = patterns_.patternCount();
-        const std::size_t C = rates_.count();
-        const double* va = dataPtr(childA);
-        const double* vb = dataPtr(childB);
-        double* vo = dataPtr(parent);
-        for (std::size_t c = 0; c < C; ++c) {
-            const double rate = rates_.rates[c];
-            const Matrix4 pa = model_.transition(lenA * rate);
-            const Matrix4 pb = model_.transition(lenB * rate);
-            forestCombineRange(pa, pb, va + c * P * 4, vb + c * P * 4,
-                               vo + c * P * 4, 0, P);
-        }
-        forestRescaleRange(vo, scalePtr(parent), scalePtr(childA),
-                           scalePtr(childB), P, C, 0, P);
-        obs::add(obs::Counter::LikCombineOps);
-        obs::add(obs::Counter::LikMatricesRequested, 2 * C);
-        obs::add(obs::Counter::LikMatricesComputed, 2 * C);
-    }
-
-    void rootLogLik(Slot slot, double* out) override {
-        *out = forestRootLogLik(dataPtr(slot), scalePtr(slot), patterns_, pi_,
-                                rates_);
+    void combine(Slot parent, Slot childA, double lenA, Slot childB, double lenB,
+                 double* rootLogL) override {
+        combineItem(parent, childA, lenA, childB, lenB, rootLogL);
     }
 
     void flush(ThreadPool* /*pool*/) override {
+        const obs::PhaseTimer timer(obs::Counter::LikFlushNs);
         obs::add(obs::Counter::LikFlushes);
     }
 };

@@ -4,34 +4,22 @@
 //
 // Enqueue is a lock-free append into pre-sized operation arrays (one
 // atomic fetch_add per op), so a whole generation of particles can queue
-// its combines from inside the propagation launch. flush() then executes
-// the batch in dependency order:
-//
-//   1. tip initializations (one launch item per op);
-//   2. transition-matrix precompute: the distinct branch-length bit
-//      patterns of the batch are sorted + uniqued and each distinct length
-//      is exponentiated once per rate category — a generation of N
-//      particles shares matrices instead of computing 2C per particle;
-//   3. one flat launch over (combine op x pattern block): every item owns
-//      a contiguous cache-resident pattern slice of one operation;
-//   4. root log-likelihood folds, one launch item per op, each a serial
-//      in-pattern-order fold (the fold order is part of the bitwise
-//      contract).
+// its combines from inside the propagation launch. flush() then runs one
+// flat launch per operation kind with ONE item per operation: first the
+// tip fills, then the combines. Each combine item packs its own branch
+// matrices, prunes every rate category, rescales and folds its root
+// (lik/pruning_kernels.h), so an SMC generation — combines only — is a
+// single launch of N items.
 //
 // Results are slot-/pointer-indexed, so the nondeterministic enqueue order
-// under concurrency never affects values: the same machine code (shared
-// forest_kernels) runs over the same slots with bit-identical matrices,
-// whatever the array order or thread count. Within one batch, a combine's
-// parent must not feed another queued combine (the SMC generation
-// structure guarantees this); root ops may read slots written by the same
-// batch's combines or tip inits.
-#include <algorithm>
+// under concurrency never affects values: the same compiled item runs
+// over the same slots whatever the array order or thread count. Within
+// one batch, a combine's parent must not feed another queued combine (the
+// SMC generation structure guarantees this); combines may read tips
+// filled by the same batch.
 #include <atomic>
-#include <bit>
-#include <cstdint>
 #include <vector>
 
-#include "lik/forest_kernels.h"
 #include "lik/lik_backend.h"
 #include "obs/metrics.h"
 #include "util/error.h"
@@ -40,26 +28,16 @@ namespace mpcgs {
 namespace detail {
 namespace {
 
-/// Pattern-block width of the flat combine launch: one item touches
-/// 4 * kPatternBlock doubles per category per operand, sized to stay
-/// cache-resident while giving thread counts beyond the op count
-/// something to steal.
-constexpr std::size_t kPatternBlock = 256;
-
 struct TipOp {
     LikelihoodBackend::Slot dst;
     int tip;
+    double* rootLogL;
 };
 
 struct CombineOp {
     LikelihoodBackend::Slot parent, childA, childB;
     double lenA, lenB;
-    std::uint32_t matA, matB;  ///< distinct-length indices, filled at flush
-};
-
-struct RootOp {
-    LikelihoodBackend::Slot slot;
-    double* out;
+    double* rootLogL;
 };
 
 class BatchedBackend final : public SlotArenaBackend {
@@ -70,28 +48,22 @@ class BatchedBackend final : public SlotArenaBackend {
 
     void resizeSlots(std::size_t n) override {
         SlotArenaBackend::resizeSlots(n);
-        // At most one op of each kind per slot per batch (a slot is written
-        // once per generation), so slotCount bounds every queue.
+        // At most one op per slot per batch (a slot is written once per
+        // generation), so slotCount bounds both queues.
         if (tipOps_.size() < n) {
             tipOps_.resize(n);
             combineOps_.resize(n);
-            rootOps_.resize(n);
-            lenKeys_.reserve(2 * n);
         }
     }
 
-    void tipInit(Slot dst, int tip) override {
-        tipOps_[claim(nTips_, tipOps_.size())] = {dst, tip};
+    void tipInit(Slot dst, int tip, double* rootLogL) override {
+        tipOps_[claim(nTips_, tipOps_.size())] = {dst, tip, rootLogL};
     }
 
-    void combine(Slot parent, Slot childA, double lenA, Slot childB,
-                 double lenB) override {
-        combineOps_[claim(nCombines_, combineOps_.size())] = {
-            parent, childA, childB, lenA, lenB, 0, 0};
-    }
-
-    void rootLogLik(Slot slot, double* out) override {
-        rootOps_[claim(nRoots_, rootOps_.size())] = {slot, out};
+    void combine(Slot parent, Slot childA, double lenA, Slot childB, double lenB,
+                 double* rootLogL) override {
+        combineOps_[claim(nCombines_, combineOps_.size())] = {parent, childA, childB,
+                                                              lenA,   lenB,   rootLogL};
     }
 
     void flush(ThreadPool* pool) override;
@@ -106,103 +78,28 @@ class BatchedBackend final : public SlotArenaBackend {
 
     std::vector<TipOp> tipOps_;
     std::vector<CombineOp> combineOps_;
-    std::vector<RootOp> rootOps_;
-    std::atomic<std::size_t> nTips_{0}, nCombines_{0}, nRoots_{0};
-
-    std::vector<std::uint64_t> lenKeys_;  ///< sorted distinct length bits
-    std::vector<Matrix4> matStore_;       ///< [distinct d][category c] = d*C + c
+    std::atomic<std::size_t> nTips_{0}, nCombines_{0};
 };
 
 void BatchedBackend::flush(ThreadPool* pool) {
-    const std::size_t P = patterns_.patternCount();
-    const std::size_t C = rates_.count();
-    const std::size_t nTips = nTips_.load(std::memory_order_relaxed);
-    const std::size_t nCombines = nCombines_.load(std::memory_order_relaxed);
-    const std::size_t nRoots = nRoots_.load(std::memory_order_relaxed);
-
-    // 1. Tip initializations.
+    const obs::PhaseTimer timer(obs::Counter::LikFlushNs);
     forEachIndex(
-        pool, nTips,
+        pool, nTips_.load(std::memory_order_relaxed),
         [&](std::size_t i) {
             const TipOp& op = tipOps_[i];
-            forestTipInitRange(patterns_, op.tip, dataPtr(op.dst),
-                               scalePtr(op.dst), P, C, 0, P);
+            tipItem(op.dst, op.tip, op.rootLogL);
         },
         /*grain=*/1);
-
-    if (nCombines > 0) {
-        // 2. Distinct transition matrices, once per (length, category).
-        lenKeys_.clear();
-        for (std::size_t i = 0; i < nCombines; ++i) {
-            lenKeys_.push_back(std::bit_cast<std::uint64_t>(combineOps_[i].lenA));
-            lenKeys_.push_back(std::bit_cast<std::uint64_t>(combineOps_[i].lenB));
-        }
-        std::sort(lenKeys_.begin(), lenKeys_.end());
-        lenKeys_.erase(std::unique(lenKeys_.begin(), lenKeys_.end()),
-                       lenKeys_.end());
-        const std::size_t nLens = lenKeys_.size();
-        if (matStore_.size() < nLens * C) matStore_.resize(nLens * C);
-        forEachIndex(
-            pool, nLens,
-            [&](std::size_t d) {
-                const double len = std::bit_cast<double>(lenKeys_[d]);
-                for (std::size_t c = 0; c < C; ++c)
-                    matStore_[d * C + c] = model_.transition(len * rates_.rates[c]);
-            },
-            /*grain=*/1);
-        obs::add(obs::Counter::LikMatricesComputed, nLens * C);
-
-        const auto lenIndex = [&](double len) {
-            const std::uint64_t key = std::bit_cast<std::uint64_t>(len);
-            return static_cast<std::uint32_t>(
-                std::lower_bound(lenKeys_.begin(), lenKeys_.end(), key) -
-                lenKeys_.begin());
-        };
-        for (std::size_t i = 0; i < nCombines; ++i) {
-            combineOps_[i].matA = lenIndex(combineOps_[i].lenA);
-            combineOps_[i].matB = lenIndex(combineOps_[i].lenB);
-        }
-
-        // 3. One flat launch over (combine op x pattern block).
-        const std::size_t nBlocks = (P + kPatternBlock - 1) / kPatternBlock;
-        forEachIndex(
-            pool, nCombines * nBlocks,
-            [&](std::size_t item) {
-                const CombineOp& op = combineOps_[item / nBlocks];
-                const std::size_t p0 = (item % nBlocks) * kPatternBlock;
-                const std::size_t n = std::min(kPatternBlock, P - p0);
-                const double* va = dataPtr(op.childA);
-                const double* vb = dataPtr(op.childB);
-                double* vo = dataPtr(op.parent);
-                for (std::size_t c = 0; c < C; ++c)
-                    forestCombineRange(matStore_[op.matA * C + c],
-                                       matStore_[op.matB * C + c], va + c * P * 4,
-                                       vb + c * P * 4, vo + c * P * 4, p0, n);
-                forestRescaleRange(vo, scalePtr(op.parent), scalePtr(op.childA),
-                                   scalePtr(op.childB), P, C, p0, n);
-            },
-            /*grain=*/1);
-    }
-
-    // 4. Root folds (serial in-pattern-order per op; ops in parallel).
     forEachIndex(
-        pool, nRoots,
+        pool, nCombines_.load(std::memory_order_relaxed),
         [&](std::size_t i) {
-            const RootOp& op = rootOps_[i];
-            *op.out = forestRootLogLik(dataPtr(op.slot), scalePtr(op.slot),
-                                       patterns_, pi_, rates_);
+            const CombineOp& op = combineOps_[i];
+            combineItem(op.parent, op.childA, op.lenA, op.childB, op.lenB, op.rootLogL);
         },
         /*grain=*/1);
-
-    // flush() is serial-context (header contract), so these registry
-    // counts are deterministic per run. matrices_requested vs
-    // matrices_computed is the dedup hit-rate the batching buys.
     obs::add(obs::Counter::LikFlushes);
-    obs::add(obs::Counter::LikCombineOps, nCombines);
-    obs::add(obs::Counter::LikMatricesRequested, 2 * C * nCombines);
     nTips_.store(0, std::memory_order_relaxed);
     nCombines_.store(0, std::memory_order_relaxed);
-    nRoots_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace

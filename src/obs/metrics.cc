@@ -24,12 +24,15 @@ constexpr const char* kCounterNames[] = {
     "lik.combine_ops",
     "lik.matrices_requested",
     "lik.matrices_computed",
+    "lik.flush_ns",
     "mcmc.steps",
     "mcmc.accepted",
     "mcmc.swaps_proposed",
     "mcmc.swaps_accepted",
     "smc.generations",
+    "smc.propose_ns",
     "smc.resamples",
+    "smc.resample_ns",
     "smc.online_updates",
     "smc.online_refreshes",
     "smc.rejuvenation_accepts",

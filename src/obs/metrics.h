@@ -27,14 +27,20 @@
 //
 // The metric name taxonomy (emitted by toJson/toPrometheus):
 //   pool.*   thread-pool launches, steals, park/wake, launch latency
-//   lik.*    backend flushes, combine ops, matrices requested/computed
+//   lik.*    backend flushes and their time, combine ops, matrices
+//            requested/computed
 //   mcmc.*   sampler steps/accepts/swaps, R-hat and pooled-ESS gauges
-//   smc.*    generations, resamples, ESS trajectory, logZ increments
+//   smc.*    generations, propose/resample time, resamples, ESS
+//            trajectory, logZ increments
 //   serve.*  per-job-type latency, accepted/rejected jobs, checkpointing
+//
+// Counters named *_ns are cumulative phase times in nanoseconds, added by
+// a PhaseTimer around the phase.
 #pragma once
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -54,12 +60,15 @@ enum class Counter : std::uint32_t {
     LikCombineOps,
     LikMatricesRequested,
     LikMatricesComputed,
+    LikFlushNs,
     McmcSteps,
     McmcAccepted,
     McmcSwapsProposed,
     McmcSwapsAccepted,
     SmcGenerations,
+    SmcProposeNs,
     SmcResamples,
+    SmcResampleNs,
     SmcOnlineUpdates,
     SmcOnlineRefreshes,
     SmcRejuvenationAccepts,
@@ -165,6 +174,29 @@ inline void observe(Histogram h, std::uint64_t us) {
            !max.compare_exchange_weak(seen, us, std::memory_order_relaxed)) {
     }
 }
+
+/// Adds the wall time of its scope, in nanoseconds, to a *_ns counter.
+/// Reads the clock only while the registry is armed; allocates nothing.
+class PhaseTimer {
+  public:
+    explicit PhaseTimer(Counter c) : c_(c), on_(armed()) {
+        if (on_) t0_ = std::chrono::steady_clock::now();
+    }
+    ~PhaseTimer() {
+        if (on_)
+            add(c_, static_cast<std::uint64_t>(
+                        std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            std::chrono::steady_clock::now() - t0_)
+                            .count()));
+    }
+    PhaseTimer(const PhaseTimer&) = delete;
+    PhaseTimer& operator=(const PhaseTimer&) = delete;
+
+  private:
+    Counter c_;
+    bool on_;
+    std::chrono::steady_clock::time_point t0_;
+};
 
 /// Arm / disarm the registry process-wide. Shards persist across
 /// arm/disarm cycles; disarm only stops new recording.

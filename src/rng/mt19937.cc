@@ -19,20 +19,24 @@ void Mt19937::reseed(std::uint32_t seed) {
 }
 
 Mt19937 Mt19937::fromSplitMix(std::uint64_t seed) {
-    Mt19937 g;
+    Mt19937 g{Unseeded{}};
+    g.reseedSplitMix(seed);
+    return g;
+}
+
+void Mt19937::reseedSplitMix(std::uint64_t seed) {
+    static_assert(N % 2 == 0);
     std::uint64_t s = seed;
     for (std::size_t i = 0; i < N; i += 2) {
         const std::uint64_t z = splitMix64(s);
-        g.state_[i] = static_cast<std::uint32_t>(z);
-        if (i + 1 < N) g.state_[i + 1] = static_cast<std::uint32_t>(z >> 32);
+        state_[i] = static_cast<std::uint32_t>(z);
+        state_[i + 1] = static_cast<std::uint32_t>(z >> 32);
     }
     // An all-zero state is a fixed point of the recurrence; SplitMix64
     // cannot realistically produce one, but the guard costs nothing.
-    if (std::all_of(g.state_.begin(), g.state_.end(),
-                    [](std::uint32_t w) { return w == 0; }))
-        g.state_[0] = 1u;
-    g.index_ = N;
-    return g;
+    if (std::all_of(state_.begin(), state_.end(), [](std::uint32_t w) { return w == 0; }))
+        state_[0] = 1u;
+    index_ = N;
 }
 
 void Mt19937::saveState(std::uint32_t out[kStateWords]) const {
@@ -46,13 +50,16 @@ void Mt19937::loadState(const std::uint32_t in[kStateWords]) {
 }
 
 void Mt19937::twist() {
-    for (std::size_t i = 0; i < N; ++i) {
-        const std::uint32_t y =
-            (state_[i] & kUpperMask) | (state_[(i + 1) % N] & kLowerMask);
-        std::uint32_t next = state_[(i + M) % N] ^ (y >> 1);
-        if (y & 1u) next ^= kMatrixA;
-        state_[i] = next;
-    }
+    // The reference implementation's split loops: no modulo per word, and
+    // each loop's reads sit far enough from its writes to vectorize.
+    const auto mix = [](std::uint32_t upper, std::uint32_t lower, std::uint32_t far) {
+        const std::uint32_t y = (upper & kUpperMask) | (lower & kLowerMask);
+        return far ^ (y >> 1) ^ ((0u - (y & 1u)) & kMatrixA);
+    };
+    std::size_t i = 0;
+    for (; i < N - M; ++i) state_[i] = mix(state_[i], state_[i + 1], state_[i + M]);
+    for (; i < N - 1; ++i) state_[i] = mix(state_[i], state_[i + 1], state_[i + M - N]);
+    state_[N - 1] = mix(state_[N - 1], state_[0], state_[M - 1]);
     index_ = 0;
 }
 

@@ -17,6 +17,13 @@ class Mt19937 final : public Rng {
 
     explicit Mt19937(std::uint32_t seed = kDefaultSeed) { reseed(seed); }
 
+    /// A generator with an all-zero state, to be filled in place by
+    /// reseedSplitMix() or loadState(). Skips reseed()'s 624 dependent
+    /// multiplies, so an array of streams can be sized cheaply and then
+    /// seeded in parallel.
+    struct Unseeded {};
+    explicit Mt19937(Unseeded) {}
+
     void reseed(std::uint32_t seed);
 
     /// A generator whose full 624-word state is filled from the SplitMix64
@@ -24,6 +31,9 @@ class Mt19937 final : public Rng {
     /// sampler runtime (no entropy is lost to a 32-bit fold, and distinct
     /// 64-bit seeds give decorrelated states).
     static Mt19937 fromSplitMix(std::uint64_t seed);
+
+    /// Make this generator fromSplitMix(seed), in place.
+    void reseedSplitMix(std::uint64_t seed);
 
     std::uint32_t nextU32() override;
 

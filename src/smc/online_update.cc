@@ -9,7 +9,6 @@
 #include "coalescent/prior.h"
 #include "core/numeric_guard.h"
 #include "core/recoalesce.h"
-#include "lik/forest_kernels.h"
 #include "lik/locus_likelihoods.h"
 #include "mcmc/checkpoint.h"
 #include "obs/metrics.h"
@@ -155,9 +154,8 @@ class TripodScorer {
                                 u[(c * P_ + p) * 4 + y] * s[(c * P_ + p) * 4 + y];
                 for (std::size_t p = 0; p < P_; ++p)
                     ts[p] = (uScale ? uScale[p] : 0.0) + sibScale[p];
-                // Per-pattern max rescale across categories (the same
-                // discipline as forestRescaleRange) so deep outer products
-                // cannot underflow.
+                // Per-pattern max rescale across categories so deep
+                // outer products cannot underflow.
                 for (std::size_t p = 0; p < P_; ++p) {
                     double m = 0.0;
                     for (std::size_t c = 0; c < C_; ++c)
@@ -411,7 +409,7 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
                    : tipSlots + p * perParticle + static_cast<std::size_t>(id - n));
     };
     for (int t = 0; t <= n; ++t)
-        backend->tipInit(static_cast<LikelihoodBackend::Slot>(t), t);
+        backend->tipInit(static_cast<LikelihoodBackend::Slot>(t), t, nullptr);
     backend->flush(pool_);
 
     // Level-by-level so a batch never chains dependent combines: level(v) =
@@ -439,7 +437,7 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
                 const NodeId a = g.node(v).child[0];
                 const NodeId b = g.node(v).child[1];
                 backend->combine(slotOf(p, v), slotOf(p, a), g.node(v).time - g.node(a).time,
-                                 slotOf(p, b), g.node(v).time - g.node(b).time);
+                                 slotOf(p, b), g.node(v).time - g.node(b).time, nullptr);
             }
         }
         backend->flush(pool_);
@@ -707,53 +705,38 @@ OnlineState loadOnlineState(const std::string& path) {
 
 double onlineAttachmentLogLik(const DataLikelihood& lik, const Genealogy& tree,
                               NodeId attach, double height) {
-    const SitePatterns& patterns = lik.patterns();
-    const RateCategories& rates = lik.rateCategories();
-    const std::size_t P = patterns.patternCount();
-    const std::size_t C = rates.count();
-    const std::size_t vlen = C * P * 4;
-    if (static_cast<std::size_t>(tree.tipCount()) + 1 != patterns.sequenceCount())
+    if (static_cast<std::size_t>(tree.tipCount()) + 1 != lik.patterns().sequenceCount())
         throw ConfigError(
             "online: attachment evaluator needs exactly one more alignment "
             "sequence than the tree has tips");
 
-    // CPU lower partials through the shared forest kernels (the same math
-    // the backend slots hold in the add-sequence path).
-    const std::size_t nodes = static_cast<std::size_t>(tree.nodeCount());
-    std::vector<double> data(nodes * vlen, 0.0);
-    std::vector<double> scale(nodes * P, 0.0);
+    // Lower partials through an eager backend, the items the add-sequence
+    // path runs: slot = node id, the new tip (sequence n) in the slot after
+    // the last node. One flush per combine, since each reads earlier ones.
+    using Slot = LikelihoodBackend::Slot;
+    const auto backend = makeLikelihoodBackend(LikBackendKind::Arena, lik);
+    const Slot newTip = static_cast<Slot>(tree.nodeCount());
+    backend->resizeSlots(newTip + 1u);
     for (int t = 0; t < tree.tipCount(); ++t)
-        forestTipInitRange(patterns, t, data.data() + static_cast<std::size_t>(t) * vlen,
-                           scale.data() + static_cast<std::size_t>(t) * P, P, C, 0, P);
+        backend->tipInit(static_cast<Slot>(t), t, nullptr);
+    backend->tipInit(newTip, tree.tipCount(), nullptr);
+    backend->flush(nullptr);
     for (NodeId v : tree.postorder()) {
         if (tree.isTip(v)) continue;
         const NodeId a = tree.node(v).child[0];
         const NodeId b = tree.node(v).child[1];
-        const double la = tree.node(v).time - tree.node(a).time;
-        const double lb = tree.node(v).time - tree.node(b).time;
-        double* out = data.data() + static_cast<std::size_t>(v) * vlen;
-        for (std::size_t c = 0; c < C; ++c) {
-            const Matrix4 pa = lik.model().transition(rates.rates[c] * la);
-            const Matrix4 pb = lik.model().transition(rates.rates[c] * lb);
-            forestCombineRange(pa, pb,
-                               data.data() + static_cast<std::size_t>(a) * vlen + c * P * 4,
-                               data.data() + static_cast<std::size_t>(b) * vlen + c * P * 4,
-                               out + c * P * 4, 0, P);
-        }
-        forestRescaleRange(out, scale.data() + static_cast<std::size_t>(v) * P,
-                           scale.data() + static_cast<std::size_t>(a) * P,
-                           scale.data() + static_cast<std::size_t>(b) * P, P, C, 0, P);
+        backend->combine(static_cast<Slot>(v), static_cast<Slot>(a),
+                         tree.node(v).time - tree.node(a).time, static_cast<Slot>(b),
+                         tree.node(v).time - tree.node(b).time, nullptr);
+        backend->flush(nullptr);
     }
-    std::vector<double> tipData(vlen, 0.0);
-    std::vector<double> tipScale(P, 0.0);
-    forestTipInitRange(patterns, tree.tipCount(), tipData.data(), tipScale.data(), P, C,
-                       0, P);
 
-    TripodScorer scorer(patterns, lik.model(), lik.rootFreqs(), rates, tree);
+    TripodScorer scorer(lik.patterns(), lik.model(), lik.rootFreqs(), lik.rateCategories(),
+                        tree);
     for (NodeId v = 0; v < tree.nodeCount(); ++v)
-        scorer.setLower(v, data.data() + static_cast<std::size_t>(v) * vlen,
-                        scale.data() + static_cast<std::size_t>(v) * P);
-    scorer.setNewTip(tipData.data());
+        scorer.setLower(v, backend->slotData(static_cast<Slot>(v)).data(),
+                        backend->slotScale(static_cast<Slot>(v)).data());
+    scorer.setNewTip(backend->slotData(newTip).data());
     scorer.buildOuter();
     return scorer.logLikAt(attach, height);
 }

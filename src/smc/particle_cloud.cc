@@ -25,8 +25,7 @@ ParticleCloud::ParticleCloud(std::size_t n, LikelihoodBackend& backend, int tipC
     init.rootLogL.resize(tipCount_);
     for (int t = 0; t < tipCount; ++t) {
         init.slots.push_back(static_cast<Slot>(t));
-        backend_.tipInit(static_cast<Slot>(t), t);
-        backend_.rootLogLik(static_cast<Slot>(t), &init.rootLogL[t]);
+        backend_.tipInit(static_cast<Slot>(t), t, &init.rootLogL[t]);
     }
     backend_.flush(pool);
     logL0_ = 0.0;
@@ -36,9 +35,15 @@ ParticleCloud::ParticleCloud(std::size_t n, LikelihoodBackend& backend, int tipC
     // handle copies never reallocate.
     particles_.assign(n, init);
     next_.assign(n, init);
-    slotRngs_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        slotRngs_.push_back(Mt19937::fromSplitMix(splitMix64At(passSeed, i + 1)));
+    // Each stream depends only on (passSeed, slot), so seeding them is a
+    // launch like any other per-slot work.
+    slotRngs_.assign(n, Mt19937(Mt19937::Unseeded{}));
+    forEachIndex(
+        pool, n,
+        [&](std::size_t i) {
+            slotRngs_[i].reseedSplitMix(splitMix64At(passSeed, i + 1));
+        },
+        /*grain=*/16);
     logW_.ensure(n);
     const double uniform = -std::log(static_cast<double>(n));
     for (std::size_t i = 0; i < n; ++i) logW_.data()[i] = uniform;

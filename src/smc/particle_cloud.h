@@ -81,9 +81,9 @@ class ParticleCloud {
     /// A cloud of `n` particles over `backend`'s alignment tips, every
     /// particle the all-tips forest, weights uniform. Sizes the backend's
     /// slot pool, batches the tip initializations through one flush on
-    /// `pool`. Slot i's RNG stream is splitMix64At(passSeed, i + 1);
-    /// stream 0 is reserved for the cloud-level draws (resampling, final
-    /// genealogy selection).
+    /// `pool` and seeds the slot streams in one launch on it. Slot i's RNG
+    /// stream is splitMix64At(passSeed, i + 1); stream 0 is reserved for
+    /// the cloud-level draws (resampling, final genealogy selection).
     ParticleCloud(std::size_t n, LikelihoodBackend& backend, int tipCount,
                   std::uint64_t passSeed, ThreadPool* pool = nullptr);
 

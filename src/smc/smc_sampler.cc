@@ -56,10 +56,11 @@ void SmcFilter::step() {
     // Phase one — parallel over particle blocks: each slot draws its own
     // event with its own stream, records the merge in the write-once slot
     // of (p, event), and enqueues the generation's likelihood work (one
-    // combine + one root fold per particle). The block partition depends
-    // only on (N, blockSize).
+    // combine per particle, folding the new root). The block partition
+    // depends only on (N, blockSize).
     {
         const obs::TraceSpan propose("smc_propose", "smc");
+        const obs::PhaseTimer timer(obs::Counter::SmcProposeNs);
         launchBlocked(pool_, N, opts_.blockSize,
                       [&](std::size_t, std::size_t begin, std::size_t end) {
                           for (std::size_t p = begin; p < end; ++p) propagate(p, event);
@@ -143,6 +144,7 @@ void SmcFilter::step() {
     if (!lastEvent &&
         (forceResample || cloud_.ess() < opts_.essThreshold * static_cast<double>(N))) {
         const obs::TraceSpan resample("smc_resample", "smc");
+        const obs::PhaseTimer timer(obs::Counter::SmcResampleNs);
         cloud_.resample(opts_.scheme);
         ++res_.resamples;
         obs::add(obs::Counter::SmcResamples);
@@ -172,8 +174,8 @@ void SmcFilter::propagate(std::size_t p, int event) {
     const ParticleCloud::Slot sb = pt.slots[b];
     const ParticleCloud::Slot parent = cloud_.internalSlot(p, event);
     cloud_.recordMerge(parent, sa, sb, t);
-    backend_.combine(parent, sa, t - cloud_.slotTime(sa), sb, t - cloud_.slotTime(sb));
-    backend_.rootLogLik(parent, &mergedLogL_[p]);
+    backend_.combine(parent, sa, t - cloud_.slotTime(sa), sb, t - cloud_.slotTime(sb),
+                     &mergedLogL_[p]);
     oldA_[p] = pt.rootLogL[a];
     oldB_[p] = pt.rootLogL[b];
     mergedPos_[p] = static_cast<std::uint32_t>(a);

@@ -109,7 +109,7 @@ class SmcFilter {
 
   private:
     /// Phase-one work of particle `p` at `event`: draw the coalescence,
-    /// record its merge, enqueue its combine and root fold.
+    /// record its merge, enqueue its combine (which folds the new root).
     void propagate(std::size_t p, int event);
 
     LikelihoodBackend& backend_;
@@ -126,7 +126,7 @@ class SmcFilter {
     std::vector<double> inc_;         ///< incremental log-weights
     std::vector<double> oldA_;        ///< merged children's cached logL
     std::vector<double> oldB_;
-    std::vector<double> mergedLogL_;  ///< batch output of the root folds
+    std::vector<double> mergedLogL_;  ///< batch output of the combines' root folds
     std::vector<std::uint32_t> mergedPos_;  ///< root-array position of the merge
 };
 

@@ -1,13 +1,15 @@
 // Likelihood backend contract: the arena and batched backends are
 // SCHEDULING choices, never numeric ones. Tests pin (1) bitwise agreement
-// of both backends with the ForestEvaluator reference on raw operation
-// sequences, (2) bitwise backend- and thread-count-invariance of full SMC
-// passes (logZ, sampled genealogy, resampling trajectory) across
-// resampling pressure, rate heterogeneity and multi-locus pooling,
-// (3) PMMH neutrality (a sampler built on either backend walks the
-// identical chain), and (4) the batch statistics + option parsing.
+// of the two backends on raw operation sequences, and agreement of the
+// trees they build with the scalar pruning reference, (2) bitwise
+// backend- and thread-count-invariance of full SMC passes (logZ, sampled
+// genealogy, resampling trajectory) across resampling pressure, rate
+// heterogeneity and multi-locus pooling, (3) PMMH neutrality (a sampler
+// built on either backend walks the identical chain), and (4) the batch
+// statistics + option parsing.
 #include "lik/lik_backend.h"
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -15,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "coalescent/simulator.h"
-#include "lik/forest_eval.h"
 #include "lik/rate_model.h"
 #include "obs/metrics.h"
 #include "rng/mt19937.h"
@@ -35,17 +36,24 @@ Alignment simulateData(int n, double theta, std::size_t length, unsigned seed) {
     return simulateSequences(g, *model, {length, 1.0}, rng);
 }
 
+/// A forest built through a backend: every slot's root log-likelihood
+/// and the genealogy the merges describe.
+struct BuiltForest {
+    std::vector<double> logL;
+    Genealogy tree;
+};
+
 /// Drive `backend` through a random forest-building schedule (tips, then
-/// pairwise combines with the schedule's branch lengths) using ONE flush
-/// for the tips and one per combine generation, and return every live
-/// root's log-likelihood.
-std::vector<double> buildForest(LikelihoodBackend& backend, int tips, Mt19937& rng) {
+/// pairwise combines; each new node sits a random height above its older
+/// child, so merging two tips passes bit-equal branch lengths) using ONE
+/// flush for the tips and one per combine generation. Slot = node id.
+BuiltForest buildForest(LikelihoodBackend& backend, int tips, Mt19937& rng) {
     backend.resizeSlots(static_cast<std::size_t>(2 * tips - 1));
     std::vector<LikelihoodBackend::Slot> live;
-    std::vector<double> logL(static_cast<std::size_t>(2 * tips - 1));
+    BuiltForest out{std::vector<double>(static_cast<std::size_t>(2 * tips - 1)),
+                    Genealogy(tips)};
     for (int t = 0; t < tips; ++t) {
-        backend.tipInit(t, t);
-        backend.rootLogLik(t, &logL[t]);
+        backend.tipInit(t, t, &out.logL[t]);
         live.push_back(t);
     }
     backend.flush(nullptr);
@@ -54,17 +62,20 @@ std::vector<double> buildForest(LikelihoodBackend& backend, int tips, Mt19937& r
         const std::size_t a = static_cast<std::size_t>(rng.below(live.size()));
         std::size_t b = static_cast<std::size_t>(rng.below(live.size() - 1));
         if (b >= a) ++b;
-        const double lenA = 0.01 + 0.3 * rng.uniform01();
-        const double lenB = 0.01 + 0.3 * rng.uniform01();
-        backend.combine(next, live[a], lenA, live[b], lenB);
-        backend.rootLogLik(next, &logL[next]);
+        const double ta = out.tree.node(live[a]).time;
+        const double tb = out.tree.node(live[b]).time;
+        const double t = std::max(ta, tb) + 0.01 + 0.3 * rng.uniform01();
+        out.tree.node(next).time = t;
+        out.tree.link(next, live[a]);
+        out.tree.link(next, live[b]);
+        backend.combine(next, live[a], t - ta, live[b], t - tb, &out.logL[next]);
         backend.flush(nullptr);
         live[a] = next;
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(b));
         ++next;
     }
-    logL.resize(next);
-    return logL;
+    out.tree.setRoot(next - 1);
+    return out;
 }
 
 TEST(LikBackendTest, NamesAndParsing) {
@@ -76,56 +87,29 @@ TEST(LikBackendTest, NamesAndParsing) {
     EXPECT_THROW(parseLikBackend(""), ConfigError);
 }
 
-TEST(LikBackendTest, BothBackendsMatchForestEvaluatorBitwise) {
+TEST(LikBackendTest, BothBackendsAgreeBitwiseAndMatchTheReference) {
     const Alignment aln = simulateData(7, 1.0, 240, 11);
     const F81Model model(aln.baseFrequencies());
     for (const bool gamma : {false, true}) {
+        SCOPED_TRACE(gamma ? "gamma" : "one rate");
         const DataLikelihood lik = gamma ? DataLikelihood(aln, model,
                                                           RateCategories::discreteGamma(
                                                               0.6, 4))
                                          : DataLikelihood(aln, model);
-        const ForestEvaluator eval(lik);
 
-        // Reference forest through the evaluator with an identical schedule.
+        // The same raw-op schedule through both backends.
         Mt19937 scheduleRng(99);
         const auto arena = makeLikelihoodBackend(LikBackendKind::Arena, lik);
-        const std::vector<double> viaArena = buildForest(*arena, 7, scheduleRng);
+        BuiltForest viaArena = buildForest(*arena, 7, scheduleRng);
         scheduleRng = Mt19937(99);
         const auto batched = makeLikelihoodBackend(LikBackendKind::Batched, lik);
-        const std::vector<double> viaBatched = buildForest(*batched, 7, scheduleRng);
+        const BuiltForest viaBatched = buildForest(*batched, 7, scheduleRng);
 
-        // Evaluator reference: replay the same schedule on SubtreePartials.
-        scheduleRng = Mt19937(99);
-        std::vector<SubtreePartials> parts(13);
-        std::vector<double> ref(13);
-        std::vector<std::size_t> live;
-        for (int t = 0; t < 7; ++t) {
-            parts[t] = eval.tipPartials(t);
-            ref[t] = eval.rootLogLikelihood(parts[t]);
-            live.push_back(static_cast<std::size_t>(t));
-        }
-        std::size_t next = 7;
-        while (live.size() > 1) {
-            const std::size_t a = static_cast<std::size_t>(scheduleRng.below(live.size()));
-            std::size_t b = static_cast<std::size_t>(scheduleRng.below(live.size() - 1));
-            if (b >= a) ++b;
-            const double lenA = 0.01 + 0.3 * scheduleRng.uniform01();
-            const double lenB = 0.01 + 0.3 * scheduleRng.uniform01();
-            eval.combine(parts[live[a]], lenA, parts[live[b]], lenB, parts[next]);
-            ref[next] = eval.rootLogLikelihood(parts[next]);
-            live[a] = next;
-            live.erase(live.begin() + static_cast<std::ptrdiff_t>(b));
-            ++next;
-        }
-
-        ASSERT_EQ(viaArena.size(), ref.size());
-        ASSERT_EQ(viaBatched.size(), ref.size());
-        for (std::size_t i = 0; i < ref.size(); ++i) {
-            EXPECT_EQ(std::memcmp(&viaArena[i], &ref[i], sizeof(double)), 0)
-                << "arena slot " << i << (gamma ? " (gamma)" : "");
-            EXPECT_EQ(std::memcmp(&viaBatched[i], &ref[i], sizeof(double)), 0)
-                << "batched slot " << i << (gamma ? " (gamma)" : "");
-        }
+        ASSERT_EQ(viaArena.logL.size(), 13u);
+        ASSERT_EQ(viaBatched.logL.size(), 13u);
+        for (std::size_t i = 0; i < viaArena.logL.size(); ++i)
+            EXPECT_EQ(std::memcmp(&viaArena.logL[i], &viaBatched.logL[i], sizeof(double)), 0)
+                << "slot " << i;
         // The backends' slot arenas hold identical partials too.
         for (std::size_t s = 0; s < 13; ++s) {
             const auto da = arena->slotData(s), db = batched->slotData(s);
@@ -133,6 +117,14 @@ TEST(LikBackendTest, BothBackendsMatchForestEvaluatorBitwise) {
             EXPECT_EQ(std::memcmp(da.data(), db.data(), da.size() * sizeof(double)), 0)
                 << "slot " << s;
         }
+
+        // The completed tree's root factor is its data likelihood.
+        EXPECT_EQ(viaArena.tree, viaBatched.tree);
+        viaArena.tree.setTipNames(aln.names());
+        viaArena.tree.validate();
+        const double reference = lik.logLikelihoodReference(viaArena.tree);
+        EXPECT_NEAR(viaArena.logL.back(), reference, 1e-9);
+        EXPECT_NEAR(viaBatched.logL.back(), reference, 1e-9);
     }
 }
 
@@ -245,48 +237,96 @@ TEST(LikBackendTest, PmmhChainsBackendNeutral) {
               0);
 }
 
+/// Forwards every operation to a real backend and counts the cherries: the
+/// combines of two tip slots, whose branch lengths are bit-equal (both
+/// tips sit at time 0). Combines arrive from the propagation launch, so
+/// the count is atomic.
+class CherryCount final : public LikelihoodBackend {
+  public:
+    CherryCount(LikelihoodBackend& inner, Slot tips) : inner_(inner), tips_(tips) {}
+
+    LikBackendKind kind() const override { return inner_.kind(); }
+    std::size_t patternCount() const override { return inner_.patternCount(); }
+    std::size_t categoryCount() const override { return inner_.categoryCount(); }
+    const std::vector<std::string>& tipNames() const override {
+        return inner_.tipNames();
+    }
+    void resizeSlots(std::size_t n) override { inner_.resizeSlots(n); }
+    std::size_t slotCount() const override { return inner_.slotCount(); }
+    void tipInit(Slot dst, int tip, double* rootLogL) override {
+        inner_.tipInit(dst, tip, rootLogL);
+    }
+    void combine(Slot parent, Slot childA, double lenA, Slot childB, double lenB,
+                 double* rootLogL) override {
+        if (childA < tips_ && childB < tips_) cherries_.fetch_add(1, std::memory_order_relaxed);
+        inner_.combine(parent, childA, lenA, childB, lenB, rootLogL);
+    }
+    void flush(ThreadPool* pool) override { inner_.flush(pool); }
+    std::span<const double> slotData(Slot slot) const override {
+        return inner_.slotData(slot);
+    }
+    std::span<const double> slotScale(Slot slot) const override {
+        return inner_.slotScale(slot);
+    }
+
+    std::uint64_t cherries() const { return cherries_.load(); }
+
+  private:
+    LikelihoodBackend& inner_;
+    Slot tips_;
+    std::atomic<std::uint64_t> cherries_{0};
+};
+
 TEST(LikBackendTest, BatchStatsRecordSharing) {
     const Alignment aln = simulateData(8, 1.0, 200, 31);
     const F81Model model(aln.baseFrequencies());
-    const DataLikelihood lik(aln, model);
+    for (const bool gamma : {false, true}) {
+        SCOPED_TRACE(gamma ? "gamma" : "one rate");
+        const DataLikelihood lik =
+            gamma ? DataLikelihood(aln, model, RateCategories::discreteGamma(0.6, 4))
+                  : DataLikelihood(aln, model);
+        const std::uint64_t C = lik.rateCategories().count();
+        SmcOptions opts;
+        opts.particles = 128;
+        ThreadPool pool(4);
 
-    // Execution counters live in the metrics registry (lik.* taxonomy) —
-    // backends keep no private stats copy.
-    obs::reset();
-    obs::arm();
+        // Execution counters live in the metrics registry (lik.* taxonomy) —
+        // backends keep no private stats copy.
+        obs::MetricsSnapshot snaps[2];
+        std::uint64_t cherries[2] = {};
+        for (const auto backend : {LikBackendKind::Batched, LikBackendKind::Arena}) {
+            const std::size_t b = backend == LikBackendKind::Arena;
+            opts.backend = backend;
+            obs::reset();
+            obs::arm();
+            const auto real = makeLikelihoodBackend(backend, lik);
+            CherryCount counted(*real, 8);
+            SmcFilter filter(counted, 1.0, opts, 47, &pool);
+            while (!filter.done()) filter.step();
+            snaps[b] = obs::snapshot();
+            obs::disarm();
+            cherries[b] = counted.cherries();
+        }
+        obs::reset();
 
-    SmcOptions opts;
-    opts.particles = 128;
-    opts.backend = LikBackendKind::Batched;
-    const SmcPassResult res = runSmcPass(lik, 1.0, opts, 47);
-    EXPECT_EQ(res.backend, "batched");
-    const obs::MetricsSnapshot batched = obs::snapshot();
-    // One flush per generation plus the tip batch.
-    EXPECT_EQ(batched.counter(obs::Counter::LikFlushes), 8u);  // 1 tip + 7 events
-    EXPECT_EQ(batched.counter(obs::Counter::LikCombineOps), 7u * 128u);
-    // Matrix sharing: a naive execution exponentiates 2 matrices per
-    // combine per category (lik.matrices_requested counts exactly that);
-    // the batch must do strictly better (equal lengths dedupe within a
-    // generation).
-    EXPECT_EQ(batched.counter(obs::Counter::LikMatricesRequested),
-              7u * 128u * 2u * lik.rateCategories().count());
-    EXPECT_GT(batched.counter(obs::Counter::LikMatricesComputed), 0u);
-    EXPECT_LT(batched.counter(obs::Counter::LikMatricesComputed),
-              batched.counter(obs::Counter::LikMatricesRequested));
-
-    obs::reset();
-    opts.backend = LikBackendKind::Arena;
-    const SmcPassResult ref = runSmcPass(lik, 1.0, opts, 47);
-    EXPECT_EQ(ref.backend, "arena");
-    const obs::MetricsSnapshot arena = obs::snapshot();
-    EXPECT_EQ(arena.counter(obs::Counter::LikCombineOps),
-              batched.counter(obs::Counter::LikCombineOps));
-    // The eager backend computes every requested matrix — no dedup.
-    EXPECT_EQ(arena.counter(obs::Counter::LikMatricesComputed),
-              arena.counter(obs::Counter::LikMatricesRequested));
-
-    obs::disarm();
-    obs::reset();
+        const obs::MetricsSnapshot& batched = snaps[0];
+        // One flush per generation plus the tip batch.
+        EXPECT_EQ(batched.counter(obs::Counter::LikFlushes), 8u);  // 1 tip + 7 events
+        EXPECT_EQ(batched.counter(obs::Counter::LikCombineOps), 7u * 128u);
+        // A naive execution exponentiates 2 matrices per combine per category
+        // (lik.matrices_requested counts exactly that); a cherry's two
+        // bit-equal branch lengths share one matrix per category.
+        EXPECT_EQ(batched.counter(obs::Counter::LikMatricesRequested), 7u * 128u * 2u * C);
+        EXPECT_GT(cherries[0], 0u);
+        EXPECT_EQ(batched.counter(obs::Counter::LikMatricesComputed),
+                  batched.counter(obs::Counter::LikMatricesRequested) - C * cherries[0]);
+        // The eager backend runs the same items: the same counts.
+        EXPECT_EQ(cherries[1], cherries[0]);
+        for (const auto c : {obs::Counter::LikFlushes, obs::Counter::LikCombineOps,
+                             obs::Counter::LikMatricesRequested,
+                             obs::Counter::LikMatricesComputed})
+            EXPECT_EQ(snaps[1].counter(c), batched.counter(c)) << obs::counterName(c);
+    }
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 // cross-thread counter folding, histogram bucket/quantile math (the +Inf
 // bucket reports the max), the JSON and Prometheus emitters, the trace
 // recorder's Chrome trace_event format, the SMC generation's sub-phase
-// spans, obs.emit fault semantics — and the layer's central promise:
+// spans and phase-time counters, obs.emit fault semantics — and the
+// layer's central promise:
 // arming metrics NEVER perturbs an estimate (bitwise logZ equality armed
 // vs unarmed, and thread-count invariance with metrics on).
+#include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -352,6 +354,38 @@ TEST_F(ObsTest, SmcGenerationsTraceTheirSubPhases) {
     EXPECT_EQ(propose, 5u);
     EXPECT_EQ(flush, 5u);
     EXPECT_EQ(resample, res.resamples);
+}
+
+TEST_F(ObsTest, ArmedSmcPassesRecordTheirPhaseTimes) {
+    Mt19937 rng(11);
+    const Genealogy truth = simulateCoalescent(6, 1.0, rng);
+    const auto gen = makeF84(2.0, kUniformFreqs);
+    const Alignment aln = simulateSequences(truth, *gen, {120, 1.0}, rng);
+    const F81Model model(kUniformFreqs);
+    const DataLikelihood lik(aln, model);
+    SmcOptions opts;
+    opts.particles = 64;
+    opts.essThreshold = 1.0;  // resample after every event but the last
+    ThreadPool pool(2);
+
+    obs::arm();
+    const auto t0 = std::chrono::steady_clock::now();
+    const SmcPassResult res = runSmcPass(lik, 1.0, opts, 5, &pool);
+    const auto wallNs = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    const obs::MetricsSnapshot snap = obs::snapshot();
+    ASSERT_EQ(res.resamples, 4u);
+
+    const std::uint64_t propose = snap.counter(obs::Counter::SmcProposeNs);
+    const std::uint64_t flush = snap.counter(obs::Counter::LikFlushNs);
+    const std::uint64_t resample = snap.counter(obs::Counter::SmcResampleNs);
+    EXPECT_GT(propose, 0u);
+    EXPECT_GT(flush, 0u);
+    EXPECT_GT(resample, 0u);
+    // Disjoint phases of one pass on its calling thread.
+    EXPECT_LE(propose + flush + resample, wallNs);
 }
 
 // --- the central guarantee: metrics never perturb an estimate ----------

@@ -34,6 +34,31 @@ TEST(Mt19937Test, SeedsProduceDifferentStreams) {
     EXPECT_LT(same, 3);
 }
 
+TEST(Mt19937Test, FromSplitMixKnownAnswers) {
+    // Recorded from the modulo-indexed twist and the default-constructed
+    // fromSplitMix result; the first output already runs one twist, the
+    // 1248th a second.
+    const struct {
+        std::uint64_t seed;
+        std::array<std::uint32_t, 4> first;
+        std::uint32_t nth1248;
+    } kKnown[] = {
+        {4711u, {0x7ca13638u, 0x591a4802u, 0xdd10c6fbu, 0xf13249aau}, 0x9575bd82u},
+        {0x0123456789abcdefu, {0x97619ec3u, 0xdb6f8f6du, 0xc8c908cau, 0x8a118d95u},
+         0x8d944adcu},
+    };
+    for (const auto& k : kKnown) {
+        Mt19937 rng = Mt19937::fromSplitMix(k.seed);
+        for (const std::uint32_t want : k.first) EXPECT_EQ(rng.nextU32(), want) << k.seed;
+        for (int i = 4; i < 1247; ++i) rng.nextU32();
+        EXPECT_EQ(rng.nextU32(), k.nth1248) << k.seed;
+
+        Mt19937 inPlace{Mt19937::Unseeded{}};
+        inPlace.reseedSplitMix(k.seed);
+        EXPECT_EQ(inPlace.nextU32(), k.first[0]) << k.seed;
+    }
+}
+
 TEST(Mt19937Test, ReseedReproduces) {
     Mt19937 rng(777);
     std::vector<std::uint32_t> first;

@@ -54,124 +54,129 @@ using RS = ResamplingScheme;
 // alignment built by goldenData(). The low-divergence data and small theta
 // keep the weights even enough that ESS threshold 0.5 resamples on only
 // three of the five resampling steps, so rows 0.5 and 1.0 differ.
+//
+// The three likelihood columns were re-recorded once, when the forest
+// kernels became the fused strip items (exact power-of-two rescaling,
+// vectorized log): every row of the previous table still held to 1e-12
+// relative, with identical resample counts, parent arrays and node times.
 const Golden kGolden[] = {
     {RS::Multinomial, 0.0, false,
-     0xc04fdc545e5c312e, 0x3fb3588c965455c1, 0xc044739ffd959c5a, 0,
+     0xc04fdc545e5c312a, 0x3fb3588c965455e1, 0xc044739ffd959c58, 0,
      {11, 8, 8, 7, 10, 7, 9, 10, 9, 11, 12, 12, -1},
      {0x3f297624688184db, 0x3f4267568c312445, 0x3f48db1dc6abb0e1,
       0x3f66e42473a9a0e0, 0x3f7b5beebe36a9bc, 0x3f7cb3ba7ed39280}},
     {RS::Multinomial, 0.5, false,
-     0xc050410f9bfb6e3a, 0x3fd2d3a9546899e6, 0xc043c57a4c6432b6, 3,
+     0xc050410f9bfb6e38, 0x3fd2d3a9546899f8, 0xc043c57a4c6432b4, 3,
      {7, 10, 12, 9, 7, 8, 8, 10, 9, 11, 11, 12, -1},
      {0x3f39c9264c3a4333, 0x3f5e4170e5de6397, 0x3f629d519210f087,
       0x3f672ebb988c29cf, 0x3f794c9df1ef6d14, 0x3f80cdfabed1e854}},
     {RS::Multinomial, 1.0, false,
-     0xc0503d3b8cdb6bd2, 0x3fd8d522998c6321, 0xc044b1892f440f0a, 5,
+     0xc0503d3b8cdb6bd3, 0x3fd8d522998c62ff, 0xc044b1892f440f0a, 5,
      {8, 9, 12, 7, 7, 9, 10, 8, 11, 10, 11, 12, -1},
      {0x3f50f3f57fc531b4, 0x3f6299bcccbee912, 0x3f64d8610f432694,
       0x3f70d0e28007a9d4, 0x3f8089bd09e692e6, 0x3f8c1d353b349310}},
     {RS::Stratified, 0.0, false,
-     0xc04fdc545e5c312e, 0x3fb3588c965455c1, 0xc044739ffd959c5a, 0,
+     0xc04fdc545e5c312a, 0x3fb3588c965455e1, 0xc044739ffd959c58, 0,
      {11, 8, 8, 7, 10, 7, 9, 10, 9, 11, 12, 12, -1},
      {0x3f297624688184db, 0x3f4267568c312445, 0x3f48db1dc6abb0e1,
       0x3f66e42473a9a0e0, 0x3f7b5beebe36a9bc, 0x3f7cb3ba7ed39280}},
     {RS::Stratified, 0.5, false,
-     0xc0503eae40fc2a63, 0x3fd2d3a9546899e6, 0xc04225ec27989446, 3,
+     0xc0503eae40fc2a62, 0x3fd2d3a9546899f8, 0xc04225ec27989444, 3,
      {7, 10, 12, 7, 8, 9, 8, 9, 10, 11, 11, 12, -1},
      {0x3f292647574a44b2, 0x3f2ec1a578d3f872, 0x3f3104bf096858c6,
       0x3f624b281c1d6b63, 0x3f62f803d957c5ec, 0x3f7a95ff3f63bf6a}},
     {RS::Stratified, 1.0, false,
-     0xc04ff6db23fabe63, 0x3fa2f6e4dbc9de84, 0xc043c84ab65a3a52, 5,
+     0xc04ff6db23fabe5c, 0x3fa2f6e4dbc9dece, 0xc043c84ab65a3a52, 5,
      {11, 7, 11, 8, 7, 9, 10, 8, 9, 10, 12, 12, -1},
      {0x3f3f9dda5074928f, 0x3f4b393d805f4ace, 0x3f4e960f2eb80f9d,
       0x3f646ee7bc7a30fa, 0x3f7020a10c5555a8, 0x3f8a7706d339c549}},
     {RS::Systematic, 0.0, false,
-     0xc04fdc545e5c312e, 0x3fb3588c965455c1, 0xc044739ffd959c5a, 0,
+     0xc04fdc545e5c312a, 0x3fb3588c965455e1, 0xc044739ffd959c58, 0,
      {11, 8, 8, 7, 10, 7, 9, 10, 9, 11, 12, 12, -1},
      {0x3f297624688184db, 0x3f4267568c312445, 0x3f48db1dc6abb0e1,
       0x3f66e42473a9a0e0, 0x3f7b5beebe36a9bc, 0x3f7cb3ba7ed39280}},
     {RS::Systematic, 0.5, false,
-     0xc0503ef7409557d4, 0x3fd2d3a9546899e6, 0xc04544906b5bf9bf, 3,
+     0xc0503ef7409557d3, 0x3fd2d3a9546899f8, 0xc04544906b5bf9bc, 3,
      {8, 7, 12, 7, 10, 9, 9, 8, 10, 11, 11, 12, -1},
      {0x3f58fe847195a774, 0x3f64a353906f9b6e, 0x3f657a87fc05cca2,
       0x3f710f686ebe17af, 0x3f7d5a33a4cdee92, 0x3f985b42fa02e008}},
     {RS::Systematic, 1.0, false,
-     0xc0503c2da961fbae, 0x3fd8da6e58ce5fc2, 0xc0443ce3c3c0b800, 5,
+     0xc0503c2da961fbac, 0x3fd8da6e58ce5f74, 0xc0443ce3c3c0b7ff, 5,
      {8, 9, 12, 7, 7, 8, 11, 9, 10, 10, 11, 12, -1},
      {0x3f3ad2b01192e509, 0x3f5ea90a65fe41e6, 0x3f67e252786091a2,
       0x3f73ab0a46acb3aa, 0x3f742a4a79a4cfe9, 0x3f906df5afc076d7}},
     {RS::Residual, 0.0, false,
-     0xc04fdc545e5c312e, 0x3fb3588c965455c1, 0xc044739ffd959c5a, 0,
+     0xc04fdc545e5c312a, 0x3fb3588c965455e1, 0xc044739ffd959c58, 0,
      {11, 8, 8, 7, 10, 7, 9, 10, 9, 11, 12, 12, -1},
      {0x3f297624688184db, 0x3f4267568c312445, 0x3f48db1dc6abb0e1,
       0x3f66e42473a9a0e0, 0x3f7b5beebe36a9bc, 0x3f7cb3ba7ed39280}},
     {RS::Residual, 0.5, false,
-     0xc050401d3aa8e1e5, 0x3fd2d3a9546899e6, 0xc04321ebe6631098, 3,
+     0xc050401d3aa8e1e4, 0x3fd2d3a9546899f8, 0xc04321ebe6631097, 3,
      {10, 7, 12, 8, 7, 11, 8, 9, 9, 10, 11, 12, -1},
      {0x3f0d2053bfd609d8, 0x3f45e5497e2baf96, 0x3f5b1f39ca9c83b7,
       0x3f60a5255b13a658, 0x3f7a98c5b96c8bbc, 0x3f8567b1b9916443}},
     {RS::Residual, 1.0, false,
-     0xc04fe43ee6182003, 0x3fa10ab0c34f9654, 0xc0443fbca038a4a8, 5,
+     0xc04fe43ee6182004, 0x3fa10ab0c34f9696, 0xc0443fbca038a4a8, 5,
      {8, 11, 12, 8, 7, 10, 7, 9, 9, 10, 11, 12, -1},
      {0x3eee9d2ab9c89b31, 0x3f51b1b765f363ab, 0x3f521ab27932face,
       0x3f661ee4c9feeff8, 0x3f814f68230fc073, 0x3f9cc28a1f7ef570}},
     {RS::Multinomial, 0.0, true,
-     0xc04fdc8f71ddeeac, 0x3fb35e8bc3cb359a, 0xc044750c0429e558, 0,
+     0xc04fdc8f71ddeeb9, 0x3fb35e8bc3cb35a5, 0xc044750c0429e558, 0,
      {11, 8, 8, 7, 10, 7, 9, 10, 9, 11, 12, 12, -1},
      {0x3f297624688184db, 0x3f4267568c312445, 0x3f48db1dc6abb0e1,
       0x3f66e42473a9a0e0, 0x3f7b5beebe36a9bc, 0x3f7cb3ba7ed39280}},
     {RS::Multinomial, 0.5, true,
-     0xc05040b6b0afc411, 0x3fd2d4291e35fe41, 0xc043c6a298b348a5, 3,
+     0xc05040b6b0afc418, 0x3fd2d4291e35fe12, 0xc043c6a298b348a5, 3,
      {7, 10, 12, 9, 7, 8, 8, 10, 9, 11, 11, 12, -1},
      {0x3f39c9264c3a4333, 0x3f5e4170e5de6397, 0x3f629d519210f087,
       0x3f672ebb988c29cf, 0x3f794c9df1ef6d14, 0x3f80cdfabed1e854}},
     {RS::Multinomial, 1.0, true,
-     0xc0503ce98cbe7985, 0x3fd8d7c7e61e9cd3, 0xc044b21f22c57831, 5,
+     0xc0503ce98cbe798d, 0x3fd8d7c7e61e9c91, 0xc044b21f22c5782f, 5,
      {8, 9, 12, 7, 7, 9, 10, 8, 11, 10, 11, 12, -1},
      {0x3f50f3f57fc531b4, 0x3f6299bcccbee912, 0x3f64d8610f432694,
       0x3f70d0e28007a9d4, 0x3f8089bd09e692e6, 0x3f8c1d353b349310}},
     {RS::Stratified, 0.0, true,
-     0xc04fdc8f71ddeeac, 0x3fb35e8bc3cb359a, 0xc044750c0429e558, 0,
+     0xc04fdc8f71ddeeb9, 0x3fb35e8bc3cb35a5, 0xc044750c0429e558, 0,
      {11, 8, 8, 7, 10, 7, 9, 10, 9, 11, 12, 12, -1},
      {0x3f297624688184db, 0x3f4267568c312445, 0x3f48db1dc6abb0e1,
       0x3f66e42473a9a0e0, 0x3f7b5beebe36a9bc, 0x3f7cb3ba7ed39280}},
     {RS::Stratified, 0.5, true,
-     0xc0503e753544c618, 0x3fd2d4291e35fe41, 0xc04226caa7c7ba32, 3,
+     0xc0503e753544c621, 0x3fd2d4291e35fe12, 0xc04226caa7c7ba34, 3,
      {7, 10, 12, 7, 8, 9, 8, 9, 10, 11, 11, 12, -1},
      {0x3f292647574a44b2, 0x3f2ec1a578d3f872, 0x3f3104bf096858c6,
       0x3f624b281c1d6b63, 0x3f62f803d957c5ec, 0x3f7a95ff3f63bf6a}},
     {RS::Stratified, 1.0, true,
-     0xc04fde7ec100a310, 0x3f9fd484e1154504, 0xc043cd39900cd8ff, 5,
+     0xc04fde7ec100a315, 0x3f9fd484e1154580, 0xc043cd39900cd900, 5,
      {12, 7, 11, 8, 7, 9, 10, 8, 9, 10, 11, 12, -1},
      {0x3f3f9dda5074928f, 0x3f4b393d805f4ace, 0x3f4e960f2eb80f9d,
       0x3f646ee7bc7a30fa, 0x3f70f543f28594a2, 0x3f8ae1584651e4c6}},
     {RS::Systematic, 0.0, true,
-     0xc04fdc8f71ddeeac, 0x3fb35e8bc3cb359a, 0xc044750c0429e558, 0,
+     0xc04fdc8f71ddeeb9, 0x3fb35e8bc3cb35a5, 0xc044750c0429e558, 0,
      {11, 8, 8, 7, 10, 7, 9, 10, 9, 11, 12, 12, -1},
      {0x3f297624688184db, 0x3f4267568c312445, 0x3f48db1dc6abb0e1,
       0x3f66e42473a9a0e0, 0x3f7b5beebe36a9bc, 0x3f7cb3ba7ed39280}},
     {RS::Systematic, 0.5, true,
-     0xc0503ebc781b89c4, 0x3fd2d4291e35fe41, 0xc04542d2fe956169, 3,
+     0xc0503ebc781b89cd, 0x3fd2d4291e35fe12, 0xc04542d2fe956168, 3,
      {8, 7, 12, 7, 10, 9, 9, 8, 10, 11, 11, 12, -1},
      {0x3f58fe847195a774, 0x3f64a353906f9b6e, 0x3f657a87fc05cca2,
       0x3f710f686ebe17af, 0x3f7d5a33a4cdee92, 0x3f985b42fa02e008}},
     {RS::Systematic, 1.0, true,
-     0xc0503bfd9462ff86, 0x3fd8dc3cbda3e0ed, 0xc0443d12797ccdd2, 5,
+     0xc0503bfd9462ff87, 0x3fd8dc3cbda3e0e5, 0xc0443d12797ccdd2, 5,
      {8, 9, 12, 7, 7, 8, 11, 9, 10, 10, 11, 12, -1},
      {0x3f3ad2b01192e509, 0x3f5ea90a65fe41e6, 0x3f67e252786091a2,
       0x3f73ab0a46acb3aa, 0x3f742a4a79a4cfe9, 0x3f906df5afc076d7}},
     {RS::Residual, 0.0, true,
-     0xc04fdc8f71ddeeac, 0x3fb35e8bc3cb359a, 0xc044750c0429e558, 0,
+     0xc04fdc8f71ddeeb9, 0x3fb35e8bc3cb35a5, 0xc044750c0429e558, 0,
      {11, 8, 8, 7, 10, 7, 9, 10, 9, 11, 12, 12, -1},
      {0x3f297624688184db, 0x3f4267568c312445, 0x3f48db1dc6abb0e1,
       0x3f66e42473a9a0e0, 0x3f7b5beebe36a9bc, 0x3f7cb3ba7ed39280}},
     {RS::Residual, 0.5, true,
-     0xc0503fd4ab069782, 0x3fd2d4291e35fe41, 0xc04322e2becde0fa, 3,
+     0xc0503fd4ab069788, 0x3fd2d4291e35fe12, 0xc04322e2becde0f9, 3,
      {10, 7, 12, 8, 7, 11, 8, 9, 9, 10, 11, 12, -1},
      {0x3f0d2053bfd609d8, 0x3f45e5497e2baf96, 0x3f5b1f39ca9c83b7,
       0x3f60a5255b13a658, 0x3f7a98c5b96c8bbc, 0x3f8567b1b9916443}},
     {RS::Residual, 1.0, true,
-     0xc0503b5f530388a2, 0x3fd8cf0d1a38ae2a, 0xc0443d18b9ed0eb9, 5,
+     0xc0503b5f530388a3, 0x3fd8cf0d1a38ae1e, 0xc0443d18b9ed0eb8, 5,
      {8, 11, 12, 8, 7, 10, 7, 9, 9, 10, 11, 12, -1},
      {0x3eee9d2ab9c89b31, 0x3f51b1b765f363ab, 0x3f521ab27932face,
       0x3f661ee4c9feeff8, 0x3f814f68230fc073, 0x3f9cc28a1f7ef570}},

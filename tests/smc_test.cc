@@ -23,7 +23,6 @@
 #include "coalescent/prior.h"
 #include "coalescent/simulator.h"
 #include "core/smc_estimator.h"
-#include "lik/forest_eval.h"
 #include "mcmc/checkpoint.h"
 #include "rng/mt19937.h"
 #include "seq/seqgen.h"
@@ -46,56 +45,49 @@ Alignment simulateData(int n, double theta, std::size_t length, unsigned seed) {
     return simulateSequences(g, *model, {length, 1.0}, rng);
 }
 
-// --- forest evaluator --------------------------------------------------
+// --- forest evaluation -------------------------------------------------
+
+/// Assemble `g` bottom-up through an arena backend's tipInit/combine,
+/// exactly the way a particle grows (slot = node id), and return every
+/// node's root log-likelihood.
+std::vector<double> forestRootLogLiks(const DataLikelihood& lik, const Genealogy& g) {
+    const auto backend = makeLikelihoodBackend(LikBackendKind::Arena, lik);
+    backend->resizeSlots(static_cast<std::size_t>(g.nodeCount()));
+    std::vector<double> rootLogL(static_cast<std::size_t>(g.nodeCount()));
+    for (const NodeId id : g.postorder()) {
+        const auto slot = static_cast<LikelihoodBackend::Slot>(id);
+        if (g.isTip(id)) {
+            backend->tipInit(slot, id, &rootLogL[id]);
+        } else {
+            const NodeId a = g.node(id).child[0];
+            const NodeId b = g.node(id).child[1];
+            backend->combine(slot, static_cast<LikelihoodBackend::Slot>(a), g.branchLength(a),
+                             static_cast<LikelihoodBackend::Slot>(b), g.branchLength(b),
+                             &rootLogL[id]);
+        }
+        backend->flush(nullptr);
+    }
+    return rootLogL;
+}
 
 TEST(ForestEvalTest, FullTreeAgreesWithPruningReference) {
     const Alignment aln = simulateData(7, 1.0, 200, 5);
     const F81Model model(aln.baseFrequencies());
     const DataLikelihood lik(aln, model);
-    const ForestEvaluator eval(lik);
 
     Mt19937 rng(8);
     const Genealogy g = simulateCoalescent(7, 1.0, rng);
-
-    // Assemble the tree bottom-up through combine(), exactly the way a
-    // particle grows, and compare the root likelihood with Felsenstein.
-    std::vector<SubtreePartials> partials(static_cast<std::size_t>(g.nodeCount()));
-    std::vector<double> rootLogL(static_cast<std::size_t>(g.nodeCount()));
-    for (const NodeId id : g.postorder()) {
-        if (g.isTip(id)) {
-            partials[id] = eval.tipPartials(id);
-        } else {
-            const NodeId a = g.node(id).child[0];
-            const NodeId b = g.node(id).child[1];
-            eval.combine(partials[a], g.branchLength(a), partials[b], g.branchLength(b),
-                         partials[id]);
-        }
-        rootLogL[id] = eval.rootLogLikelihood(partials[id]);
-    }
-    EXPECT_NEAR(rootLogL[g.root()], lik.logLikelihoodReference(g), 1e-9);
+    EXPECT_NEAR(forestRootLogLiks(lik, g)[g.root()], lik.logLikelihoodReference(g), 1e-9);
 }
 
 TEST(ForestEvalTest, RateHeterogeneousFullTreeAgrees) {
     const Alignment aln = simulateData(5, 1.0, 150, 6);
     const F81Model model(aln.baseFrequencies());
     const DataLikelihood lik(aln, model, RateCategories::discreteGamma(0.5, 4));
-    const ForestEvaluator eval(lik);
 
     Mt19937 rng(9);
     const Genealogy g = simulateCoalescent(5, 1.0, rng);
-    std::vector<SubtreePartials> partials(static_cast<std::size_t>(g.nodeCount()));
-    for (const NodeId id : g.postorder()) {
-        if (g.isTip(id)) {
-            partials[id] = eval.tipPartials(id);
-        } else {
-            const NodeId a = g.node(id).child[0];
-            const NodeId b = g.node(id).child[1];
-            eval.combine(partials[a], g.branchLength(a), partials[b], g.branchLength(b),
-                         partials[id]);
-        }
-    }
-    EXPECT_NEAR(eval.rootLogLikelihood(partials[g.root()]),
-                lik.logLikelihoodReference(g), 1e-9);
+    EXPECT_NEAR(forestRootLogLiks(lik, g)[g.root()], lik.logLikelihoodReference(g), 1e-9);
 }
 
 // --- exact-marginal validation -----------------------------------------
@@ -285,12 +277,12 @@ class WriteOnceAudit final : public LikelihoodBackend {
     }
     std::size_t slotCount() const override { return inner_.slotCount(); }
 
-    void tipInit(Slot dst, int tip) override {
+    void tipInit(Slot dst, int tip, double* rootLogL) override {
         isTip_[dst] = 1;
-        inner_.tipInit(dst, tip);
+        inner_.tipInit(dst, tip, rootLogL);
     }
-    void combine(Slot parent, Slot childA, double lenA, Slot childB,
-                 double lenB) override {
+    void combine(Slot parent, Slot childA, double lenA, Slot childB, double lenB,
+                 double* rootLogL) override {
         writes_[parent].fetch_add(1, std::memory_order_relaxed);
         writtenIn_[parent].store(generation_, std::memory_order_relaxed);
         for (const Slot child : {childA, childB}) {
@@ -300,9 +292,8 @@ class WriteOnceAudit final : public LikelihoodBackend {
             if (!isTip_[child] && !earlier)
                 badChildren_.fetch_add(1, std::memory_order_relaxed);
         }
-        inner_.combine(parent, childA, lenA, childB, lenB);
+        inner_.combine(parent, childA, lenA, childB, lenB, rootLogL);
     }
-    void rootLogLik(Slot slot, double* out) override { inner_.rootLogLik(slot, out); }
     void flush(ThreadPool* pool) override {
         inner_.flush(pool);
         ++generation_;

@@ -232,24 +232,24 @@ int runStructured(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double t
 
 /// End-of-run likelihood-backend summary from the metrics registry
 /// (lik.* taxonomy; --metrics-out / --trace-out arm it). requested vs
-/// computed is the transition-matrix dedup the batched backend's
-/// sort+unique sharing buys over per-particle exponentiation.
+/// computed is what cherries save: their two bit-equal branch lengths
+/// share one matrix per category.
 void printLikSummary() {
     using namespace mpcgs;
     if (!obs::armed()) return;
     const obs::MetricsSnapshot snap = obs::snapshot();
     const auto requested = snap.counter(obs::Counter::LikMatricesRequested);
     const auto computed = snap.counter(obs::Counter::LikMatricesComputed);
-    const double dedup =
+    const double shared =
         requested == 0
             ? 0.0
             : 100.0 * (1.0 - static_cast<double>(computed) / static_cast<double>(requested));
     std::printf("likelihood backend: %llu flushes, %llu combine ops, %llu of %llu "
-                "transition matrices computed (dedup saved %.1f%%)\n",
+                "transition matrices computed (sharing saved %.1f%%)\n",
                 static_cast<unsigned long long>(snap.counter(obs::Counter::LikFlushes)),
                 static_cast<unsigned long long>(snap.counter(obs::Counter::LikCombineOps)),
                 static_cast<unsigned long long>(computed),
-                static_cast<unsigned long long>(requested), dedup);
+                static_cast<unsigned long long>(requested), shared);
 }
 
 /// --algo smc: maximize the pooled SMC marginal likelihood log Zhat(theta)
