@@ -61,8 +61,10 @@ LikBackendKind parseLikBackend(const std::string& name);
 // requested vs computed) live in the metrics registry (obs/metrics.h,
 // lik.* taxonomy): arm the registry and read obs::snapshot() — there is
 // no per-backend stats copy. A combine requests 2C transition matrices
-// and computes C of them when its branch lengths are bit-equal (a cherry),
-// else all 2C.
+// and computes C of them when its two branch lengths are bit-equal, else
+// all 2C; combines never share matrices with one another. In a filter
+// pass the bit-equal pairs are cherries; in the online rebuild, particles
+// with identical trees compute the same matrices once each.
 
 class LikelihoodBackend {
   public:

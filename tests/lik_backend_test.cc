@@ -303,9 +303,20 @@ TEST(LikBackendTest, BatchStatsRecordSharing) {
             CherryCount counted(*real, 8);
             SmcFilter filter(counted, 1.0, opts, 47, &pool);
             while (!filter.done()) filter.step();
+            EXPECT_EQ(filter.finish().backend, likBackendName(backend));
             snaps[b] = obs::snapshot();
-            obs::disarm();
             cherries[b] = counted.cherries();
+
+            // runSmcPass builds the backend opts.backend names and does the
+            // same work, launch for launch.
+            obs::reset();
+            const SmcPassResult res = runSmcPass(lik, 1.0, opts, 47, &pool);
+            const obs::MetricsSnapshot direct = obs::snapshot();
+            obs::disarm();
+            EXPECT_EQ(res.backend, b ? "arena" : "batched");
+            for (const auto c : {obs::Counter::LikFlushes, obs::Counter::LikCombineOps,
+                                 obs::Counter::LikMatricesComputed, obs::Counter::PoolLaunches})
+                EXPECT_EQ(direct.counter(c), snaps[b].counter(c)) << obs::counterName(c);
         }
         obs::reset();
 
@@ -326,6 +337,12 @@ TEST(LikBackendTest, BatchStatsRecordSharing) {
                              obs::Counter::LikMatricesRequested,
                              obs::Counter::LikMatricesComputed})
             EXPECT_EQ(snaps[1].counter(c), batched.counter(c)) << obs::counterName(c);
+        // Only the batched backend defers its items to flush(), which runs
+        // them as one pool launch per flush; the eager backend's flush
+        // launches nothing.
+        EXPECT_EQ(batched.counter(obs::Counter::PoolLaunches),
+                  snaps[1].counter(obs::Counter::PoolLaunches) +
+                      batched.counter(obs::Counter::LikFlushes));
     }
 }
 

@@ -231,9 +231,9 @@ int runStructured(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double t
 }
 
 /// End-of-run likelihood-backend summary from the metrics registry
-/// (lik.* taxonomy; --metrics-out / --trace-out arm it). requested vs
-/// computed is what cherries save: their two bit-equal branch lengths
-/// share one matrix per category.
+/// (lik.* taxonomy; --metrics-out / --trace-out arm it). Its callers run
+/// filter passes only, where requested vs computed is what cherries save:
+/// their two bit-equal branch lengths share one matrix per category.
 void printLikSummary() {
     using namespace mpcgs;
     if (!obs::armed()) return;
