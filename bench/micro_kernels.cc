@@ -9,6 +9,7 @@
 // BENCH_likelihood.json so successive PRs can track the perf trajectory.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -21,6 +22,7 @@
 #include "core/recoalesce.h"
 #include "lik/felsenstein.h"
 #include "lik/lik_backend.h"
+#include "lik/partials_buffer.h"
 #include "par/kernel.h"
 #include "util/build_info.h"
 #include "phylo/upgma.h"
@@ -108,6 +110,64 @@ void BM_LikelihoodRecompute(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_LikelihoodRecompute)->Arg(200)->Arg(1000)->Arg(2000);
+
+/// GMH proposals for the region benches: a 24-tip generator and one
+/// proposal in the region of each of its non-root internal nodes, which
+/// the benchmark loops cycle through.
+struct RegionProposals {
+    Genealogy generator;
+    std::vector<Genealogy> members;
+    std::vector<std::array<NodeId, 2>> changed;
+};
+
+RegionProposals regionProposals(unsigned seed) {
+    Mt19937 rng(seed);
+    RegionProposals out;
+    out.generator = simulateCoalescent(24, 1.0, rng);
+    for (NodeId t = out.generator.tipCount(); t < out.generator.nodeCount(); ++t) {
+        if (t == out.generator.root()) continue;
+        const NeighborhoodRegion region = makeNeighborhoodRegion(out.generator, t, 1.0);
+        out.members.push_back(proposeInNeighborhood(region, rng));
+        out.changed.push_back({region.target, region.parent});
+    }
+    return out;
+}
+
+/// One GMH proposal's likelihood over its generator's pre-evaluated arena:
+/// only T, P and P's ancestors are re-pruned (24 tips, compressed
+/// patterns, args = sites). Compare with BM_GmhProposalRecompute.
+void BM_GmhRegionLikelihood(benchmark::State& state) {
+    const Alignment data = benchData(24, static_cast<std::size_t>(state.range(0)), 19);
+    const F81Model model(data.baseFrequencies());
+    const DataLikelihood lik(data, model);
+    const RegionProposals props = regionProposals(19);
+    PartialsBuffer arena;
+    lik.engine().evaluate(props.generator, arena);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            lik.engine().evaluateRegion(props.members[i], props.changed[i], arena));
+        i = (i + 1) % props.members.size();
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_GmhRegionLikelihood)->Arg(400)->Arg(2000);
+
+/// The same proposals on the same data, each evaluated in full, which is
+/// what every GMH proposal cost before the region evaluation.
+void BM_GmhProposalRecompute(benchmark::State& state) {
+    const Alignment data = benchData(24, static_cast<std::size_t>(state.range(0)), 19);
+    const F81Model model(data.baseFrequencies());
+    const DataLikelihood lik(data, model);
+    const RegionProposals props = regionProposals(19);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(lik.logLikelihood(props.members[i]));
+        i = (i + 1) % props.members.size();
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_GmhProposalRecompute)->Arg(400)->Arg(2000);
 
 /// The seed's scalar one-pattern-at-a-time pruning, kept as the reference
 /// path: the speedup of BM_LikelihoodRecompute over this is the

@@ -6,10 +6,14 @@
 // with P(D|G) from the Felsenstein kernel and P(G|theta) from Eq. 18.
 #pragma once
 
+#include <array>
+
 #include "core/neighborhood.h"
 #include "core/recoalesce.h"
 #include "coalescent/prior.h"
 #include "lik/felsenstein.h"
+#include "lik/partials_buffer.h"
+#include "par/thread_pool.h"
 #include "phylo/tree.h"
 #include "rng/rng.h"
 
@@ -59,20 +63,20 @@ class MhGenealogyProblem {
     double theta_;
 };
 
-/// Multiple-proposal problem for GmhSampler: shared-neighbourhood
-/// resimulation (§4.3).
-class GmhGenealogyProblem {
+/// What the GMH problems share: shared-neighbourhood resimulation (§4.3)
+/// driven at `proposalTheta`, and the region hook of GmhSampler. The
+/// generator is evaluated once per proposal set into the chain's arena;
+/// each proposal then re-prunes only T, P and P's ancestors over it
+/// (LikelihoodEngine::evaluateRegion), bitwise equal to a full evaluation.
+/// Derived problems add their coalescent prior.
+class NeighborhoodGmhProblem {
   public:
     using State = Genealogy;
     using Region = NeighborhoodRegion;
-
-    GmhGenealogyProblem(const DataLikelihood& lik, double theta)
-        : posterior_(lik, theta), theta_(theta) {}
-
-    double logPosterior(const State& g) const { return posterior_.logPosterior(g); }
+    using Arena = PartialsBuffer;
 
     Region makeRegion(const State& generator, Rng& hostRng) const {
-        return makeNeighborhoodRegion(generator, theta_, hostRng);
+        return makeNeighborhoodRegion(generator, proposalTheta_, hostRng);
     }
     State proposeInRegion(const Region& region, Rng& rng) const {
         return proposeInNeighborhood(region, rng);
@@ -80,12 +84,41 @@ class GmhGenealogyProblem {
     double logProposalDensity(const Region& region, const State& s) const {
         return logNeighborhoodDensity(region, s);
     }
+    void evaluateGenerator(const Region& region, Arena& arena, ThreadPool* pool) const {
+        lik_.engine().evaluate(region.skeleton, arena, pool);
+    }
 
-    double theta() const { return theta_; }
+  protected:
+    NeighborhoodGmhProblem(const DataLikelihood& lik, double proposalTheta)
+        : lik_(lik), proposalTheta_(proposalTheta) {}
+
+    /// log P(D|member) over the generator's arena.
+    double regionLogLikelihood(const Region& region, const Arena& arena,
+                               const State& member) const {
+        const std::array<NodeId, 2> changed{region.target, region.parent};
+        return lik_.engine().evaluateRegion(member, changed, arena);
+    }
+
+    const DataLikelihood& lik_;
+    double proposalTheta_;
+};
+
+/// Multiple-proposal problem for GmhSampler under the constant-size
+/// coalescent prior.
+class GmhGenealogyProblem : public NeighborhoodGmhProblem {
+  public:
+    GmhGenealogyProblem(const DataLikelihood& lik, double theta)
+        : NeighborhoodGmhProblem(lik, theta), posterior_(lik, theta) {}
+
+    double logPosterior(const State& g) const { return posterior_.logPosterior(g); }
+    double logPosterior(const Region& region, const Arena& arena, const State& g) const {
+        return regionLogLikelihood(region, arena, g) + logCoalescentPrior(g, theta());
+    }
+
+    double theta() const { return proposalTheta_; }
 
   private:
     GenealogyPosterior posterior_;
-    double theta_;
 };
 
 }  // namespace mpcgs

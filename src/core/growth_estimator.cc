@@ -4,7 +4,6 @@
 
 #include "core/driver.h"
 #include "core/locus_problem.h"
-#include "core/neighborhood.h"
 #include "mcmc/gmh.h"
 #include "par/kernel.h"
 #include "util/error.h"
@@ -109,37 +108,6 @@ GrowthMleResult maximizeGrowthParams(const GrowthLikelihood& rl, GrowthParams st
     out.logL = curLogL;
     return out;
 }
-
-namespace {
-
-/// GMH problem for the growth posterior: constant-size proposal kernel,
-/// growth-aware target density.
-class GrowthGenealogyProblem {
-  public:
-    using State = Genealogy;
-    using Region = NeighborhoodRegion;
-
-    GrowthGenealogyProblem(const DataLikelihood& lik, GrowthParams p) : lik_(lik), p_(p) {}
-
-    double logPosterior(const State& g) const {
-        return lik_.logLikelihood(g) + logGrowthCoalescentPrior(g, p_);
-    }
-    Region makeRegion(const State& s, Rng& rng) const {
-        return makeNeighborhoodRegion(s, p_.theta, rng);
-    }
-    State proposeInRegion(const Region& r, Rng& rng) const {
-        return proposeInNeighborhood(r, rng);
-    }
-    double logProposalDensity(const Region& r, const State& s) const {
-        return logNeighborhoodDensity(r, s);
-    }
-
-  private:
-    const DataLikelihood& lik_;
-    GrowthParams p_;
-};
-
-}  // namespace
 
 GrowthEstimateResult estimateThetaAndGrowth(const Dataset& dataset,
                                             const GrowthEstimateOptions& opts,

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "coalescent/growth.h"
+#include "core/genealogy_problem.h"
 #include "lik/felsenstein.h"
 #include "par/thread_pool.h"
 #include "phylo/tree.h"
@@ -90,6 +91,24 @@ struct GrowthMleResult {
 GrowthMleResult maximizeGrowthParams(const GrowthLikelihood& rl, GrowthParams start,
                                      double growthLo = 0.0, double growthHi = 20.0,
                                      ThreadPool* pool = nullptr);
+
+/// GMH problem for the growth posterior: the constant-size neighbourhood
+/// kernel driven at p.theta, growth-aware target density.
+class GrowthGenealogyProblem : public NeighborhoodGmhProblem {
+  public:
+    GrowthGenealogyProblem(const DataLikelihood& lik, GrowthParams p)
+        : NeighborhoodGmhProblem(lik, p.theta), p_(p) {}
+
+    double logPosterior(const State& g) const {
+        return lik_.logLikelihood(g) + logGrowthCoalescentPrior(g, p_);
+    }
+    double logPosterior(const Region& region, const Arena& arena, const State& g) const {
+        return regionLogLikelihood(region, arena, g) + logGrowthCoalescentPrior(g, p_);
+    }
+
+  private:
+    GrowthParams p_;
+};
 
 /// Full EM pipeline for (theta, growth), mirroring Fig 11 with a
 /// two-parameter M-step.

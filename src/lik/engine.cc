@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "par/kernel.h"
 #include "util/error.h"
@@ -14,64 +15,71 @@ namespace {
 /// as their pool, so these arenas are allocated once per thread and then
 /// reused by every subsequent block, call, and engine.
 struct BlockScratch {
-    AlignedDoubles partials;  ///< internals x blockSize x 4 (stateless path)
-    AlignedDoubles scale;     ///< internals x blockSize (stateless path)
+    AlignedDoubles partials;  ///< internals x blockSize x 4 (scratch output)
+    AlignedDoubles scale;     ///< internals x blockSize (scratch output)
     AlignedDoubles site;      ///< blockSize per-pattern site logs
     AlignedDoubles acc;       ///< blockSize cross-category accumulator
 };
 
 thread_local BlockScratch tlScratch;
 
-/// Per-thread scratch for the evaluation driver (the thread that calls
-/// logLikelihood/evaluate/evaluateDirty, as opposed to the block workers):
-/// traversal order, rescale metadata, packed transition matrices and block
-/// sums. Warm after the first evaluation on a thread, so the steady-state
+/// Per-thread scratch for the evaluation driver (the thread that calls an
+/// entry point, as opposed to the block workers): traversal order, rescale
+/// metadata, the listed nodes, packed transition matrices and block sums.
+/// Warm after the first evaluation on a thread, so the steady-state
 /// sampling loop performs zero heap allocation here.
 struct EvalScratch {
-    std::vector<NodeId> order;           ///< postorder evaluation order
+    std::vector<NodeId> order;           ///< postorder of the evaluated genealogy
     std::vector<NodeId> stack;           ///< traversal scratch
     std::vector<std::uint16_t> level;    ///< per-node pruning level
     LikelihoodEngine::Meta meta;
-    std::vector<TransMat> tmat;          ///< stateless path: C x nodes
+    std::vector<std::uint8_t> listed;    ///< per node: re-pruned by a partial update
+    std::vector<NodeId> prune;           ///< listed internal nodes, children first
+    std::vector<NodeId> children;        ///< their children (matrices to repack)
+    std::vector<TransMat> tmat;          ///< scratch-output paths: C x nodes
     std::vector<double> blockSums;       ///< chunk-indexed partial sums
 };
 
 thread_local EvalScratch tlEval;
 
-/// Per-thread scratch for dirty-closure recomputation.
-struct DirtyScratch {
-    std::vector<std::uint8_t> mark;
-    std::vector<NodeId> todo;
-    std::vector<NodeId> touchedChildren;
-    LikelihoodEngine::Meta meta;
-};
-
-thread_local DirtyScratch tlDirty;
-
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+/// Mark `seeds` and all their ancestors in es.listed, then list the marked
+/// internal nodes children first (es.prune; es.order must hold g's
+/// postorder) and their children, the only nodes whose branch matrices
+/// can have changed (a branch length is t(parent) - t(child), and only
+/// listed nodes moved).
+void listClosure(const Genealogy& g, std::span<const NodeId> seeds, EvalScratch& es) {
+    es.listed.assign(static_cast<std::size_t>(g.nodeCount()), 0);
+    for (const NodeId seed : seeds)
+        for (NodeId cur = seed; cur != kNoNode && !es.listed[static_cast<std::size_t>(cur)];
+             cur = g.node(cur).parent)
+            es.listed[static_cast<std::size_t>(cur)] = 1;
+    es.prune.clear();
+    es.children.clear();
+    for (const NodeId id : es.order) {
+        if (!es.listed[static_cast<std::size_t>(id)] || g.isTip(id)) continue;
+        es.prune.push_back(id);
+        es.children.push_back(g.node(id).child[0]);
+        es.children.push_back(g.node(id).child[1]);
+    }
+}
 
 }  // namespace
 
-/// Resolves the pattern strip of an internal node within one (category,
-/// block) pass. `off4`/`off1` locate the block inside a full-length arena
-/// strip (cached path) or are zero for block-local scratch strips
-/// (stateless path); tip strips always live in the engine's full-length
-/// rows, addressed through `tipOff4`.
-struct LikelihoodEngine::StripView {
-    double* part = nullptr;
-    double* scl = nullptr;
-    std::size_t stride4 = 0;
-    std::size_t stride1 = 0;
-    std::size_t off4 = 0;
-    std::size_t off1 = 0;
-    std::size_t tipOff4 = 0;
-
-    double* partials(std::size_t internalIdx) const {
-        return part + internalIdx * stride4 + off4;
-    }
-    double* scale(std::size_t internalIdx) const {
-        return scl + internalIdx * stride1 + off1;
-    }
+/// The blocks of one evaluation. The internal nodes of `prune` (children
+/// first; tips are skipped) are written to `out`, or to the block-local
+/// strips of the worker's scratch when `out` is null. Any other internal
+/// node is read from `base` when one is given (a region evaluation; then
+/// `listed` tells the two apart) and from `out` otherwise.
+struct LikelihoodEngine::BlockJob {
+    const Genealogy& g;
+    const std::vector<NodeId>& prune;
+    const Meta& meta;
+    const TransMat* tmat;  ///< [c * nodeCount + child]
+    PartialsBuffer* out = nullptr;
+    const PartialsBuffer* base = nullptr;
+    const std::uint8_t* listed = nullptr;
 };
 
 LikelihoodEngine::LikelihoodEngine(const SitePatterns& patterns, const SubstModel& model,
@@ -147,53 +155,91 @@ void LikelihoodEngine::packMatrices(const Genealogy& g, TransMat* dst,
     }
 }
 
-void LikelihoodEngine::pruneBlock(const Genealogy& g, const std::vector<NodeId>& order,
-                                  const Meta& meta, const TransMat* tmat, std::size_t c,
-                                  const StripView& view, std::size_t n) const {
+double LikelihoodEngine::runBlock(const BlockJob& job, std::size_t lo, std::size_t hi) const {
+    const Genealogy& g = job.g;
     const std::size_t nodes = static_cast<std::size_t>(g.nodeCount());
     const std::size_t tips = static_cast<std::size_t>(g.tipCount());
-    const TransMat* cat = tmat + c * nodes;
+    const std::size_t internals = nodes - tips;
+    const std::size_t C = rates_.count();
+    const std::size_t B = blockSize();
+    const std::size_t n = hi - lo;
+    BlockScratch& s = tlScratch;
+    if (job.out == nullptr) {
+        s.partials.ensure(std::max<std::size_t>(1, internals) * B * 4);
+        s.scale.ensure(std::max<std::size_t>(1, internals) * B);
+    }
+    s.site.ensure(B);
+    s.acc.ensure(B);
+    if (C > 1) std::fill_n(s.acc.data(), n, kNegInf);
 
-    auto partialsOf = [&](NodeId id) -> const double* {
-        const std::size_t i = static_cast<std::size_t>(id);
-        if (i < tips) return tipPartials_.data() + i * stride_ * 4 + view.tipOff4;
-        return view.partials(i - tips);
-    };
-    auto scaleOf = [&](NodeId id) -> const double* {
-        const std::size_t i = static_cast<std::size_t>(id);
-        if (i < tips || !meta.hasScale[i]) return nullptr;
-        return view.scale(i - tips);
-    };
+    // One category at a time: the pattern slice stays cache-hot across
+    // categories, and scratch output is reused by each.
+    double sum = 0.0;
+    for (std::size_t c = 0; c < C; ++c) {
+        const TransMat* cat = job.tmat + c * nodes;
+        // Listed nodes go to the output arena's full-length strips, at this
+        // block's offset, or to block-local scratch strips.
+        const bool toArena = job.out != nullptr;
+        double* const outPart = toArena ? job.out->partials(c, tips) + lo * 4 : s.partials.data();
+        double* const outScale = toArena ? job.out->scale(c, tips) + lo : s.scale.data();
+        const std::size_t stride1 = toArena ? job.out->patternStride : B;
+        const std::size_t stride4 = stride1 * 4;
+        auto fromBase = [&](std::size_t i) {
+            return job.base != nullptr && !job.listed[i];
+        };
+        auto partialsOf = [&](NodeId id) -> const double* {
+            const std::size_t i = static_cast<std::size_t>(id);
+            if (i < tips) return tipPartials_.data() + i * stride_ * 4 + lo * 4;
+            if (fromBase(i)) return job.base->partials(c, i) + lo * 4;
+            return outPart + (i - tips) * stride4;
+        };
+        auto scaleOf = [&](NodeId id) -> const double* {
+            const std::size_t i = static_cast<std::size_t>(id);
+            if (i < tips || !job.meta.hasScale[i]) return nullptr;
+            if (fromBase(i)) return job.base->scale(c, i) + lo;
+            return outScale + (i - tips) * stride1;
+        };
 
-    for (const NodeId id : order) {
-        if (g.isTip(id)) continue;
-        const TreeNode& nd = g.node(id);
-        const std::size_t i = static_cast<std::size_t>(id);
-        double* out = view.partials(i - tips);
-        pruneStrip(cat[static_cast<std::size_t>(nd.child[0])],
-                   cat[static_cast<std::size_t>(nd.child[1])], partialsOf(nd.child[0]),
-                   partialsOf(nd.child[1]), out, n);
-        if (meta.hasScale[i]) {
-            double* so = view.scale(i - tips);
-            addScaleStrips(scaleOf(nd.child[0]), scaleOf(nd.child[1]), so, n);
-            if (meta.rescale[i]) rescaleStrip(out, so, n);
+        for (const NodeId id : job.prune) {
+            if (g.isTip(id)) continue;
+            const TreeNode& nd = g.node(id);
+            const std::size_t i = static_cast<std::size_t>(id);
+            double* o = outPart + (i - tips) * stride4;
+            pruneStrip(cat[static_cast<std::size_t>(nd.child[0])],
+                       cat[static_cast<std::size_t>(nd.child[1])], partialsOf(nd.child[0]),
+                       partialsOf(nd.child[1]), o, n);
+            if (job.meta.hasScale[i]) {
+                double* so = outScale + (i - tips) * stride1;
+                addScaleStrips(scaleOf(nd.child[0]), scaleOf(nd.child[1]), so, n);
+                if (job.meta.rescale[i]) rescaleStrip(o, so, n);
+            }
+        }
+
+        double* site = s.site.data();
+        rootLogStrip(partialsOf(g.root()), scaleOf(g.root()), pi_, site, n);
+        if (C == 1) {
+            sum = weightedSumStrip(site, patterns_.weightsData() + lo, n);
+        } else {
+            double* acc = s.acc.data();
+            for (std::size_t p = 0; p < n; ++p)
+                acc[p] = logAdd(acc[p], logCatWeights_[c] + site[p]);
         }
     }
+    if (C > 1) sum = weightedSumStrip(s.acc.data(), patterns_.weightsData() + lo, n);
+    return sum;
 }
 
-double LikelihoodEngine::foldCategory(const Genealogy& g, const Meta& meta, std::size_t c,
-                                      const StripView& view, std::size_t p0, std::size_t n,
-                                      double* site, double* acc) const {
-    const std::size_t tips = static_cast<std::size_t>(g.tipCount());
-    const std::size_t r = static_cast<std::size_t>(g.root());
-    const double* rp = r < tips ? tipPartials_.data() + r * stride_ * 4 + view.tipOff4
-                                : view.partials(r - tips);
-    const double* rs = (r < tips || !meta.hasScale[r]) ? nullptr : view.scale(r - tips);
-    rootLogStrip(rp, rs, pi_, site, n);
-    if (rates_.count() == 1) return weightedSumStrip(site, patterns_.weightsData() + p0, n);
-    for (std::size_t p = 0; p < n; ++p)
-        acc[p] = logAdd(acc[p], logCatWeights_[c] + site[p]);
-    return 0.0;
+double LikelihoodEngine::runBlocks(const BlockJob& job, ThreadPool* pool) const {
+    const std::size_t P = patterns_.patternCount();
+    const std::size_t B = blockSize();
+    std::vector<double>& blockSums = tlEval.blockSums;
+    blockSums.assign((P + B - 1) / B, 0.0);
+    launchBlocked(pool, P, B, [&](std::size_t bi, std::size_t lo, std::size_t hi) {
+        blockSums[bi] = runBlock(job, lo, hi);
+    });
+    double total = 0.0;
+    for (const double s : blockSums) total += s;
+    return total;
 }
 
 double LikelihoodEngine::logLikelihood(const Genealogy& g, ThreadPool* pool) const {
@@ -201,45 +247,10 @@ double LikelihoodEngine::logLikelihood(const Genealogy& g, ThreadPool* pool) con
             "likelihood: tip count != sequence count");
     EvalScratch& es = tlEval;
     g.postorderInto(es.order, es.stack);
-    const std::vector<NodeId>& order = es.order;
-    traversalMeta(g, order, es.meta, es.level);
-    const Meta& meta = es.meta;
-    const std::size_t nodes = static_cast<std::size_t>(g.nodeCount());
-    const std::size_t internals = nodes - static_cast<std::size_t>(g.tipCount());
-    const std::size_t C = rates_.count();
-    const std::size_t P = patterns_.patternCount();
-    const std::size_t B = blockSize();
-
-    es.tmat.resize(C * nodes);
-    TransMat* tmatData = es.tmat.data();
-    packMatrices(g, tmatData);
-
-    std::vector<double>& blockSums = es.blockSums;
-    blockSums.assign((P + B - 1) / B, 0.0);
-    launchBlocked(pool, P, B, [&](std::size_t bi, std::size_t lo, std::size_t hi) {
-        const std::size_t n = hi - lo;
-        BlockScratch& s = tlScratch;
-        s.partials.ensure(std::max<std::size_t>(1, internals) * B * 4);
-        s.scale.ensure(std::max<std::size_t>(1, internals) * B);
-        s.site.ensure(B);
-        s.acc.ensure(B);
-        if (C > 1) std::fill_n(s.acc.data(), n, kNegInf);
-
-        // One category at a time through the same block-local scratch: the
-        // fused pass keeps the pattern slice cache-hot across categories.
-        double sum = 0.0;
-        const StripView view{s.partials.data(), s.scale.data(), B * 4, B, 0, 0, lo * 4};
-        for (std::size_t c = 0; c < C; ++c) {
-            pruneBlock(g, order, meta, tmatData, c, view, n);
-            sum = foldCategory(g, meta, c, view, lo, n, s.site.data(), s.acc.data());
-        }
-        if (C > 1) sum = weightedSumStrip(s.acc.data(), patterns_.weightsData() + lo, n);
-        blockSums[bi] = sum;
-    });
-
-    double total = 0.0;
-    for (const double s : blockSums) total += s;
-    return total;
+    traversalMeta(g, es.order, es.meta, es.level);
+    es.tmat.resize(rates_.count() * static_cast<std::size_t>(g.nodeCount()));
+    packMatrices(g, es.tmat.data());
+    return runBlocks(BlockJob{g, es.order, es.meta, es.tmat.data()}, pool);
 }
 
 double LikelihoodEngine::evaluate(const Genealogy& g, PartialsBuffer& buf,
@@ -250,15 +261,9 @@ double LikelihoodEngine::evaluate(const Genealogy& g, PartialsBuffer& buf,
     g.postorderInto(es.order, es.stack);
     traversalMeta(g, es.order, es.meta, es.level);
     const std::size_t tips = static_cast<std::size_t>(g.tipCount());
-    const std::size_t internals = static_cast<std::size_t>(g.nodeCount()) - tips;
-    const std::size_t C = rates_.count();
-
-    buf.ensure(C, tips, internals, stride_);
-    buf.rescale = es.meta.rescale;
-    buf.hasScale = es.meta.hasScale;
+    buf.ensure(rates_.count(), tips, static_cast<std::size_t>(g.nodeCount()) - tips, stride_);
     packMatrices(g, buf.tmat.data());
-
-    const double total = runBlocked(g, es.order, es.meta, buf, pool);
+    const double total = runBlocks(BlockJob{g, es.order, es.meta, buf.tmat.data(), &buf}, pool);
     buf.primed = true;
     return total;
 }
@@ -267,85 +272,32 @@ double LikelihoodEngine::evaluateDirty(const Genealogy& g, const std::vector<Nod
                                        PartialsBuffer& buf, ThreadPool* pool) const {
     require(buf.primed && buf.nodeCount() == static_cast<std::size_t>(g.nodeCount()),
             "LikelihoodCache: genealogy shape changed; call evaluate()");
-    const std::size_t nodes = static_cast<std::size_t>(g.nodeCount());
-
-    // Dirty closure: every listed node and all of its ancestors.
-    DirtyScratch& ds = tlDirty;
-    std::vector<std::uint8_t>& mark = ds.mark;
-    mark.assign(nodes, 0);
-    for (NodeId d : dirty) {
-        NodeId cur = d;
-        while (cur != kNoNode && !mark[static_cast<std::size_t>(cur)]) {
-            mark[static_cast<std::size_t>(cur)] = 1;
-            cur = g.node(cur).parent;
-        }
-    }
-
-    // Recompute order = marked internal nodes, children before parents; the
-    // only transition matrices that can have changed are those of the
-    // closure's children (a branch length is t(parent) - t(child), and only
-    // closure members moved), so just those are re-packed — the seed
-    // re-derived all 2n matrices every step.
-    std::vector<NodeId>& todo = ds.todo;
-    std::vector<NodeId>& touchedChildren = ds.touchedChildren;
-    todo.clear();
-    touchedChildren.clear();
+    // The schedule of the whole tree: a level can only change inside the
+    // dirty closure, so every node outside it keeps the flags its strips
+    // were computed with.
     EvalScratch& es = tlEval;
     g.postorderInto(es.order, es.stack);
-    for (const NodeId id : es.order) {
-        if (!mark[static_cast<std::size_t>(id)] || g.isTip(id)) continue;
-        todo.push_back(id);
-        const TreeNode& nd = g.node(id);
-        touchedChildren.push_back(nd.child[0]);
-        touchedChildren.push_back(nd.child[1]);
-        // Scale reachability can change with the topology; rescale flags
-        // keep their last full-evaluation schedule (any schedule is valid —
-        // partials and scale strips always move together).
-        buf.hasScale[static_cast<std::size_t>(id)] =
-            buf.rescale[static_cast<std::size_t>(id)] ||
-            (!g.isTip(nd.child[0]) && buf.hasScale[static_cast<std::size_t>(nd.child[0])]) ||
-            (!g.isTip(nd.child[1]) && buf.hasScale[static_cast<std::size_t>(nd.child[1])]);
-    }
-    packMatrices(g, buf.tmat.data(), &touchedChildren);
-
-    ds.meta.rescale = buf.rescale;
-    ds.meta.hasScale = buf.hasScale;
-    return runBlocked(g, todo, ds.meta, buf, pool);
+    traversalMeta(g, es.order, es.meta, es.level);
+    listClosure(g, dirty, es);
+    packMatrices(g, buf.tmat.data(), &es.children);
+    return runBlocks(BlockJob{g, es.prune, es.meta, buf.tmat.data(), &buf}, pool);
 }
 
-double LikelihoodEngine::runBlocked(const Genealogy& g, const std::vector<NodeId>& order,
-                                    const Meta& meta, PartialsBuffer& buf,
-                                    ThreadPool* pool) const {
-    const std::size_t tips = static_cast<std::size_t>(g.tipCount());
-    const std::size_t C = rates_.count();
-    const std::size_t P = patterns_.patternCount();
-    const std::size_t B = blockSize();
-
-    std::vector<double>& blockSums = tlEval.blockSums;
-    blockSums.assign((P + B - 1) / B, 0.0);
-
-    launchBlocked(pool, P, B, [&](std::size_t bi, std::size_t lo, std::size_t hi) {
-        const std::size_t n = hi - lo;
-        BlockScratch& s = tlScratch;
-        s.site.ensure(B);
-        s.acc.ensure(B);
-        if (C > 1) std::fill_n(s.acc.data(), n, kNegInf);
-
-        double sum = 0.0;
-        for (std::size_t c = 0; c < C; ++c) {
-            const StripView v{buf.partials(c, tips), buf.scale(c, tips),
-                              buf.patternStride * 4, buf.patternStride,
-                              lo * 4, lo, lo * 4};
-            pruneBlock(g, order, meta, buf.tmat.data(), c, v, n);
-            sum = foldCategory(g, meta, c, v, lo, n, s.site.data(), s.acc.data());
-        }
-        if (C > 1) sum = weightedSumStrip(s.acc.data(), patterns_.weightsData() + lo, n);
-        blockSums[bi] = sum;
-    });
-
-    double total = 0.0;
-    for (const double s : blockSums) total += s;
-    return total;
+double LikelihoodEngine::evaluateRegion(const Genealogy& member,
+                                        std::span<const NodeId> changed,
+                                        const PartialsBuffer& base) const {
+    require(base.primed && base.nodeCount() == static_cast<std::size_t>(member.nodeCount()) &&
+                base.categories == rates_.count(),
+            "evaluateRegion: the base arena holds no evaluation of this shape");
+    EvalScratch& es = tlEval;
+    member.postorderInto(es.order, es.stack);
+    traversalMeta(member, es.order, es.meta, es.level);
+    listClosure(member, changed, es);
+    es.tmat.resize(rates_.count() * static_cast<std::size_t>(member.nodeCount()));
+    packMatrices(member, es.tmat.data(), &es.children);
+    return runBlocks(BlockJob{member, es.prune, es.meta, es.tmat.data(), nullptr, &base,
+                              es.listed.data()},
+                     nullptr);
 }
 
 }  // namespace mpcgs

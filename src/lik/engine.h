@@ -1,7 +1,9 @@
-// Pattern-major likelihood engine: the shared evaluation core behind both
+// Pattern-major likelihood engine: the shared evaluation core behind
 // DataLikelihood::logLikelihood (stateless, full recomputation — the
-// paper's GPU strategy, §5.2.2) and LikelihoodCache (persistent arena with
-// dirty-path updates — the production-LAMARC strategy).
+// paper's GPU strategy, §5.2.2), LikelihoodCache (persistent arena with
+// dirty-path updates — the production-LAMARC strategy) and the GMH region
+// evaluation (each proposal re-prunes only the nodes it changed, over one
+// shared evaluation of its generator).
 //
 // Design, versus the seed's scalar per-pattern pruning:
 //
@@ -12,19 +14,27 @@
 //  * Tip partials depend only on the alignment, never on the genealogy;
 //    they are packed once at construction and shared by every evaluation.
 //  * Rescaling (§5.3) runs every kRescaleInterval tree levels as a separate
-//    strip pass instead of a per-node per-pattern branch, and subtrees that
-//    have never rescaled skip scale bookkeeping entirely.
+//    strip pass instead of a per-node per-pattern branch. It multiplies each
+//    pattern by 2^-e, e the binary exponent of the pattern's largest
+//    partial, which is exact, and adds e ln 2 to the pattern's scale; the
+//    root fold takes a vectorizable log. Subtrees that have never rescaled
+//    skip scale bookkeeping entirely.
 //  * Pattern strips are partitioned into cache-sized blocks launched across
 //    the thread pool (par/kernel.h launchBlocked): every worker prunes the
-//    full post-order over its own pattern slice, so there is zero
+//    listed nodes over its own pattern slice, so there is zero
 //    synchronization between nodes. Block boundaries depend only on the
 //    problem shape, so results are bitwise identical for any thread count.
 //  * Rate categories are fused into the same blocked pass (each block
-//    prunes all categories while its slice is cache-hot) for both the
-//    stateless and the cached path.
+//    prunes all categories while its slice is cache-hot).
+//  * Every entry point runs the same block routine: prune the listed
+//    internal nodes, reading unlisted ones from a base arena when one is
+//    given, then fold the root. One compiled copy of the strip kernels is
+//    what makes a dirty update or a region evaluation bitwise equal to a
+//    full evaluation of the same genealogy.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "lik/partials_buffer.h"
@@ -60,9 +70,21 @@ class LikelihoodEngine {
 
     /// Re-evaluate after `dirty` nodes (and their ancestors) changed,
     /// recomputing only the dirty closure — including its transition
-    /// matrices, which the seed rebuilt for every node on every step.
+    /// matrices, which the seed rebuilt for every node on every step. The
+    /// rescale schedule comes from `g`, so the result equals a full
+    /// evaluation of `g` bitwise.
     double evaluateDirty(const Genealogy& g, const std::vector<NodeId>& dirty,
                          PartialsBuffer& buf, ThreadPool* pool = nullptr) const;
+
+    /// log P(D|member) for a genealogy that differs from the one `base` was
+    /// evaluated for (evaluate()) only at the `changed` nodes: their times
+    /// and children. Re-prunes just those nodes and their ancestors into
+    /// thread-local block scratch and reads every other internal strip from
+    /// `base`, which it never writes, so any number of threads may evaluate
+    /// members over one base at once. Serial; bitwise equal to
+    /// logLikelihood(member).
+    double evaluateRegion(const Genealogy& member, std::span<const NodeId> changed,
+                          const PartialsBuffer& base) const;
 
     std::size_t patternCount() const { return patterns_.patternCount(); }
     std::size_t patternStride() const { return stride_; }
@@ -92,24 +114,19 @@ class LikelihoodEngine {
     void packMatrices(const Genealogy& g, TransMat* dst,
                       const std::vector<NodeId>* only = nullptr) const;
 
-    /// Prune the nodes of `order` for category c over patterns [p0, p0+n),
-    /// reading/writing through the pointer resolvers. Shared by the
-    /// stateless and cached paths.
-    struct StripView;
-    void pruneBlock(const Genealogy& g, const std::vector<NodeId>& order, const Meta& meta,
-                    const TransMat* tmat, std::size_t c, const StripView& view,
-                    std::size_t n) const;
+    /// What the blocks of one evaluation share (engine.cc).
+    struct BlockJob;
 
-    /// Root reduction for one category over a block: fills `site` with the
-    /// per-pattern site log-likelihoods and either returns the weighted
-    /// fold (single category) or log-adds into `acc` and returns 0.
-    double foldCategory(const Genealogy& g, const Meta& meta, std::size_t c,
-                        const StripView& view, std::size_t p0, std::size_t n, double* site,
-                        double* acc) const;
+    /// The one block routine behind every entry point: for every category,
+    /// prune the job's listed internal nodes over patterns [lo, hi), then
+    /// fold the root; returns the block's weighted log-likelihood. Kept out
+    /// of line so the strip kernels compile exactly once for all paths.
+    [[gnu::noinline]] double runBlock(const BlockJob& job, std::size_t lo,
+                                      std::size_t hi) const;
 
-    /// Blocked pruning + reduction over the persistent arena (cached path).
-    double runBlocked(const Genealogy& g, const std::vector<NodeId>& order, const Meta& meta,
-                      PartialsBuffer& buf, ThreadPool* pool) const;
+    /// Launch runBlock over every pattern block and sum the block results
+    /// in block order.
+    double runBlocks(const BlockJob& job, ThreadPool* pool) const;
 
     std::size_t blockSize() const;
 

@@ -10,9 +10,12 @@
 // (Eq. 22 prints a plain sum; the product over independent sites is a sum
 // of logs, which is also what the reference implementation computes.)
 //
-// The default mode recomputes every node for every call — the paper found
-// full recomputation faster than caching on the GPU (§5.2.2). A cached
-// incremental mode is provided for the CPU ablation study (bench/micro).
+// logLikelihood recomputes every node, the paper's GPU choice (§5.2.2: full
+// recomputation beat caching there). On the CPU two partial paths share
+// its kernels: LikelihoodCache re-prunes a dirty closure (the cached MH
+// baseline), and the GMH problems score each proposal over one shared
+// evaluation of its generator (LikelihoodEngine::evaluateRegion, see
+// core/genealogy_problem.h). Both equal a full evaluation bitwise.
 #pragma once
 
 #include <memory>

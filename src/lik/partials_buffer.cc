@@ -15,8 +15,6 @@ void PartialsBuffer::ensure(std::size_t nCategories, std::size_t nTips,
     partialsData.ensure(nCategories * nInternals * stride * 4);
     scaleData.ensure(nCategories * nInternals * stride);
     tmat.resize(nCategories * nodeCount());
-    rescale.assign(nodeCount(), 0);
-    hasScale.assign(nodeCount(), 0);
 }
 
 }  // namespace mpcgs

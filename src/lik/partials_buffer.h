@@ -1,13 +1,13 @@
 // Persistent pattern-major partials arena for cached likelihood evaluation.
 //
-// One PartialsBuffer holds the complete pruning state of ONE genealogy
-// chain: per-internal-node conditional likelihood strips, per-node scale
-// exponents, packed transition matrices, and the traversal metadata
-// (levels, rescale schedule) of the last full evaluation. Everything is
-// allocated once — 64-byte aligned, node-strided — and reused across every
-// subsequent MCMC step; growing only happens if the genealogy shape or
-// pattern count changes (it does not, along a chain). This replaces the
-// seed's per-step `assign()` of the whole arena.
+// One PartialsBuffer holds the complete pruning state of ONE genealogy:
+// per-internal-node conditional likelihood strips, per-node scale
+// exponents and packed transition matrices. It is the cached MH chain's
+// arena and the GMH generator's shared arena (each proposal of a set
+// reads it). Everything is allocated once — 64-byte aligned, node-strided
+// — and reused across every subsequent MCMC step; growing only happens if
+// the genealogy shape or pattern count changes (it does not, along a
+// chain). This replaces the seed's per-step `assign()` of the whole arena.
 //
 // Layout: partials for (category c, internal node i) start at
 //   partialsData.data() + (c * internals + i) * patternStride * 4
@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "lik/pruning_kernels.h"
@@ -34,10 +33,6 @@ struct PartialsBuffer {
     /// Packed transition matrices, indexed [c * nodeCount + child id];
     /// entries for the root are unused.
     std::vector<TransMat> tmat;
-
-    // Traversal metadata from the last full evaluation (indexed by node id).
-    std::vector<std::uint8_t> rescale;   ///< node rescales its strip
-    std::vector<std::uint8_t> hasScale;  ///< any rescaling at/below node
 
     std::size_t categories = 0;
     std::size_t tips = 0;

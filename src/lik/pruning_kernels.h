@@ -81,69 +81,6 @@ inline void addScaleStrips(const double* __restrict sa, const double* __restrict
     }
 }
 
-/// Periodic rescaling (§5.3, hoisted out of the per-node inner loop): factor
-/// the per-pattern max out of the partials and accumulate its log in the
-/// scale strip. Called only every kRescaleInterval tree levels, instead of
-/// the scalar path's per-node per-pattern underflow branch.
-inline void rescaleStrip(double* __restrict part, double* __restrict scale, std::size_t n) {
-    for (std::size_t p = 0; p < n; ++p) {
-        double* o = part + 4 * p;
-        double m = o[0];
-        if (o[1] > m) m = o[1];
-        if (o[2] > m) m = o[2];
-        if (o[3] > m) m = o[3];
-        if (m > 0.0) {
-            const double inv = 1.0 / m;
-            o[0] *= inv;
-            o[1] *= inv;
-            o[2] *= inv;
-            o[3] *= inv;
-            scale[p] += std::log(m);
-        }
-    }
-}
-
-/// Per-pattern site log-likelihood at the root (Eq. 21 + carried scale):
-/// out[p] = log(sum_x pi[x] root[p][x]) + scale[p]. A zero root dot product
-/// yields -inf, matching the scalar path. `scale` may be null (no rescaling
-/// happened anywhere below the root).
-inline void rootLogStrip(const double* __restrict root, const double* __restrict scale,
-                         const BaseFreqs& pi, double* __restrict out, std::size_t n) {
-    const double p0 = pi[0], p1 = pi[1], p2 = pi[2], p3 = pi[3];
-    for (std::size_t p = 0; p < n; ++p) {
-        const double* r = root + 4 * p;
-        const double dot = p0 * r[0] + p1 * r[1] + p2 * r[2] + p3 * r[3];
-        out[p] = std::log(dot) + (scale != nullptr ? scale[p] : 0.0);
-    }
-}
-
-/// Weighted fold of per-pattern site log-likelihoods (Eq. 22):
-/// sum_p w[p] * site[p].
-inline double weightedSumStrip(const double* __restrict site, const double* __restrict w,
-                               std::size_t n) {
-    double acc = 0.0;
-    for (std::size_t p = 0; p < n; ++p) acc += w[p] * site[p];
-    return acc;
-}
-
-/// Tip conditional likelihoods for one sequence over `n` patterns starting
-/// at `p0`: the standard 0/1 indicator rows, with kNucUnknown marginalized
-/// as all-ones. `codes` is the pattern-major code matrix of SitePatterns
-/// (stride nSeq), `seq` the tip's column in it.
-inline void fillTipStrip(const NucCode* codes, std::size_t nSeq, std::size_t seq,
-                         std::size_t p0, double* __restrict out, std::size_t n) {
-    for (std::size_t p = 0; p < n; ++p) {
-        const NucCode c = codes[(p0 + p) * nSeq + seq];
-        double* o = out + 4 * p;
-        if (c == kNucUnknown) {
-            o[0] = o[1] = o[2] = o[3] = 1.0;
-        } else {
-            o[0] = o[1] = o[2] = o[3] = 0.0;
-            o[c] = 1.0;
-        }
-    }
-}
-
 /// True for a positive normal double, the domain of logPositiveNormal.
 inline bool isPositiveNormal(double x) {
     return (std::bit_cast<std::uint64_t>(x) >> 52) - 1 < 0x7fe;
@@ -181,6 +118,94 @@ inline double logPositiveNormal(double x) {
     return s * (hfsq + r) + k * kLn2Lo - hfsq + f + k * kLn2Hi;
 }
 
+/// Exact power-of-two rescale of a pattern whose largest value is m:
+/// `factor` is 2^-e, with e = `exponent` the binary exponent of m, so
+/// multiplying by it changes exponents only and m lands in [1, 2). A zero,
+/// subnormal or non-finite m, or one in the top binade, gets factor 1 and
+/// exponent 0: 2^-e needs a normal exponent field 2046 - biased, and
+/// probabilities never get that large.
+struct Pow2Scale {
+    double factor;
+    double exponent;
+};
+
+inline Pow2Scale pow2Scale(double m) {
+    const std::uint64_t biased = std::bit_cast<std::uint64_t>(m) >> 52;
+    const bool scaled = biased - 1 < 0x7fd;
+    return {scaled ? std::bit_cast<double>((0x7feull - biased) << 52) : 1.0,
+            scaled ? std::bit_cast<double>(0x4330000000000000ull | biased) - (0x1p52 + 1023.0)
+                   : 0.0};
+}
+
+/// Periodic rescaling (§5.3, hoisted out of the per-node inner loop):
+/// multiply each pattern by the exact power of two that brings its max
+/// into [1, 2) and add e ln 2 to its natural-log scale, with no divide and
+/// no log. Called only every kRescaleInterval tree levels, instead of the
+/// scalar path's per-node per-pattern underflow branch.
+inline void rescaleStrip(double* __restrict part, double* __restrict scale, std::size_t n) {
+    for (std::size_t p = 0; p < n; ++p) {
+        double* o = part + 4 * p;
+        const Pow2Scale s = pow2Scale(std::max(std::max(o[0], o[1]), std::max(o[2], o[3])));
+        o[0] *= s.factor;
+        o[1] *= s.factor;
+        o[2] *= s.factor;
+        o[3] *= s.factor;
+        scale[p] += s.exponent * std::numbers::ln2;
+    }
+}
+
+/// Per-pattern site log-likelihood at the root (Eq. 21 + carried scale):
+/// out[p] = log(sum_x pi[x] root[p][x]) + scale[p]. Positive normal dot
+/// products take the vectorized log; any other keeps std::log, so a zero
+/// root dot product yields -inf, matching the scalar path. `scale` may be
+/// null (no rescaling happened anywhere below the root).
+inline void rootLogStrip(const double* __restrict root, const double* __restrict scale,
+                         const BaseFreqs& pi, double* __restrict out, std::size_t n) {
+    const double p0 = pi[0], p1 = pi[1], p2 = pi[2], p3 = pi[3];
+    const auto dot = [&](std::size_t p) {
+        const double* r = root + 4 * p;
+        return p0 * r[0] + p1 * r[1] + p2 * r[2] + p3 * r[3];
+    };
+    std::size_t irregular = 0;
+    for (std::size_t p = 0; p < n; ++p) {
+        const double d = dot(p);
+        out[p] = logPositiveNormal(d);
+        irregular += !isPositiveNormal(d);
+    }
+    if (irregular != 0)
+        for (std::size_t p = 0; p < n; ++p)
+            if (const double d = dot(p); !isPositiveNormal(d)) out[p] = std::log(d);
+    if (scale != nullptr)
+        for (std::size_t p = 0; p < n; ++p) out[p] += scale[p];
+}
+
+/// Weighted fold of per-pattern site log-likelihoods (Eq. 22):
+/// sum_p w[p] * site[p].
+inline double weightedSumStrip(const double* __restrict site, const double* __restrict w,
+                               std::size_t n) {
+    double acc = 0.0;
+    for (std::size_t p = 0; p < n; ++p) acc += w[p] * site[p];
+    return acc;
+}
+
+/// Tip conditional likelihoods for one sequence over `n` patterns starting
+/// at `p0`: the standard 0/1 indicator rows, with kNucUnknown marginalized
+/// as all-ones. `codes` is the pattern-major code matrix of SitePatterns
+/// (stride nSeq), `seq` the tip's column in it.
+inline void fillTipStrip(const NucCode* codes, std::size_t nSeq, std::size_t seq,
+                         std::size_t p0, double* __restrict out, std::size_t n) {
+    for (std::size_t p = 0; p < n; ++p) {
+        const NucCode c = codes[(p0 + p) * nSeq + seq];
+        double* o = out + 4 * p;
+        if (c == kNucUnknown) {
+            o[0] = o[1] = o[2] = o[3] = 1.0;
+        } else {
+            o[0] = o[1] = o[2] = o[3] = 0.0;
+            o[c] = 1.0;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Partial-forest (SMC) items.
 //
@@ -208,10 +233,10 @@ inline constexpr std::size_t kForestChunk = 64;
 
 /// Rescale patterns [p0, p0+n) of a combined slot by powers of two: with
 /// e_p the binary exponent of the pattern's max over every category and
-/// state, its values are multiplied by 2^-e_p, which changes exponents
-/// only and so is exact, and so[p] = sa[p] + sb[p] + e_p ln 2. A pattern
-/// whose max is zero, subnormal or not finite keeps its values (e_p = 0);
-/// a zero pattern then folds to -inf at the root.
+/// state (pow2Scale), its values are multiplied by 2^-e_p, which changes
+/// exponents only and so is exact, and so[p] = sa[p] + sb[p] + e_p ln 2. A
+/// pattern whose max is zero, subnormal or not finite keeps its values
+/// (e_p = 0); a zero pattern then folds to -inf at the root.
 inline void rescaleForestChunk(double* data, std::size_t P, std::size_t C,
                                const double* sa, const double* sb, double* so,
                                std::size_t p0, std::size_t n) {
@@ -224,17 +249,10 @@ inline void rescaleForestChunk(double* data, std::size_t P, std::size_t C,
         for (std::size_t j = 0; j < 4 * n; ++j) mx[j] = v[j] > mx[j] ? v[j] : mx[j];
     }
     for (std::size_t i = 0; i < n; ++i) {
-        const double m = std::max(std::max(mx[4 * i], mx[4 * i + 1]),
-                                  std::max(mx[4 * i + 2], mx[4 * i + 3]));
-        const std::uint64_t biased = std::bit_cast<std::uint64_t>(m) >> 52;
-        // 2^-e needs a normal exponent field 2046 - biased, so the top
-        // binade is left alone too; probabilities never get there.
-        const bool scaled = biased - 1 < 0x7fd;
-        factor[i] = scaled ? std::bit_cast<double>((0x7feull - biased) << 52) : 1.0;
-        const double e =
-            scaled ? std::bit_cast<double>(0x4330000000000000ull | biased) - (0x1p52 + 1023.0)
-                   : 0.0;
-        so[p0 + i] = sa[p0 + i] + sb[p0 + i] + e * std::numbers::ln2;
+        const Pow2Scale s = pow2Scale(std::max(std::max(mx[4 * i], mx[4 * i + 1]),
+                                               std::max(mx[4 * i + 2], mx[4 * i + 3])));
+        factor[i] = s.factor;
+        so[p0 + i] = sa[p0 + i] + sb[p0 + i] + s.exponent * std::numbers::ln2;
     }
     for (std::size_t c = 0; c < C; ++c) {
         double* v = data + (c * P + p0) * 4;

@@ -9,6 +9,17 @@
 //   double logProposalDensity(const Region&, const State&) const; // q_phi(x)
 //   double logPosterior(const State&) const;                      // unnormalized log pi
 //
+// Optional region hook (RegionEvaluated below), for problems whose
+// proposals differ from their generator only inside the region:
+//   using Arena;                                  // per-chain, default-constructible
+//   void evaluateGenerator(const Region&, Arena&, ThreadPool*) const;
+//   double logPosterior(const Region&, const Arena&, const State&) const;
+// The sampler then evaluates the generator once per set, on the pool, into
+// its own arena, and scores each proposal over it; that score must equal
+// logPosterior(state) bitwise, so the hook changes cost, never the chain.
+// The arena is scratch rebuilt every iteration: never checkpointed, nothing
+// to restore.
+//
 // Each iteration: draw the region from the current generator, fan out N
 // independent proposals (one logical device thread each — the proposal
 // kernel of §5.2.1), then sample the index variable I from the stationary
@@ -23,14 +34,23 @@
 //
 // Proposal randomness comes from per-(iteration, proposal) Philox streams,
 // so results are bit-reproducible regardless of the thread count.
+//
+// Each iteration records the spans gmh_region (region draw and generator
+// evaluation), gmh_fanout (the N proposals) and gmh_draw (the index draws
+// and their samples), and adds the proposals' drawing and scoring times,
+// summed over the threads that ran them, to mcmc.propose_ns and
+// mcmc.likelihood_ns; the generator's evaluation counts as likelihood.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "par/thread_pool.h"
 #include "rng/mt19937.h"
 #include "rng/philox.h"
@@ -50,6 +70,27 @@ void emitSample(Sink* sink, const State& s, double logPost) {
     else
         (*sink)(s);
 }
+}  // namespace detail
+
+/// A problem with the optional region hook (see the concept above).
+template <class P>
+concept RegionEvaluated =
+    requires(const P& p, const typename P::Region& r, typename P::Arena& a,
+             const typename P::State& s, ThreadPool* pool) {
+        p.evaluateGenerator(r, a, pool);
+        { p.logPosterior(r, std::as_const(a), s) } -> std::convertible_to<double>;
+    };
+
+namespace detail {
+struct NoArena {};
+template <class P>
+struct ArenaOf {
+    using type = NoArena;
+};
+template <RegionEvaluated P>
+struct ArenaOf<P> {
+    using type = typename P::Arena;
+};
 }  // namespace detail
 
 struct GmhOptions {
@@ -139,7 +180,7 @@ class GmhSampler {
     template <class Sink>
     State iterate(State current, double& currentLogPost, Sink* sink) {
         const std::size_t n = opts_.numProposals;
-        const Region region = problem_.makeRegion(current, hostRng_);
+        const Region region = prepareRegion(current);
 
         // Proposal fan-out: slot n holds the generator itself. The fan-out
         // buffers are sampler members, so their storage is reused across
@@ -151,16 +192,30 @@ class GmhSampler {
         logPost.resize(n + 1);
         logW.resize(n + 1);
         const std::uint64_t iterBase = iteration_ * static_cast<std::uint64_t>(n + 1);
-        forEachIndex(pool_, n, [&](std::size_t i) {
-            Philox rng(opts_.seed, iterBase + i);
-            members[i] = problem_.proposeInRegion(region, rng);
-            logPost[i] = problem_.logPosterior(members[i]);
-            logW[i] = logPost[i] - problem_.logProposalDensity(region, members[i]);
-        });
-        members[n] = std::move(current);
-        logPost[n] = currentLogPost;
-        logW[n] = logPost[n] - problem_.logProposalDensity(region, members[n]);
+        {
+            const obs::TraceSpan span("gmh_fanout", "mcmc");
+            forEachIndex(pool_, n, [&](std::size_t i) {
+                Philox rng(opts_.seed, iterBase + i);
+                const double logQ = [&] {
+                    const obs::PhaseTimer timer(obs::Counter::McmcProposeNs);
+                    members[i] = problem_.proposeInRegion(region, rng);
+                    return problem_.logProposalDensity(region, members[i]);
+                }();
+                {
+                    const obs::PhaseTimer timer(obs::Counter::McmcLikelihoodNs);
+                    if constexpr (RegionEvaluated<Problem>)
+                        logPost[i] = problem_.logPosterior(region, arena_, members[i]);
+                    else
+                        logPost[i] = problem_.logPosterior(members[i]);
+                }
+                logW[i] = logPost[i] - logQ;
+            });
+            members[n] = std::move(current);
+            logPost[n] = currentLogPost;
+            logW[n] = logPost[n] - problem_.logProposalDensity(region, members[n]);
+        }
 
+        const obs::TraceSpan span("gmh_draw", "mcmc");
         // Stationary distribution of the inner transition matrix A.
         std::vector<double>& probs = probs_;
         logNormalize(logW, probs);
@@ -182,6 +237,18 @@ class GmhSampler {
         return std::move(members[last]);
     }
 
+    /// Draw the iteration's region from the generator and, for a problem
+    /// with the region hook, evaluate the generator into the arena.
+    Region prepareRegion(const State& generator) {
+        const obs::TraceSpan span("gmh_region", "mcmc");
+        Region region = problem_.makeRegion(generator, hostRng_);
+        if constexpr (RegionEvaluated<Problem>) {
+            const obs::PhaseTimer timer(obs::Counter::McmcLikelihoodNs);
+            problem_.evaluateGenerator(region, arena_, pool_);
+        }
+        return region;
+    }
+
     const Problem& problem_;
     GmhOptions opts_;
     ThreadPool* pool_;
@@ -196,6 +263,7 @@ class GmhSampler {
     std::vector<double> logPost_;
     std::vector<double> logW_;
     std::vector<double> probs_;
+    typename detail::ArenaOf<Problem>::type arena_;  ///< the generator's evaluation
 };
 
 }  // namespace mpcgs

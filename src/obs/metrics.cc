@@ -29,6 +29,8 @@ constexpr const char* kCounterNames[] = {
     "mcmc.accepted",
     "mcmc.swaps_proposed",
     "mcmc.swaps_accepted",
+    "mcmc.propose_ns",
+    "mcmc.likelihood_ns",
     "smc.generations",
     "smc.propose_ns",
     "smc.resamples",

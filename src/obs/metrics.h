@@ -29,7 +29,8 @@
 //   pool.*   thread-pool launches, steals, park/wake, launch latency
 //   lik.*    backend flushes and their time, combine ops, matrices
 //            requested/computed
-//   mcmc.*   sampler steps/accepts/swaps, R-hat and pooled-ESS gauges
+//   mcmc.*   sampler steps/accepts/swaps, GMH propose/likelihood time,
+//            R-hat and pooled-ESS gauges
 //   smc.*    generations, propose/resample time, resamples, ESS
 //            trajectory, logZ increments
 //   serve.*  per-job-type latency, accepted/rejected jobs, checkpointing
@@ -65,6 +66,8 @@ enum class Counter : std::uint32_t {
     McmcAccepted,
     McmcSwapsProposed,
     McmcSwapsAccepted,
+    McmcProposeNs,
+    McmcLikelihoodNs,
     SmcGenerations,
     SmcProposeNs,
     SmcResamples,

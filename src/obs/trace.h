@@ -1,7 +1,7 @@
 // Phase tracing — Chrome trace_event ("X" complete events) spans for the
-// coarse phases of a run: EM iterations, SMC passes and generations (with
-// their propose / flush / resample sub-phases), pool launches, online
-// updates, serve jobs. The JSON written by --trace-out loads directly in
+// coarse phases of a run: EM iterations, GMH iterations (region / fan-out
+// / draw), SMC passes and generations (with their propose / flush /
+// resample sub-phases), pool launches, online updates, serve jobs. The JSON written by --trace-out loads directly in
 // chrome://tracing and Perfetto; spans recorded on one thread nest by
 // timestamp containment, so per-generation SMC spans appear under their
 // pass/EM-iteration parents without any explicit nesting.

@@ -118,13 +118,15 @@ TEST(EngineAgreement, CachedPathMatchesAcrossDirtyUpdates) {
     EXPECT_NEAR(cache.evaluate(g), lik.logLikelihoodReference(g), 1e-10);
 
     // A chain of topology-changing proposals, each verified against a
-    // fresh scalar evaluation of the proposed state.
+    // fresh scalar evaluation of the proposed state and, bitwise, against
+    // a full engine evaluation.
     for (int i = 0; i < 40; ++i) {
         auto prop = proposeRecoalesce(g, 1.0, rng);
         const std::vector<NodeId> seeds{prop.target, prop.rebuiltParent, g.sibling(prop.target),
                                         prop.state.sibling(prop.target)};
         const double incremental = cache.evaluateDirty(prop.state, seeds);
         EXPECT_NEAR(incremental, lik.logLikelihoodReference(prop.state), 1e-9) << "step " << i;
+        EXPECT_EQ(incremental, lik.logLikelihood(prop.state)) << "step " << i;
         g = std::move(prop.state);
     }
 }

@@ -1,11 +1,11 @@
 // The observability layer (src/obs/): registry no-op-when-unarmed and
 // cross-thread counter folding, histogram bucket/quantile math (the +Inf
 // bucket reports the max), the JSON and Prometheus emitters, the trace
-// recorder's Chrome trace_event format, the SMC generation's sub-phase
-// spans and phase-time counters, obs.emit fault semantics — and the
-// layer's central promise:
-// arming metrics NEVER perturbs an estimate (bitwise logZ equality armed
-// vs unarmed, and thread-count invariance with metrics on).
+// recorder's Chrome trace_event format, the SMC generation's and the GMH
+// iteration's sub-phase spans and phase-time counters, obs.emit fault
+// semantics — and the layer's central promise: arming metrics NEVER
+// perturbs an estimate (bitwise logZ and theta-hat equality armed vs
+// unarmed, and thread-count invariance with metrics on).
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "coalescent/simulator.h"
+#include "core/driver.h"
 #include "lik/felsenstein.h"
 #include "lik/lik_backend.h"
 #include "obs/metrics.h"
@@ -386,6 +387,56 @@ TEST_F(ObsTest, ArmedSmcPassesRecordTheirPhaseTimes) {
     EXPECT_GT(resample, 0u);
     // Disjoint phases of one pass on its calling thread.
     EXPECT_LE(propose + flush + resample, wallNs);
+}
+
+TEST_F(ObsTest, ArmedGmhEstimateRecordsItsPhases) {
+    Mt19937 rng(13);
+    const Genealogy truth = simulateCoalescent(8, 1.0, rng);
+    const auto gen = makeF84(2.0, kUniformFreqs);
+    const Alignment aln = simulateSequences(truth, *gen, {200, 1.0}, rng);
+    MpcgsOptions o;
+    o.theta0 = 0.5;
+    o.emIterations = 2;
+    o.samplesPerIteration = 160;
+    o.gmhProposals = 8;
+    o.gmhSamplesPerSet = 8;
+    o.seed = 3;
+    ThreadPool pool(2);
+
+    const double unarmedTheta = estimateTheta(aln, o, &pool).theta;
+    obs::TraceRecorder rec;
+    obs::arm();
+    obs::armTrace(&rec);
+    const double armedTheta = estimateTheta(aln, o, &pool).theta;
+    obs::armTrace(nullptr);
+    const obs::MetricsSnapshot snap = obs::snapshot();
+    EXPECT_EQ(std::memcmp(&unarmedTheta, &armedTheta, sizeof(double)), 0)
+        << unarmedTheta << " vs " << armedTheta;
+
+    // One gmh_region, gmh_fanout and gmh_draw span per GMH iteration, each
+    // inside its EM iteration's span on the sampler's thread.
+    const std::vector<SpanEvent> spans = parseSpans(rec.toJson());
+    std::vector<const SpanEvent*> emIterations;
+    for (const SpanEvent& e : spans)
+        if (e.name == "em_iteration") emIterations.push_back(&e);
+    ASSERT_EQ(emIterations.size(), 2u);
+    std::size_t region = 0, fanout = 0, draw = 0;
+    for (const SpanEvent& e : spans) {
+        if (e.name != "gmh_region" && e.name != "gmh_fanout" && e.name != "gmh_draw") continue;
+        region += e.name == "gmh_region";
+        fanout += e.name == "gmh_fanout";
+        draw += e.name == "gmh_draw";
+        bool nested = false;
+        for (const SpanEvent* it : emIterations)
+            nested = nested || (it->tid == e.tid && it->ts <= e.ts &&
+                                e.ts + e.dur <= it->ts + it->dur);
+        EXPECT_TRUE(nested) << e.name << " at " << e.ts << " outside every em_iteration";
+    }
+    EXPECT_GT(region, 0u);
+    EXPECT_EQ(fanout, region);
+    EXPECT_EQ(draw, region);
+    EXPECT_GT(snap.counter(obs::Counter::McmcProposeNs), 0u);
+    EXPECT_GT(snap.counter(obs::Counter::McmcLikelihoodNs), 0u);
 }
 
 // --- the central guarantee: metrics never perturb an estimate ----------

@@ -1,7 +1,7 @@
-// Partial-forest strip kernels (lik/pruning_kernels.h): the vectorizable
-// log against std::log, the exactness of the power-of-two rescale, the
-// shared matrix of bit-equal branch lengths, and the -inf path of a zero
-// site.
+// Strip kernels (lik/pruning_kernels.h): the vectorizable log against
+// std::log, the exactness of the power-of-two rescale in the engine strips
+// and the partial-forest items, the shared matrix of bit-equal branch
+// lengths, and the -inf path of a zero site.
 #include "lik/pruning_kernels.h"
 
 #include <algorithm>
@@ -70,6 +70,49 @@ TEST(StripKernelsTest, FastLogIsExactlyZeroAtOneAndKnowsItsDomain) {
                            std::numeric_limits<double>::infinity(),
                            std::numeric_limits<double>::quiet_NaN()})
         EXPECT_FALSE(isPositiveNormal(x)) << x;
+}
+
+TEST(StripKernelsTest, EngineStripsRescaleExactlyAndFoldZeroSitesToMinusInfinity) {
+    // Patterns spread over many binades, a zero pattern and a subnormal one.
+    constexpr std::size_t n = 37;
+    Mt19937 rng(91);
+    std::vector<double> raw(4 * n), part, scale(n), carried(n);
+    for (std::size_t p = 0; p < n; ++p) {
+        const double binade = std::ldexp(1.0, -static_cast<int>(rng.below(900)));
+        for (std::size_t x = 0; x < 4; ++x) raw[4 * p + x] = binade * rng.uniform01();
+        carried[p] = scale[p] = -3.0 * rng.uniform01();
+    }
+    for (std::size_t x = 0; x < 4; ++x) {
+        raw[x] = 0.0;
+        raw[4 + x] = std::numeric_limits<double>::denorm_min() * static_cast<double>(4 * (x + 1));
+    }
+    part = raw;
+    rescaleStrip(part.data(), scale.data(), n);
+    for (std::size_t p = 2; p < n; ++p) {
+        const double m = *std::max_element(raw.begin() + 4 * p, raw.begin() + 4 * p + 4);
+        const int e = std::ilogb(m);
+        for (std::size_t x = 0; x < 4; ++x)
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(std::ldexp(part[4 * p + x], e)),
+                      std::bit_cast<std::uint64_t>(raw[4 * p + x]))
+                << "pattern " << p;
+        EXPECT_DOUBLE_EQ(scale[p], carried[p] + e * std::numbers::ln2) << "pattern " << p;
+    }
+    // Zero and subnormal patterns keep their values and their scale.
+    for (std::size_t j = 0; j < 8; ++j) EXPECT_EQ(part[j], raw[j]);
+    EXPECT_EQ(scale[0], carried[0]);
+    EXPECT_EQ(scale[1], carried[1]);
+
+    std::vector<double> site(n);
+    rootLogStrip(part.data(), scale.data(), kUniformFreqs, site.data(), n);
+    EXPECT_EQ(site[0], -std::numeric_limits<double>::infinity());
+    // Quarters of multiples of four subnormal units: the dot is exact.
+    EXPECT_EQ(site[1], std::log(10 * std::numeric_limits<double>::denorm_min()) + scale[1]);
+    for (std::size_t p = 2; p < n; ++p) {
+        const double* r = part.data() + 4 * p;
+        const double dot = 0.25 * r[0] + 0.25 * r[1] + 0.25 * r[2] + 0.25 * r[3];
+        const double want = std::log(dot) + scale[p];
+        EXPECT_NEAR(site[p], want, 1e-13 * std::abs(want)) << "pattern " << p;
+    }
 }
 
 /// A small alignment under discrete-gamma rates, and a pair of child slots

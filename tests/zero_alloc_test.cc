@@ -3,6 +3,7 @@
 // engine's steady-state evaluation path must not touch the heap once warm.
 // Global operator new/delete are replaced in this translation unit's
 // binary, counting allocations inside explicit measurement windows.
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -11,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include "coalescent/simulator.h"
+#include "core/neighborhood.h"
 #include "lik/felsenstein.h"
 #include "lik/lik_backend.h"
+#include "lik/partials_buffer.h"
 #include "obs/metrics.h"
 #include "par/kernel.h"
 #include "par/thread_pool.h"
@@ -144,6 +147,40 @@ TEST(ZeroAllocTest, SerialLikelihoodSteadyStateAllocatesNothing) {
     const std::size_t allocs = window.stop();
     EXPECT_EQ(allocs, 0u);
     EXPECT_DOUBLE_EQ(got, ref);
+}
+
+TEST(ZeroAllocTest, SerialRegionEvaluationSteadyStateAllocatesNothing) {
+    Mt19937 rng(149);
+    const int n = 12;
+    const Genealogy truth = simulateCoalescent(n, 1.0, rng);
+    const auto gen = makeF84(2.0, kUniformFreqs);
+    const Alignment data = simulateSequences(truth, *gen, {400, 1.0}, rng);
+    const auto model = makeHky85(2.0, data.baseFrequencies());
+    const DataLikelihood lik(data, *model);
+    const Genealogy g = simulateCoalescent(n, 1.0, rng);
+    PartialsBuffer arena;
+    lik.engine().evaluate(g, arena);
+
+    // GMH proposals from several regions, built (and the thread-local
+    // scratch warmed) outside the window.
+    std::vector<Genealogy> members;
+    std::vector<std::array<NodeId, 2>> changed;
+    for (int r = 0; r < 8; ++r) {
+        const NeighborhoodRegion region = makeNeighborhoodRegion(g, 1.0, rng);
+        members.push_back(proposeInNeighborhood(region, rng));
+        changed.push_back({region.target, region.parent});
+    }
+    std::vector<double> ref(members.size()), got(members.size());
+    for (std::size_t i = 0; i < members.size(); ++i)
+        ref[i] = lik.engine().evaluateRegion(members[i], changed[i], arena);
+
+    AllocWindow window;
+    for (int r = 0; r < 50; ++r)
+        for (std::size_t i = 0; i < members.size(); ++i)
+            got[i] = lik.engine().evaluateRegion(members[i], changed[i], arena);
+    const std::size_t allocs = window.stop();
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_EQ(got, ref);
 }
 
 TEST(ZeroAllocTest, PooledLikelihoodSteadyStateIsAllocationBounded) {

@@ -68,9 +68,10 @@ void usage(const char* prog) {
                  "  --metrics-out FILE write a flat JSON metrics snapshot (pool.* lik.*\n"
                  "                     mcmc.* smc.* serve.* taxonomy) on clean exit;\n"
                  "                     arms the registry (never perturbs any RNG stream)\n"
-                 "  --trace-out FILE   record phase spans (EM iterations, SMC generations,\n"
-                 "                     pool launches, serve jobs) and write Chrome\n"
-                 "                     trace_event JSON on clean exit (chrome://tracing)\n"
+                 "  --trace-out FILE   record phase spans (EM and GMH iterations, SMC\n"
+                 "                     generations, pool launches, serve jobs) and write\n"
+                 "                     Chrome trace_event JSON on clean exit\n"
+                 "                     (chrome://tracing)\n"
                  "  --print-config     print build type, SIMD width, git describe, the\n"
                  "                     thread default and the likelihood backends, then\n"
                  "                     exit\n"
