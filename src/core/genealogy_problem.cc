@@ -17,4 +17,9 @@ double GenealogyPosterior::logDataLikelihood(const Genealogy& g) const {
     return lik_.logLikelihood(g);
 }
 
+GmhGenealogyProblem::GmhGenealogyProblem(const DataLikelihood& lik, double theta)
+    : NeighborhoodGmhProblem(lik, theta) {
+    if (theta <= 0.0) throw ConfigError("GmhGenealogyProblem: theta must be positive");
+}
+
 }  // namespace mpcgs

@@ -22,7 +22,9 @@ namespace mpcgs {
 /// Shared posterior evaluation. Holds references; keep the DataLikelihood
 /// alive for the problem's lifetime. Likelihood evaluation is serial by
 /// design: the samplers parallelize *across* proposals/chains (the paper's
-/// one-thread-per-proposal layout), so nested pool use never occurs.
+/// one-thread-per-proposal layout), so nested pool use never occurs. The
+/// one exception is the GMH region hook below, whose arena evaluations run
+/// on the pool between fan-outs.
 class GenealogyPosterior {
   public:
     GenealogyPosterior(const DataLikelihood& lik, double theta);
@@ -64,16 +66,25 @@ class MhGenealogyProblem {
 };
 
 /// What the GMH problems share: shared-neighbourhood resimulation (§4.3)
-/// driven at `proposalTheta`, and the region hook of GmhSampler. The
-/// generator is evaluated once per proposal set into the chain's arena;
-/// each proposal then re-prunes only T, P and P's ancestors over it
-/// (LikelihoodEngine::evaluateRegion), bitwise equal to a full evaluation.
-/// Derived problems add their coalescent prior.
+/// driven at `proposalTheta`, the posterior log P(D|G) + logPrior(G) with
+/// the prior from `Derived`, and the region hook of GmhSampler. The
+/// sampler's arena holds one evaluation of the current generator; each
+/// proposal re-prunes only T, P and P's ancestors over it
+/// (LikelihoodEngine::evaluateRegion), and a move to the chosen member
+/// re-prunes the same nodes into the arena (evaluateDirty). Both overloads
+/// of logPosterior add the same prior to a likelihood that equals a full
+/// evaluation bitwise, so they agree bitwise by construction.
+template <class Derived>
 class NeighborhoodGmhProblem {
   public:
     using State = Genealogy;
     using Region = NeighborhoodRegion;
     using Arena = PartialsBuffer;
+
+    double logPosterior(const State& g) const { return lik_.logLikelihood(g) + prior(g); }
+    double logPosterior(const Region& region, const Arena& arena, const State& g) const {
+        return lik_.engine().evaluateRegion(g, changedNodes(region), arena) + prior(g);
+    }
 
     Region makeRegion(const State& generator, Rng& hostRng) const {
         return makeNeighborhoodRegion(generator, proposalTheta_, hostRng);
@@ -84,41 +95,39 @@ class NeighborhoodGmhProblem {
     double logProposalDensity(const Region& region, const State& s) const {
         return logNeighborhoodDensity(region, s);
     }
-    void evaluateGenerator(const Region& region, Arena& arena, ThreadPool* pool) const {
-        lik_.engine().evaluate(region.skeleton, arena, pool);
+    void evaluateGenerator(const State& generator, Arena& arena, ThreadPool* pool) const {
+        lik_.engine().evaluate(generator, arena, pool);
+    }
+    void moveGenerator(const Region& region, const State& member, Arena& arena,
+                       ThreadPool* pool) const {
+        lik_.engine().evaluateDirty(member, changedNodes(region), arena, pool);
     }
 
   protected:
     NeighborhoodGmhProblem(const DataLikelihood& lik, double proposalTheta)
         : lik_(lik), proposalTheta_(proposalTheta) {}
 
-    /// log P(D|member) over the generator's arena.
-    double regionLogLikelihood(const Region& region, const Arena& arena,
-                               const State& member) const {
-        const std::array<NodeId, 2> changed{region.target, region.parent};
-        return lik_.engine().evaluateRegion(member, changed, arena);
-    }
-
     const DataLikelihood& lik_;
     double proposalTheta_;
+
+  private:
+    /// A member differs from the region's generator only at T and P.
+    static std::array<NodeId, 2> changedNodes(const Region& region) {
+        return {region.target, region.parent};
+    }
+    double prior(const State& g) const { return static_cast<const Derived&>(*this).logPrior(g); }
 };
 
 /// Multiple-proposal problem for GmhSampler under the constant-size
 /// coalescent prior.
-class GmhGenealogyProblem : public NeighborhoodGmhProblem {
+class GmhGenealogyProblem : public NeighborhoodGmhProblem<GmhGenealogyProblem> {
   public:
-    GmhGenealogyProblem(const DataLikelihood& lik, double theta)
-        : NeighborhoodGmhProblem(lik, theta), posterior_(lik, theta) {}
+    GmhGenealogyProblem(const DataLikelihood& lik, double theta);
 
-    double logPosterior(const State& g) const { return posterior_.logPosterior(g); }
-    double logPosterior(const Region& region, const Arena& arena, const State& g) const {
-        return regionLogLikelihood(region, arena, g) + logCoalescentPrior(g, theta());
-    }
+    /// log P(G|theta), Eq. 18.
+    double logPrior(const State& g) const { return logCoalescentPrior(g, proposalTheta_); }
 
     double theta() const { return proposalTheta_; }
-
-  private:
-    GenealogyPosterior posterior_;
 };
 
 }  // namespace mpcgs

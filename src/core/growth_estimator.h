@@ -94,17 +94,13 @@ GrowthMleResult maximizeGrowthParams(const GrowthLikelihood& rl, GrowthParams st
 
 /// GMH problem for the growth posterior: the constant-size neighbourhood
 /// kernel driven at p.theta, growth-aware target density.
-class GrowthGenealogyProblem : public NeighborhoodGmhProblem {
+class GrowthGenealogyProblem : public NeighborhoodGmhProblem<GrowthGenealogyProblem> {
   public:
     GrowthGenealogyProblem(const DataLikelihood& lik, GrowthParams p)
         : NeighborhoodGmhProblem(lik, p.theta), p_(p) {}
 
-    double logPosterior(const State& g) const {
-        return lik_.logLikelihood(g) + logGrowthCoalescentPrior(g, p_);
-    }
-    double logPosterior(const Region& region, const Arena& arena, const State& g) const {
-        return regionLogLikelihood(region, arena, g) + logGrowthCoalescentPrior(g, p_);
-    }
+    /// log P(G|theta, g) under exponential growth.
+    double logPrior(const State& g) const { return logGrowthCoalescentPrior(g, p_); }
 
   private:
     GrowthParams p_;

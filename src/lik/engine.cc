@@ -268,7 +268,7 @@ double LikelihoodEngine::evaluate(const Genealogy& g, PartialsBuffer& buf,
     return total;
 }
 
-double LikelihoodEngine::evaluateDirty(const Genealogy& g, const std::vector<NodeId>& dirty,
+double LikelihoodEngine::evaluateDirty(const Genealogy& g, std::span<const NodeId> dirty,
                                        PartialsBuffer& buf, ThreadPool* pool) const {
     require(buf.primed && buf.nodeCount() == static_cast<std::size_t>(g.nodeCount()),
             "LikelihoodCache: genealogy shape changed; call evaluate()");

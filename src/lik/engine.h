@@ -73,7 +73,7 @@ class LikelihoodEngine {
     /// matrices, which the seed rebuilt for every node on every step. The
     /// rescale schedule comes from `g`, so the result equals a full
     /// evaluation of `g` bitwise.
-    double evaluateDirty(const Genealogy& g, const std::vector<NodeId>& dirty,
+    double evaluateDirty(const Genealogy& g, std::span<const NodeId> dirty,
                          PartialsBuffer& buf, ThreadPool* pool = nullptr) const;
 
     /// log P(D|member) for a genealogy that differs from the one `base` was

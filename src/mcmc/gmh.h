@@ -12,13 +12,17 @@
 // Optional region hook (RegionEvaluated below), for problems whose
 // proposals differ from their generator only inside the region:
 //   using Arena;                                  // per-chain, default-constructible
-//   void evaluateGenerator(const Region&, Arena&, ThreadPool*) const;
+//   void evaluateGenerator(const State&, Arena&, ThreadPool*) const;
+//   void moveGenerator(const Region&, const State& member, Arena&, ThreadPool*) const;
 //   double logPosterior(const Region&, const Arena&, const State&) const;
-// The sampler then evaluates the generator once per set, on the pool, into
-// its own arena, and scores each proposal over it; that score must equal
+// The sampler keeps an arena holding an evaluation of its current
+// generator and scores each proposal over it; that score must equal
 // logPosterior(state) bitwise, so the hook changes cost, never the chain.
-// The arena is scratch rebuilt every iteration: never checkpointed, nothing
-// to restore.
+// The generator is evaluated in full, on the pool, only at the first
+// iteration after start() or restore(); whenever the draw then moves the
+// chain, moveGenerator brings the arena to the chosen member by
+// re-evaluating only its region, also on the pool. The arena is never
+// checkpointed.
 //
 // Each iteration: draw the region from the current generator, fan out N
 // independent proposals (one logical device thread each — the proposal
@@ -35,11 +39,12 @@
 // Proposal randomness comes from per-(iteration, proposal) Philox streams,
 // so results are bit-reproducible regardless of the thread count.
 //
-// Each iteration records the spans gmh_region (region draw and generator
-// evaluation), gmh_fanout (the N proposals) and gmh_draw (the index draws
-// and their samples), and adds the proposals' drawing and scoring times,
-// summed over the threads that ran them, to mcmc.propose_ns and
-// mcmc.likelihood_ns; the generator's evaluation counts as likelihood.
+// Each iteration records the spans gmh_region (region draw, and the
+// generator's full evaluation when the arena needs one), gmh_fanout (the N
+// proposals) and gmh_draw (the index draws, their samples and the arena's
+// move to the chosen member), and adds the proposals' drawing and scoring
+// times, summed over the threads that ran them, to mcmc.propose_ns and
+// mcmc.likelihood_ns; the arena's evaluations count as likelihood.
 #pragma once
 
 #include <concepts>
@@ -77,7 +82,8 @@ template <class P>
 concept RegionEvaluated =
     requires(const P& p, const typename P::Region& r, typename P::Arena& a,
              const typename P::State& s, ThreadPool* pool) {
-        p.evaluateGenerator(r, a, pool);
+        p.evaluateGenerator(s, a, pool);
+        p.moveGenerator(r, s, a, pool);
         { p.logPosterior(r, std::as_const(a), s) } -> std::convertible_to<double>;
     };
 
@@ -139,12 +145,13 @@ class GmhSampler {
 
     /// Tick-level interface for the sampler runtime: start() installs the
     /// initial state (evaluating its posterior once — the generator's
-    /// posterior is carried between iterations afterwards, so no serial
-    /// likelihood evaluation remains inside an iteration), then each tick()
-    /// performs one Algorithm-1 iteration.
+    /// posterior is carried between iterations afterwards and goes into
+    /// slot N of every set), then each tick() performs one Algorithm-1
+    /// iteration.
     void start(State init) {
         current_ = std::move(init);
         currentLogPost_ = problem_.logPosterior(current_);
+        arenaCurrent_ = false;
     }
 
     template <class Sink>
@@ -166,6 +173,7 @@ class GmhSampler {
         currentLogPost_ = logPost;
         iteration_ = iteration;
         stats_ = stats;
+        arenaCurrent_ = false;
     }
 
     const GmhStats& stats() const { return stats_; }
@@ -234,19 +242,28 @@ class GmhSampler {
         ++stats_.iterations;
         ++iteration_;
         currentLogPost = logPost[last];
+        if constexpr (RegionEvaluated<Problem>) {
+            if (last != n) {
+                const obs::PhaseTimer timer(obs::Counter::McmcLikelihoodNs);
+                problem_.moveGenerator(region, members[last], arena_, pool_);
+            }
+        }
         return std::move(members[last]);
     }
 
-    /// Draw the iteration's region from the generator and, for a problem
-    /// with the region hook, evaluate the generator into the arena.
+    /// Draw the iteration's region from the generator. For a problem with
+    /// the region hook, first evaluate the generator into the arena unless
+    /// the arena already holds it.
     Region prepareRegion(const State& generator) {
         const obs::TraceSpan span("gmh_region", "mcmc");
-        Region region = problem_.makeRegion(generator, hostRng_);
         if constexpr (RegionEvaluated<Problem>) {
-            const obs::PhaseTimer timer(obs::Counter::McmcLikelihoodNs);
-            problem_.evaluateGenerator(region, arena_, pool_);
+            if (!arenaCurrent_) {
+                const obs::PhaseTimer timer(obs::Counter::McmcLikelihoodNs);
+                problem_.evaluateGenerator(generator, arena_, pool_);
+                arenaCurrent_ = true;
+            }
         }
-        return region;
+        return problem_.makeRegion(generator, hostRng_);
     }
 
     const Problem& problem_;
@@ -263,7 +280,8 @@ class GmhSampler {
     std::vector<double> logPost_;
     std::vector<double> logW_;
     std::vector<double> probs_;
-    typename detail::ArenaOf<Problem>::type arena_;  ///< the generator's evaluation
+    typename detail::ArenaOf<Problem>::type arena_;  ///< the current generator's evaluation
+    bool arenaCurrent_ = false;  ///< arena_ holds current_ (reset by start/restore)
 };
 
 }  // namespace mpcgs

@@ -102,8 +102,12 @@ class RecordingProblem {
     RecordingProblem(const DataLikelihood& lik, double theta) : inner_(lik, theta) {}
 
     double logPosterior(const State& g) const { return inner_.logPosterior(g); }
-    void evaluateGenerator(const Region& r, Arena& arena, ThreadPool* pool) const {
-        inner_.evaluateGenerator(r, arena, pool);
+    void evaluateGenerator(const State& g, Arena& arena, ThreadPool* pool) const {
+        inner_.evaluateGenerator(g, arena, pool);
+    }
+    void moveGenerator(const Region& r, const State& member, Arena& arena,
+                       ThreadPool* pool) const {
+        inner_.moveGenerator(r, member, arena, pool);
     }
     double logPosterior(const Region& r, const Arena& arena, const State& g) const {
         return inner_.logPosterior(r, arena, g);

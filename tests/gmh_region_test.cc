@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "coalescent/prior.h"
 #include "coalescent/simulator.h"
 #include "core/genealogy_problem.h"
 #include "core/growth_estimator.h"
@@ -132,20 +133,24 @@ TEST(RegionLikelihoodTest, UnknownSitesMatch) {
 }
 
 /// Both GMH problems score a proposal through the hook exactly as their
-/// full posterior does, whether the generator was evaluated on a pool or
-/// serially.
+/// full posterior does, whether the arena was evaluated on a pool or
+/// serially, and after the arena has been moved along a chain of members.
 template <class Problem>
-void expectHookMatchesPosterior(const Problem& problem, const Genealogy& g, Rng& rng,
+void expectHookMatchesPosterior(const Problem& problem, Genealogy g, Rng& rng,
                                 ThreadPool* pool) {
     static_assert(RegionEvaluated<Problem>);
+    PartialsBuffer arena;
+    problem.evaluateGenerator(g, arena, pool);
     for (int set = 0; set < 6; ++set) {
         const NeighborhoodRegion region = problem.makeRegion(g, rng);
-        PartialsBuffer arena;
-        problem.evaluateGenerator(region, arena, pool);
         for (int k = 0; k < 4; ++k) {
-            const Genealogy member = problem.proposeInRegion(region, rng);
+            Genealogy member = problem.proposeInRegion(region, rng);
             EXPECT_EQ(problem.logPosterior(region, arena, member), problem.logPosterior(member))
                 << "set " << set << " proposal " << k;
+            if (k == 3) {
+                problem.moveGenerator(region, member, arena, pool);
+                g = std::move(member);
+            }
         }
     }
 }
@@ -237,6 +242,48 @@ TEST(GmhRegionChainTest, RegionChainEqualsFullEvaluationChain) {
         // the start state.
         EXPECT_GT(a.stats.moveRate(), 0.0);
     }
+}
+
+TEST(GmhRegionChainTest, RestoreReevaluatesTheArena) {
+    // Snapshot a chain, run on, then restore the snapshot into the same
+    // sampler: its arena then holds a later generator, which the restored
+    // chain must not score against.
+    const Alignment data = simulatedData(10, 300, 57);
+    const F81Model model(data.baseFrequencies());
+    const DataLikelihood lik(data, model);
+    Mt19937 rng(58);
+    Genealogy init = simulateCoalescent(10, 0.5, rng);
+    init.setTipNames(data.names());
+    const GmhGenealogyProblem problem(lik, 0.5);
+    ThreadPool pool(2);
+    GmhOptions opts;
+    opts.numProposals = 8;
+    opts.samplesPerIteration = 8;
+    opts.seed = 505;
+    GmhSampler<GmhGenealogyProblem> sampler(problem, opts, &pool);
+    sampler.start(init);
+    auto discard = [](const Genealogy&) {};
+    for (int it = 0; it < 4; ++it) sampler.tick(&discard);
+
+    const Genealogy state = sampler.current();
+    const double logPost = sampler.currentLogPosterior();
+    const std::uint64_t iteration = sampler.iteration();
+    const GmhStats stats = sampler.stats();
+    const Mt19937 hostRng = sampler.hostRng();
+    auto runOn = [&] {
+        std::vector<std::uint64_t> bits;
+        auto sink = [&](const Genealogy& g, double lp) {
+            EXPECT_EQ(lp, lik.logLikelihood(g) + logCoalescentPrior(g, 0.5));
+            bits.push_back(std::bit_cast<std::uint64_t>(lp));
+        };
+        for (int it = 0; it < 6; ++it) sampler.tick(&sink);
+        return bits;
+    };
+    const std::vector<std::uint64_t> first = runOn();
+    EXPECT_GT(sampler.stats().moveRate(), 0.0);
+    sampler.restore(state, logPost, iteration, stats);
+    sampler.hostRng() = hostRng;
+    EXPECT_TRUE(runOn() == first);
 }
 
 }  // namespace
