@@ -234,37 +234,35 @@ void BM_LikelihoodThreadScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_LikelihoodThreadScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-/// Thread scaling of cached full evaluation (arg = pool width), Fig 15
-/// workload: every worker prunes the full postorder over its own pattern
-/// slice of the persistent arena.
+/// Thread scaling of a full evaluation into a chain's arena (arg = pool
+/// width), Fig 15 workload: every worker prunes the full postorder over
+/// its own pattern slice of the persistent arena.
 void BM_CachedEvaluateThreadScaling(benchmark::State& state) {
     Mt19937 rng(16);
     const Genealogy g = simulateCoalescent(48, 1.0, rng);
     const Alignment data = benchData(48, 1000, 16);
     const F81Model model(data.baseFrequencies());
     const DataLikelihood lik(data, model, /*compress=*/false);
-    LikelihoodCache cache(lik);
+    PartialsBuffer arena;
     ThreadPool pool(static_cast<unsigned>(state.range(0)));
-    for (auto _ : state) benchmark::DoNotOptimize(cache.evaluate(g, &pool));
+    for (auto _ : state) benchmark::DoNotOptimize(lik.engine().evaluate(g, arena, &pool));
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_CachedEvaluateThreadScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-/// Ablation: incremental dirty-path update after a single-node change —
-/// the caching strategy the paper rejected for the GPU.
+/// Ablation: dirty-path update of an arena after a single-node change —
+/// the incremental strategy the paper rejected for the GPU, and the move
+/// every MH chain makes on an acceptance.
 void BM_LikelihoodIncremental(benchmark::State& state) {
     Mt19937 rng(6);
     Genealogy g = simulateCoalescent(12, 1.0, rng);
     const Alignment data = benchData(12, static_cast<std::size_t>(state.range(0)), 6);
     const F81Model model(data.baseFrequencies());
     const DataLikelihood lik(data, model, /*compress=*/false);
-    LikelihoodCache cache(lik);
-    cache.evaluate(g);
-    const auto internals = g.internalsByTime();
-    const NodeId moved = internals[0];
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(cache.evaluateDirty(g, {moved}));
-    }
+    PartialsBuffer arena;
+    lik.engine().evaluate(g, arena);
+    const NodeId moved[] = {g.internalsByTime()[0]};
+    for (auto _ : state) benchmark::DoNotOptimize(lik.engine().evaluateDirty(g, moved, arena));
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_LikelihoodIncremental)->Arg(200)->Arg(1000)->Arg(2000);

@@ -11,9 +11,15 @@
 //   $ ./sampler_throughput [--samples N] [--seqs n] [--length L] [--paper-scale]
 //                          [--require-scaling PCT]
 //
-// --require-scaling PCT exits 1 if any strategy's widest-pool rate falls
-// below PCT% of its 1-thread rate (the CI regression gate against nominal
-// parallelism).
+// Each cell repeats the estimate until it has run at least kMinRuns runs
+// and kMinCellSeconds of sampling time, and reports the median sampling
+// time with its min and max, as smc_scaling does: one 9-105 ms run per
+// cell made the gate a coin flip on a 4-core host.
+//
+// --require-scaling PCT exits 1 if any strategy's widest-pool median rate
+// falls below PCT% of its 1-thread median rate (the CI regression gate
+// against nominal parallelism).
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -23,17 +29,23 @@
 
 #include "bench/workload.h"
 #include "util/build_info.h"
+#include "util/stats.h"
 #include "util/table.h"
-#include "util/timer.h"
 
 namespace {
+
+constexpr std::size_t kMinRuns = 5;
+constexpr double kMinCellSeconds = 0.2;
 
 struct Row {
     std::string strategy;
     unsigned threads;
     std::size_t samples;
-    double seconds;
-    double samplesPerSec;
+    std::size_t runs;
+    double seconds;  ///< median sampling time
+    double minSeconds;
+    double maxSeconds;
+    double samplesPerSec;  ///< at the median sampling time
 };
 
 }  // namespace
@@ -51,8 +63,9 @@ int main(int argc, char** argv) {
 
     printHeader("sampler runtime throughput (samples/sec per strategy x threads)");
     const Alignment data = makeDataset(nSeq, length, 1.0, 17);
-    std::printf("%d sequences x %zu bp, %zu samples per run, one EM iteration\n\n", nSeq,
-                length, samples);
+    std::printf("%d sequences x %zu bp, %zu samples per run, one EM iteration; each cell\n"
+                "runs >= %zu times and >= %.1f s (median, min, max)\n\n",
+                nSeq, length, samples, kMinRuns, kMinCellSeconds);
 
     const std::vector<std::pair<std::string, Strategy>> strategies{
         {"gmh", Strategy::Gmh},
@@ -62,7 +75,8 @@ int main(int argc, char** argv) {
     };
 
     std::vector<Row> rows;
-    Table table({"strategy", "threads", "time (s)", "samples/sec"});
+    Table table({"strategy", "threads", "runs", "median (s)", "min (s)", "max (s)",
+                 "samples/sec"});
     for (const auto& [name, strategy] : strategies) {
         for (const unsigned threads : {1u, 2u, 4u, 8u}) {
             // The serial baseline gains nothing from extra workers; its
@@ -83,11 +97,21 @@ int main(int argc, char** argv) {
             opts.chains = strategy == Strategy::HeatedMh ? 4 : 8;
 
             ThreadPool pool(threads);
-            const MpcgsResult res = estimateTheta(data, opts, &pool);
-            const std::size_t produced = res.history.front().samples;
-            const double rate = static_cast<double>(produced) / res.samplingSeconds;
-            rows.push_back({name, threads, produced, res.samplingSeconds, rate});
-            table.addRow({name, Table::integer(threads), Table::num(res.samplingSeconds, 3),
+            std::vector<double> times;
+            double cellSeconds = 0.0;
+            std::size_t produced = 0;
+            while (times.size() < kMinRuns || cellSeconds < kMinCellSeconds) {
+                const MpcgsResult res = estimateTheta(data, opts, &pool);
+                produced = res.history.front().samples;
+                times.push_back(res.samplingSeconds);
+                cellSeconds += res.samplingSeconds;
+            }
+            const double seconds = median(times);
+            const auto [lo, hi] = std::minmax_element(times.begin(), times.end());
+            const double rate = static_cast<double>(produced) / seconds;
+            rows.push_back({name, threads, produced, times.size(), seconds, *lo, *hi, rate});
+            table.addRow({name, Table::integer(threads), Table::integer(times.size()),
+                          Table::num(seconds, 4), Table::num(*lo, 4), Table::num(*hi, 4),
                           Table::num(rate, 0)});
         }
     }
@@ -103,7 +127,9 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row& r = rows[i];
         json << "    {\"strategy\": \"" << r.strategy << "\", \"threads\": " << r.threads
-             << ", \"samples\": " << r.samples << ", \"seconds\": " << r.seconds
+             << ", \"samples\": " << r.samples << ", \"runs\": " << r.runs
+             << ", \"seconds\": " << r.seconds << ", \"seconds_min\": " << r.minSeconds
+             << ", \"seconds_max\": " << r.maxSeconds
              << ", \"samples_per_sec\": " << r.samplesPerSec << "}"
              << (i + 1 < rows.size() ? "," : "") << "\n";
     }
@@ -112,8 +138,9 @@ int main(int argc, char** argv) {
 
     if (requireScaling > 0) {
         // Regression gate: the widest pool must reach at least PCT% of the
-        // 1-thread rate for every multi-row strategy (slack absorbs runner
-        // noise; anything below it means parallelism went nominal again).
+        // 1-thread median rate for every multi-row strategy (slack absorbs
+        // runner noise; anything below it means parallelism went nominal
+        // again).
         std::map<std::string, double> rate1, rateMax;
         std::map<std::string, unsigned> widest;
         for (const Row& r : rows) {

@@ -26,7 +26,9 @@ inline Alignment makeDataset(int nSeq, std::size_t length, double theta, unsigne
 
 /// One speedup measurement: wall time of the sampling phase (E-step) for
 /// the serial MH baseline versus the GMH sampler on `threads` workers, both
-/// producing the same number of genealogy samples.
+/// producing the same number of genealogy samples. The baseline is the one
+/// serial MH chain, which scores each proposal over a kept evaluation of
+/// its current state (region evaluation), on one thread.
 struct SpeedupPoint {
     double baselineSeconds = 0.0;
     double gmhSeconds = 0.0;

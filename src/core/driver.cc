@@ -20,7 +20,6 @@ SamplerSpec specFor(const MpcgsOptions& opts, std::uint64_t seed) {
     SamplerSpec s;
     s.strategy = opts.strategy;
     s.seed = seed;
-    s.cachedBaseline = opts.cachedBaseline;
     s.gmhProposals = opts.gmhProposals;
     s.gmhSamplesPerSet = opts.gmhSamplesPerSet;
     s.chains = opts.chains;
@@ -90,7 +89,7 @@ void writeFingerprint(CheckpointWriter& w, const MpcgsOptions& opts, const Datas
     w.u64(opts.chains);
     w.doubles(opts.temperatures);
     w.str(opts.substModel);
-    w.u32(opts.cachedBaseline ? 1 : 0);
+    w.u32(0);  // slot of the removed cached serial-MH flag (see checkFingerprint)
     w.f64(opts.theta0);
     w.f64(opts.stopRhat);
     w.f64(opts.stopEss);
@@ -114,7 +113,9 @@ void checkFingerprint(CheckpointReader& r, const MpcgsOptions& opts, const Datas
     ok &= r.u64() == opts.chains;
     ok &= r.doubles() == opts.temperatures;
     ok &= r.str() == opts.substModel;
-    ok &= r.u32() == (opts.cachedBaseline ? 1u : 0u);
+    // A snapshot of the removed cached serial MH (slot value 1) stored a data
+    // log-likelihood where the serial-MH sampler expects a log-posterior.
+    ok &= r.u32() == 0;
     ok &= r.f64() == opts.theta0;
     ok &= r.f64() == opts.stopRhat;
     ok &= r.f64() == opts.stopEss;
@@ -211,7 +212,6 @@ constexpr AlgoFlag kAlgoFlags[] = {
     {"strategy", "mcmc"},
     {"proposals", "mcmc"},
     {"set-samples", "mcmc"},
-    {"cached-baseline", "mcmc"},
     {"em", "mcmc structured"},
     {"samples", "mcmc pmmh structured"},
     {"chains", "mcmc pmmh structured"},

@@ -4,17 +4,9 @@
 
 namespace mpcgs {
 
-GenealogyPosterior::GenealogyPosterior(const DataLikelihood& lik, double theta)
-    : lik_(lik), theta_(theta) {
-    if (theta <= 0.0) throw ConfigError("GenealogyPosterior: theta must be positive");
-}
-
-double GenealogyPosterior::logPosterior(const Genealogy& g) const {
-    return lik_.logLikelihood(g) + logCoalescentPrior(g, theta_);
-}
-
-double GenealogyPosterior::logDataLikelihood(const Genealogy& g) const {
-    return lik_.logLikelihood(g);
+MhGenealogyProblem::MhGenealogyProblem(const DataLikelihood& lik, double theta)
+    : RegionPosterior(lik), theta_(theta) {
+    if (theta <= 0.0) throw ConfigError("MhGenealogyProblem: theta must be positive");
 }
 
 GmhGenealogyProblem::GmhGenealogyProblem(const DataLikelihood& lik, double theta)

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <limits>
 
 #include "core/neighborhood.h"
 #include "core/recoalesce.h"
@@ -19,72 +20,116 @@
 
 namespace mpcgs {
 
-/// Shared posterior evaluation. Holds references; keep the DataLikelihood
-/// alive for the problem's lifetime. Likelihood evaluation is serial by
-/// design: the samplers parallelize *across* proposals/chains (the paper's
-/// one-thread-per-proposal layout), so nested pool use never occurs. The
-/// one exception is the GMH region hook below, whose arena evaluations run
-/// on the pool between fan-outs.
-class GenealogyPosterior {
-  public:
-    GenealogyPosterior(const DataLikelihood& lik, double theta);
+/// The tree a state's likelihood is computed on (a labelled genealogy has
+/// its own overload in core/structured_problem.h).
+inline const Genealogy& treeOf(const Genealogy& g) { return g; }
 
-    double theta() const { return theta_; }
-    double logPosterior(const Genealogy& g) const;
-    double logDataLikelihood(const Genealogy& g) const;
+/// What every genealogy problem shares: the posterior
+/// log P(D|tree) + logPrior(state), with the prior from `Derived`, and the
+/// region hook of the MCMC engines (mcmc/region.h). A chain's arena holds
+/// one evaluation of its current state. A proposal re-prunes only the
+/// nodes Derived::changedNodes(region) lists, and their ancestors, over it
+/// (LikelihoodEngine::evaluateRegion), and a move to an accepted proposal
+/// re-prunes the same nodes into the arena (evaluateDirty). Both overloads
+/// of logPosterior add the same prior to a likelihood that equals a full
+/// evaluation bitwise, so they agree bitwise by construction. A state
+/// whose prior is -inf scores -inf before any likelihood work. Holds a
+/// reference: keep the DataLikelihood alive for the problem's lifetime.
+template <class Derived, class StateT, class RegionT>
+class RegionPosterior {
+  public:
+    using State = StateT;
+    using Region = RegionT;
+    using Arena = PartialsBuffer;
+
+    double logPosterior(const State& s) const {
+        const double prior = derived().logPrior(s);
+        if (prior == -std::numeric_limits<double>::infinity()) return prior;
+        return lik_.logLikelihood(treeOf(s)) + prior;
+    }
+    /// `pool` runs the region's pattern blocks (MH chains pass theirs; the
+    /// GMH fan-out passes none).
+    double logPosterior(const Region& region, const Arena& arena, const State& s,
+                        ThreadPool* pool = nullptr) const {
+        const double prior = derived().logPrior(s);
+        if (prior == -std::numeric_limits<double>::infinity()) return prior;
+        return lik_.engine().evaluateRegion(treeOf(s), Derived::changedNodes(region), arena,
+                                            pool) +
+               prior;
+    }
+    void evaluateGenerator(const State& s, Arena& arena, ThreadPool* pool) const {
+        lik_.engine().evaluate(treeOf(s), arena, pool);
+    }
+    void moveGenerator(const Region& region, const State& member, Arena& arena,
+                       ThreadPool* pool) const {
+        lik_.engine().evaluateDirty(treeOf(member), Derived::changedNodes(region), arena, pool);
+    }
+
+  protected:
+    explicit RegionPosterior(const DataLikelihood& lik) : lik_(lik) {}
 
   private:
+    const Derived& derived() const { return static_cast<const Derived&>(*this); }
+
     const DataLikelihood& lik_;
-    double theta_;
 };
 
-/// Baseline problem for MhChain: single-lineage recoalescence moves.
-class MhGenealogyProblem {
+/// The nodes a single-lineage recoalescence of v changed: v's rebuilt
+/// parent (new children and time) and the new parent of v's old sibling,
+/// which took the sibling in place of v's old parent. Every other node
+/// whose children or child branches differ between the two trees is an
+/// ancestor of one of them, and the branches above v, its new sibling and
+/// its old sibling each hang from one of them, so re-pruning their
+/// ancestor closure re-evaluates the move exactly. kNoNode entries are
+/// skipped, so a move that changes no node of the tree has the empty
+/// region.
+using RecoalesceRegion = std::array<NodeId, 2>;
+
+/// The region of a recoalescence of `target` that turned `from` into `to`
+/// and rebuilt `rebuiltParent`; the empty region when `target` is kNoNode.
+inline RecoalesceRegion recoalesceRegion(const Genealogy& from, const Genealogy& to,
+                                         NodeId target, NodeId rebuiltParent) {
+    if (target == kNoNode) return {kNoNode, kNoNode};
+    return {rebuiltParent, to.node(from.sibling(target)).parent};
+}
+
+/// Baseline problem for MhChain: single-lineage recoalescence moves under
+/// the constant-size coalescent prior.
+class MhGenealogyProblem
+    : public RegionPosterior<MhGenealogyProblem, Genealogy, RecoalesceRegion> {
   public:
-    using State = Genealogy;
+    MhGenealogyProblem(const DataLikelihood& lik, double theta);
 
-    MhGenealogyProblem(const DataLikelihood& lik, double theta)
-        : posterior_(lik, theta), theta_(theta) {}
-
-    double logPosterior(const State& g) const { return posterior_.logPosterior(g); }
+    /// log P(G|theta), Eq. 18.
+    double logPrior(const State& g) const { return logCoalescentPrior(g, theta_); }
+    static const Region& changedNodes(const Region& region) { return region; }
 
     struct Proposal {
         State state;
         double logForward;
         double logReverse;
+        Region region;
     };
     Proposal propose(const State& cur, Rng& rng) const {
         auto r = proposeRecoalesce(cur, theta_, rng);
-        return Proposal{std::move(r.state), r.logForward, r.logReverse};
+        const Region region = recoalesceRegion(cur, r.state, r.target, r.rebuiltParent);
+        return Proposal{std::move(r.state), r.logForward, r.logReverse, region};
     }
 
     double theta() const { return theta_; }
 
   private:
-    GenealogyPosterior posterior_;
     double theta_;
 };
 
 /// What the GMH problems share: shared-neighbourhood resimulation (§4.3)
-/// driven at `proposalTheta`, the posterior log P(D|G) + logPrior(G) with
-/// the prior from `Derived`, and the region hook of GmhSampler. The
-/// sampler's arena holds one evaluation of the current generator; each
-/// proposal re-prunes only T, P and P's ancestors over it
-/// (LikelihoodEngine::evaluateRegion), and a move to the chosen member
-/// re-prunes the same nodes into the arena (evaluateDirty). Both overloads
-/// of logPosterior add the same prior to a likelihood that equals a full
-/// evaluation bitwise, so they agree bitwise by construction.
+/// driven at `proposalTheta`, on the posterior and region hook of
+/// RegionPosterior.
 template <class Derived>
-class NeighborhoodGmhProblem {
+class NeighborhoodGmhProblem : public RegionPosterior<Derived, Genealogy, NeighborhoodRegion> {
   public:
     using State = Genealogy;
     using Region = NeighborhoodRegion;
-    using Arena = PartialsBuffer;
-
-    double logPosterior(const State& g) const { return lik_.logLikelihood(g) + prior(g); }
-    double logPosterior(const Region& region, const Arena& arena, const State& g) const {
-        return lik_.engine().evaluateRegion(g, changedNodes(region), arena) + prior(g);
-    }
 
     Region makeRegion(const State& generator, Rng& hostRng) const {
         return makeNeighborhoodRegion(generator, proposalTheta_, hostRng);
@@ -95,27 +140,17 @@ class NeighborhoodGmhProblem {
     double logProposalDensity(const Region& region, const State& s) const {
         return logNeighborhoodDensity(region, s);
     }
-    void evaluateGenerator(const State& generator, Arena& arena, ThreadPool* pool) const {
-        lik_.engine().evaluate(generator, arena, pool);
-    }
-    void moveGenerator(const Region& region, const State& member, Arena& arena,
-                       ThreadPool* pool) const {
-        lik_.engine().evaluateDirty(member, changedNodes(region), arena, pool);
-    }
-
-  protected:
-    NeighborhoodGmhProblem(const DataLikelihood& lik, double proposalTheta)
-        : lik_(lik), proposalTheta_(proposalTheta) {}
-
-    const DataLikelihood& lik_;
-    double proposalTheta_;
-
-  private:
     /// A member differs from the region's generator only at T and P.
     static std::array<NodeId, 2> changedNodes(const Region& region) {
         return {region.target, region.parent};
     }
-    double prior(const State& g) const { return static_cast<const Derived&>(*this).logPrior(g); }
+
+  protected:
+    NeighborhoodGmhProblem(const DataLikelihood& lik, double proposalTheta)
+        : RegionPosterior<Derived, Genealogy, NeighborhoodRegion>(lik),
+          proposalTheta_(proposalTheta) {}
+
+    double proposalTheta_;
 };
 
 /// Multiple-proposal problem for GmhSampler under the constant-size

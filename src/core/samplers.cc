@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "core/cached_mh.h"
 #include "core/genealogy_problem.h"
 #include "mcmc/checkpoint.h"
 #include "mcmc/gmh.h"
@@ -65,12 +64,14 @@ void checkTag(CheckpointReader& r, Strategy s) {
         throw CheckpointError("snapshot was written by a different strategy");
 }
 
-/// Serial MH baseline (recompute or cached evaluation): one transition and
-/// one sample per tick.
-template <class Chain>
+/// Serial MH baseline: one transition and one sample per tick.
 class SerialMhAdapter final : public Sampler {
   public:
-    SerialMhAdapter(Chain chain) : chain_(std::move(chain)) {}
+    SerialMhAdapter(const DataLikelihood& lik, double theta, Genealogy init,
+                    const SamplerSpec& spec, ThreadPool* pool)
+        : problem_(lik, theta),
+          chain_(problem_, std::move(init), Mt19937::fromSplitMix(splitMix64At(spec.seed, 1)),
+                 pool) {}
 
     std::uint32_t chainCount() const override { return 1; }
     std::size_t samplesPerTick() const override { return 1; }
@@ -91,7 +92,7 @@ class SerialMhAdapter final : public Sampler {
     void save(CheckpointWriter& w) const override {
         writeTag(w, Strategy::SerialMh);
         writeGenealogy(w, chain_.current());
-        w.f64(savedLogValue());
+        w.f64(chain_.currentLogPosterior());
         w.u64(chain_.steps());
         w.u64(chain_.acceptedCount());
         w.u64(emitted_);
@@ -101,26 +102,17 @@ class SerialMhAdapter final : public Sampler {
     void load(CheckpointReader& r) override {
         checkTag(r, Strategy::SerialMh);
         Genealogy g = readGenealogy(r);
-        const double logValue = r.f64();
+        const double logPost = r.f64();
         const std::size_t steps = r.u64();
         const std::size_t accepted = r.u64();
         emitted_ = r.u64();
-        chain_.restore(std::move(g), logValue, steps, accepted);
+        chain_.restore(std::move(g), logPost, steps, accepted);
         readRng(r, chain_.rng());
     }
 
   private:
-    /// MhChain carries the log-posterior; CachedMhSampler carries the data
-    /// log-likelihood (its prior term is recomputed per step). Snapshot
-    /// whichever quantity restore() expects.
-    double savedLogValue() const {
-        if constexpr (requires { chain_.currentDataLogLik(); })
-            return chain_.currentDataLogLik();
-        else
-            return chain_.currentLogPosterior();
-    }
-
-    Chain chain_;
+    MhGenealogyProblem problem_;
+    MhChain<MhGenealogyProblem> chain_;
     std::uint64_t emitted_ = 0;
 };
 
@@ -209,9 +201,9 @@ class GmhAdapter final : public Sampler {
 
 /// Multi-chain §3 baseline: P independent chains advanced in lockstep
 /// rounds across the pool — one step and one tagged sample per chain per
-/// tick. Chain c's stream is splitMix64At(seed, c + 1), exactly as the
-/// free-running runMultiChain derives it, so both produce identical
-/// per-chain sample sequences.
+/// tick. Chain c draws from stream splitMix64At(seed, c + 1) and keeps its
+/// own arena; inside a pooled round its arena evaluations run inline on
+/// the chain's worker.
 class MultiChainAdapter final : public Sampler {
   public:
     MultiChainAdapter(const DataLikelihood& lik, double theta, Genealogy init,
@@ -220,7 +212,7 @@ class MultiChainAdapter final : public Sampler {
         chains_.reserve(spec.chains);
         for (std::size_t c = 0; c < spec.chains; ++c)
             chains_.emplace_back(problem_, init,
-                                 Mt19937::fromSplitMix(splitMix64At(spec.seed, c + 1)));
+                                 Mt19937::fromSplitMix(splitMix64At(spec.seed, c + 1)), pool);
     }
 
     std::uint32_t chainCount() const override {
@@ -315,11 +307,12 @@ class HeatedAdapter final : public Sampler {
         writeTag(w, Strategy::HeatedMh);
         w.u64(chains_.chainCount());
         for (std::size_t i = 0; i < chains_.chainCount(); ++i) {
-            writeGenealogy(w, chains_.chainState(i));
-            w.f64(chains_.chainLogPosterior(i));
-            w.u64(chains_.chainSteps(i));
-            w.u64(chains_.chainAccepted(i));
-            writeRng(w, chains_.chainRng(i));
+            const auto& c = chains_.chain(i);
+            writeGenealogy(w, c.current());
+            w.f64(c.currentLogPosterior());
+            w.u64(c.steps());
+            w.u64(c.acceptedCount());
+            writeRng(w, c.rng());
         }
         writeRng(w, chains_.swapRng());
         w.u64(chains_.sweeps());
@@ -334,12 +327,13 @@ class HeatedAdapter final : public Sampler {
         if (r.u64() != chains_.chainCount())
             throw CheckpointError("snapshot temperature ladder does not match configuration");
         for (std::size_t i = 0; i < chains_.chainCount(); ++i) {
+            auto& c = chains_.chain(i);
             Genealogy g = readGenealogy(r);
             const double logPost = r.f64();
             const std::size_t steps = r.u64();
             const std::size_t accepted = r.u64();
-            chains_.restoreChain(i, std::move(g), logPost, steps, accepted);
-            readRng(r, chains_.chainRng(i));
+            c.restore(std::move(g), logPost, steps, accepted);
+            readRng(r, c.rng());
         }
         readRng(r, chains_.swapRng());
         const std::size_t sweeps = r.u64();
@@ -363,31 +357,6 @@ class HeatedAdapter final : public Sampler {
     std::uint64_t emitted_ = 0;
 };
 
-/// MhChain stores a reference to its problem; this wrapper owns both so
-/// the adapter is self-contained.
-class OwnedMhChain {
-  public:
-    OwnedMhChain(const DataLikelihood& lik, double theta, Genealogy init, Mt19937 rng)
-        : problem_(std::make_unique<MhGenealogyProblem>(lik, theta)),
-          chain_(std::make_unique<MhChain<MhGenealogyProblem>>(*problem_, std::move(init),
-                                                               std::move(rng))) {}
-
-    void step() { chain_->step(); }
-    const Genealogy& current() const { return chain_->current(); }
-    double currentLogPosterior() const { return chain_->currentLogPosterior(); }
-    std::size_t steps() const { return chain_->steps(); }
-    std::size_t acceptedCount() const { return chain_->acceptedCount(); }
-    Mt19937& rng() { return chain_->rng(); }
-    const Mt19937& rng() const { return chain_->rng(); }
-    void restore(Genealogy g, double logPost, std::size_t steps, std::size_t accepted) {
-        chain_->restore(std::move(g), logPost, steps, accepted);
-    }
-
-  private:
-    std::unique_ptr<MhGenealogyProblem> problem_;
-    std::unique_ptr<MhChain<MhGenealogyProblem>> chain_;
-};
-
 }  // namespace
 
 std::unique_ptr<Sampler> makeSampler(const SamplerSpec& spec, const DataLikelihood& lik,
@@ -396,13 +365,7 @@ std::unique_ptr<Sampler> makeSampler(const SamplerSpec& spec, const DataLikeliho
         case Strategy::Gmh:
             return std::make_unique<GmhAdapter>(lik, theta, std::move(init), spec, pool);
         case Strategy::SerialMh:
-            if (spec.cachedBaseline)
-                return std::make_unique<SerialMhAdapter<CachedMhSampler>>(CachedMhSampler(
-                    lik, theta, std::move(init),
-                    Mt19937::fromSplitMix(splitMix64At(spec.seed, 1)), pool));
-            return std::make_unique<SerialMhAdapter<OwnedMhChain>>(OwnedMhChain(
-                lik, theta, std::move(init),
-                Mt19937::fromSplitMix(splitMix64At(spec.seed, 1))));
+            return std::make_unique<SerialMhAdapter>(lik, theta, std::move(init), spec, pool);
         case Strategy::MultiChain:
             return std::make_unique<MultiChainAdapter>(lik, theta, std::move(init), spec, pool);
         case Strategy::HeatedMh:

@@ -4,11 +4,14 @@
 // SplitMix64-derived RNG streams and full checkpoint support.
 //
 //   Strategy::Gmh        one GmhSampler iteration per tick (M samples)
-//   Strategy::SerialMh   one MhChain / CachedMhSampler step per tick
+//   Strategy::SerialMh   one MhChain step per tick
 //   Strategy::MultiChain P lockstep MhChain steps per tick (P samples),
 //                        parallel across the pool via ChainScheduler
 //   Strategy::HeatedMh   one MC^3 sweep per tick (cold-chain sample),
 //                        within-sweep stepping parallel across the pool
+//
+// Every strategy scores its proposals over per-chain arenas of the current
+// states (the problems' region hook, core/genealogy_problem.h).
 #pragma once
 
 #include <cstdint>
@@ -34,7 +37,6 @@ enum class Strategy {
 struct SamplerSpec {
     Strategy strategy = Strategy::Gmh;
     std::uint64_t seed = 1;
-    bool cachedBaseline = false;               ///< SerialMh: dirty-path caching
     std::size_t gmhProposals = 32;             ///< Gmh: N proposals per set
     std::size_t gmhSamplesPerSet = 32;         ///< Gmh: M draws per set
     std::size_t chains = 4;                    ///< MultiChain: P
@@ -69,7 +71,7 @@ class SummarySink final : public SampleSink {
 
 /// Build the sampler for `spec` over P(D|G) * P(G|theta), warm-started
 /// from `init`. `pool` parallelizes whatever the strategy can use it for
-/// (GMH proposal fan-out, multi-chain rounds, MC^3 sweeps, cached-MH
+/// (GMH proposal fan-out, multi-chain rounds, MC^3 sweeps, serial-MH
 /// pattern blocks); results are bitwise identical for any pool width.
 std::unique_ptr<Sampler> makeSampler(const SamplerSpec& spec, const DataLikelihood& lik,
                                      double theta, Genealogy init,

@@ -14,29 +14,21 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
-StructuredPosterior::StructuredPosterior(const DataLikelihood& lik, MigrationModel model)
-    : lik_(lik), model_(std::move(model)) {
-    model_.validate();
-}
-
-double StructuredPosterior::logPosterior(const StructuredGenealogy& g) const {
-    const double prior = logStructuredPrior(g, model_);
-    if (prior == -kInf) return -kInf;
-    return lik_.logLikelihood(g.tree()) + prior;
-}
-
 StructuredMhProblem::StructuredMhProblem(const DataLikelihood& lik, MigrationModel model,
                                          double pathRefreshProb)
-    : posterior_(lik, std::move(model)), pathRefreshProb_(pathRefreshProb) {
+    : RegionPosterior(lik), model_(std::move(model)), pathRefreshProb_(pathRefreshProb) {
+    model_.validate();
     if (pathRefreshProb_ < 0.0 || pathRefreshProb_ >= 1.0)
         throw ConfigError("StructuredMhProblem: pathRefreshProb must be in [0, 1)");
 }
 
 StructuredMhProblem::Proposal StructuredMhProblem::propose(const State& cur, Rng& rng) const {
     StructuredProposal p = rng.uniform01() < pathRefreshProb_
-                               ? proposeMigrationPathRefresh(cur, model(), rng)
-                               : proposeStructuredRecoalesce(cur, model(), rng);
-    return Proposal{std::move(p.state), p.logForward, p.logReverse};
+                               ? proposeMigrationPathRefresh(cur, model_, rng)
+                               : proposeStructuredRecoalesce(cur, model_, rng);
+    const Region region =
+        recoalesceRegion(cur.tree(), p.state.tree(), p.target, p.rebuiltParent);
+    return Proposal{std::move(p.state), p.logForward, p.logReverse, region};
 }
 
 int structuredCoordinateCount(int demeCount) {

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "coalescent/structured.h"
+#include "core/genealogy_problem.h"
 #include "core/mle.h"
 #include "core/posterior.h"
 #include "core/structured_recoalesce.h"
@@ -33,46 +34,41 @@
 
 namespace mpcgs {
 
-/// Shared posterior evaluation (holds references; keep `lik` alive).
-/// Label-inconsistent states short-circuit to -inf before any likelihood
-/// work, so rejected path-refresh proposals never price a pruning pass.
-class StructuredPosterior {
-  public:
-    StructuredPosterior(const DataLikelihood& lik, MigrationModel model);
-
-    const MigrationModel& model() const { return model_; }
-    double logPosterior(const StructuredGenealogy& g) const;
-
-  private:
-    const DataLikelihood& lik_;
-    MigrationModel model_;
-};
+/// The tree of a labelled genealogy: migration labels do not affect the
+/// substitution process.
+inline const Genealogy& treeOf(const StructuredGenealogy& g) { return g.tree(); }
 
 /// Problem binding for MhChain<StructuredMhProblem>: a fixed-probability
 /// mixture of migration-aware recoalescence and migration-path refresh.
 /// Each move type computes its own exact Hastings densities and reverses
 /// through the same move type, so the mixture weight cancels and the
-/// random-scan kernel is pi-reversible.
-class StructuredMhProblem {
+/// random-scan kernel is pi-reversible. Both moves carry their region: a
+/// recoalescence the nodes it changed, a path refresh (labels only) the
+/// empty region, which scores as one root fold over the chain's arena.
+/// Label-inconsistent states short-circuit to -inf before any likelihood
+/// work, so rejected path-refresh proposals never price a pruning pass.
+class StructuredMhProblem
+    : public RegionPosterior<StructuredMhProblem, StructuredGenealogy, RecoalesceRegion> {
   public:
-    using State = StructuredGenealogy;
-
     StructuredMhProblem(const DataLikelihood& lik, MigrationModel model,
                         double pathRefreshProb = 0.25);
 
-    double logPosterior(const State& g) const { return posterior_.logPosterior(g); }
+    /// log P(G | Theta, M); -inf for an inconsistent labelling.
+    double logPrior(const State& g) const { return logStructuredPrior(g, model_); }
+    static const Region& changedNodes(const Region& region) { return region; }
 
     struct Proposal {
         State state;
         double logForward;
         double logReverse;
+        Region region;
     };
     Proposal propose(const State& cur, Rng& rng) const;
 
-    const MigrationModel& model() const { return posterior_.model(); }
+    const MigrationModel& model() const { return model_; }
 
   private:
-    StructuredPosterior posterior_;
+    MigrationModel model_;
     double pathRefreshProb_;
 };
 

@@ -298,7 +298,7 @@ StructuredProposal proposeStructuredRecoalesce(const StructuredGenealogy& g,
         work.branchEvents(p) = std::move(above);
     }
 
-    return StructuredProposal{std::move(work), fwd.logDensity, logReverse};
+    return StructuredProposal{std::move(work), fwd.logDensity, logReverse, v, p};
 }
 
 StructuredProposal proposeMigrationPathRefresh(const StructuredGenealogy& g,

@@ -39,6 +39,8 @@ struct StructuredProposal {
     StructuredGenealogy state;  ///< proposed labelled genealogy
     double logForward = 0.0;    ///< log q(G -> G')
     double logReverse = 0.0;    ///< log q(G' -> G); -inf when G is unreachable
+    NodeId target = kNoNode;         ///< recoalescence: the detached node v
+    NodeId rebuiltParent = kNoNode;  ///< recoalescence: v's re-created parent
 };
 
 /// Piecewise-constant index of the deme-labelled lineages of a partial

@@ -84,7 +84,7 @@ StructuredChainsSampler::StructuredChainsSampler(const DataLikelihood& lik,
     chains_.reserve(chains);
     for (std::size_t c = 0; c < chains; ++c)
         chains_.emplace_back(problem_, init,
-                             Mt19937::fromSplitMix(splitMix64At(seed, c + 1)));
+                             Mt19937::fromSplitMix(splitMix64At(seed, c + 1)), pool);
 }
 
 void StructuredChainsSampler::tick(SampleSink* sink) {

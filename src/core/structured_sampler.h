@@ -1,9 +1,11 @@
 // Structured-coalescent sampler behind the unified runtime interface:
 // P lockstep MH chains over deme-labelled genealogies, advanced in
 // ChainScheduler rounds (one step + one tagged structured sample per chain
-// per tick). Each chain owns a SplitMix64-derived Mt19937 stream and steps
-// touch only per-chain state, so results are bitwise invariant to the
-// worker count — the same determinism contract as every other strategy.
+// per tick). Each chain owns a SplitMix64-derived Mt19937 stream and an
+// arena holding its current state's likelihood evaluation (rebuilt after
+// load()), and steps touch only per-chain state, so results are bitwise
+// invariant to the worker count — the same determinism contract as every
+// other strategy.
 #pragma once
 
 #include <cstdint>

@@ -271,7 +271,7 @@ double LikelihoodEngine::evaluate(const Genealogy& g, PartialsBuffer& buf,
 double LikelihoodEngine::evaluateDirty(const Genealogy& g, std::span<const NodeId> dirty,
                                        PartialsBuffer& buf, ThreadPool* pool) const {
     require(buf.primed && buf.nodeCount() == static_cast<std::size_t>(g.nodeCount()),
-            "LikelihoodCache: genealogy shape changed; call evaluate()");
+            "evaluateDirty: the arena holds no evaluation of this shape; call evaluate()");
     // The schedule of the whole tree: a level can only change inside the
     // dirty closure, so every node outside it keeps the flags its strips
     // were computed with.
@@ -285,7 +285,7 @@ double LikelihoodEngine::evaluateDirty(const Genealogy& g, std::span<const NodeI
 
 double LikelihoodEngine::evaluateRegion(const Genealogy& member,
                                         std::span<const NodeId> changed,
-                                        const PartialsBuffer& base) const {
+                                        const PartialsBuffer& base, ThreadPool* pool) const {
     require(base.primed && base.nodeCount() == static_cast<std::size_t>(member.nodeCount()) &&
                 base.categories == rates_.count(),
             "evaluateRegion: the base arena holds no evaluation of this shape");
@@ -297,7 +297,7 @@ double LikelihoodEngine::evaluateRegion(const Genealogy& member,
     packMatrices(member, es.tmat.data(), &es.children);
     return runBlocks(BlockJob{member, es.prune, es.meta, es.tmat.data(), nullptr, &base,
                               es.listed.data()},
-                     nullptr);
+                     pool);
 }
 
 }  // namespace mpcgs

@@ -1,9 +1,9 @@
 // Pattern-major likelihood engine: the shared evaluation core behind
 // DataLikelihood::logLikelihood (stateless, full recomputation — the
-// paper's GPU strategy, §5.2.2), LikelihoodCache (persistent arena with
-// dirty-path updates — the production-LAMARC strategy) and the GMH region
-// evaluation (each proposal re-prunes only the nodes it changed, over one
-// shared evaluation of its generator).
+// paper's GPU strategy, §5.2.2) and the region evaluation every MCMC
+// chain scores its proposals with (each proposal re-prunes only the nodes
+// it changed, over a kept arena holding the chain's current state, which
+// a dirty-path update moves to an accepted proposal).
 //
 // Design, versus the seed's scalar per-pattern pruning:
 //
@@ -65,7 +65,7 @@ class LikelihoodEngine {
     /// pattern blocks run on `pool` when supplied.
     double logLikelihood(const Genealogy& g, ThreadPool* pool = nullptr) const;
 
-    /// Full evaluation populating `buf` (the cached path's arena).
+    /// Full evaluation populating `buf` (a chain's arena).
     double evaluate(const Genealogy& g, PartialsBuffer& buf, ThreadPool* pool = nullptr) const;
 
     /// Re-evaluate after `dirty` nodes (and their ancestors) changed,
@@ -81,10 +81,10 @@ class LikelihoodEngine {
     /// and children. Re-prunes just those nodes and their ancestors into
     /// thread-local block scratch and reads every other internal strip from
     /// `base`, which it never writes, so any number of threads may evaluate
-    /// members over one base at once. Serial; bitwise equal to
-    /// logLikelihood(member).
+    /// members over one base at once. Pattern blocks run on `pool` when
+    /// supplied; bitwise equal to logLikelihood(member) either way.
     double evaluateRegion(const Genealogy& member, std::span<const NodeId> changed,
-                          const PartialsBuffer& base) const;
+                          const PartialsBuffer& base, ThreadPool* pool = nullptr) const;
 
     std::size_t patternCount() const { return patterns_.patternCount(); }
     std::size_t patternStride() const { return stride_; }

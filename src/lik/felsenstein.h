@@ -11,18 +11,16 @@
 // of logs, which is also what the reference implementation computes.)
 //
 // logLikelihood recomputes every node, the paper's GPU choice (§5.2.2: full
-// recomputation beat caching there). On the CPU two partial paths share
-// its kernels: LikelihoodCache re-prunes a dirty closure (the cached MH
-// baseline), and the GMH problems score each proposal over one shared
-// evaluation of its generator (LikelihoodEngine::evaluateRegion, see
-// core/genealogy_problem.h). Both equal a full evaluation bitwise.
+// recomputation beat caching there). On the CPU every MCMC chain instead
+// scores a proposal over a kept evaluation of its current state
+// (LikelihoodEngine::evaluateRegion, see core/genealogy_problem.h), which
+// equals a full evaluation bitwise through the same kernels.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "lik/engine.h"
-#include "lik/partials_buffer.h"
 #include "lik/rate_model.h"
 #include "lik/site_pattern.h"
 #include "par/thread_pool.h"
@@ -74,8 +72,6 @@ class DataLikelihood {
     DataLikelihood& operator=(const DataLikelihood&) = delete;
 
   private:
-    friend class LikelihoodCache;
-
     /// Per-branch transition matrices for a genealogy, indexed by child id;
     /// branch lengths scaled by `rate`.
     std::vector<Matrix4> branchMatrices(const Genealogy& g, double rate = 1.0) const;
@@ -94,31 +90,6 @@ class DataLikelihood {
     RateCategories rates_;
     // Last member: its construction reads patterns_/model_/rates_.
     std::unique_ptr<LikelihoodEngine> engine_;
-};
-
-/// Incremental (dirty-path) evaluation: keeps a persistent pattern-major
-/// partials arena (PartialsBuffer) for one genealogy chain and recomputes
-/// only ancestors of changed nodes, through the same strip kernels as the
-/// full-recomputation path. This is the caching strategy the paper rejected
-/// for the GPU; bench/micro_kernels quantifies the CPU tradeoff.
-class LikelihoodCache {
-  public:
-    explicit LikelihoodCache(const DataLikelihood& lik);
-
-    /// Full evaluation, populating the arena for `g`. Pattern blocks run on
-    /// `pool` when supplied; the arena is sized on first use and reused
-    /// (never reallocated) by every later call of the same shape.
-    double evaluate(const Genealogy& g, ThreadPool* pool = nullptr);
-
-    /// Re-evaluate after `dirty` nodes (and consequently their ancestors)
-    /// changed. The genealogy must have the same shape (node count) as the
-    /// last full evaluation.
-    double evaluateDirty(const Genealogy& g, const std::vector<NodeId>& dirty,
-                         ThreadPool* pool = nullptr);
-
-  private:
-    const DataLikelihood& lik_;
-    PartialsBuffer buf_;
 };
 
 }  // namespace mpcgs

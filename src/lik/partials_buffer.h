@@ -1,13 +1,15 @@
-// Persistent pattern-major partials arena for cached likelihood evaluation.
+// Persistent pattern-major partials arena: a chain's kept likelihood
+// evaluation.
 //
 // One PartialsBuffer holds the complete pruning state of ONE genealogy:
 // per-internal-node conditional likelihood strips, per-node scale
-// exponents and packed transition matrices. It is the cached MH chain's
-// arena and the GMH generator's shared arena (each proposal of a set
-// reads it). Everything is allocated once — 64-byte aligned, node-strided
-// — and reused across every subsequent MCMC step; growing only happens if
-// the genealogy shape or pattern count changes (it does not, along a
-// chain). This replaces the seed's per-step `assign()` of the whole arena.
+// exponents and packed transition matrices. Every MCMC chain keeps one
+// holding its current state (for GMH, the generator that each proposal
+// of a set reads). Everything is allocated once — 64-byte aligned,
+// node-strided — and reused across every subsequent MCMC step; growing
+// only happens if the genealogy shape or pattern count changes (it does
+// not, along a chain). This replaces the seed's per-step `assign()` of
+// the whole arena.
 //
 // Layout: partials for (category c, internal node i) start at
 //   partialsData.data() + (c * internals + i) * patternStride * 4

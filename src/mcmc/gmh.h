@@ -9,20 +9,11 @@
 //   double logProposalDensity(const Region&, const State&) const; // q_phi(x)
 //   double logPosterior(const State&) const;                      // unnormalized log pi
 //
-// Optional region hook (RegionEvaluated below), for problems whose
-// proposals differ from their generator only inside the region:
-//   using Arena;                                  // per-chain, default-constructible
-//   void evaluateGenerator(const State&, Arena&, ThreadPool*) const;
-//   void moveGenerator(const Region&, const State& member, Arena&, ThreadPool*) const;
-//   double logPosterior(const Region&, const Arena&, const State&) const;
-// The sampler keeps an arena holding an evaluation of its current
-// generator and scores each proposal over it; that score must equal
-// logPosterior(state) bitwise, so the hook changes cost, never the chain.
-// The generator is evaluated in full, on the pool, only at the first
-// iteration after start() or restore(); whenever the draw then moves the
-// chain, moveGenerator brings the arena to the chosen member by
-// re-evaluating only its region, also on the pool. The arena is never
-// checkpointed.
+// Optional region hook (mcmc/region.h), for problems whose proposals
+// differ from their generator only inside the region. The generator is
+// evaluated into the arena at the first iteration after start() or
+// restore(); a draw that moves the chain moves the arena to the chosen
+// member. The fan-out scores proposals without a pool.
 //
 // Each iteration: draw the region from the current generator, fan out N
 // independent proposals (one logical device thread each — the proposal
@@ -47,13 +38,13 @@
 // mcmc.likelihood_ns; the arena's evaluations count as likelihood.
 #pragma once
 
-#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "mcmc/region.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "par/thread_pool.h"
@@ -75,28 +66,6 @@ void emitSample(Sink* sink, const State& s, double logPost) {
     else
         (*sink)(s);
 }
-}  // namespace detail
-
-/// A problem with the optional region hook (see the concept above).
-template <class P>
-concept RegionEvaluated =
-    requires(const P& p, const typename P::Region& r, typename P::Arena& a,
-             const typename P::State& s, ThreadPool* pool) {
-        p.evaluateGenerator(s, a, pool);
-        p.moveGenerator(r, s, a, pool);
-        { p.logPosterior(r, std::as_const(a), s) } -> std::convertible_to<double>;
-    };
-
-namespace detail {
-struct NoArena {};
-template <class P>
-struct ArenaOf {
-    using type = NoArena;
-};
-template <RegionEvaluated P>
-struct ArenaOf<P> {
-    using type = typename P::Arena;
-};
 }  // namespace detail
 
 struct GmhOptions {

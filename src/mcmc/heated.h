@@ -4,24 +4,28 @@
 // tempered versions pi(x)^{1/T} of the posterior and periodically propose
 // to swap states; only the cold chain (T = 1) is sampled.
 //
-// Every chain owns a SplitMix64-derived Mt19937 stream and swap decisions
-// draw from a dedicated stream, so (a) chain steps and swap decisions are
+// Each chain is an MhChain stepping at its temperature, with a
+// SplitMix64-derived Mt19937 stream, and swap decisions draw from a
+// dedicated stream, so (a) chain steps and swap decisions are
 // decorrelated, and (b) the within-sweep stepping can run concurrently on
 // a ThreadPool (via ChainScheduler) with results bitwise invariant to the
 // thread count: the parallel section only reads/writes per-chain state,
 // and the swap point is serialized on the calling thread.
 //
-// Problem concept: same as MhChain's (logPosterior + propose).
+// Problem concept: same as MhChain's (logPosterior + propose, optionally
+// the region hook). With the hook every chain keeps its own arena, and a
+// swap exchanges arenas along with states.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "mcmc/mh.h"
 #include "mcmc/schedule.h"
 #include "rng/mt19937.h"
-#include "rng/rng.h"
 #include "rng/splitmix.h"
 
 namespace mpcgs {
@@ -51,23 +55,23 @@ template <class Problem>
 class HeatedChains {
   public:
     using State = typename Problem::State;
+    using Chain = MhChain<Problem>;
 
     /// `pool` parallelizes the within-sweep stepping across chains; null
     /// runs the sweep serially. Either way the results are identical.
     HeatedChains(const Problem& problem, State init, HeatedOptions opts,
                  ThreadPool* pool = nullptr)
-        : problem_(problem), opts_(std::move(opts)),
+        : opts_(std::move(opts)),
           scheduler_(pool, opts_.temperatures.size()),
           swapRng_(Mt19937::fromSplitMix(splitMix64At(opts_.seed, 0))) {
         if (opts_.temperatures.empty() || opts_.temperatures.front() != 1.0)
             throw std::invalid_argument("HeatedChains: temperatures must start with 1.0");
-        const double logPost = problem_.logPosterior(init);
-        for (std::size_t i = 0; i < opts_.temperatures.size(); ++i) {
-            const double t = opts_.temperatures[i];
+        for (const double t : opts_.temperatures)
             if (t < 1.0) throw std::invalid_argument("HeatedChains: temperatures must be >= 1");
-            chains_.push_back(Slot{init, logPost, t,
-                                   Mt19937::fromSplitMix(splitMix64At(opts_.seed, i + 1))});
-        }
+        chains_.reserve(opts_.temperatures.size());
+        for (std::size_t i = 0; i < opts_.temperatures.size(); ++i)
+            chains_.emplace_back(problem, init,
+                                 Mt19937::fromSplitMix(splitMix64At(opts_.seed, i + 1)), pool);
     }
 
     /// One sweep: an MH step in every chain (parallel section), plus (every
@@ -75,7 +79,7 @@ class HeatedChains {
     /// pair (serialized swap point).
     void sweep() {
         scheduler_.round(
-            [this](std::size_t i) { stepChain(chains_[i]); },
+            [this](std::size_t i) { chains_[i].step(opts_.temperatures[i]); },
             [this] {
                 ++sweeps_;
                 if (sweeps_ % opts_.swapInterval == 0 && chains_.size() > 1) proposeSwap();
@@ -92,40 +96,30 @@ class HeatedChains {
     }
 
     /// Current state of the cold (T = 1) chain.
-    const State& cold() const { return chains_.front().state; }
-    double coldLogPosterior() const { return chains_.front().logPost; }
+    const State& cold() const { return chains_.front().current(); }
+    double coldLogPosterior() const { return chains_.front().currentLogPosterior(); }
     /// Swap counters plus per-chain step/acceptance counters aggregated.
     HeatedStats stats() const {
         HeatedStats s = stats_;
-        for (const Slot& c : chains_) {
-            s.steps += c.steps;
-            s.accepted += c.accepted;
+        for (const Chain& c : chains_) {
+            s.steps += c.steps();
+            s.accepted += c.acceptedCount();
         }
         return s;
     }
     std::size_t chainCount() const { return chains_.size(); }
     std::size_t sweeps() const { return sweeps_; }
 
-    // Checkpoint access: per-chain state/log-posterior/RNG, the swap
-    // stream, and the counters. Restoring all of them resumes the sweep
-    // sequence bitwise.
-    const State& chainState(std::size_t i) const { return chains_[i].state; }
-    double chainLogPosterior(std::size_t i) const { return chains_[i].logPost; }
-    Mt19937& chainRng(std::size_t i) { return chains_[i].rng; }
-    const Mt19937& chainRng(std::size_t i) const { return chains_[i].rng; }
+    // Checkpoint access: every chain (state, log-posterior, RNG and
+    // counters, restored through MhChain::restore), the swap stream, and
+    // the counters. Restoring all of them resumes the sweep sequence
+    // bitwise.
+    Chain& chain(std::size_t i) { return chains_[i]; }
+    const Chain& chain(std::size_t i) const { return chains_[i]; }
     Mt19937& swapRng() { return swapRng_; }
     const Mt19937& swapRng() const { return swapRng_; }
-    std::size_t chainSteps(std::size_t i) const { return chains_[i].steps; }
-    std::size_t chainAccepted(std::size_t i) const { return chains_[i].accepted; }
-    void restoreChain(std::size_t i, State s, double logPost, std::size_t steps,
-                      std::size_t accepted) {
-        chains_[i].state = std::move(s);
-        chains_[i].logPost = logPost;
-        chains_[i].steps = steps;
-        chains_[i].accepted = accepted;
-    }
     /// Restore the sweep counter and the swap counters (per-chain counters
-    /// go through restoreChain).
+    /// go through chain(i).restore).
     void restoreCounters(std::size_t sweeps, std::size_t swapsProposed,
                          std::size_t swapsAccepted) {
         sweeps_ = sweeps;
@@ -134,49 +128,24 @@ class HeatedChains {
     }
 
   private:
-    struct Slot {
-        State state;
-        double logPost;  ///< untempered log pi(state)
-        double temperature;
-        Mt19937 rng;     ///< this chain's private stream
-        std::size_t steps = 0;
-        std::size_t accepted = 0;
-    };
-
-    void stepChain(Slot& c) {
-        auto prop = problem_.propose(c.state, c.rng);
-        const double logNew = problem_.logPosterior(prop.state);
-        // Tempered acceptance: (pi(x')/pi(x))^{1/T} times the Hastings term.
-        const double logR =
-            (logNew - c.logPost) / c.temperature + prop.logReverse - prop.logForward;
-        ++c.steps;
-        if (logR >= 0.0 || std::log(c.rng.uniformPos()) < logR) {
-            c.state = std::move(prop.state);
-            c.logPost = logNew;
-            ++c.accepted;
-        }
-    }
-
     void proposeSwap() {
         const std::size_t i = static_cast<std::size_t>(swapRng_.below(chains_.size() - 1));
-        Slot& a = chains_[i];
-        Slot& b = chains_[i + 1];
+        Chain& a = chains_[i];
+        Chain& b = chains_[i + 1];
         ++stats_.swapsProposed;
         // Standard MC^3 swap ratio.
-        const double logR = (a.logPost - b.logPost) *
-                            (1.0 / b.temperature - 1.0 / a.temperature);
+        const double logR = (a.currentLogPosterior() - b.currentLogPosterior()) *
+                            (1.0 / opts_.temperatures[i + 1] - 1.0 / opts_.temperatures[i]);
         if (logR >= 0.0 || std::log(swapRng_.uniformPos()) < logR) {
-            std::swap(a.state, b.state);
-            std::swap(a.logPost, b.logPost);
+            a.swapStates(b);
             ++stats_.swapsAccepted;
         }
     }
 
-    const Problem& problem_;
     HeatedOptions opts_;
     ChainScheduler scheduler_;
     Mt19937 swapRng_;
-    std::vector<Slot> chains_;
+    std::vector<Chain> chains_;
     HeatedStats stats_;
     std::size_t sweeps_ = 0;
 };

@@ -1,6 +1,6 @@
 // Unified sampler runtime: the common interface every sampling strategy
-// (GMH, serial MH, cached MH, multi-chain, heated MC^3) runs behind, plus
-// the streaming sample pipeline and the orchestrator that drives burn-in,
+// (GMH, serial MH, multi-chain, heated MC^3) runs behind, plus the
+// streaming sample pipeline and the orchestrator that drives burn-in,
 // sampling, convergence-driven stopping and checkpointing.
 //
 // Layering:

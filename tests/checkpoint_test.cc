@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include "coalescent/simulator.h"
+#include "coalescent/structured.h"
 #include "core/driver.h"
 #include "core/samplers.h"
+#include "core/structured_sampler.h"
 #include "rng/mt19937.h"
 #include "seq/seqgen.h"
 #include "seq/subst_model.h"
@@ -135,7 +137,14 @@ struct RunArtifacts {
     std::vector<IntervalSummary> summaries;
     Genealogy continuation;
     SamplerStats stats;
+    std::vector<std::vector<double>> logPosteriors;  ///< per chain, as streamed
 };
+
+std::vector<std::vector<double>> tracesOf(const ConvergenceMonitor& monitor) {
+    std::vector<std::vector<double>> out;
+    for (std::uint32_t c = 0; c < monitor.chainCount(); ++c) out.push_back(monitor.trace(c));
+    return out;
+}
 
 void expectBitwiseEqual(const RunArtifacts& a, const RunArtifacts& b) {
     ASSERT_EQ(a.summaries.size(), b.summaries.size());
@@ -148,23 +157,26 @@ void expectBitwiseEqual(const RunArtifacts& a, const RunArtifacts& b) {
     EXPECT_EQ(a.stats.accepted, b.stats.accepted);
     EXPECT_EQ(a.stats.swapsProposed, b.stats.swapsProposed);
     EXPECT_EQ(a.stats.swapsAccepted, b.stats.swapsAccepted);
+    EXPECT_EQ(a.logPosteriors, b.logPosteriors);
 }
 
 /// Mid-sampling kill/resume at the SamplerRun level: run to the cap in one
 /// go, versus "crash" after killTicks and continue from the snapshot. Both
-/// must produce the identical sample stream and final state.
-class MidRunResumeTest : public ::testing::TestWithParam<std::pair<Strategy, bool>> {};
+/// must produce the identical sample stream and final state. Every MH-family
+/// chain rebuilds its likelihood arena after load(), which the structured
+/// case (path refresh on) covers for labelled genealogies.
+enum class ResumeCase { Gmh, SerialMh, MultiChain, HeatedMh, Structured };
+
+class MidRunResumeTest : public ::testing::TestWithParam<ResumeCase> {};
 
 TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
-    const auto [strategy, cached] = GetParam();
+    const ResumeCase kind = GetParam();
     const Alignment aln = simulateData(7, 1.0, 150, 42);
     const F81Model model(aln.baseFrequencies());
     const DataLikelihood lik(aln, model);
     const Genealogy init = initialGenealogy(aln, 0.5);
 
     SamplerSpec spec;
-    spec.strategy = strategy;
-    spec.cachedBaseline = cached;
     spec.seed = 19;
     spec.chains = 3;
     spec.gmhProposals = 6;
@@ -173,7 +185,24 @@ TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
     const std::size_t capTicks = 60;
     const std::size_t killTicks = 23;  // not a checkpoint-interval multiple
 
-    const auto makeFresh = [&] { return makeSampler(spec, lik, 0.5, init, nullptr); };
+    MigrationModel migration(2, 0.5, 0.8);
+    Mt19937 labelRng(43);
+    const StructuredGenealogy structuredInit =
+        simulateStructuredCoalescent({0, 0, 0, 1, 1, 1, 1}, migration, labelRng);
+
+    const auto makeFresh = [&]() -> std::unique_ptr<Sampler> {
+        switch (kind) {
+            case ResumeCase::Gmh: spec.strategy = Strategy::Gmh; break;
+            case ResumeCase::SerialMh: spec.strategy = Strategy::SerialMh; break;
+            case ResumeCase::MultiChain: spec.strategy = Strategy::MultiChain; break;
+            case ResumeCase::HeatedMh: spec.strategy = Strategy::HeatedMh; break;
+            case ResumeCase::Structured:
+                return std::make_unique<StructuredChainsSampler>(
+                    lik, migration, structuredInit, spec.chains, spec.seed,
+                    /*pathRefreshProb=*/0.25, nullptr);
+        }
+        return makeSampler(spec, lik, 0.5, init, nullptr);
+    };
 
     // Reference: uninterrupted run.
     RunArtifacts full;
@@ -186,7 +215,8 @@ TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
         cfg.sampleTicks = capTicks;
         SamplerRun run(*sampler, cfg);
         run.execute(sink, monitor);
-        full = RunArtifacts{sink.chainMajor(), sampler->continuation(), sampler->stats()};
+        full = RunArtifacts{sink.chainMajor(), sampler->continuation(), sampler->stats(),
+                            tracesOf(monitor)};
     }
 
     // Interrupted run: snapshot every tick, stop ("crash") at killTicks.
@@ -232,7 +262,8 @@ TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
         SamplerRun run(*sampler, cfg);
         run.restoreProgress(burnDone, sampleDone);
         run.execute(sink, monitor);
-        resumed = RunArtifacts{sink.chainMajor(), sampler->continuation(), sampler->stats()};
+        resumed = RunArtifacts{sink.chainMajor(), sampler->continuation(), sampler->stats(),
+                               tracesOf(monitor)};
     }
 
     expectBitwiseEqual(full, resumed);
@@ -240,17 +271,15 @@ TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, MidRunResumeTest,
-    ::testing::Values(std::pair{Strategy::Gmh, false}, std::pair{Strategy::SerialMh, false},
-                      std::pair{Strategy::SerialMh, true},
-                      std::pair{Strategy::MultiChain, false},
-                      std::pair{Strategy::HeatedMh, false}),
-    [](const ::testing::TestParamInfo<std::pair<Strategy, bool>>& info) {
-        switch (info.param.first) {
-            case Strategy::Gmh: return std::string("Gmh");
-            case Strategy::SerialMh:
-                return std::string(info.param.second ? "CachedMh" : "SerialMh");
-            case Strategy::MultiChain: return std::string("MultiChain");
-            case Strategy::HeatedMh: return std::string("HeatedMh");
+    ::testing::Values(ResumeCase::Gmh, ResumeCase::SerialMh, ResumeCase::MultiChain,
+                      ResumeCase::HeatedMh, ResumeCase::Structured),
+    [](const ::testing::TestParamInfo<ResumeCase>& info) {
+        switch (info.param) {
+            case ResumeCase::Gmh: return std::string("Gmh");
+            case ResumeCase::SerialMh: return std::string("SerialMh");
+            case ResumeCase::MultiChain: return std::string("MultiChain");
+            case ResumeCase::HeatedMh: return std::string("HeatedMh");
+            case ResumeCase::Structured: return std::string("Structured");
         }
         return std::string("Unknown");
     });

@@ -1,9 +1,9 @@
 // Scalar-vs-vectorized agreement suite: the pattern-major engine (both the
-// stateless full-recomputation path and the cached arena path) must
-// reproduce the original one-pattern-at-a-time scalar pruning to 1e-10,
-// across random genealogies/alignments, rescaling-triggering deep trees,
-// unknown-tip marginalization, and rate heterogeneity — and the cached MH
-// sampler must make bit-identical accept/reject decisions.
+// stateless full-recomputation path and the arena paths) must reproduce
+// the original one-pattern-at-a-time scalar pruning to 1e-10, across
+// random genealogies/alignments, rescaling-triggering deep trees,
+// unknown-tip marginalization, and rate heterogeneity — and the
+// region-scored MH chain must make bit-identical accept/reject decisions.
 #include <cmath>
 #include <vector>
 
@@ -11,9 +11,10 @@
 
 #include "coalescent/prior.h"
 #include "coalescent/simulator.h"
-#include "core/cached_mh.h"
+#include "core/genealogy_problem.h"
 #include "core/recoalesce.h"
 #include "lik/felsenstein.h"
+#include "mcmc/mh.h"
 #include "rng/mt19937.h"
 #include "seq/seqgen.h"
 #include "seq/subst_model.h"
@@ -93,8 +94,8 @@ TEST(EngineAgreement, DeepCaterpillarTriggersRescaling) {
     ASSERT_TRUE(std::isfinite(ref));
     EXPECT_NEAR(lik.logLikelihood(g), ref, 1e-10);
 
-    LikelihoodCache cache(lik);
-    EXPECT_NEAR(cache.evaluate(g), ref, 1e-10);
+    PartialsBuffer arena;
+    EXPECT_NEAR(lik.engine().evaluate(g, arena), ref, 1e-10);
 }
 
 TEST(EngineAgreement, GammaCategoriesMatchScalarReference) {
@@ -114,8 +115,8 @@ TEST(EngineAgreement, CachedPathMatchesAcrossDirtyUpdates) {
     const Alignment data = randomData(12, 300, 41, /*nEvery=*/6);
     const auto model = makeF84(2.0, data.baseFrequencies());
     const DataLikelihood lik(data, *model);
-    LikelihoodCache cache(lik);
-    EXPECT_NEAR(cache.evaluate(g), lik.logLikelihoodReference(g), 1e-10);
+    PartialsBuffer arena;
+    EXPECT_NEAR(lik.engine().evaluate(g, arena), lik.logLikelihoodReference(g), 1e-10);
 
     // A chain of topology-changing proposals, each verified against a
     // fresh scalar evaluation of the proposed state and, bitwise, against
@@ -124,7 +125,7 @@ TEST(EngineAgreement, CachedPathMatchesAcrossDirtyUpdates) {
         auto prop = proposeRecoalesce(g, 1.0, rng);
         const std::vector<NodeId> seeds{prop.target, prop.rebuiltParent, g.sibling(prop.target),
                                         prop.state.sibling(prop.target)};
-        const double incremental = cache.evaluateDirty(prop.state, seeds);
+        const double incremental = lik.engine().evaluateDirty(prop.state, seeds, arena);
         EXPECT_NEAR(incremental, lik.logLikelihoodReference(prop.state), 1e-9) << "step " << i;
         EXPECT_EQ(incremental, lik.logLikelihood(prop.state)) << "step " << i;
         g = std::move(prop.state);
@@ -143,13 +144,13 @@ TEST(EngineAgreement, PooledEvaluationIsBitwiseIdenticalToSerial) {
 
     EXPECT_EQ(lik.logLikelihood(g), lik.logLikelihood(g, &pool));
 
-    LikelihoodCache serial(lik);
-    LikelihoodCache pooled(lik);
-    EXPECT_EQ(serial.evaluate(g), pooled.evaluate(g, &pool));
+    PartialsBuffer serial;
+    PartialsBuffer pooled;
+    EXPECT_EQ(lik.engine().evaluate(g, serial), lik.engine().evaluate(g, pooled, &pool));
 }
 
 TEST(EngineAgreement, CachedSamplerAcceptSequenceMatchesScalarReplay) {
-    // CachedMhSampler (incremental, vectorized) against a hand-rolled
+    // The MH chain (region-scored, vectorized) against a hand-rolled
     // replica driven by the same RNG stream but evaluating every state with
     // the scalar reference path: every accept/reject decision must match.
     Mt19937 rng(61);
@@ -162,7 +163,8 @@ TEST(EngineAgreement, CachedSamplerAcceptSequenceMatchesScalarReplay) {
     init.setTipNames(data.names());
 
     const std::uint64_t seed = 977;
-    CachedMhSampler sampler(lik, theta, init, seed);
+    const MhGenealogyProblem problem(lik, theta);
+    MhChain<MhGenealogyProblem> sampler(problem, init, seed);
 
     Mt19937 replayRng(static_cast<std::uint32_t>(seed ^ (seed >> 32)));
     Genealogy cur = init;
@@ -182,7 +184,7 @@ TEST(EngineAgreement, CachedSamplerAcceptSequenceMatchesScalarReplay) {
             curLik = newLik;
         }
     }
-    EXPECT_NEAR(sampler.currentDataLogLik(), curLik, 1e-8);
+    EXPECT_NEAR(sampler.currentLogPosterior(), curLik + logCoalescentPrior(cur, theta), 1e-8);
     EXPECT_EQ(sampler.current(), cur);
 }
 
@@ -192,8 +194,9 @@ TEST(EngineAgreement, DirtyWithoutEvaluateStillThrows) {
     const Alignment data = randomData(5, 60, 71);
     const F81Model model(data.baseFrequencies());
     const DataLikelihood lik(data, model);
-    LikelihoodCache cache(lik);
-    EXPECT_THROW(cache.evaluateDirty(g, {0}), InvariantError);
+    PartialsBuffer arena;
+    const NodeId dirty[] = {0};
+    EXPECT_THROW(lik.engine().evaluateDirty(g, dirty, arena), InvariantError);
 }
 
 }  // namespace

@@ -210,7 +210,7 @@ TEST(Felsenstein, TipCountMismatchThrows) {
     EXPECT_THROW(lik.logLikelihood(g), InvariantError);
 }
 
-// --- incremental cache -------------------------------------------------------
+// --- arena evaluation (a chain's kept evaluation) --------------------------
 
 TEST(LikelihoodCacheTest, FullEvaluationMatchesDirect) {
     Mt19937 rng(4);
@@ -218,8 +218,8 @@ TEST(LikelihoodCacheTest, FullEvaluationMatchesDirect) {
     const auto model = makeJc69();
     const Alignment aln = simulateSequences(g, *model, {120, 1.0}, rng);
     const DataLikelihood lik(aln, *model);
-    LikelihoodCache cache(lik);
-    EXPECT_NEAR(cache.evaluate(g), lik.logLikelihood(g), 1e-10);
+    PartialsBuffer arena;
+    EXPECT_NEAR(lik.engine().evaluate(g, arena), lik.logLikelihood(g), 1e-10);
 }
 
 TEST(LikelihoodCacheTest, DirtyUpdateMatchesFullRecompute) {
@@ -228,8 +228,8 @@ TEST(LikelihoodCacheTest, DirtyUpdateMatchesFullRecompute) {
     const auto model = makeJc69();
     const Alignment aln = simulateSequences(g, *model, {120, 1.0}, rng);
     const DataLikelihood lik(aln, *model);
-    LikelihoodCache cache(lik);
-    cache.evaluate(g);
+    PartialsBuffer arena;
+    lik.engine().evaluate(g, arena);
 
     // Perturb one internal node's time (staying valid) and update dirty.
     const auto internals = g.internalsByTime();
@@ -242,7 +242,8 @@ TEST(LikelihoodCacheTest, DirtyUpdateMatchesFullRecompute) {
 
     // The dirty update takes its rescale schedule from the tree it
     // evaluates, so it is a full evaluation bitwise, not just closely.
-    const double incremental = cache.evaluateDirty(g, {moved, nd.child[0], nd.child[1]});
+    const NodeId dirty[] = {moved, nd.child[0], nd.child[1]};
+    const double incremental = lik.engine().evaluateDirty(g, dirty, arena);
     EXPECT_EQ(incremental, lik.logLikelihood(g));
     EXPECT_NEAR(incremental, lik.logLikelihoodReference(g), 1e-10);
 }
@@ -253,8 +254,9 @@ TEST(LikelihoodCacheTest, DirtyWithoutEvaluateThrows) {
     const auto model = makeJc69();
     const Alignment aln = simulateSequences(g, *model, {50, 1.0}, rng);
     const DataLikelihood lik(aln, *model);
-    LikelihoodCache cache(lik);
-    EXPECT_THROW(cache.evaluateDirty(g, {0}), InvariantError);
+    PartialsBuffer arena;
+    const NodeId dirty[] = {0};
+    EXPECT_THROW(lik.engine().evaluateDirty(g, dirty, arena), InvariantError);
 }
 
 }  // namespace

@@ -365,6 +365,38 @@ TEST(MultiLocusCheckpointTest, ResumeRejectsWrongLocusRoster) {
     EXPECT_THROW(estimateTheta(other, resumeOpts), ConfigError);
 }
 
+/// Hand-write a version-1 (pre-multi-locus) iteration-boundary snapshot
+/// for the start of a run of `o` on `aln`. `cachedSlot` fills the
+/// fingerprint slot of the removed cached serial-MH flag, which that
+/// sampler's snapshots set to 1.
+void writeV1StartSnapshot(const std::string& path, const MpcgsOptions& o, const Alignment& aln,
+                          std::uint32_t cachedSlot) {
+    CheckpointWriter w(path, /*version=*/1);
+    // v1 fingerprint: options tail is (sequence count, length).
+    w.u32(static_cast<std::uint32_t>(o.strategy));
+    w.u64(o.seed);
+    w.u64(o.samplesPerIteration);
+    w.u64(o.burnInFraction1000);
+    w.u64(o.gmhProposals);
+    w.u64(o.gmhSamplesPerSet);
+    w.u64(o.chains);
+    w.doubles(o.temperatures);
+    w.str(o.substModel);
+    w.u32(cachedSlot);
+    w.f64(o.theta0);
+    w.f64(o.stopRhat);
+    w.f64(o.stopEss);
+    w.u64(aln.sequenceCount());
+    w.u64(aln.length());
+    // v1 payload: iteration-boundary snapshot at the very start.
+    w.u64(0);        // emIndex
+    w.f64(o.theta0); // driving theta
+    w.u64(0);        // empty history
+    writeGenealogy(w, initialGenealogy(aln, o.theta0));
+    w.u32(0);        // phase: iteration boundary
+    w.commit();
+}
+
 TEST(MultiLocusCheckpointTest, V1SingleLocusSnapshotStillReads) {
     // Synthesize a version-1 (pre-multi-locus) iteration-boundary snapshot
     // for the start of a run and resume from it: the result must be
@@ -375,32 +407,7 @@ TEST(MultiLocusCheckpointTest, V1SingleLocusSnapshotStillReads) {
     const MpcgsResult uninterrupted = estimateTheta(aln, o);
 
     const std::string path = tempPath("v1compat.ckpt");
-    {
-        CheckpointWriter w(path, /*version=*/1);
-        // v1 fingerprint: options tail is (sequence count, length).
-        w.u32(static_cast<std::uint32_t>(o.strategy));
-        w.u64(o.seed);
-        w.u64(o.samplesPerIteration);
-        w.u64(o.burnInFraction1000);
-        w.u64(o.gmhProposals);
-        w.u64(o.gmhSamplesPerSet);
-        w.u64(o.chains);
-        w.doubles(o.temperatures);
-        w.str(o.substModel);
-        w.u32(o.cachedBaseline ? 1 : 0);
-        w.f64(o.theta0);
-        w.f64(o.stopRhat);
-        w.f64(o.stopEss);
-        w.u64(aln.sequenceCount());
-        w.u64(aln.length());
-        // v1 payload: iteration-boundary snapshot at the very start.
-        w.u64(0);        // emIndex
-        w.f64(o.theta0); // driving theta
-        w.u64(0);        // empty history
-        writeGenealogy(w, initialGenealogy(aln, o.theta0));
-        w.u32(0);        // phase: iteration boundary
-        w.commit();
-    }
+    writeV1StartSnapshot(path, o, aln, /*cachedSlot=*/0);
     {
         CheckpointReader probe(path);
         EXPECT_EQ(probe.version(), 1u);
@@ -411,6 +418,33 @@ TEST(MultiLocusCheckpointTest, V1SingleLocusSnapshotStillReads) {
     resumeOpts.resume = true;
     const MpcgsResult resumed = estimateTheta(aln, resumeOpts);
     expectBitwiseEqual(uninterrupted, resumed);
+}
+
+TEST(MultiLocusCheckpointTest, CachedSerialMhSnapshotIsRefused) {
+    // The removed cached serial MH set its fingerprint slot to 1 and stored
+    // a data log-likelihood where the serial-MH sampler expects a
+    // log-posterior, so its snapshots must not resume; the same snapshot
+    // with the slot at 0 resumes.
+    const Alignment aln = simulateLocus(6, 1.0, 150, 63);
+    MpcgsOptions o = quickOptions(Strategy::SerialMh);
+    o.checkpointPath = tempPath("cachedmh.ckpt");
+    o.resume = true;
+
+    writeV1StartSnapshot(o.checkpointPath, o, aln, /*cachedSlot=*/1);
+    try {
+        estimateTheta(aln, o);
+        FAIL() << "a cached serial-MH snapshot was resumed";
+    } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find("incompatible run configuration"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    writeV1StartSnapshot(o.checkpointPath, o, aln, /*cachedSlot=*/0);
+    MpcgsOptions fresh = o;
+    fresh.checkpointPath.clear();
+    fresh.resume = false;
+    expectBitwiseEqual(estimateTheta(aln, fresh), estimateTheta(aln, o));
 }
 
 TEST(MultiLocusCheckpointTest, UnsupportedVersionIsRejected) {
@@ -487,7 +521,7 @@ TEST(OptionValidationTest, AlgoMismatchedFlagsAreHardRejected) {
     EXPECT_THROW(validateAlgoFlags(parse({"--pmmh-sigma", "0.3"}), "smc"), ConfigError);
     EXPECT_THROW(validateAlgoFlags(parse({"--curve", "c.csv"}), "pmmh"), ConfigError);
     EXPECT_THROW(validateAlgoFlags(parse({"--mig-init", "1.5"}), "mcmc"), ConfigError);
-    EXPECT_THROW(validateAlgoFlags(parse({"--cached-baseline"}), "structured"), ConfigError);
+    EXPECT_THROW(validateAlgoFlags(parse({"--set-samples", "8"}), "structured"), ConfigError);
     try {
         validateAlgoFlags(parse({"--ess-threshold", "1.0"}), "mcmc");
         FAIL() << "mismatched flag was not rejected";

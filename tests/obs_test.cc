@@ -2,10 +2,11 @@
 // cross-thread counter folding, histogram bucket/quantile math (the +Inf
 // bucket reports the max), the JSON and Prometheus emitters, the trace
 // recorder's Chrome trace_event format, the SMC generation's and the GMH
-// iteration's sub-phase spans and phase-time counters, obs.emit fault
-// semantics — and the layer's central promise: arming metrics NEVER
-// perturbs an estimate (bitwise logZ and theta-hat equality armed vs
-// unarmed, and thread-count invariance with metrics on).
+// iteration's sub-phase spans and phase-time counters, the MH step's
+// phase-time counters, obs.emit fault semantics — and the layer's
+// central promise: arming metrics NEVER perturbs an estimate (bitwise
+// logZ and theta-hat equality armed vs unarmed, and thread-count
+// invariance with metrics on).
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
@@ -435,6 +436,32 @@ TEST_F(ObsTest, ArmedGmhEstimateRecordsItsPhases) {
     EXPECT_GT(region, 0u);
     EXPECT_EQ(fanout, region);
     EXPECT_EQ(draw, region);
+    EXPECT_GT(snap.counter(obs::Counter::McmcProposeNs), 0u);
+    EXPECT_GT(snap.counter(obs::Counter::McmcLikelihoodNs), 0u);
+}
+
+TEST_F(ObsTest, ArmedMhEstimateRecordsItsPhases) {
+    // Serial MH times each step's proposal and its scoring, the arena's
+    // evaluations included, and arming the counters moves no bit of the
+    // estimate.
+    Mt19937 rng(17);
+    const Genealogy truth = simulateCoalescent(8, 1.0, rng);
+    const auto gen = makeF84(2.0, kUniformFreqs);
+    const Alignment aln = simulateSequences(truth, *gen, {200, 1.0}, rng);
+    MpcgsOptions o;
+    o.theta0 = 0.5;
+    o.emIterations = 1;
+    o.samplesPerIteration = 300;
+    o.strategy = Strategy::SerialMh;
+    o.seed = 5;
+    ThreadPool pool(2);
+
+    const double unarmedTheta = estimateTheta(aln, o, &pool).theta;
+    obs::arm();
+    const double armedTheta = estimateTheta(aln, o, &pool).theta;
+    const obs::MetricsSnapshot snap = obs::snapshot();
+    EXPECT_EQ(std::memcmp(&unarmedTheta, &armedTheta, sizeof(double)), 0)
+        << unarmedTheta << " vs " << armedTheta;
     EXPECT_GT(snap.counter(obs::Counter::McmcProposeNs), 0u);
     EXPECT_GT(snap.counter(obs::Counter::McmcLikelihoodNs), 0u);
 }

@@ -142,7 +142,7 @@ TEST(GammaLikelihood, ParallelMatchesSerial) {
 }
 
 TEST(GammaLikelihood, CacheSupportsRateHeterogeneity) {
-    // The pattern-major engine fuses rate categories into the cached pass,
+    // The pattern-major engine fuses rate categories into the arena pass,
     // so heterogeneous models get the same incremental path as homogeneous
     // ones (the seed's cache rejected them).
     Mt19937 rng(25);
@@ -150,8 +150,8 @@ TEST(GammaLikelihood, CacheSupportsRateHeterogeneity) {
     const auto model = makeJc69();
     const Alignment data = simulateSequences(g, *model, {50, 1.0}, rng);
     const DataLikelihood gamma(data, *model, RateCategories::discreteGamma(0.7, 4));
-    LikelihoodCache cache(gamma);
-    EXPECT_NEAR(cache.evaluate(g), gamma.logLikelihood(g), 1e-10);
+    PartialsBuffer arena;
+    EXPECT_NEAR(gamma.engine().evaluate(g, arena), gamma.logLikelihood(g), 1e-10);
 }
 
 // --- moment estimators ---------------------------------------------------------

@@ -9,14 +9,54 @@
 
 #include "coalescent/simulator.h"
 #include "core/driver.h"
-#include "mcmc/multichain.h"
+#include "mcmc/mh.h"
 #include "mcmc/schedule.h"
+#include "par/thread_pool.h"
 #include "rng/splitmix.h"
 #include "seq/seqgen.h"
 #include "seq/subst_model.h"
 
 namespace mpcgs {
 namespace {
+
+// The free-running form of the multi-chain §3 baseline (Fig 6): P
+// independent Metropolis-Hastings chains, each paying its own burn-in of B
+// transitions, whose samples stream through the sink as each chain
+// produces them. The sink is invoked as sink(state, chain, indexInChain);
+// calls for one chain arrive in index order from that chain's worker,
+// calls for different chains may be concurrent. Each chain draws from its
+// own SplitMix64-derived Mt19937 stream, so the aggregate is bitwise
+// invariant to the thread count.
+
+struct MultiChainOptions {
+    std::size_t chains = 4;            ///< P
+    std::size_t burnInPerChain = 100;  ///< B (every chain pays this)
+    std::size_t totalSamples = 1000;   ///< N, split across chains
+    std::uint64_t seed = 1;
+};
+
+/// Number of samples each chain contributes: ceil(N / P).
+std::size_t multiChainSamplesPerChain(const MultiChainOptions& opts) {
+    return (opts.totalSamples + opts.chains - 1) / opts.chains;
+}
+
+/// Run the ensemble, the chains concurrently on `pool` when provided.
+template <class Problem, class Sink>
+void runMultiChain(const Problem& problem, typename Problem::State init,
+                   const MultiChainOptions& opts, Sink&& sink, ThreadPool* pool = nullptr) {
+    using State = typename Problem::State;
+    const std::size_t perChain = multiChainSamplesPerChain(opts);
+    forEachIndex(
+        pool, opts.chains,
+        [&](std::size_t c) {
+            MhChain<Problem> chain(problem, init,
+                                   Mt19937::fromSplitMix(splitMix64At(opts.seed, c + 1)));
+            std::size_t index = 0;
+            chain.run(opts.burnInPerChain, perChain,
+                      [&](const State& s) { sink(s, c, index++); });
+        },
+        /*grain=*/1);
+}
 
 Alignment simulateData(int n, double theta, std::size_t length, unsigned seed) {
     Mt19937 rng(seed);
