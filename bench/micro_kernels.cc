@@ -21,8 +21,8 @@
 #include "core/neighborhood.h"
 #include "core/recoalesce.h"
 #include "lik/felsenstein.h"
-#include "lik/lik_backend.h"
 #include "lik/partials_buffer.h"
+#include "lik/slot_arena.h"
 #include "par/kernel.h"
 #include "util/build_info.h"
 #include "phylo/upgma.h"
@@ -202,17 +202,14 @@ void BM_SmcCombine(benchmark::State& state) {
     const DataLikelihood lik(data, model,
                              C == 1 ? RateCategories::uniformRate()
                                     : RateCategories::discreteGamma(0.5, static_cast<int>(C)));
-    const auto backend = makeLikelihoodBackend(LikBackendKind::Arena, lik);
-    backend->resizeSlots(7);
-    for (int t = 0; t < 4; ++t) backend->tipInit(t, t, nullptr);
-    backend->flush(nullptr);
-    backend->combine(4, 0, 0.05, 1, 0.05, nullptr);
-    backend->combine(5, 2, 0.08, 3, 0.08, nullptr);
-    backend->flush(nullptr);
+    SlotArena arena(lik);
+    arena.resizeSlots(7);
+    for (int t = 0; t < 4; ++t) arena.tipInit(t, t, nullptr);
+    arena.combine(4, 0, 0.05, 1, 0.05, nullptr);
+    arena.combine(5, 2, 0.08, 3, 0.08, nullptr);
     double rootLogL = 0.0;
     for (auto _ : state) {
-        backend->combine(6, 4, 0.11, 5, 0.08, &rootLogL);
-        backend->flush(nullptr);
+        arena.combine(6, 4, 0.11, 5, 0.08, &rootLogL);
         benchmark::DoNotOptimize(rootLogL);
         benchmark::ClobberMemory();
     }

@@ -1,17 +1,15 @@
 // SMC particle-filter scaling: filter-pass wall time and logZ across a
-// particles x backend x threads sweep. Particle propagation is
-// embarrassingly parallel over fixed-size blocks (par/kernel.h
-// launchBlocked with per-slot RNG streams) and the likelihood work is
-// executed by a pluggable backend (lik/lik_backend.h), so throughput
-// should scale with the thread count while logZ stays BITWISE identical
-// across BOTH axes — this harness asserts the bitwise invariance over
-// threads AND backends (exit 1 on any mismatch), then emits
+// particles x threads sweep. Each generation is one launch over
+// fixed-size particle blocks (par/kernel.h launchBlocked with per-slot RNG
+// streams), every particle drawing its event and running its slot-arena
+// combine (lik/slot_arena.h), so throughput should scale with the thread
+// count while logZ stays BITWISE identical — this harness asserts the
+// bitwise thread invariance (exit 1 on any mismatch), then emits
 // BENCH_smc.json (snapshot committed under bench/) with build provenance
-// and per-row backend + batch statistics.
+// and per-row likelihood counters.
 //
 //   $ ./smc_scaling [--particles N] [--seqs n] [--length L] [--paper]
-//                   [--backend arena|batched|both] [--require-scaling PCT]
-//                   [--metrics 0|1]
+//                   [--require-scaling PCT] [--metrics 0|1]
 //
 // Each cell repeats the pass until it has run at least kMinPasses passes
 // and kMinCellSeconds of wall time, and reports the median pass time with
@@ -20,13 +18,13 @@
 //
 // --require-scaling PCT exits 1 if the median throughput at
 // min(8, hardwareThreads()) threads falls below PCT% of the 1-thread
-// median for any particle count, evaluated on the batched backend's rows
-// (the CI regression gate against nominal parallelism). Gating at the
+// median for any particle count (the CI regression gate against nominal
+// parallelism). Gating at the
 // host's width keeps an oversubscribed 8-thread pool on a 4-core runner
 // from failing a healthy build.
 //
-// --metrics (default 1) arms the metrics registry; the per-row backend
-// execution counters come straight from it (obs::reset() between rows),
+// --metrics (default 1) arms the metrics registry; the per-row likelihood
+// counters come straight from it (obs::reset() between rows),
 // not from any bench-private stats copy. Run with --metrics 0 to measure
 // the armed-vs-unarmed overhead (contract: within 2% at 8 threads);
 // unarmed rows report zero counters.
@@ -35,7 +33,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <string>
 #include <vector>
 
 #include "bench/workload.h"
@@ -55,7 +52,6 @@ constexpr double kMinCellSeconds = 0.2;
 
 struct Row {
     std::size_t particles;
-    const char* backend;
     unsigned threads;
     std::size_t passes;
     double seconds;     ///< median pass time
@@ -85,19 +81,10 @@ int main(int argc, char** argv) {
     const std::size_t maxParticles =
         static_cast<std::size_t>(cli.getInt("particles", paper ? 8192 : 2048));
     const long requireScaling = cli.getInt("require-scaling", 0);
-    const std::string backendArg = cli.get("backend", "both");
-    std::vector<LikBackendKind> backends;
-    if (backendArg == "both")
-        backends = {LikBackendKind::Arena, LikBackendKind::Batched};
-    else
-        backends = {parseLikBackend(backendArg)};
-    // The scaling gate judges the backend the tools default to.
-    const char* gateBackend = likBackendName(
-        backendArg == "both" ? LikBackendKind::Batched : backends.front());
     const bool metricsArmed = cli.getBool("metrics", true);
     if (metricsArmed) obs::arm();
 
-    printHeader("SMC scaling (median filter pass per particles x backend x threads cell)");
+    printHeader("SMC scaling (median filter pass per particles x threads cell)");
     const Alignment data = makeDataset(nSeq, length, 1.0, 31);
     const F81Model model(data.baseFrequencies());
     const DataLikelihood lik(data, model);
@@ -114,63 +101,56 @@ int main(int argc, char** argv) {
 
     bool bitwiseOk = true;
     std::vector<Row> rows;
-    Table table({"particles", "backend", "threads", "passes", "median (s)", "min (s)",
-                 "max (s)", "particles/sec", "logZ", "speedup"});
+    Table table({"particles", "threads", "passes", "median (s)", "min (s)", "max (s)",
+                 "particles/sec", "logZ", "speedup"});
     for (std::size_t particles = 256; particles <= maxParticles; particles *= 4) {
         bool haveReference = false;
-        double referenceLogZ = 0.0;  // 1-thread logZ of the first backend
-        for (const LikBackendKind backend : backends) {
-            SmcOptions opts;
-            opts.particles = particles;
-            opts.backend = backend;
-            double oneThreadSeconds = 0.0;
-            for (const unsigned threads : threadCounts) {
-                ThreadPool pool(threads);
-                std::vector<double> times;
-                double cellSeconds = 0.0;
-                double logZ = 0.0;
-                obs::MetricsSnapshot snap;
-                while (times.size() < kMinPasses || cellSeconds < kMinCellSeconds) {
-                    obs::reset();  // row isolation: counters below are per-pass
-                    Timer timer;
-                    const SmcPassResult res = runSmcPass(lik, 1.0, opts, 47, &pool);
-                    times.push_back(timer.seconds());
-                    cellSeconds += times.back();
-                    snap = obs::snapshot();
-                    logZ = res.logZ;
-                    if (!haveReference) {
-                        referenceLogZ = res.logZ;
-                        haveReference = true;
-                    } else if (std::memcmp(&res.logZ, &referenceLogZ, sizeof(double))) {
-                        std::fprintf(stderr,
-                                     "BITWISE MISMATCH: %zu particles, %s backend, %u "
-                                     "threads: logZ %.17g vs reference %.17g\n",
-                                     particles, res.backend.c_str(), threads, res.logZ,
-                                     referenceLogZ);
-                        bitwiseOk = false;
-                    }
+        double referenceLogZ = 0.0;  // logZ of the first (1-thread) pass
+        SmcOptions opts;
+        opts.particles = particles;
+        double oneThreadSeconds = 0.0;
+        for (const unsigned threads : threadCounts) {
+            ThreadPool pool(threads);
+            std::vector<double> times;
+            double cellSeconds = 0.0;
+            double logZ = 0.0;
+            obs::MetricsSnapshot snap;
+            while (times.size() < kMinPasses || cellSeconds < kMinCellSeconds) {
+                obs::reset();  // row isolation: counters below are per-pass
+                Timer timer;
+                const SmcPassResult res = runSmcPass(lik, 1.0, opts, 47, &pool);
+                times.push_back(timer.seconds());
+                cellSeconds += times.back();
+                snap = obs::snapshot();
+                logZ = res.logZ;
+                if (!haveReference) {
+                    referenceLogZ = res.logZ;
+                    haveReference = true;
+                } else if (std::memcmp(&res.logZ, &referenceLogZ, sizeof(double))) {
+                    std::fprintf(stderr,
+                                 "BITWISE MISMATCH: %zu particles, %u threads: logZ %.17g "
+                                 "vs reference %.17g\n",
+                                 particles, threads, res.logZ, referenceLogZ);
+                    bitwiseOk = false;
                 }
-                const double seconds = median(times);
-                const auto [lo, hi] = std::minmax_element(times.begin(), times.end());
-                if (threads == 1) oneThreadSeconds = seconds;
-                const double rate = static_cast<double>(particles) / seconds;
-                rows.push_back({particles, likBackendName(backend), threads, times.size(),
-                                seconds, *lo, *hi, rate, logZ, oneThreadSeconds / seconds,
-                                snap.counter(obs::Counter::LikCombineOps),
-                                snap.counter(obs::Counter::LikMatricesRequested),
-                                snap.counter(obs::Counter::LikMatricesComputed)});
-                table.addRow({Table::integer(particles), likBackendName(backend),
-                              Table::integer(threads), Table::integer(times.size()),
-                              Table::num(seconds, 4), Table::num(*lo, 4),
-                              Table::num(*hi, 4),
-                              Table::num(rate, 0), Table::num(logZ, 3),
-                              Table::num(oneThreadSeconds / seconds, 2)});
             }
+            const double seconds = median(times);
+            const auto [lo, hi] = std::minmax_element(times.begin(), times.end());
+            if (threads == 1) oneThreadSeconds = seconds;
+            const double rate = static_cast<double>(particles) / seconds;
+            rows.push_back({particles, threads, times.size(), seconds, *lo, *hi, rate, logZ,
+                            oneThreadSeconds / seconds,
+                            snap.counter(obs::Counter::LikCombineOps),
+                            snap.counter(obs::Counter::LikMatricesRequested),
+                            snap.counter(obs::Counter::LikMatricesComputed)});
+            table.addRow({Table::integer(particles), Table::integer(threads),
+                          Table::integer(times.size()), Table::num(seconds, 4),
+                          Table::num(*lo, 4), Table::num(*hi, 4), Table::num(rate, 0),
+                          Table::num(logZ, 3), Table::num(oneThreadSeconds / seconds, 2)});
         }
     }
     table.print(std::cout);
-    std::printf("\nlogZ bitwise thread- and backend-invariance: %s\n",
-                bitwiseOk ? "PASS" : "FAIL");
+    std::printf("\nlogZ bitwise thread invariance: %s\n", bitwiseOk ? "PASS" : "FAIL");
 
     warnIfDirtyProvenance("BENCH_smc.json");
     std::ofstream json("BENCH_smc.json");
@@ -183,8 +163,7 @@ int main(int argc, char** argv) {
          << "},\n  \"results\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row& r = rows[i];
-        json << "    {\"particles\": " << r.particles << ", \"backend\": \""
-             << r.backend << "\", \"threads\": " << r.threads
+        json << "    {\"particles\": " << r.particles << ", \"threads\": " << r.threads
              << ", \"passes\": " << r.passes << ", \"seconds\": " << r.seconds
              << ", \"seconds_min\": " << r.minSeconds
              << ", \"seconds_max\": " << r.maxSeconds << ", \"particles_per_sec\": "
@@ -204,24 +183,20 @@ int main(int argc, char** argv) {
     if (requireScaling > 0) {
         // Regression gate: for every particle count, the pool at the
         // host's width (capped at 8) must reach at least PCT% of the
-        // 1-thread median rate on the gate backend.
+        // 1-thread median rate.
         for (const Row& base : rows) {
-            if (base.threads != 1 || std::strcmp(base.backend, gateBackend) != 0)
-                continue;
+            if (base.threads != 1) continue;
             const Row* widest = &base;
             for (const Row& r : rows)
-                if (r.particles == base.particles &&
-                    std::strcmp(r.backend, gateBackend) == 0 && r.threads == gateThreads)
-                    widest = &r;
+                if (r.particles == base.particles && r.threads == gateThreads) widest = &r;
             if (widest == &base) continue;
             const double floor =
                 base.particlesPerSec * static_cast<double>(requireScaling) / 100.0;
             const bool pass = widest->particlesPerSec >= floor;
-            std::printf("scaling gate [%s]: %zu particles, %u-thread %.0f/s vs "
+            std::printf("scaling gate: %zu particles, %u-thread %.0f/s vs "
                         "1-thread %.0f/s (floor %.0f/s) %s\n",
-                        gateBackend, base.particles, widest->threads,
-                        widest->particlesPerSec, base.particlesPerSec, floor,
-                        pass ? "PASS" : "FAIL");
+                        base.particles, widest->threads, widest->particlesPerSec,
+                        base.particlesPerSec, floor, pass ? "PASS" : "FAIL");
             scalingOk = scalingOk && pass;
         }
     }

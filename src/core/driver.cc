@@ -207,7 +207,6 @@ constexpr AlgoFlag kAlgoFlags[] = {
     {"particles", "smc pmmh"},
     {"resampling", "smc pmmh"},
     {"ess-threshold", "smc pmmh"},
-    {"lik-backend", "smc pmmh"},
     {"pmmh-sigma", "pmmh"},
     {"strategy", "mcmc"},
     {"proposals", "mcmc"},

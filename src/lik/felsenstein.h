@@ -58,8 +58,8 @@ class DataLikelihood {
 
     std::size_t patternCount() const { return patterns_.patternCount(); }
     std::size_t siteCount() const { return patterns_.siteCount(); }
-    /// Pattern data — the SMC likelihood backends (lik/lik_backend.h)
-    /// build their per-slot vectors over the same compressed patterns.
+    /// Pattern data — the SMC slot arena (lik/slot_arena.h) builds its
+    /// per-slot vectors over the same compressed patterns.
     const SitePatterns& patterns() const { return patterns_; }
     const SubstModel& model() const { return *model_; }
     const BaseFreqs& rootFreqs() const { return pi_; }

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "lik/felsenstein.h"
-#include "lik/lik_backend.h"
 #include "seq/dataset.h"
 
 namespace mpcgs {
@@ -32,14 +31,6 @@ class LocusLikelihoods {
 
     std::size_t locusCount() const { return liks_.size(); }
     const DataLikelihood& at(std::size_t l) const { return *liks_[l]; }
-
-    /// Fresh likelihood backend of `kind` over locus `l` (one per SMC
-    /// pass: backends hold mutable batch state, so concurrent passes —
-    /// e.g. parallel PMMH chains — must not share one).
-    std::unique_ptr<LikelihoodBackend> makeBackend(std::size_t l,
-                                                   LikBackendKind kind) const {
-        return makeLikelihoodBackend(kind, *liks_[l]);
-    }
 
     LocusLikelihoods(const LocusLikelihoods&) = delete;
     LocusLikelihoods& operator=(const LocusLikelihoods&) = delete;

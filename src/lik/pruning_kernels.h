@@ -16,7 +16,7 @@
 // kernel (§5.2.2): the strip index plays the role of threadIdx.x.
 //
 // The second half of the file holds the partial-forest (SMC) items built
-// on the same strips: one fused item per likelihood-backend operation.
+// on the same strips: one fused item per SlotArena operation.
 #pragma once
 
 #include <algorithm>
@@ -211,13 +211,12 @@ inline void fillTipStrip(const NucCode* codes, std::size_t nSeq, std::size_t seq
 //
 // A forest slot holds C category strips of P patterns back to back,
 // data[(c * P + p) * 4 + x], and one natural-log scale per pattern shared
-// by the categories. Each likelihood-backend operation is ONE item below,
-// so a backend launches one item per operation and nothing else: a tip
-// fill, or a combine that packs its branch matrices, prunes every
-// category, rescales each pattern by an exact power of two and, on
-// request, folds the new root's log-likelihood. Patterns after the prune
-// are processed in stack chunks of kForestChunk, so an item allocates
-// nothing.
+// by the categories. Each SlotArena operation (lik/slot_arena.h) is ONE
+// item below and nothing else: a tip fill, or a combine that packs its
+// branch matrices, prunes every category, rescales each pattern by an
+// exact power of two and, on request, folds the new root's
+// log-likelihood. Patterns after the prune are processed in stack chunks
+// of kForestChunk, so an item allocates nothing.
 // ---------------------------------------------------------------------------
 
 /// What every forest item reads besides its slots: one alignment's

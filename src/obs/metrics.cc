@@ -24,7 +24,6 @@ constexpr const char* kCounterNames[] = {
     "lik.combine_ops",
     "lik.matrices_requested",
     "lik.matrices_computed",
-    "lik.flush_ns",
     "mcmc.steps",
     "mcmc.accepted",
     "mcmc.swaps_proposed",

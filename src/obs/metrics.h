@@ -1,6 +1,6 @@
 // Runtime metrics registry — lock-free named counters, gauges, and
-// fixed-bucket latency histograms for the whole stack (pool, likelihood
-// backends, MCMC, SMC, serve).
+// fixed-bucket latency histograms for the whole stack (pool, SMC slot
+// arena, MCMC, SMC, serve).
 //
 // Design mirrors util/failpoint.h: every instrumentation site is compiled
 // into the binary permanently but costs one relaxed atomic load plus a
@@ -27,8 +27,9 @@
 //
 // The metric name taxonomy (emitted by toJson/toPrometheus):
 //   pool.*   thread-pool launches, steals, park/wake, launch latency
-//   lik.*    backend flushes and their time, combine ops, matrices
-//            requested/computed
+//   lik.*    slot-arena combine ops, matrices requested/computed
+//            (lik.flushes stays registered for the benchmark's
+//            per-layer list and reads 0)
 //   mcmc.*   sampler steps/accepts/swaps, GMH propose/likelihood time,
 //            R-hat and pooled-ESS gauges
 //   smc.*    generations, propose/resample time, resamples, ESS
@@ -61,7 +62,6 @@ enum class Counter : std::uint32_t {
     LikCombineOps,
     LikMatricesRequested,
     LikMatricesComputed,
-    LikFlushNs,
     McmcSteps,
     McmcAccepted,
     McmcSwapsProposed,

@@ -10,6 +10,7 @@
 #include "core/numeric_guard.h"
 #include "core/recoalesce.h"
 #include "lik/locus_likelihoods.h"
+#include "lik/slot_arena.h"
 #include "mcmc/checkpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -26,7 +27,7 @@ namespace {
 // attachment point, without ever building the grafted tree.
 //
 // Lower partials D_v (conditional vectors of the subtree below v against
-// the ENLARGED pattern set) are supplied from outside — backend slots in
+// the ENLARGED pattern set) are supplied from outside — arena slots in
 // the add-sequence path, CPU buffers in the test hook. The scorer adds the
 // OUTER partials: for every non-root v with parent w,
 //
@@ -330,9 +331,8 @@ OnlineState initOnlineState(const Alignment& aln, double theta, const SmcOptions
                             ThreadPool* pool) {
     const std::unique_ptr<SubstModel> model = makeInferenceModel(substModel, aln);
     DataLikelihood lik(aln, *model);
-    const std::unique_ptr<LikelihoodBackend> backend =
-        makeLikelihoodBackend(smc.backend, lik);
-    SmcFilter filter(*backend, theta, smc, seed, pool);
+    SlotArena arena(lik);
+    SmcFilter filter(arena, theta, smc, seed, pool);
     while (!filter.done()) filter.step();
 
     OnlineState st;
@@ -393,55 +393,37 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
     const std::unique_ptr<SubstModel> model =
         makeInferenceModel(state_.substModel, newAln);
     const DataLikelihood lik(newAln, *model);
-    const std::unique_ptr<LikelihoodBackend> backend =
-        makeLikelihoodBackend(opts_.backend, lik);
+    SlotArena arena(lik);
     const std::vector<std::string> newNames = newAln.names();
 
     // --- Phase 1: rebuild every particle's lower partials against the new
-    // pattern set through the backend. Slot map: tips [0, n] shared (the
-    // new tip is sequence n), then (n-1) internal slots per particle.
+    // pattern set. Slot map: tips [0, n] shared (the new tip is sequence
+    // n), then (n-1) internal slots per particle, which only that
+    // particle's postorder writes — so one launch over fixed particle
+    // blocks rebuilds the whole cloud.
     const std::size_t tipSlots = static_cast<std::size_t>(n) + 1;
     const std::size_t perParticle = static_cast<std::size_t>(n) - 1;
-    backend->resizeSlots(tipSlots + N * perParticle);
+    arena.resizeSlots(tipSlots + N * perParticle);
     const auto slotOf = [&](std::size_t p, NodeId id) {
-        return static_cast<LikelihoodBackend::Slot>(
+        return static_cast<SlotArena::Slot>(
             id < n ? static_cast<std::size_t>(id)
                    : tipSlots + p * perParticle + static_cast<std::size_t>(id - n));
     };
-    for (int t = 0; t <= n; ++t)
-        backend->tipInit(static_cast<LikelihoodBackend::Slot>(t), t, nullptr);
-    backend->flush(pool_);
-
-    // Level-by-level so a batch never chains dependent combines: level(v) =
-    // 1 + max(level of children), tips at level 0. All of one level's
-    // combines — across ALL particles — run as one generation flush.
+    for (int t = 0; t <= n; ++t) arena.tipInit(static_cast<SlotArena::Slot>(t), t, nullptr);
     const int nodes = 2 * n - 1;
-    std::vector<std::vector<int>> levels(N);
-    int maxLevel = 0;
-    for (std::size_t p = 0; p < N; ++p) {
-        const Genealogy& g = state_.particles[p].tree;
-        levels[p].assign(static_cast<std::size_t>(nodes), 0);
-        for (NodeId v : g.postorder()) {
-            if (g.isTip(v)) continue;
-            const int l0 = levels[p][static_cast<std::size_t>(g.node(v).child[0])];
-            const int l1 = levels[p][static_cast<std::size_t>(g.node(v).child[1])];
-            levels[p][static_cast<std::size_t>(v)] = 1 + std::max(l0, l1);
-            maxLevel = std::max(maxLevel, levels[p][static_cast<std::size_t>(v)]);
-        }
-    }
-    for (int L = 1; L <= maxLevel; ++L) {
-        for (std::size_t p = 0; p < N; ++p) {
+    launchBlocked(pool_, N, opts_.blockSize, [&](std::size_t, std::size_t begin,
+                                                 std::size_t end) {
+        for (std::size_t p = begin; p < end; ++p) {
             const Genealogy& g = state_.particles[p].tree;
-            for (NodeId v = n; v < nodes; ++v) {
-                if (levels[p][static_cast<std::size_t>(v)] != L) continue;
+            for (NodeId v : g.postorder()) {
+                if (g.isTip(v)) continue;
                 const NodeId a = g.node(v).child[0];
                 const NodeId b = g.node(v).child[1];
-                backend->combine(slotOf(p, v), slotOf(p, a), g.node(v).time - g.node(a).time,
-                                 slotOf(p, b), g.node(v).time - g.node(b).time, nullptr);
+                arena.combine(slotOf(p, v), slotOf(p, a), g.node(v).time - g.node(a).time,
+                              slotOf(p, b), g.node(v).time - g.node(b).time, nullptr);
             }
         }
-        backend->flush(pool_);
-    }
+    });
 
     // --- Phase 2: guided attachment per particle, thread-parallel over
     // fixed particle blocks with slot-pinned RNG streams (bitwise invariant
@@ -461,10 +443,9 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
             TripodScorer scorer(lik.patterns(), lik.model(), lik.rootFreqs(),
                                 lik.rateCategories(), g);
             for (NodeId v = 0; v < nodes; ++v)
-                scorer.setLower(v, backend->slotData(slotOf(p, v)).data(),
-                                backend->slotScale(slotOf(p, v)).data());
-            scorer.setNewTip(
-                backend->slotData(static_cast<LikelihoodBackend::Slot>(n)).data());
+                scorer.setLower(v, arena.slotData(slotOf(p, v)).data(),
+                                arena.slotScale(slotOf(p, v)).data());
+            scorer.setNewTip(arena.slotData(static_cast<SlotArena::Slot>(n)).data());
             scorer.buildOuter();
 
             std::vector<NodeId> cands;
@@ -710,33 +691,30 @@ double onlineAttachmentLogLik(const DataLikelihood& lik, const Genealogy& tree,
             "online: attachment evaluator needs exactly one more alignment "
             "sequence than the tree has tips");
 
-    // Lower partials through an eager backend, the items the add-sequence
-    // path runs: slot = node id, the new tip (sequence n) in the slot after
-    // the last node. One flush per combine, since each reads earlier ones.
-    using Slot = LikelihoodBackend::Slot;
-    const auto backend = makeLikelihoodBackend(LikBackendKind::Arena, lik);
+    // Lower partials through the items the add-sequence path runs: slot =
+    // node id, the new tip (sequence n) in the slot after the last node.
+    using Slot = SlotArena::Slot;
+    SlotArena arena(lik);
     const Slot newTip = static_cast<Slot>(tree.nodeCount());
-    backend->resizeSlots(newTip + 1u);
+    arena.resizeSlots(newTip + 1u);
     for (int t = 0; t < tree.tipCount(); ++t)
-        backend->tipInit(static_cast<Slot>(t), t, nullptr);
-    backend->tipInit(newTip, tree.tipCount(), nullptr);
-    backend->flush(nullptr);
+        arena.tipInit(static_cast<Slot>(t), t, nullptr);
+    arena.tipInit(newTip, tree.tipCount(), nullptr);
     for (NodeId v : tree.postorder()) {
         if (tree.isTip(v)) continue;
         const NodeId a = tree.node(v).child[0];
         const NodeId b = tree.node(v).child[1];
-        backend->combine(static_cast<Slot>(v), static_cast<Slot>(a),
-                         tree.node(v).time - tree.node(a).time, static_cast<Slot>(b),
-                         tree.node(v).time - tree.node(b).time, nullptr);
-        backend->flush(nullptr);
+        arena.combine(static_cast<Slot>(v), static_cast<Slot>(a),
+                      tree.node(v).time - tree.node(a).time, static_cast<Slot>(b),
+                      tree.node(v).time - tree.node(b).time, nullptr);
     }
 
     TripodScorer scorer(lik.patterns(), lik.model(), lik.rootFreqs(), lik.rateCategories(),
                         tree);
     for (NodeId v = 0; v < tree.nodeCount(); ++v)
-        scorer.setLower(v, backend->slotData(static_cast<Slot>(v)).data(),
-                        backend->slotScale(static_cast<Slot>(v)).data());
-    scorer.setNewTip(backend->slotData(newTip).data());
+        scorer.setLower(v, arena.slotData(static_cast<Slot>(v)).data(),
+                        arena.slotScale(static_cast<Slot>(v)).data());
+    scorer.setNewTip(arena.slotData(newTip).data());
     scorer.buildOuter();
     return scorer.logLikAt(attach, height);
 }

@@ -7,10 +7,10 @@
 // as one sequential-importance step over the whole cloud:
 //
 //   1. Rebuild every particle's per-node conditional vectors against the
-//      enlarged alignment's pattern set through the likelihood backend —
-//      level-by-level over tree depth, so each level's combines are
-//      independent and the whole cloud's level runs as ONE batched
-//      flush() (the generation-launch shape of the batch filter).
+//      enlarged alignment's pattern set in one slot arena — each particle
+//      combines its own tree in postorder, all particles in one launch
+//      over fixed particle blocks (the generation-launch shape of the
+//      batch filter).
 //   2. For every particle, enumerate candidate attachment branches (every
 //      branch of the old tree plus the root lineage), 1D-optimize the
 //      attachment height per candidate against the EXACT grafted-tree
@@ -32,9 +32,10 @@
 // Determinism contract (inherited from the batch filter): particle slot i
 // owns a persistent Mt19937 stream, cloud-level draws use the host
 // stream, all parallel phases run over fixed particle blocks
-// (launchBlocked), and backend batching is scheduling-only — an online
-// update is bitwise invariant to the thread count, and a saved/loaded
-// OnlineState continues bitwise-identically (serve kill+resume).
+// (launchBlocked), and a particle's rebuild writes only its own slots — an
+// online update is bitwise invariant to the thread count, and a
+// saved/loaded OnlineState continues bitwise-identically (serve
+// kill+resume).
 #pragma once
 
 #include <cstdint>
@@ -42,7 +43,6 @@
 #include <vector>
 
 #include "lik/felsenstein.h"
-#include "lik/lik_backend.h"
 #include "par/thread_pool.h"
 #include "phylo/tree.h"
 #include "rng/mt19937.h"
@@ -67,7 +67,6 @@ struct OnlineOptions {
     /// reweight; 1.0 refreshes after every update, 0.0 never.
     double essThreshold = 0.5;
     ResamplingScheme scheme = ResamplingScheme::Systematic;
-    LikBackendKind backend = kDefaultLikBackend;
     /// Particle-block grain of the parallel phases (fixed partition =>
     /// thread-count invariance).
     std::size_t blockSize = 16;
@@ -115,7 +114,7 @@ OnlineState initOnlineState(const Alignment& aln, double theta, const SmcOptions
 
 /// The add-sequence updater. Borrows the state (mutated in place) and the
 /// pool; construction is cheap — per-update resources (pattern data,
-/// likelihood backend) are rebuilt per call because the enlarged
+/// slot arena) are rebuilt per call because the enlarged
 /// alignment's compressed pattern set differs from the old one.
 class OnlineSmcUpdater {
   public:

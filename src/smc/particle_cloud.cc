@@ -8,26 +8,25 @@
 
 namespace mpcgs {
 
-ParticleCloud::ParticleCloud(std::size_t n, LikelihoodBackend& backend, int tipCount,
+ParticleCloud::ParticleCloud(std::size_t n, SlotArena& arena, int tipCount,
                              std::uint64_t passSeed, ThreadPool* pool)
-    : backend_(backend),
+    : arena_(arena),
       tipCount_(static_cast<std::size_t>(tipCount)),
       hostRng_(Mt19937::fromSplitMix(splitMix64At(passSeed, 0))) {
     // Slot pool: shared tips + one write-once internal region per particle.
-    backend_.resizeSlots(tipCount_ + n * (tipCount_ - 1));
+    arena_.resizeSlots(tipCount_ + n * (tipCount_ - 1));
     merges_.resize(n * (tipCount_ - 1));
 
     // One shared template: the initial forest is identical for every
     // particle (all tips uncoalesced, referencing the shared tip slots),
-    // so batch the tip vectors once through a single flush.
+    // so the tip vectors are filled once.
     Particle init;
     init.slots.reserve(tipCount_);
     init.rootLogL.resize(tipCount_);
     for (int t = 0; t < tipCount; ++t) {
         init.slots.push_back(static_cast<Slot>(t));
-        backend_.tipInit(static_cast<Slot>(t), t, &init.rootLogL[t]);
+        arena_.tipInit(static_cast<Slot>(t), t, &init.rootLogL[t]);
     }
-    backend_.flush(pool);
     logL0_ = 0.0;
     for (int t = 0; t < tipCount; ++t) logL0_ += init.rootLogL[t];
 
@@ -54,7 +53,7 @@ Genealogy ParticleCloud::genealogy(std::size_t p) const {
     const Particle& pt = particles_[p];
     require(pt.lineageCount() == 1, "genealogy: particle is still a forest");
     Genealogy g(static_cast<int>(tipCount_));
-    g.setTipNames(backend_.tipNames());
+    g.setTipNames(arena_.tipNames());
     // Every internal slot reachable from the root is one coalescence of
     // this particle's ancestry; link its children in merge order.
     std::vector<Slot> pending{pt.slots.front()};

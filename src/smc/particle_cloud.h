@@ -6,16 +6,15 @@
 // log-space normalization (util/logspace), ESS, and ancestor-indexed
 // resampling under any of the four schemes in smc/resampling.h.
 //
-// Conditional-likelihood state lives in a LikelihoodBackend
-// (lik/lik_backend.h): a particle's live roots reference backend-owned
-// partials SLOTS rather than carrying their own vectors. The slot map is
-// static for a whole pass —
+// Conditional-likelihood state lives in a SlotArena (lik/slot_arena.h):
+// a particle's live roots reference arena-owned partials SLOTS rather than
+// carrying their own vectors. The slot map is static for a whole pass —
 //
 //   tip slots      [0, tips): shared read-only by every particle,
 //   internal slots tips + p*(tips-1) + e: written at event e by the
 //                  particle at index p,
 //
-// — so the backend holds tips + N*(tips-1) slots and propagation never
+// — so the arena holds tips + N*(tips-1) slots and propagation never
 // allocates.
 //
 // Write-once rule: every internal slot is written exactly once per pass,
@@ -24,7 +23,7 @@
 // a particle is only handles (its live roots' slots, their cached root
 // logL, its last event time). Resampling copies those handles from the
 // ancestor — next[i] = cur[ancestry[i]] into a second pre-sized particle
-// array, then a swap — and no partials move in the backend. Offspring of
+// array, then a swap — and no partials move in the arena. Offspring of
 // one ancestor read the same slots until each writes its own next event.
 //
 // Merge records: genealogies are not stored per particle either. Each
@@ -47,7 +46,8 @@
 #include <span>
 #include <vector>
 
-#include "lik/lik_backend.h"
+#include "lik/slot_arena.h"
+#include "par/thread_pool.h"
 #include "phylo/tree.h"
 #include "rng/mt19937.h"
 #include "smc/resampling.h"
@@ -56,11 +56,11 @@
 namespace mpcgs {
 
 /// One particle: a forest over n tips, held as handles. Live roots
-/// reference their subtree partials by backend slot and cache their root
+/// reference their subtree partials by arena slot and cache their root
 /// log-likelihood so one coalescence costs a single combine().
 struct Particle {
-    std::vector<LikelihoodBackend::Slot> slots;  ///< live subtree roots
-    std::vector<double> rootLogL;                ///< parallel to slots
+    std::vector<SlotArena::Slot> slots;  ///< live subtree roots
+    std::vector<double> rootLogL;        ///< parallel to slots
     double lastEventTime = 0.0;  ///< most ancient coalescence so far
 
     int lineageCount() const { return static_cast<int>(slots.size()); }
@@ -69,23 +69,23 @@ struct Particle {
 /// The write-once record of one internal slot: the coalescence that
 /// produced it.
 struct MergeRecord {
-    LikelihoodBackend::Slot childA = 0;  ///< first linked child
-    LikelihoodBackend::Slot childB = 0;  ///< second linked child
-    double time = 0.0;                   ///< node time of the merge
+    SlotArena::Slot childA = 0;  ///< first linked child
+    SlotArena::Slot childB = 0;  ///< second linked child
+    double time = 0.0;           ///< node time of the merge
 };
 
 class ParticleCloud {
   public:
-    using Slot = LikelihoodBackend::Slot;
+    using Slot = SlotArena::Slot;
 
-    /// A cloud of `n` particles over `backend`'s alignment tips, every
-    /// particle the all-tips forest, weights uniform. Sizes the backend's
-    /// slot pool, batches the tip initializations through one flush on
-    /// `pool` and seeds the slot streams in one launch on it. Slot i's RNG
-    /// stream is splitMix64At(passSeed, i + 1); stream 0 is reserved for
-    /// the cloud-level draws (resampling, final genealogy selection).
-    ParticleCloud(std::size_t n, LikelihoodBackend& backend, int tipCount,
-                  std::uint64_t passSeed, ThreadPool* pool = nullptr);
+    /// A cloud of `n` particles over `arena`'s alignment tips, every
+    /// particle the all-tips forest, weights uniform. Sizes the arena's
+    /// slot pool, fills the tip slots on the calling thread and seeds the
+    /// slot streams in one launch on `pool`. Slot i's RNG stream is
+    /// splitMix64At(passSeed, i + 1); stream 0 is reserved for the
+    /// cloud-level draws (resampling, final genealogy selection).
+    ParticleCloud(std::size_t n, SlotArena& arena, int tipCount, std::uint64_t passSeed,
+                  ThreadPool* pool = nullptr);
 
     std::size_t size() const { return particles_.size(); }
     Particle& particle(std::size_t i) { return particles_[i]; }
@@ -93,7 +93,7 @@ class ParticleCloud {
     Mt19937& slotRng(std::size_t i) { return slotRngs_[i]; }
     Mt19937& hostRng() { return hostRng_; }
 
-    /// Backend slot written by particle `p` at coalescence event `e` (in
+    /// Arena slot written by particle `p` at coalescence event `e` (in
     /// [0, tips-1)); the pass-static write target.
     Slot internalSlot(std::size_t p, int e) const {
         return static_cast<Slot>(tipCount_ + p * (tipCount_ - 1) +
@@ -148,7 +148,7 @@ class ParticleCloud {
             s < tipCount_ ? s : tipCount_ + (s - tipCount_) % (tipCount_ - 1));
     }
 
-    LikelihoodBackend& backend_;
+    SlotArena& arena_;
     std::size_t tipCount_ = 0;
     std::vector<Particle> particles_;
     std::vector<Particle> next_;  ///< resample target, swapped with particles_

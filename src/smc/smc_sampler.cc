@@ -23,9 +23,9 @@ void validateSmcOptions(const SmcOptions& opts) {
     if (opts.blockSize == 0) throw ConfigError("smc: particle block size must be >= 1");
 }
 
-SmcFilter::SmcFilter(LikelihoodBackend& backend, double theta, const SmcOptions& opts,
+SmcFilter::SmcFilter(SlotArena& arena, double theta, const SmcOptions& opts,
                      std::uint64_t passSeed, ThreadPool* pool)
-    : backend_(backend),
+    : arena_(arena),
       theta_(theta),
       opts_(opts),
       passSeed_(passSeed),
@@ -33,18 +33,13 @@ SmcFilter::SmcFilter(LikelihoodBackend& backend, double theta, const SmcOptions&
       totalEvents_([&] {
           validateSmcOptions(opts);
           if (theta <= 0.0) throw ConfigError("smc: theta must be positive");
-          const int n = static_cast<int>(backend.tipNames().size());
+          const int n = static_cast<int>(arena.tipNames().size());
           if (n < 2) throw ConfigError("smc: need at least 2 sequences");
           return n - 1;
       }()),
-      cloud_(opts.particles, backend, totalEvents_ + 1, passSeed, pool) {
-    const std::size_t N = cloud_.size();
+      cloud_(opts.particles, arena, totalEvents_ + 1, passSeed, pool) {
     res_.logZ = cloud_.initialLogForestLikelihood();
-    inc_.resize(N);
-    oldA_.resize(N);
-    oldB_.resize(N);
-    mergedLogL_.resize(N);
-    mergedPos_.resize(N);
+    inc_.resize(cloud_.size());
 }
 
 void SmcFilter::step() {
@@ -53,10 +48,9 @@ void SmcFilter::step() {
     const int n = totalEvents_ + 1;
     const int event = event_;
 
-    // Phase one — parallel over particle blocks: each slot draws its own
-    // event with its own stream, records the merge in the write-once slot
-    // of (p, event), and enqueues the generation's likelihood work (one
-    // combine per particle, folding the new root). The block partition
+    // Parallel over particle blocks: each slot draws its own event with its
+    // own stream, records the merge in the write-once slot of (p, event)
+    // and combines into it, folding the new root. The block partition
     // depends only on (N, blockSize).
     {
         const obs::TraceSpan propose("smc_propose", "smc");
@@ -65,17 +59,6 @@ void SmcFilter::step() {
                       [&](std::size_t, std::size_t begin, std::size_t end) {
                           for (std::size_t p = begin; p < end; ++p) propagate(p, event);
                       });
-    }
-
-    // Phase two — execute the generation's likelihood batch.
-    {
-        const obs::TraceSpan flush("smc_flush", "smc");
-        backend_.flush(pool_);
-    }
-    for (std::size_t p = 0; p < N; ++p) {
-        cloud_.particle(p).rootLogL[mergedPos_[p]] = mergedLogL_[p];
-        // Incremental log-weight: the partial-likelihood ratio.
-        inc_[p] = mergedLogL_[p] - oldA_[p] - oldB_[p];
     }
 
     // Serial cloud-level bookkeeping: logZ += log(sum_i Wbar_i w_i).
@@ -174,16 +157,16 @@ void SmcFilter::propagate(std::size_t p, int event) {
     const ParticleCloud::Slot sb = pt.slots[b];
     const ParticleCloud::Slot parent = cloud_.internalSlot(p, event);
     cloud_.recordMerge(parent, sa, sb, t);
-    backend_.combine(parent, sa, t - cloud_.slotTime(sa), sb, t - cloud_.slotTime(sb),
-                     &mergedLogL_[p]);
-    oldA_[p] = pt.rootLogL[a];
-    oldB_[p] = pt.rootLogL[b];
-    mergedPos_[p] = static_cast<std::uint32_t>(a);
+    double merged;
+    arena_.combine(parent, sa, t - cloud_.slotTime(sa), sb, t - cloud_.slotTime(sb),
+                   &merged);
+    // Incremental log-weight: the partial-likelihood ratio.
+    inc_[p] = merged - pt.rootLogL[a] - pt.rootLogL[b];
 
     // Replace root a with the merged subtree, drop root b (swap-with-back
-    // keeps the arrays dense; a < b, so position a survives the swap). The
-    // merged logL lands after the flush.
+    // keeps the arrays dense; a < b, so position a survives the swap).
     pt.slots[a] = parent;
+    pt.rootLogL[a] = merged;
     pt.slots[b] = pt.slots.back();
     pt.slots.pop_back();
     pt.rootLogL[b] = pt.rootLogL.back();
@@ -197,16 +180,14 @@ SmcPassResult SmcFilter::finish() {
     res_.sampled = cloud_.genealogy(pick);
     res_.sampledLogPosterior = cloud_.particle(pick).rootLogL.front() +
                                logCoalescentPrior(res_.sampled, theta_);
-    res_.backend = backend_.name();
     return std::move(res_);
 }
 
 SmcPassResult runSmcPass(const DataLikelihood& lik, double theta, const SmcOptions& opts,
                          std::uint64_t passSeed, ThreadPool* pool) {
     const obs::TraceSpan span("smc_pass", "smc");
-    const std::unique_ptr<LikelihoodBackend> backend =
-        makeLikelihoodBackend(opts.backend, lik);
-    SmcFilter filter(*backend, theta, opts, passSeed, pool);
+    SlotArena arena(lik);
+    SmcFilter filter(arena, theta, opts, passSeed, pool);
     while (!filter.done()) filter.step();
     return filter.finish();
 }

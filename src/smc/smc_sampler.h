@@ -12,8 +12,8 @@
 //   w_t = L(forest_t) / L(forest_{t-1})
 //       = L_root(new node) / (L_root(child a) * L_root(child b)),
 //
-// the data-lookahead term computed incrementally by the likelihood backend
-// (lik/lik_backend.h). With intermediate targets pi_t = Prior_t x L_t, the
+// the data-lookahead term computed incrementally by one slot-arena combine
+// (lik/slot_arena.h). With intermediate targets pi_t = Prior_t x L_t, the
 // SMC identity
 //
 //   log Zhat = log L(forest_0) + sum_t log( sum_i Wbar_{t-1,i} w_t,i )
@@ -22,24 +22,22 @@
 // quantity MCMC-EM can only maximize, never report. ESS-triggered adaptive
 // resampling (any scheme in smc/resampling.h) keeps the cloud balanced.
 //
-// Parallelism: each generation is propagated in two phases. Phase one runs
-// thread-parallel over fixed-size particle blocks (launchBlocked) with
-// per-slot RNG streams, drawing every particle's event and ENQUEUEING its
-// likelihood operations against the backend; phase two is one
-// backend.flush() that executes the whole generation's batch. Backends
-// affect scheduling only, so logZ is bitwise invariant to both the thread
-// count and the backend choice (asserted in bench/smc_scaling.cc and
-// tests/lik_backend_test.cc).
+// Parallelism: each generation is one launch, thread-parallel over
+// fixed-size particle blocks (launchBlocked) with per-slot RNG streams:
+// every particle draws its event and runs its combine, which writes only
+// the particle's own slot of that event. Each combine is the same
+// compiled item on the same slots whatever the block's thread, so logZ is
+// bitwise invariant to the thread count (asserted in
+// bench/smc_scaling.cc and tests/lik_backend_test.cc).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/posterior.h"
 #include "lik/felsenstein.h"
-#include "lik/lik_backend.h"
+#include "lik/slot_arena.h"
 #include "par/thread_pool.h"
 #include "phylo/tree.h"
 #include "smc/particle_cloud.h"
@@ -57,9 +55,6 @@ struct SmcOptions {
     /// Particle-block grain of the parallel launches; fixed so the block
     /// partition (and thus the result) is independent of the thread count.
     std::size_t blockSize = 16;
-    /// Likelihood execution backend. Scheduling-only: every backend
-    /// produces bitwise-identical samples, weights and logZ.
-    LikBackendKind backend = kDefaultLikBackend;
 };
 
 /// Throws ConfigError on nonsensical options (no particles, threshold
@@ -73,27 +68,25 @@ struct SmcPassResult {
     double minEssFraction = 1.0;    ///< smallest ESS/N seen across steps
     Genealogy sampled;              ///< one genealogy drawn from the final cloud
     double sampledLogPosterior = 0.0;  ///< log P(D|G) + log P(G|theta) of it
-    std::string backend;            ///< likelihood backend that ran the pass
 };
 
 /// The genealogy particle filter, stepped one coalescence generation at a
-/// time. Owns the particle cloud; borrows the likelihood backend. After
+/// time. Owns the particle cloud; borrows the slot arena. After
 /// construction the steady state allocates nothing per step (asserted in
-/// tests/zero_alloc_test.cc): partials live in pass-static backend slots,
+/// tests/zero_alloc_test.cc): partials live in pass-static arena slots,
 /// per-generation scratch is persistent, and resampling reuses its
 /// buffers. runSmcPass is the one-shot convenience wrapper.
 class SmcFilter {
   public:
     /// Throws ConfigError on bad options, non-positive theta or fewer than
-    /// two sequences. `backend` must outlive the filter; `pool` (optional)
-    /// parallelizes both propagation and batch execution.
-    SmcFilter(LikelihoodBackend& backend, double theta, const SmcOptions& opts,
+    /// two sequences. `arena` must outlive the filter; `pool` (optional)
+    /// parallelizes propagation.
+    SmcFilter(SlotArena& arena, double theta, const SmcOptions& opts,
               std::uint64_t passSeed, ThreadPool* pool = nullptr);
 
     bool done() const { return event_ == totalEvents_; }
-    /// Advance every particle by one coalescence: propagate + enqueue
-    /// (parallel over particle blocks), flush the generation's likelihood
-    /// batch, update weights, adaptively resample.
+    /// Advance every particle by one coalescence: propagate (parallel over
+    /// particle blocks), update weights, adaptively resample.
     void step();
     /// Draw one genealogy from the final cloud and assemble the pass
     /// result. Call exactly once, after done(); the filter is spent.
@@ -108,11 +101,12 @@ class SmcFilter {
     double theta() const { return theta_; }
 
   private:
-    /// Phase-one work of particle `p` at `event`: draw the coalescence,
-    /// record its merge, enqueue its combine (which folds the new root).
+    /// Parallel-phase work of particle `p` at `event`: draw the
+    /// coalescence, record its merge, run its combine (which folds the new
+    /// root) and set the particle's incremental log-weight.
     void propagate(std::size_t p, int event);
 
-    LikelihoodBackend& backend_;
+    SlotArena& arena_;
     double theta_;
     SmcOptions opts_;
     std::uint64_t passSeed_;
@@ -121,19 +115,15 @@ class SmcFilter {
     int event_ = 0;
     ParticleCloud cloud_;
     SmcPassResult res_;
-    // Per-generation scratch, sized once (parallel phase writes, serial
-    // phase reads).
-    std::vector<double> inc_;         ///< incremental log-weights
-    std::vector<double> oldA_;        ///< merged children's cached logL
-    std::vector<double> oldB_;
-    std::vector<double> mergedLogL_;  ///< batch output of the combines' root folds
-    std::vector<std::uint32_t> mergedPos_;  ///< root-array position of the merge
+    /// Incremental log-weights, sized once (parallel phase writes, serial
+    /// phase reads).
+    std::vector<double> inc_;
 };
 
-/// Run one SMC pass under opts.backend. Everything random derives from
-/// `passSeed` (slot streams + cloud-level draws), so the result is a
+/// Run one SMC pass over a fresh slot arena. Everything random derives
+/// from `passSeed` (slot streams + cloud-level draws), so the result is a
 /// deterministic function of (lik, theta, opts, passSeed) for ANY pool
-/// width and ANY backend.
+/// width.
 SmcPassResult runSmcPass(const DataLikelihood& lik, double theta, const SmcOptions& opts,
                          std::uint64_t passSeed, ThreadPool* pool = nullptr);
 

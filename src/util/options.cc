@@ -1,7 +1,9 @@
 #include "util/options.h"
 
+#include <cerrno>
 #include <cstdlib>
-#include <stdexcept>
+
+#include "util/error.h"
 
 namespace mpcgs {
 
@@ -39,16 +41,44 @@ std::string Options::get(const std::string& key, const std::string& dflt) const 
     return get(key).value_or(dflt);
 }
 
+namespace {
+
+/// Parse all of `text` with `conv` (strtoll / strtod), or throw naming
+/// --key and what was expected.
+template <class Conv>
+auto parseWhole(const std::string& key, const std::string& text, const char* expected,
+                Conv conv) {
+    const char* begin = text.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const auto value = conv(begin, &end);
+    if (end == begin || *end != '\0' || errno == ERANGE)
+        throw ConfigError("--" + key + " expects " + expected + ", got '" + text + "'");
+    return value;
+}
+
+}  // namespace
+
 long long Options::getInt(const std::string& key, long long dflt) const {
     const auto v = get(key);
     if (!v || v->empty()) return dflt;
-    return std::strtoll(v->c_str(), nullptr, 10);
+    return parseWhole(key, *v, "an integer",
+                      [](const char* s, char** end) { return std::strtoll(s, end, 10); });
 }
 
 double Options::getDouble(const std::string& key, double dflt) const {
     const auto v = get(key);
     if (!v || v->empty()) return dflt;
-    return std::strtod(v->c_str(), nullptr);
+    return parseWhole(key, *v, "a number",
+                      [](const char* s, char** end) { return std::strtod(s, end); });
+}
+
+std::size_t Options::getCount(const std::string& key, std::size_t dflt) const {
+    const long long n = getInt(key, static_cast<long long>(dflt));
+    if (n < 0)
+        throw ConfigError("--" + key + " expects a non-negative count, got '" +
+                          get(key, "") + "'");
+    return static_cast<std::size_t>(n);
 }
 
 bool Options::getBool(const std::string& key, bool dflt) const {

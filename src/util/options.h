@@ -3,6 +3,7 @@
 // arguments; no external dependencies.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
@@ -20,8 +21,14 @@ class Options {
 
     std::optional<std::string> get(const std::string& key) const;
     std::string get(const std::string& key, const std::string& dflt) const;
+    /// Numeric values must be one whole token ("1e3", "4x" and "0.5.1"
+    /// are rejected); a malformed or out-of-range value throws ConfigError
+    /// naming the flag. A missing or empty value returns `dflt`.
     long long getInt(const std::string& key, long long dflt) const;
     double getDouble(const std::string& key, double dflt) const;
+    /// getInt for a count (samples, particles, threads, ...): also throws
+    /// ConfigError naming the flag on a negative value.
+    std::size_t getCount(const std::string& key, std::size_t dflt) const;
     bool getBool(const std::string& key, bool dflt) const;
 
     const std::vector<std::string>& positional() const { return positional_; }

@@ -23,7 +23,7 @@
 #include "coalescent/simulator.h"
 #include "core/driver.h"
 #include "lik/felsenstein.h"
-#include "lik/lik_backend.h"
+#include "lik/slot_arena.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "par/thread_pool.h"
@@ -340,12 +340,10 @@ TEST_F(ObsTest, SmcGenerationsTraceTheirSubPhases) {
     for (const SpanEvent& e : spans)
         if (e.name == "smc_generation") generations.push_back(&e);
     ASSERT_EQ(generations.size(), 5u);
-    std::size_t propose = 0, flush = 0, resample = 0;
+    std::size_t propose = 0, resample = 0;
     for (const SpanEvent& e : spans) {
-        if (e.name != "smc_propose" && e.name != "smc_flush" && e.name != "smc_resample")
-            continue;
+        if (e.name != "smc_propose" && e.name != "smc_resample") continue;
         propose += e.name == "smc_propose";
-        flush += e.name == "smc_flush";
         resample += e.name == "smc_resample";
         bool nested = false;
         for (const SpanEvent* g : generations)
@@ -354,7 +352,6 @@ TEST_F(ObsTest, SmcGenerationsTraceTheirSubPhases) {
         EXPECT_TRUE(nested) << e.name << " at " << e.ts << " outside every smc_generation";
     }
     EXPECT_EQ(propose, 5u);
-    EXPECT_EQ(flush, 5u);
     EXPECT_EQ(resample, res.resamples);
 }
 
@@ -381,13 +378,11 @@ TEST_F(ObsTest, ArmedSmcPassesRecordTheirPhaseTimes) {
     ASSERT_EQ(res.resamples, 4u);
 
     const std::uint64_t propose = snap.counter(obs::Counter::SmcProposeNs);
-    const std::uint64_t flush = snap.counter(obs::Counter::LikFlushNs);
     const std::uint64_t resample = snap.counter(obs::Counter::SmcResampleNs);
     EXPECT_GT(propose, 0u);
-    EXPECT_GT(flush, 0u);
     EXPECT_GT(resample, 0u);
     // Disjoint phases of one pass on its calling thread.
-    EXPECT_LE(propose + flush + resample, wallNs);
+    EXPECT_LE(propose + resample, wallNs);
 }
 
 TEST_F(ObsTest, ArmedGmhEstimateRecordsItsPhases) {
@@ -482,9 +477,8 @@ DataLikelihood makeLik(Alignment& store) {
 double runFilterLogZ(const DataLikelihood& lik, ThreadPool* pool) {
     SmcOptions opts;
     opts.particles = 64;
-    opts.backend = LikBackendKind::Batched;
-    const auto backend = makeLikelihoodBackend(opts.backend, lik);
-    SmcFilter filter(*backend, 1.0, opts, 29, pool);
+    SlotArena arena(lik);
+    SmcFilter filter(arena, 1.0, opts, 29, pool);
     while (!filter.done()) filter.step();
     return filter.logZ();
 }

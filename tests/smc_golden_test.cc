@@ -2,11 +2,11 @@
 // {0, 0.5, 1} x {one rate, discrete gamma}, the bit patterns of logZ, the
 // minimum ESS fraction and the sampled log-posterior, the resample count,
 // and the sampled genealogy's parent array and internal node times are
-// pinned to recorded values. Every row must reproduce bitwise on both
-// likelihood backends at 1 and 4 threads in the build that recorded it
-// (recordingBuild() below). The filter's state layout may change (how
-// particles share or copy partials, how genealogies are stored); the
-// values it produces may not.
+// pinned to recorded values. Every row must reproduce bitwise at 1 and 4
+// threads in the build that recorded it (recordingBuild() below). The
+// filter's state layout may change (how particles share or copy partials,
+// how genealogies are stored, when the likelihood items run); the values
+// it produces may not.
 //
 // On a mismatch the test prints the pass's actual row in the table's own
 // source form, so a deliberate, documented re-baseline is a paste.
@@ -294,19 +294,16 @@ TEST(SmcGoldenTest, PassesReproduceRecordedBitPatterns) {
         for (const RS scheme :
              {RS::Multinomial, RS::Stratified, RS::Systematic, RS::Residual})
             for (const double threshold : {0.0, 0.5, 1.0})
-                for (const auto backend : {LikBackendKind::Arena, LikBackendKind::Batched})
-                    for (ThreadPool* pool : {&serial, &wide}) {
-                        SCOPED_TRACE(std::string(likBackendName(backend)) + ", " +
-                                     std::to_string(pool->size()) + " threads");
-                        SmcOptions opts;
-                        opts.particles = 64;
-                        opts.scheme = scheme;
-                        opts.essThreshold = threshold;
-                        opts.backend = backend;
-                        expectGolden(runSmcPass(gamma ? gammaLik : plain, kPassTheta, opts,
-                                                4711, pool),
-                                     scheme, threshold, gamma);
-                    }
+                for (ThreadPool* pool : {&serial, &wide}) {
+                    SCOPED_TRACE(std::to_string(pool->size()) + " threads");
+                    SmcOptions opts;
+                    opts.particles = 64;
+                    opts.scheme = scheme;
+                    opts.essThreshold = threshold;
+                    expectGolden(
+                        runSmcPass(gamma ? gammaLik : plain, kPassTheta, opts, 4711, pool),
+                        scheme, threshold, gamma);
+                }
 }
 
 }  // namespace

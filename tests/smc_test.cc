@@ -2,20 +2,19 @@
 // reference, exact-marginal validation of the unbiased logZ estimator on
 // tiny trees (quadrature over all of genealogy space), bitwise
 // thread-count invariance of logZ and of a full PMMH run, the particle
-// cloud's write-once slot discipline (audited through a forwarding
-// backend), kill+resume of PMMH being bitwise-identical, scheme
+// cloud's write-once slot discipline (earlier generations' slots never
+// change), kill+resume of PMMH being bitwise-identical, scheme
 // cross-agreement, the SmcThetaLikelihood curve behaving as a likelihood
 // (maximizer near the data's information), and checkpoint format v5 with
 // v1-v4 read-compat.
 #include "smc/smc_sampler.h"
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -47,25 +46,24 @@ Alignment simulateData(int n, double theta, std::size_t length, unsigned seed) {
 
 // --- forest evaluation -------------------------------------------------
 
-/// Assemble `g` bottom-up through an arena backend's tipInit/combine,
-/// exactly the way a particle grows (slot = node id), and return every
-/// node's root log-likelihood.
+/// Assemble `g` bottom-up through a slot arena's tipInit/combine, exactly
+/// the way a particle grows (slot = node id), and return every node's
+/// root log-likelihood.
 std::vector<double> forestRootLogLiks(const DataLikelihood& lik, const Genealogy& g) {
-    const auto backend = makeLikelihoodBackend(LikBackendKind::Arena, lik);
-    backend->resizeSlots(static_cast<std::size_t>(g.nodeCount()));
+    SlotArena arena(lik);
+    arena.resizeSlots(static_cast<std::size_t>(g.nodeCount()));
     std::vector<double> rootLogL(static_cast<std::size_t>(g.nodeCount()));
     for (const NodeId id : g.postorder()) {
-        const auto slot = static_cast<LikelihoodBackend::Slot>(id);
+        const auto slot = static_cast<SlotArena::Slot>(id);
         if (g.isTip(id)) {
-            backend->tipInit(slot, id, &rootLogL[id]);
+            arena.tipInit(slot, id, &rootLogL[id]);
         } else {
             const NodeId a = g.node(id).child[0];
             const NodeId b = g.node(id).child[1];
-            backend->combine(slot, static_cast<LikelihoodBackend::Slot>(a), g.branchLength(a),
-                             static_cast<LikelihoodBackend::Slot>(b), g.branchLength(b),
-                             &rootLogL[id]);
+            arena.combine(slot, static_cast<SlotArena::Slot>(a), g.branchLength(a),
+                          static_cast<SlotArena::Slot>(b), g.branchLength(b),
+                          &rootLogL[id]);
         }
-        backend->flush(nullptr);
     }
     return rootLogL;
 }
@@ -251,75 +249,26 @@ TEST(SmcDeterminismTest, EveryResamplingSchemeGivesAFiniteConsistentLogZ) {
 
 // --- write-once slots --------------------------------------------------
 
-/// Forwards every operation to a real backend and audits the particle
-/// cloud's slot discipline: each parent slot is written by exactly one
-/// combine per pass, and every child a combine reads is a tip slot or was
-/// written in an earlier generation (before the last flush). Combines
-/// arrive concurrently from the propagation launch, so the audit state is
-/// atomic and violations are counted, then asserted on the test thread.
-class WriteOnceAudit final : public LikelihoodBackend {
-  public:
-    explicit WriteOnceAudit(LikelihoodBackend& inner) : inner_(inner) {}
+/// Bitwise copy of a slot's conditional vectors and log scales.
+std::vector<double> slotContents(const SlotArena& arena, SlotArena::Slot s) {
+    const std::span<const double> data = arena.slotData(s);
+    const std::span<const double> scale = arena.slotScale(s);
+    std::vector<double> out(data.begin(), data.end());
+    out.insert(out.end(), scale.begin(), scale.end());
+    return out;
+}
 
-    LikBackendKind kind() const override { return inner_.kind(); }
-    std::size_t patternCount() const override { return inner_.patternCount(); }
-    std::size_t categoryCount() const override { return inner_.categoryCount(); }
-    const std::vector<std::string>& tipNames() const override {
-        return inner_.tipNames();
-    }
+bool sameBits(const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
 
-    void resizeSlots(std::size_t n) override {
-        requested_.push_back(n);
-        isTip_.assign(n, 0);
-        writes_ = std::make_unique<std::atomic<int>[]>(n);
-        writtenIn_ = std::make_unique<std::atomic<int>[]>(n);
-        inner_.resizeSlots(n);
-    }
-    std::size_t slotCount() const override { return inner_.slotCount(); }
-
-    void tipInit(Slot dst, int tip, double* rootLogL) override {
-        isTip_[dst] = 1;
-        inner_.tipInit(dst, tip, rootLogL);
-    }
-    void combine(Slot parent, Slot childA, double lenA, Slot childB, double lenB,
-                 double* rootLogL) override {
-        writes_[parent].fetch_add(1, std::memory_order_relaxed);
-        writtenIn_[parent].store(generation_, std::memory_order_relaxed);
-        for (const Slot child : {childA, childB}) {
-            const bool earlier =
-                writes_[child].load(std::memory_order_relaxed) == 1 &&
-                writtenIn_[child].load(std::memory_order_relaxed) < generation_;
-            if (!isTip_[child] && !earlier)
-                badChildren_.fetch_add(1, std::memory_order_relaxed);
-        }
-        inner_.combine(parent, childA, lenA, childB, lenB, rootLogL);
-    }
-    void flush(ThreadPool* pool) override {
-        inner_.flush(pool);
-        ++generation_;
-    }
-
-    std::span<const double> slotData(Slot slot) const override {
-        return inner_.slotData(slot);
-    }
-    std::span<const double> slotScale(Slot slot) const override {
-        return inner_.slotScale(slot);
-    }
-
-    const std::vector<std::size_t>& requestedSizes() const { return requested_; }
-    int writes(Slot s) const { return writes_[s].load(std::memory_order_relaxed); }
-    std::size_t badChildren() const { return badChildren_.load(); }
-
-  private:
-    LikelihoodBackend& inner_;
-    std::vector<std::size_t> requested_;
-    std::vector<std::uint8_t> isTip_;
-    std::unique_ptr<std::atomic<int>[]> writes_;
-    std::unique_ptr<std::atomic<int>[]> writtenIn_;  ///< generation of the write
-    int generation_ = 1;  ///< bumped by each flush (serial context)
-    std::atomic<std::size_t> badChildren_{0};
-};
-
+/// The particle cloud's slot discipline, checked from outside the filter:
+/// the arena holds exactly the tips plus one write-once region per
+/// particle, and after every generation the slots of all earlier
+/// generations (and the shared tips) still hold the bits they had when
+/// their generation finished. A filter that wrote any slot twice, or
+/// staged partials through extra slots, fails here.
 TEST(SmcWriteOnceTest, SlotsAreWrittenOnceAndReadOnlyAfterTheirGeneration) {
     const Alignment aln = simulateData(8, 1.0, 200, 31);
     const F81Model model(aln.baseFrequencies());
@@ -330,30 +279,33 @@ TEST(SmcWriteOnceTest, SlotsAreWrittenOnceAndReadOnlyAfterTheirGeneration) {
     opts.essThreshold = 1.0;  // resample every step: offspring share slots
     ThreadPool pool(4);
 
-    for (const auto backend : {LikBackendKind::Arena, LikBackendKind::Batched}) {
-        SCOPED_TRACE(likBackendName(backend));
-        opts.backend = backend;
-        const auto real = makeLikelihoodBackend(backend, lik);
-        WriteOnceAudit audit(*real);
-        SmcFilter filter(audit, 1.0, opts, 4711, &pool);
-        while (!filter.done()) filter.step();
-        const SmcPassResult res = filter.finish();
+    SlotArena arena(lik);
+    SmcFilter filter(arena, 1.0, opts, 4711, &pool);
+    // No staging region: tips plus one write-once region per particle.
+    ASSERT_EQ(arena.slotCount(), kTips + opts.particles * (kTips - 1));
 
-        // No staging region: tips plus one write-once region per particle.
-        const std::size_t slots = kTips + opts.particles * (kTips - 1);
-        EXPECT_EQ(audit.requestedSizes(), std::vector<std::size_t>{slots});
-        EXPECT_EQ(res.resamples, kTips - 2);  // every event but the last
-        EXPECT_EQ(audit.badChildren(), 0u);
-        for (std::size_t s = 0; s < slots; ++s)
-            EXPECT_EQ(audit.writes(static_cast<LikelihoodBackend::Slot>(s)),
-                      s < kTips ? 0 : 1)
-                << "slot " << s;
-
-        // Auditing is transparent: the pass equals an unaudited one.
-        const SmcPassResult plain = runSmcPass(lik, 1.0, opts, 4711, &pool);
-        EXPECT_EQ(std::memcmp(&res.logZ, &plain.logZ, sizeof(double)), 0);
-        EXPECT_EQ(res.sampled, plain.sampled);
+    std::vector<std::pair<SlotArena::Slot, std::vector<double>>> frozen;
+    for (std::size_t t = 0; t < kTips; ++t)
+        frozen.emplace_back(static_cast<SlotArena::Slot>(t),
+                            slotContents(arena, static_cast<SlotArena::Slot>(t)));
+    for (int event = 0; !filter.done(); ++event) {
+        filter.step();
+        for (const auto& [slot, bits] : frozen)
+            ASSERT_TRUE(sameBits(slotContents(arena, slot), bits))
+                << "slot " << slot << " changed during event " << event;
+        for (std::size_t p = 0; p < opts.particles; ++p) {
+            const SlotArena::Slot slot = filter.cloud().internalSlot(p, event);
+            frozen.emplace_back(slot, slotContents(arena, slot));
+        }
     }
+    const SmcPassResult res = filter.finish();
+    EXPECT_EQ(frozen.size(), arena.slotCount());
+    EXPECT_EQ(res.resamples, kTips - 2);  // every event but the last
+
+    // The stepped pass equals a one-shot pass.
+    const SmcPassResult plain = runSmcPass(lik, 1.0, opts, 4711, &pool);
+    EXPECT_EQ(std::memcmp(&res.logZ, &plain.logZ, sizeof(double)), 0);
+    EXPECT_EQ(res.sampled, plain.sampled);
 }
 
 // --- SmcThetaLikelihood ------------------------------------------------

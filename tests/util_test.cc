@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/error.h"
 #include "util/options.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -66,6 +67,39 @@ TEST(OptionsTest, FlagFollowedByOption) {
 TEST(OptionsTest, NegativeNumberAsValue) {
     const Options o = parse({"--offset", "-2.5"});
     EXPECT_DOUBLE_EQ(o.getDouble("offset", 0.0), -2.5);
+}
+
+/// True when `read` throws a ConfigError whose message names `flag`.
+template <class Read>
+bool rejectsNaming(Read&& read, const std::string& flag) {
+    try {
+        read();
+    } catch (const ConfigError& e) {
+        return std::string(e.what()).find(flag) != std::string::npos;
+    }
+    return false;
+}
+
+TEST(OptionsTest, NumbersMustBeWholeTokens) {
+    const Options o = parse({"--samples", "1e3", "--threads", "4x", "--ess-threshold",
+                             "0.5.1", "--seed", "99999999999999999999", "--theta", "one"});
+    EXPECT_TRUE(rejectsNaming([&] { o.getInt("samples", 0); }, "--samples"));
+    EXPECT_TRUE(rejectsNaming([&] { o.getCount("threads", 0); }, "--threads"));
+    EXPECT_TRUE(
+        rejectsNaming([&] { o.getDouble("ess-threshold", 0.0); }, "--ess-threshold"));
+    EXPECT_TRUE(rejectsNaming([&] { o.getInt("seed", 0); }, "--seed"));  // out of range
+    EXPECT_TRUE(rejectsNaming([&] { o.getDouble("theta", 0.0); }, "--theta"));
+}
+
+TEST(OptionsTest, CountsRejectNegativeValues) {
+    const Options o =
+        parse({"--particles", "-5", "--threads", "-1", "--em", "0", "--samples", "12"});
+    EXPECT_EQ(o.getInt("particles", 0), -5);  // a plain integer may be negative
+    EXPECT_TRUE(rejectsNaming([&] { o.getCount("particles", 1); }, "--particles"));
+    EXPECT_TRUE(rejectsNaming([&] { o.getCount("threads", 1); }, "--threads"));
+    EXPECT_EQ(o.getCount("em", 4), 0u);
+    EXPECT_EQ(o.getCount("samples", 4), 12u);
+    EXPECT_EQ(o.getCount("chains", 4), 4u);
 }
 
 TEST(TableTest, AlignedOutput) {

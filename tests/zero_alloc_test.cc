@@ -14,7 +14,7 @@
 #include "coalescent/simulator.h"
 #include "core/neighborhood.h"
 #include "lik/felsenstein.h"
-#include "lik/lik_backend.h"
+#include "lik/slot_arena.h"
 #include "lik/partials_buffer.h"
 #include "obs/metrics.h"
 #include "par/kernel.h"
@@ -214,9 +214,9 @@ TEST(ZeroAllocTest, PooledLikelihoodSteadyStateIsAllocationBounded) {
 // --- SMC propagation steady state --------------------------------------
 //
 // A particle filter generation must reuse its storage: partials live in
-// pass-static backend slots, the per-generation operation queue and
-// scratch are persistent, and resampling copies through pre-sized buffers
-// (smc/particle_cloud.h). Warm a few events, then count over the rest.
+// pass-static arena slots, the per-generation scratch is persistent, and
+// resampling copies through pre-sized buffers (smc/particle_cloud.h).
+// Warm a few events, then count over the rest.
 
 namespace {
 
@@ -232,38 +232,19 @@ DataLikelihood makeSmcLik(Alignment& store) {
 
 }  // namespace
 
-TEST(ZeroAllocTest, SmcArenaPropagationSteadyStateAllocatesNothing) {
+TEST(ZeroAllocTest, SmcPropagationSteadyStateAllocatesNothing) {
     Alignment data;
     const DataLikelihood lik = makeSmcLik(data);
 
     SmcOptions opts;
     opts.particles = 64;
     opts.essThreshold = 0.0;  // isolate propagation: never resample
-    opts.backend = LikBackendKind::Arena;
-    const auto backend = makeLikelihoodBackend(opts.backend, lik);
-    SmcFilter filter(*backend, 1.0, opts, 7);
+    SlotArena arena(lik);
+    SmcFilter filter(arena, 1.0, opts, 7);
     for (int e = 0; e < 3; ++e) filter.step();
 
-    AllocWindow window;
-    while (!filter.done()) filter.step();
-    const std::size_t allocs = window.stop();
-    EXPECT_EQ(allocs, 0u);
-}
-
-TEST(ZeroAllocTest, SmcBatchedPropagationSteadyStateIsAllocationBounded) {
-    Alignment data;
-    const DataLikelihood lik = makeSmcLik(data);
-
-    SmcOptions opts;
-    opts.particles = 64;
-    opts.essThreshold = 0.0;
-    opts.backend = LikBackendKind::Batched;
-    const auto backend = makeLikelihoodBackend(opts.backend, lik);
-    SmcFilter filter(*backend, 1.0, opts, 7);
-    for (int e = 0; e < 3; ++e) filter.step();
-
-    // The batched backend's op queues are sized with the slot pool and
-    // every combine item works in stack chunks: nothing grows.
+    // The slot pool is sized once for the pass and every combine item
+    // works in stack chunks: nothing grows.
     AllocWindow window;
     int steps = 0;
     while (!filter.done()) {
@@ -282,9 +263,8 @@ TEST(ZeroAllocTest, SmcResampleSteadyStateAllocatesNothing) {
     SmcOptions opts;
     opts.particles = 64;
     opts.essThreshold = 1.0;  // systematic resample after every event
-    opts.backend = LikBackendKind::Arena;
-    const auto backend = makeLikelihoodBackend(opts.backend, lik);
-    SmcFilter filter(*backend, 1.0, opts, 7);
+    SlotArena arena(lik);
+    SmcFilter filter(arena, 1.0, opts, 7);
     // Warm-up covers the first resample (the ancestry buffer grows to its
     // pass-wide size there; both particle arrays are pre-sized).
     for (int e = 0; e < 3; ++e) filter.step();
@@ -302,10 +282,9 @@ TEST(ZeroAllocTest, SmcPooledPropagationSteadyStateIsAllocationBounded) {
     SmcOptions opts;
     opts.particles = 128;
     opts.essThreshold = 0.5;
-    opts.backend = LikBackendKind::Batched;
     ThreadPool pool(4);
-    const auto backend = makeLikelihoodBackend(opts.backend, lik);
-    SmcFilter filter(*backend, 1.0, opts, 7, &pool);
+    SlotArena arena(lik);
+    SmcFilter filter(arena, 1.0, opts, 7, &pool);
     for (int e = 0; e < 3; ++e) filter.step();
 
     // Pooled bound mirrors PooledLikelihoodSteadyStateIsAllocationBounded:

@@ -31,6 +31,12 @@
 
 namespace {
 
+/// Flags whose values are counts. main() parses each of them whole and
+/// non-negative before anything else runs.
+constexpr const char* kCountFlags[] = {
+    "samples",     "em",      "chains",              "particles",          "proposals",
+    "set-samples", "threads", "checkpoint-interval", "rejuvenation-sweeps"};
+
 void usage(const char* prog) {
     std::fprintf(stderr,
                  "usage: %s <seqdata...> <init_theta> [options]\n"
@@ -71,9 +77,8 @@ void usage(const char* prog) {
                  "                     generations, pool launches, serve jobs) and write\n"
                  "                     Chrome trace_event JSON on clean exit\n"
                  "                     (chrome://tracing)\n"
-                 "  --print-config     print build type, SIMD width, git describe, the\n"
-                 "                     thread default and the likelihood backends, then\n"
-                 "                     exit\n"
+                 "  --print-config     print build type, SIMD width, git describe and the\n"
+                 "                     thread default, then exit\n"
                  "exit codes: 0 ok, 1 error, 2 usage, 3 interrupted (checkpointed),\n"
                  "            4 resume failed (strict), 5 numeric fault, 6 checkpoint I/O\n"
                  "sequential Monte Carlo (--algo smc|pmmh):\n"
@@ -81,9 +86,6 @@ void usage(const char* prog) {
                  "  --resampling R     multinomial | stratified | systematic (default) |\n"
                  "                     residual\n"
                  "  --ess-threshold F  resample when ESS < F * particles (default 0.5)\n"
-                 "  --lik-backend B    likelihood execution backend: batched (default) |\n"
-                 "                     arena; scheduling only — samples and logZ are\n"
-                 "                     bitwise identical across backends\n"
                  "  --pmmh-sigma S     log-normal random-walk sd over theta (default 0.4)\n"
                  "                     (pmmh reuses --samples, --chains, --stop-*,\n"
                  "                     --checkpoint/--resume)\n"
@@ -97,7 +99,7 @@ void usage(const char* prog) {
                  "  %s online-init <seqdata> <theta> --state FILE\n"
                  "                     run one SMC pass over the data and save the warm\n"
                  "                     posterior to FILE (--particles/--resampling/\n"
-                 "                     --ess-threshold/--lik-backend/--model/--seed apply)\n"
+                 "                     --ess-threshold/--model/--seed apply)\n"
                  "  %s serve --state FILE (--socket PATH | --port P [--host H])\n"
                  "                     serve newline-delimited JSON jobs (add_sequence |\n"
                  "                     estimate | logz | metrics | snapshot | shutdown)\n"
@@ -176,17 +178,16 @@ int runStructured(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double t
 
     StructuredOptions so;
     so.init = MigrationModel(2, theta0, opts.getDouble("mig-init", 1.0));
-    so.emIterations = static_cast<std::size_t>(opts.getInt("em", 4));
-    so.samplesPerIteration = static_cast<std::size_t>(opts.getInt("samples", 4000));
-    so.chains = static_cast<std::size_t>(opts.getInt("chains", 4));
+    so.emIterations = opts.getCount("em", 4);
+    so.samplesPerIteration = opts.getCount("samples", 4000);
+    so.chains = opts.getCount("chains", 4);
     so.pathRefreshProb = opts.getDouble("path-refresh", 0.25);
     so.seed = static_cast<std::uint64_t>(opts.getInt("seed", 20160408));
     so.substModel = opts.get("model", "F81");
     so.stopRhat = opts.getDouble("stop-rhat", 0.0);
     so.stopEss = opts.getDouble("stop-ess", 0.0);
     so.checkpointPath = opts.get("checkpoint", "");
-    so.checkpointIntervalTicks =
-        static_cast<std::size_t>(opts.getInt("checkpoint-interval", 0));
+    so.checkpointIntervalTicks = opts.getCount("checkpoint-interval", 0);
     so.resume = opts.getBool("resume", false);
     so.supervisor = supervisor;
     validateStructuredOptions(so);
@@ -230,8 +231,8 @@ int runStructured(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double t
     return 0;
 }
 
-/// End-of-run likelihood-backend summary from the metrics registry
-/// (lik.* taxonomy; --metrics-out / --trace-out arm it). Its callers run
+/// End-of-run slot-arena summary from the metrics registry (lik.*
+/// taxonomy; --metrics-out / --trace-out arm it). Its callers run
 /// filter passes only, where requested vs computed is what cherries save:
 /// their two bit-equal branch lengths share one matrix per category.
 void printLikSummary() {
@@ -244,9 +245,8 @@ void printLikSummary() {
         requested == 0
             ? 0.0
             : 100.0 * (1.0 - static_cast<double>(computed) / static_cast<double>(requested));
-    std::printf("likelihood backend: %llu flushes, %llu combine ops, %llu of %llu "
-                "transition matrices computed (sharing saved %.1f%%)\n",
-                static_cast<unsigned long long>(snap.counter(obs::Counter::LikFlushes)),
+    std::printf("likelihood: %llu combine ops, %llu of %llu transition matrices computed "
+                "(sharing saved %.1f%%)\n",
                 static_cast<unsigned long long>(snap.counter(obs::Counter::LikCombineOps)),
                 static_cast<unsigned long long>(computed),
                 static_cast<unsigned long long>(requested), shared);
@@ -262,25 +262,21 @@ int runSmcAlgo(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double thet
     // apply were already hard-rejected by validateAlgoFlags in main().
     SmcEstimateOptions so;
     so.theta0 = theta0;
-    so.smc.particles = static_cast<std::size_t>(opts.getInt("particles", 1024));
+    so.smc.particles = opts.getCount("particles", 1024);
     so.smc.scheme = parseResamplingScheme(opts.get("resampling", "systematic"));
     so.smc.essThreshold = opts.getDouble("ess-threshold", 0.5);
-    so.smc.backend =
-        parseLikBackend(opts.get("lik-backend", likBackendName(kDefaultLikBackend)));
     so.seed = static_cast<std::uint64_t>(opts.getInt("seed", 20160408));
     so.substModel = opts.get("model", "F81");
     if (opts.has("curve")) so.curvePoints = 81;
     so.checkpointPath = opts.get("checkpoint", "");
-    so.checkpointIntervalEvals =
-        static_cast<std::size_t>(opts.getInt("checkpoint-interval", 0));
+    so.checkpointIntervalEvals = opts.getCount("checkpoint-interval", 0);
     so.resume = opts.getBool("resume", false);
     so.supervisor = supervisor;
 
-    std::printf("mpcgs smc: %zu loci, %zu particles, %s resampling, %s likelihood "
-                "backend, theta0=%.4g, threads=%u\n",
+    std::printf("mpcgs smc: %zu loci, %zu particles, %s resampling, theta0=%.4g, "
+                "threads=%u\n",
                 ds.locusCount(), so.smc.particles,
-                resamplingSchemeName(so.smc.scheme).c_str(),
-                likBackendName(so.smc.backend), theta0, threads);
+                resamplingSchemeName(so.smc.scheme).c_str(), theta0, threads);
     const SmcEstimateResult res = withResumeFallback(
         so.resume, strictResumePolicy(opts), [&] { return estimateThetaSmc(ds, so, &pool); });
     std::printf("SMC theta estimate: %.6g  (pooled log marginal likelihood %.4g, %s)\n",
@@ -308,29 +304,25 @@ int runPmmhAlgo(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double the
     using namespace mpcgs;
     PmmhEstimateOptions po;
     po.theta0 = theta0;
-    po.samples = static_cast<std::size_t>(opts.getInt("samples", 2000));
-    po.pmmh.chains = static_cast<std::size_t>(opts.getInt("chains", 2));
+    po.samples = opts.getCount("samples", 2000);
+    po.pmmh.chains = opts.getCount("chains", 2);
     po.pmmh.proposalSigma = opts.getDouble("pmmh-sigma", 0.4);
     po.pmmh.seed = static_cast<std::uint64_t>(opts.getInt("seed", 20160408));
-    po.pmmh.smc.particles = static_cast<std::size_t>(opts.getInt("particles", 256));
+    po.pmmh.smc.particles = opts.getCount("particles", 256);
     po.pmmh.smc.scheme = parseResamplingScheme(opts.get("resampling", "systematic"));
     po.pmmh.smc.essThreshold = opts.getDouble("ess-threshold", 0.5);
-    po.pmmh.smc.backend =
-        parseLikBackend(opts.get("lik-backend", likBackendName(kDefaultLikBackend)));
     po.substModel = opts.get("model", "F81");
     po.stopRhat = opts.getDouble("stop-rhat", 0.0);
     po.stopEss = opts.getDouble("stop-ess", 0.0);
     po.checkpointPath = opts.get("checkpoint", "");
-    po.checkpointIntervalTicks =
-        static_cast<std::size_t>(opts.getInt("checkpoint-interval", 0));
+    po.checkpointIntervalTicks = opts.getCount("checkpoint-interval", 0);
     po.resume = opts.getBool("resume", false);
     po.supervisor = supervisor;
 
     std::printf("mpcgs pmmh: %zu loci, %zu chains x %zu particles, %s resampling, "
-                "%s likelihood backend, theta0=%.4g, threads=%u\n",
+                "theta0=%.4g, threads=%u\n",
                 ds.locusCount(), po.pmmh.chains, po.pmmh.smc.particles,
-                resamplingSchemeName(po.pmmh.smc.scheme).c_str(),
-                likBackendName(po.pmmh.smc.backend), theta0, threads);
+                resamplingSchemeName(po.pmmh.smc.scheme).c_str(), theta0, threads);
     const PmmhEstimateResult res = withResumeFallback(
         po.resume, strictResumePolicy(opts), [&] { return runPmmh(ds, po, &pool); });
     std::printf("PMMH posterior over theta (%zu samples, accept rate %.2f, %s)%s:\n",
@@ -359,10 +351,7 @@ mpcgs::OnlineOptions onlineOptionsFrom(const mpcgs::Options& opts) {
     mpcgs::OnlineOptions oo;
     oo.essThreshold = opts.getDouble("ess-threshold", 0.5);
     oo.scheme = mpcgs::parseResamplingScheme(opts.get("resampling", "systematic"));
-    oo.backend = mpcgs::parseLikBackend(
-        opts.get("lik-backend", mpcgs::likBackendName(mpcgs::kDefaultLikBackend)));
-    oo.rejuvenationSweeps =
-        static_cast<std::size_t>(opts.getInt("rejuvenation-sweeps", 1));
+    oo.rejuvenationSweeps = opts.getCount("rejuvenation-sweeps", 1);
     return oo;
 }
 
@@ -381,14 +370,12 @@ int runOnlineInit(const mpcgs::Options& opts) {
     const double theta0 = std::stod(opts.positional()[2]);
 
     SmcOptions smc;
-    smc.particles = static_cast<std::size_t>(opts.getInt("particles", 1024));
+    smc.particles = opts.getCount("particles", 1024);
     smc.scheme = parseResamplingScheme(opts.get("resampling", "systematic"));
     smc.essThreshold = opts.getDouble("ess-threshold", 0.5);
-    smc.backend =
-        parseLikBackend(opts.get("lik-backend", likBackendName(kDefaultLikBackend)));
     const auto seed = static_cast<std::uint64_t>(opts.getInt("seed", 20160408));
     const unsigned threads =
-        static_cast<unsigned>(opts.getInt("threads", hardwareThreads()));
+        static_cast<unsigned>(opts.getCount("threads", hardwareThreads()));
     ThreadPool pool(threads);
 
     const OnlineState st = initOnlineState(ds.locus(0).alignment, theta0, smc,
@@ -413,7 +400,7 @@ int runServe(const mpcgs::Options& opts, std::unique_ptr<mpcgs::RunSupervisor>& 
 
     OnlineState st = loadOnlineState(*statePath);
     const unsigned threads =
-        static_cast<unsigned>(opts.getInt("threads", hardwareThreads()));
+        static_cast<unsigned>(opts.getCount("threads", hardwareThreads()));
     ThreadPool pool(threads);
 
     RunSupervisor::Config svCfg;
@@ -488,8 +475,6 @@ int main(int argc, char** argv) {
     const Options opts = Options::parse(argc, argv);
     if (opts.has("print-config")) {
         std::fputs(buildConfigSummary().c_str(), stdout);
-        std::printf("lik backends:    arena, batched (default %s; --lik-backend)\n",
-                    likBackendName(kDefaultLikBackend));
         return 0;
     }
     const std::string subcmd =
@@ -506,6 +491,10 @@ int main(int argc, char** argv) {
 
     std::unique_ptr<RunSupervisor> supervisor;
     try {
+        // A malformed or negative count exits 2 naming its flag before any
+        // pool or buffer is sized from it.
+        for (const char* flag : kCountFlags) opts.getCount(flag, 0);
+
         // Fault injection arms before anything can fail: the env var first,
         // then --failpoints (later specs override earlier ones per point).
         failpoint::configureFromEnv();
@@ -536,11 +525,11 @@ int main(int argc, char** argv) {
 
         MpcgsOptions mo;
         mo.theta0 = std::stod(opts.positional().back());
-        mo.samplesPerIteration = static_cast<std::size_t>(opts.getInt("samples", 4000));
-        mo.emIterations = static_cast<std::size_t>(opts.getInt("em", 4));
-        mo.gmhProposals = static_cast<std::size_t>(opts.getInt("proposals", 32));
-        mo.gmhSamplesPerSet = static_cast<std::size_t>(opts.getInt("set-samples", 8));
-        mo.chains = static_cast<std::size_t>(opts.getInt("chains", 4));
+        mo.samplesPerIteration = opts.getCount("samples", 4000);
+        mo.emIterations = opts.getCount("em", 4);
+        mo.gmhProposals = opts.getCount("proposals", 32);
+        mo.gmhSamplesPerSet = opts.getCount("set-samples", 8);
+        mo.chains = opts.getCount("chains", 4);
         mo.seed = static_cast<std::uint64_t>(opts.getInt("seed", 20160408));
         mo.substModel = opts.get("model", "F81");
 
@@ -561,8 +550,7 @@ int main(int argc, char** argv) {
         mo.stopRhat = opts.getDouble("stop-rhat", 0.0);
         mo.stopEss = opts.getDouble("stop-ess", 0.0);
         mo.checkpointPath = opts.get("checkpoint", "");
-        mo.checkpointIntervalTicks =
-            static_cast<std::size_t>(opts.getInt("checkpoint-interval", 0));
+        mo.checkpointIntervalTicks = opts.getCount("checkpoint-interval", 0);
         mo.resume = opts.getBool("resume", false);
 
         const std::string algo = opts.get("algo", "mcmc");
@@ -608,7 +596,7 @@ int main(int argc, char** argv) {
         ds.validate();
 
         const unsigned threads =
-            static_cast<unsigned>(opts.getInt("threads", hardwareThreads()));
+            static_cast<unsigned>(opts.getCount("threads", hardwareThreads()));
         ThreadPool pool(threads);
 
         // One supervisor per run: SIGTERM/SIGINT and --max-wall-time feed
