@@ -8,7 +8,6 @@
 #include "lik/slot_arena.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <vector>
 
