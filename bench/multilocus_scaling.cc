@@ -1,15 +1,16 @@
 // Multi-locus scaling: samples/second of the joint-theta pipeline across a
 // loci x threads sweep. The loci axis is embarrassingly parallel (each
-// locus runs its own chain set inside the lockstep MultiLocusRun rounds),
-// so throughput should scale with min(loci, threads) while staying bitwise
-// invariant to the thread count. Emits BENCH_multilocus.json (snapshot
+// locus is one slot of the lockstep SamplerRun rounds, with its own chain
+// set), so throughput should scale with min(loci, threads) while staying
+// bitwise invariant to the thread count. Emits BENCH_multilocus.json (snapshot
 // committed under bench/) next to BENCH_mcmc.json. Note: like the other
 // thread sweeps, the committed snapshot comes from the single-core dev
 // container, where every thread row measures the same serial work — the
 // sweep shows real scaling only on multi-core hardware. With L > 1 the
-// loci axis claims the pool and the per-locus samplers run serial ticks,
-// so single-locus strategy parallelism (GMH fan-out) is traded for
-// locus-level parallelism; at L >= threads that trade is strictly better.
+// loci axis claims the pool and each locus's sampler launches run inline
+// on its worker, so single-locus strategy parallelism (GMH fan-out) is
+// traded for locus-level parallelism; at L >= threads that trade is
+// strictly better.
 //
 //   $ ./multilocus_scaling [--samples N] [--seqs n] [--length L] [--paper-scale]
 #include <cstdio>

@@ -1,5 +1,6 @@
 // Sampler-runtime throughput: samples/second for every strategy across a
-// thread sweep, all running through the unified SamplerRun path. Emits
+// thread sweep, each running as the one slot of estimateTheta's SamplerRun
+// (the sampler keeps the whole pool for its chains or proposals). Emits
 // BENCH_mcmc.json (snapshot committed under bench/) so successive PRs can
 // track the sampling-throughput trajectory next to BENCH_likelihood.json.
 //

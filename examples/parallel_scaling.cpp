@@ -2,8 +2,8 @@
 // runtime: the GMH sampler scales with parallel width because burn-in work
 // parallelizes too, while the multi-chain workaround pays B per chain
 // (Eq. 27). Heated (MC^3) sweeps now also run across the pool — every
-// strategy goes through the same SamplerRun path, so the sweep below is a
-// single loop over strategies.
+// strategy runs as the one slot of the same SamplerRun, so the sweep below
+// is a single loop over strategies.
 //
 //   $ ./examples/parallel_scaling [--samples N] [--seqs n] [--length L]
 //

@@ -352,11 +352,10 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
         Timer estep;
         const std::vector<Genealogy> emInit = current;  // warm starts, recorded in snapshots
         // One sampler per locus over P(D_l|G_l) * P(G_l | mu_l theta), each
-        // with its own SplitMix64-derived stream family. With several loci
-        // the loci axis carries the parallelism (samplers run pool-free
-        // inside the lockstep rounds); a single locus keeps the pool for
-        // its intra-strategy parallel sections, exactly the pre-dataset
-        // configuration.
+        // with its own SplitMix64-derived stream family, all on the pool:
+        // a single locus's sampler uses it for its own parallel sections,
+        // while with several loci the loci axis claims it and each
+        // sampler's launches run inline on its locus's worker.
         const std::uint64_t seed = emSeed(opts, em);
         std::vector<std::unique_ptr<Sampler>> samplers;
         samplers.reserve(L);
@@ -364,11 +363,11 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
             samplers.push_back(makeSampler(specFor(opts, locusStreamSeed(seed, l)),
                                            liks.at(l),
                                            problems.at(l).effectiveTheta(theta),
-                                           std::move(current[l]), L == 1 ? pool : nullptr));
+                                           std::move(current[l]), pool));
         std::vector<SummarySink> sinks(L);
         std::vector<ConvergenceMonitor> monitors(L);
 
-        MultiLocusRun::Config cfg;
+        SamplerRun::Config cfg;
         cfg.burnInTicks = geom.burnTicks;
         cfg.sampleTicks = geom.capTicks;
         cfg.stopping.rhatBelow = opts.stopRhat;
@@ -416,10 +415,10 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
             };
         }
 
-        std::vector<LocusSlot> slots(L);
+        std::vector<RunSlot> slots(L);
         for (std::size_t l = 0; l < L; ++l)
-            slots[l] = LocusSlot{samplers[l].get(), &sinks[l], &monitors[l]};
-        MultiLocusRun run(std::move(slots), cfg);
+            slots[l] = RunSlot{samplers[l].get(), &sinks[l], &monitors[l]};
+        SamplerRun run(std::move(slots), cfg);
         if (resumeMidIteration && em == emStart) {
             try {
                 if (resumeReader->version() >= 2) {
@@ -448,12 +447,13 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
             resumeReader.reset();
         }
 
-        const MultiLocusReport report = run.execute();
+        const std::vector<SamplerRunReport> reports = run.execute();
         rec.seconds = estep.seconds();
         result.samplingSeconds += rec.seconds;
-        rec.samples = report.totalSamples();
-        rec.stoppedEarly = report.allStoppedEarly();
-        for (const LocusRunReport& lr : report.loci) {
+        rec.stoppedEarly = true;  // every locus's stopping rule fired before the cap
+        for (const SamplerRunReport& lr : reports) {
+            rec.samples += lr.samples;
+            rec.stoppedEarly = rec.stoppedEarly && lr.stoppedEarly;
             rec.rhat = std::max(rec.rhat, lr.rhat);
             rec.ess = rec.ess == 0.0 ? lr.ess : std::min(rec.ess, lr.ess);
         }

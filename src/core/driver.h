@@ -7,8 +7,8 @@
 //   theta over sum_l log L_l; replace driving value } -> final estimate.
 //
 // Every E-step runs through the unified sampler runtime: estimateTheta
-// builds one Sampler per locus (core/samplers.h) and drives them with one
-// MultiLocusRun — streaming locus/chain-tagged samples into per-locus
+// builds one Sampler per locus (core/samplers.h) and drives them as the
+// slots of one SamplerRun — streaming locus/chain-tagged samples into per-locus
 // summary sinks and convergence monitors, optionally stopping early once
 // EVERY locus meets the R-hat/ESS rule, and optionally snapshotting the
 // full per-locus state (checkpoint v2) for bitwise-identical resume.

@@ -3,11 +3,11 @@
 #include <utility>
 
 #include "core/genealogy_problem.h"
+#include "core/lockstep_chains.h"
 #include "mcmc/checkpoint.h"
 #include "mcmc/gmh.h"
 #include "mcmc/heated.h"
 #include "mcmc/mh.h"
-#include "mcmc/schedule.h"
 #include "rng/splitmix.h"
 
 namespace mpcgs {
@@ -199,86 +199,10 @@ class GmhAdapter final : public Sampler {
     std::uint64_t emitted_ = 0;
 };
 
-/// Multi-chain §3 baseline: P independent chains advanced in lockstep
-/// rounds across the pool — one step and one tagged sample per chain per
-/// tick. Chain c draws from stream splitMix64At(seed, c + 1) and keeps its
-/// own arena; inside a pooled round its arena evaluations run inline on
-/// the chain's worker.
-class MultiChainAdapter final : public Sampler {
-  public:
-    MultiChainAdapter(const DataLikelihood& lik, double theta, Genealogy init,
-                      const SamplerSpec& spec, ThreadPool* pool)
-        : problem_(lik, theta), scheduler_(pool, spec.chains) {
-        chains_.reserve(spec.chains);
-        for (std::size_t c = 0; c < spec.chains; ++c)
-            chains_.emplace_back(problem_, init,
-                                 Mt19937::fromSplitMix(splitMix64At(spec.seed, c + 1)), pool);
-    }
-
-    std::uint32_t chainCount() const override {
-        return static_cast<std::uint32_t>(chains_.size());
-    }
-    std::size_t samplesPerTick() const override { return chains_.size(); }
-
-    void tick(SampleSink* sink) override {
-        scheduler_.stepChains([&](std::size_t c) {
-            chains_[c].step();
-            if (sink)
-                sink->consume(chains_[c].current(),
-                              SampleTag{static_cast<std::uint32_t>(c), sampleRounds_,
-                                        chains_[c].currentLogPosterior()});
-        });
-        if (sink) ++sampleRounds_;
-    }
-
-    const Genealogy& continuation() const override { return chains_.front().current(); }
-
-    SamplerStats stats() const override {
-        SamplerStats s;
-        for (const auto& c : chains_) {
-            s.steps += c.steps();
-            s.accepted += c.acceptedCount();
-        }
-        return s;
-    }
-
-    void save(CheckpointWriter& w) const override {
-        writeTag(w, Strategy::MultiChain);
-        w.u64(chains_.size());
-        for (const auto& c : chains_) {
-            writeGenealogy(w, c.current());
-            w.f64(c.currentLogPosterior());
-            w.u64(c.steps());
-            w.u64(c.acceptedCount());
-            writeRng(w, c.rng());
-        }
-        w.u64(sampleRounds_);
-    }
-
-    void load(CheckpointReader& r) override {
-        checkTag(r, Strategy::MultiChain);
-        if (r.u64() != chains_.size())
-            throw CheckpointError("snapshot chain count does not match configuration");
-        for (auto& c : chains_) {
-            Genealogy g = readGenealogy(r);
-            const double logPost = r.f64();
-            const std::size_t steps = r.u64();
-            const std::size_t accepted = r.u64();
-            c.restore(std::move(g), logPost, steps, accepted);
-            readRng(r, c.rng());
-        }
-        sampleRounds_ = r.u64();
-    }
-
-  private:
-    MhGenealogyProblem problem_;
-    ChainScheduler scheduler_;
-    std::vector<MhChain<MhGenealogyProblem>> chains_;
-    std::uint64_t sampleRounds_ = 0;
-};
-
 /// MC^3: one sweep per tick (pool-parallel within-sweep stepping inside
-/// HeatedChains), sampling the cold chain.
+/// HeatedChains), sampling the cold chain. Payload: tag, ladder size, one
+/// chain record per rung (core/lockstep_chains.h), then the swap stream
+/// and counters.
 class HeatedAdapter final : public Sampler {
   public:
     HeatedAdapter(const DataLikelihood& lik, double theta, Genealogy init,
@@ -306,14 +230,8 @@ class HeatedAdapter final : public Sampler {
     void save(CheckpointWriter& w) const override {
         writeTag(w, Strategy::HeatedMh);
         w.u64(chains_.chainCount());
-        for (std::size_t i = 0; i < chains_.chainCount(); ++i) {
-            const auto& c = chains_.chain(i);
-            writeGenealogy(w, c.current());
-            w.f64(c.currentLogPosterior());
-            w.u64(c.steps());
-            w.u64(c.acceptedCount());
-            writeRng(w, c.rng());
-        }
+        for (std::size_t i = 0; i < chains_.chainCount(); ++i)
+            writeChainRecord(w, chains_.chain(i));
         writeRng(w, chains_.swapRng());
         w.u64(chains_.sweeps());
         const HeatedStats s = chains_.stats();
@@ -326,15 +244,8 @@ class HeatedAdapter final : public Sampler {
         checkTag(r, Strategy::HeatedMh);
         if (r.u64() != chains_.chainCount())
             throw CheckpointError("snapshot temperature ladder does not match configuration");
-        for (std::size_t i = 0; i < chains_.chainCount(); ++i) {
-            auto& c = chains_.chain(i);
-            Genealogy g = readGenealogy(r);
-            const double logPost = r.f64();
-            const std::size_t steps = r.u64();
-            const std::size_t accepted = r.u64();
-            c.restore(std::move(g), logPost, steps, accepted);
-            readRng(r, c.rng());
-        }
+        for (std::size_t i = 0; i < chains_.chainCount(); ++i)
+            readChainRecord(r, chains_.chain(i), problem_);
         readRng(r, chains_.swapRng());
         const std::size_t sweeps = r.u64();
         const std::size_t swapsProposed = r.u64();
@@ -367,7 +278,9 @@ std::unique_ptr<Sampler> makeSampler(const SamplerSpec& spec, const DataLikeliho
         case Strategy::SerialMh:
             return std::make_unique<SerialMhAdapter>(lik, theta, std::move(init), spec, pool);
         case Strategy::MultiChain:
-            return std::make_unique<MultiChainAdapter>(lik, theta, std::move(init), spec, pool);
+            return std::make_unique<LockstepChains<MhGenealogyProblem>>(
+                MhGenealogyProblem(lik, theta), init, spec.chains, spec.seed,
+                static_cast<std::uint32_t>(Strategy::MultiChain), pool);
         case Strategy::HeatedMh:
             return std::make_unique<HeatedAdapter>(lik, theta, std::move(init), spec, pool);
     }

@@ -6,7 +6,8 @@
 //   Strategy::Gmh        one GmhSampler iteration per tick (M samples)
 //   Strategy::SerialMh   one MhChain step per tick
 //   Strategy::MultiChain P lockstep MhChain steps per tick (P samples),
-//                        parallel across the pool via ChainScheduler
+//                        parallel across the pool (LockstepChains,
+//                        core/lockstep_chains.h)
 //   Strategy::HeatedMh   one MC^3 sweep per tick (cold-chain sample),
 //                        within-sweep stepping parallel across the pool
 //
@@ -72,7 +73,9 @@ class SummarySink final : public SampleSink {
 /// Build the sampler for `spec` over P(D|G) * P(G|theta), warm-started
 /// from `init`. `pool` parallelizes whatever the strategy can use it for
 /// (GMH proposal fan-out, multi-chain rounds, MC^3 sweeps, serial-MH
-/// pattern blocks); results are bitwise identical for any pool width.
+/// pattern blocks); inside another launch of the same pool (one locus of
+/// a multi-locus round) those launches run inline. Results are bitwise
+/// identical for any pool width.
 std::unique_ptr<Sampler> makeSampler(const SamplerSpec& spec, const DataLikelihood& lik,
                                      double theta, Genealogy init,
                                      ThreadPool* pool = nullptr);

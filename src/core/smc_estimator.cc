@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <unordered_map>
 
 #include "core/mle.h"
@@ -265,12 +264,6 @@ SmcEstimateResult estimateThetaSmc(const Dataset& dataset, const SmcEstimateOpti
     return res;
 }
 
-std::unique_ptr<Sampler> makePmmhSampler(const PooledSmcLikelihood& marginal,
-                                         double thetaInit, const PmmhOptions& opts,
-                                         ThreadPool* pool) {
-    return std::make_unique<PmmhSampler>(marginal, thetaInit, opts, pool);
-}
-
 PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& opts,
                            ThreadPool* pool) {
     if (opts.theta0 <= 0.0) throw ConfigError("pmmh: theta0 must be positive");
@@ -300,8 +293,9 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
 
     ConvergenceMonitor monitor;
     DiscardSink sink;
-    std::size_t resumeBurnDone = 0, resumeSampleDone = 0;
-    bool resumeStopped = false;
+    std::size_t resumeBurnDone = 0;
+    std::uint64_t resumeSampleDone = 0;
+    std::uint8_t resumeStopped = 0;
     if (opts.resume) {
         try {
             CheckpointReader r(pickResumeSnapshot(opts.checkpointPath));
@@ -311,7 +305,7 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
             burnTicks = r.u64();
             resumeBurnDone = r.u64();
             resumeSampleDone = r.u64();
-            resumeStopped = r.u32() != 0;
+            resumeStopped = r.u32() != 0 ? 1 : 0;
             r.enterSection("sampler");
             sampler.load(r);
             r.enterSection("monitor");
@@ -333,8 +327,9 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
     cfg.numeric.seed = opts.pmmh.seed;
     cfg.numeric.phase = "runPmmh sampling";
     if (!opts.checkpointPath.empty()) {
-        cfg.checkpoint = [&, burnTicks](std::size_t burnDone, std::size_t sampleDone,
-                                        bool stopped) {
+        cfg.checkpoint = [&, burnTicks](std::size_t burnDone,
+                                        std::span<const std::uint64_t> sampleDone,
+                                        std::span<const std::uint8_t> stopped) {
             withCheckpointRetry(opts.supervisor, [&] {
                 CheckpointWriter w(opts.checkpointPath);
                 w.beginSection("fingerprint");
@@ -342,8 +337,8 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
                 w.beginSection("context");
                 w.u64(burnTicks);  // freeze the burn geometry for resumes
                 w.u64(burnDone);
-                w.u64(sampleDone);
-                w.u32(stopped ? 1 : 0);
+                w.u64(sampleDone[0]);
+                w.u32(stopped[0] ? 1 : 0);
                 w.beginSection("sampler");
                 sampler.save(w);
                 w.beginSection("monitor");
@@ -353,10 +348,11 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
         };
     }
 
-    SamplerRun run(sampler, cfg);
-    if (opts.resume) run.restoreProgress(resumeBurnDone, resumeSampleDone, resumeStopped);
+    SamplerRun run({{&sampler, &sink, &monitor}}, cfg);
+    if (opts.resume)
+        run.restoreProgress(resumeBurnDone, {&resumeSampleDone, 1}, {&resumeStopped, 1});
 
-    const SamplerRunReport report = run.execute(sink, monitor);
+    const SamplerRunReport report = run.execute().front();
 
     PmmhEstimateResult res;
     res.stoppedEarly = report.stoppedEarly;

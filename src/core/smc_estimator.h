@@ -7,9 +7,9 @@
 // estimate cross-validates the MCMC answer (tests/statistical_qa_test.cc).
 //
 // runPmmh: particle-marginal MH over theta through the unified sampler
-// runtime — PmmhSampler behind SamplerRun with parallel chains, streaming
-// sinks, R-hat/ESS convergence stopping and periodic 'PSMC' (format v4)
-// snapshots; kill + --resume continues bitwise-identically, and a resumed
+// runtime — PmmhSampler as the single slot of a SamplerRun, with parallel
+// chains, streaming sinks, R-hat/ESS convergence stopping and periodic
+// 'PSMC' (format v4) snapshots; kill + --resume continues bitwise-identically, and a resumed
 // run may extend the sample horizon (the cap is deliberately outside the
 // snapshot fingerprint).
 #pragma once
@@ -96,16 +96,10 @@ struct PmmhEstimateResult {
     std::vector<double> thetaChainMajor;  ///< pooled posterior draws, chain-major
 };
 
-/// Run PMMH over theta through the sampler runtime. `pool` parallelizes
-/// the chain axis (chains > 1) or the single chain's particle blocks;
-/// results are bitwise identical for any pool width.
+/// Run PMMH over theta through the sampler runtime. `pool` runs the chain
+/// axis, and a single chain's particle blocks; results are bitwise
+/// identical for any pool width.
 PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& opts,
                            ThreadPool* pool = nullptr);
-
-/// Factory mirror of core/samplers.h makeSampler for the PMMH strategy:
-/// the sampler runs over `marginal` (which must outlive it).
-std::unique_ptr<Sampler> makePmmhSampler(const PooledSmcLikelihood& marginal,
-                                         double thetaInit, const PmmhOptions& opts,
-                                         ThreadPool* pool = nullptr);
 
 }  // namespace mpcgs

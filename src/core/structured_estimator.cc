@@ -4,6 +4,7 @@
 #include <memory>
 #include <utility>
 
+#include "core/lockstep_chains.h"
 #include "core/structured_sampler.h"
 #include "lik/locus_likelihoods.h"
 #include "mcmc/checkpoint.h"
@@ -13,11 +14,6 @@
 
 namespace mpcgs {
 namespace {
-
-/// Fingerprint tag of structured-estimator snapshots ("STRC" again — the
-/// payload layouts are versioned by the file header, the tag only guards
-/// against feeding a single-population snapshot to the structured driver).
-constexpr std::uint32_t kStructuredRunTag = 0x43525453u;
 
 std::uint64_t emSeed(const StructuredOptions& opts, std::size_t em) {
     return opts.seed + em * 0x632BE59BD9B4E019ull;
@@ -39,7 +35,7 @@ MigrationModel readModel(CheckpointReader& r) {
 
 void writeFingerprint(CheckpointWriter& w, const StructuredOptions& opts,
                       const Alignment& aln, const std::vector<int>& tipDemes) {
-    w.u32(kStructuredRunTag);
+    w.u32(kStructuredSnapshotTag);
     w.u64(opts.seed);
     w.u64(opts.samplesPerIteration);
     w.u64(opts.burnInFraction1000);
@@ -62,7 +58,7 @@ void checkFingerprint(CheckpointReader& r, const StructuredOptions& opts,
             "resume: structured runs need a format v3 snapshot (found version " +
             std::to_string(r.version()) + ")");
     bool ok = true;
-    ok &= r.u32() == kStructuredRunTag;
+    ok &= r.u32() == kStructuredSnapshotTag;
     ok &= r.u64() == opts.seed;
     ok &= r.u64() == opts.samplesPerIteration;
     ok &= r.u64() == opts.burnInFraction1000;
@@ -176,8 +172,8 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
     std::unique_ptr<CheckpointReader> resumeReader;
     bool resumeMidIteration = false;
     std::size_t resumeBurnDone = 0;
-    std::size_t resumeSampleDone = 0;
-    bool resumeStopped = false;
+    std::uint64_t resumeSampleDone = 0;
+    std::uint8_t resumeStopped = 0;
 
     if (opts.resume) {
         // Snapshot READ failures become ResumeError so callers can fall
@@ -198,7 +194,7 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
                 resumeMidIteration = true;
                 resumeBurnDone = resumeReader->u64();
                 resumeSampleDone = resumeReader->u64();
-                resumeStopped = resumeReader->u32() != 0;
+                resumeStopped = resumeReader->u32() != 0 ? 1 : 0;
             } else {
                 resumeReader.reset();
             }
@@ -229,8 +225,9 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
 
         Timer estep;
         const StructuredGenealogy emInit = current;
-        StructuredChainsSampler sampler(lik, driving, emInit, opts.chains,
-                                        emSeed(opts, em), opts.pathRefreshProb, pool);
+        LockstepChains<StructuredMhProblem> sampler(
+            StructuredMhProblem(lik, driving, opts.pathRefreshProb), emInit, opts.chains,
+            emSeed(opts, em), kStructuredSnapshotTag, pool);
         StructuredSummarySink sink(K);
         ConvergenceMonitor monitor;
 
@@ -247,8 +244,9 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
         cfg.numeric.phase =
             "estimateStructured E-step (EM iteration " + std::to_string(em) + ")";
         if (!opts.checkpointPath.empty()) {
-            cfg.checkpoint = [&, em](std::size_t burnDone, std::size_t sampleDone,
-                                     bool stopped) {
+            cfg.checkpoint = [&, em](std::size_t burnDone,
+                                     std::span<const std::uint64_t> sampleDone,
+                                     std::span<const std::uint8_t> stopped) {
                 withCheckpointRetry(opts.supervisor, [&] {
                     CheckpointWriter w(opts.checkpointPath);
                     w.beginSection("fingerprint");
@@ -260,8 +258,8 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
                     writeStructuredGenealogy(w, emInit);
                     w.u32(1);  // mid-iteration
                     w.u64(burnDone);
-                    w.u64(sampleDone);
-                    w.u32(stopped ? 1 : 0);
+                    w.u64(sampleDone[0]);
+                    w.u32(stopped[0] ? 1 : 0);
                     w.beginSection("sampler");
                     sampler.save(w);
                     w.beginSection("sink");
@@ -273,7 +271,7 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
             };
         }
 
-        SamplerRun run(sampler, cfg);
+        SamplerRun run({{&sampler, &sink, &monitor}}, cfg);
         if (resumeMidIteration && em == emStart) {
             try {
                 resumeReader->enterSection("sampler");
@@ -285,11 +283,11 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
             } catch (const CheckpointError& e) {
                 throw ResumeError(e.what());
             }
-            run.restoreProgress(resumeBurnDone, resumeSampleDone, resumeStopped);
+            run.restoreProgress(resumeBurnDone, {&resumeSampleDone, 1}, {&resumeStopped, 1});
             resumeReader.reset();
         }
 
-        const SamplerRunReport report = run.execute(sink, monitor);
+        const SamplerRunReport report = run.execute().front();
         rec.seconds = estep.seconds();
         result.samplingSeconds += rec.seconds;
         rec.samples = report.samples;
@@ -298,7 +296,7 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
         rec.ess = report.ess;
         rec.moveRate = sampler.stats().moveRate();
 
-        current = sampler.structuredContinuation();
+        current = sampler.front();
 
         // Profile M-step over the structured relative likelihood.
         result.finalSummaries = sink.chainMajor();

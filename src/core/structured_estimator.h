@@ -7,8 +7,9 @@
 //   structured relative likelihood; replace driving values } -> final
 //   estimate + per-parameter support intervals.
 //
-// The E-step runs through the unified sampler runtime (SamplerRun with a
-// StructuredSummarySink + ConvergenceMonitor), so convergence-driven early
+// The E-step runs through the unified sampler runtime: one SamplerRun slot
+// holding LockstepChains<StructuredMhProblem> (core/lockstep_chains.h) with
+// a StructuredSummarySink + ConvergenceMonitor, so convergence-driven early
 // stopping and checkpoint/resume (format v3) work exactly as in the
 // single-population driver; results are bitwise invariant to the thread
 // count and a mid-run kill + resume continues bitwise-identically.

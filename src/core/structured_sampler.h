@@ -1,25 +1,23 @@
-// Structured-coalescent sampler behind the unified runtime interface:
-// P lockstep MH chains over deme-labelled genealogies, advanced in
-// ChainScheduler rounds (one step + one tagged structured sample per chain
-// per tick). Each chain owns a SplitMix64-derived Mt19937 stream and an
-// arena holding its current state's likelihood evaluation (rebuilt after
-// load()), and steps touch only per-chain state, so results are bitwise
-// invariant to the worker count — the same determinism contract as every
-// other strategy.
+// The structured strategy's pieces of the sampler runtime: its snapshot
+// tag and its sample sink. The chains themselves are
+// LockstepChains<StructuredMhProblem> (core/lockstep_chains.h): P lockstep
+// MH chains over deme-labelled genealogies, one step and one tagged
+// structured sample per chain per tick.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "coalescent/structured.h"
-#include "core/structured_problem.h"
-#include "mcmc/mh.h"
 #include "mcmc/sampler.h"
-#include "mcmc/schedule.h"
-#include "par/thread_pool.h"
 
 namespace mpcgs {
+
+/// Snapshot tag of the structured strategy ("STRC"): it opens the chains'
+/// payload, so loading it into any other sampler (or vice versa) fails
+/// loudly, and the estimator's fingerprint, which guards against feeding a
+/// single-population snapshot to the structured driver.
+inline constexpr std::uint32_t kStructuredSnapshotTag = 0x43525453u;
 
 /// Streaming chain-major collector of structured sufficient statistics —
 /// the structured run's sample sink (the §5.1.3 discipline generalized:
@@ -49,38 +47,6 @@ class StructuredSummarySink final : public SampleSink {
   private:
     int demeCount_;
     std::vector<std::vector<StructuredSummary>> perChain_;
-};
-
-/// The structured strategy: P independent MhChain<StructuredMhProblem>
-/// chains in lockstep rounds, chain c on stream splitMix64At(seed, c + 1).
-class StructuredChainsSampler final : public Sampler {
-  public:
-    StructuredChainsSampler(const DataLikelihood& lik, const MigrationModel& model,
-                            StructuredGenealogy init, std::size_t chains,
-                            std::uint64_t seed, double pathRefreshProb = 0.25,
-                            ThreadPool* pool = nullptr);
-
-    std::uint32_t chainCount() const override {
-        return static_cast<std::uint32_t>(chains_.size());
-    }
-    std::size_t samplesPerTick() const override { return chains_.size(); }
-    void tick(SampleSink* sink) override;
-    const Genealogy& continuation() const override {
-        return chains_.front().current().tree();
-    }
-    const StructuredGenealogy& structuredContinuation() const {
-        return chains_.front().current();
-    }
-    SamplerStats stats() const override;
-
-    void save(CheckpointWriter& w) const override;
-    void load(CheckpointReader& r) override;
-
-  private:
-    StructuredMhProblem problem_;
-    ChainScheduler scheduler_;
-    std::vector<MhChain<StructuredMhProblem>> chains_;
-    std::uint64_t sampleRounds_ = 0;
 };
 
 }  // namespace mpcgs

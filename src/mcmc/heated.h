@@ -8,9 +8,9 @@
 // SplitMix64-derived Mt19937 stream, and swap decisions draw from a
 // dedicated stream, so (a) chain steps and swap decisions are
 // decorrelated, and (b) the within-sweep stepping can run concurrently on
-// a ThreadPool (via ChainScheduler) with results bitwise invariant to the
-// thread count: the parallel section only reads/writes per-chain state,
-// and the swap point is serialized on the calling thread.
+// a ThreadPool (one launchChains per sweep) with results bitwise invariant
+// to the thread count: the parallel section only reads/writes per-chain
+// state, and the swap point is serialized on the calling thread.
 //
 // Problem concept: same as MhChain's (logPosterior + propose, optionally
 // the region hook). With the hook every chain keeps its own arena, and a
@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "mcmc/mh.h"
-#include "mcmc/schedule.h"
+#include "par/kernel.h"
 #include "rng/mt19937.h"
 #include "rng/splitmix.h"
 
@@ -62,7 +62,7 @@ class HeatedChains {
     HeatedChains(const Problem& problem, State init, HeatedOptions opts,
                  ThreadPool* pool = nullptr)
         : opts_(std::move(opts)),
-          scheduler_(pool, opts_.temperatures.size()),
+          pool_(pool),
           swapRng_(Mt19937::fromSplitMix(splitMix64At(opts_.seed, 0))) {
         if (opts_.temperatures.empty() || opts_.temperatures.front() != 1.0)
             throw std::invalid_argument("HeatedChains: temperatures must start with 1.0");
@@ -78,12 +78,10 @@ class HeatedChains {
     /// swapInterval sweeps) one proposed swap between a random adjacent
     /// pair (serialized swap point).
     void sweep() {
-        scheduler_.round(
-            [this](std::size_t i) { chains_[i].step(opts_.temperatures[i]); },
-            [this] {
-                ++sweeps_;
-                if (sweeps_ % opts_.swapInterval == 0 && chains_.size() > 1) proposeSwap();
-            });
+        launchChains(pool_, chains_.size(),
+                     [this](std::size_t i) { chains_[i].step(opts_.temperatures[i]); });
+        ++sweeps_;
+        if (sweeps_ % opts_.swapInterval == 0 && chains_.size() > 1) proposeSwap();
     }
 
     template <class Sink>
@@ -143,7 +141,7 @@ class HeatedChains {
     }
 
     HeatedOptions opts_;
-    ChainScheduler scheduler_;
+    ThreadPool* pool_;
     Mt19937 swapRng_;
     std::vector<Chain> chains_;
     HeatedStats stats_;

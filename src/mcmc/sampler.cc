@@ -15,8 +15,8 @@
 namespace mpcgs {
 namespace {
 
-/// Serial-section guardrail shared by both run orchestrators: checks the
-/// newest log-posterior of every chain in `monitor` after a tick. The
+/// Serial-section guardrail of SamplerRun: checks the newest
+/// log-posterior of every chain in `monitor` after a tick. The
 /// mcmc.logpost fail point (evaluated once per call — deterministic tick
 /// counting) can poison chain 0's value or throw directly.
 void guardTickLogPosts(const SamplerNumericGuard& guard, const Sampler& sampler,
@@ -153,21 +153,42 @@ bool StoppingRule::satisfied(const ConvergenceMonitor& m, double* rhatOut,
     return true;
 }
 
-SamplerRun::SamplerRun(Sampler& sampler, Config cfg)
-    : sampler_(sampler), cfg_(std::move(cfg)) {}
-
-void SamplerRun::restoreProgress(std::size_t burnTicksDone, std::size_t sampleTicksDone,
-                                 bool stopped) {
-    burnDone_ = std::min(burnTicksDone, cfg_.burnInTicks);
-    sampleDone_ = std::min(sampleTicksDone, cfg_.sampleTicks);
-    stopped_ = stopped;
+SamplerRun::SamplerRun(std::vector<RunSlot> slots, Config cfg)
+    : slots_(std::move(slots)), cfg_(std::move(cfg)) {
+    require(!slots_.empty(), "SamplerRun: no slots");
+    for (const RunSlot& s : slots_)
+        require(s.sampler && s.sink && s.monitor,
+                "SamplerRun: every slot needs a sampler, sink and monitor");
+    sampleDone_.assign(slots_.size(), 0);
+    stopped_.assign(slots_.size(), 0);
 }
 
-SamplerRunReport SamplerRun::execute(SampleSink& sink, ConvergenceMonitor& monitor) {
-    FanoutSink fanout;
-    fanout.add(&sink);
-    fanout.add(&monitor);
-    fanout.beginRun(sampler_.chainCount());
+void SamplerRun::restoreProgress(std::size_t burnTicksDone,
+                                 std::span<const std::uint64_t> sampleTicksDone,
+                                 std::span<const std::uint8_t> stopped) {
+    require(sampleTicksDone.size() == slots_.size() && stopped.size() == slots_.size(),
+            "SamplerRun: restored progress has the wrong slot count");
+    burnDone_ = std::min(burnTicksDone, cfg_.burnInTicks);
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
+        sampleDone_[s] = std::min<std::uint64_t>(sampleTicksDone[s], cfg_.sampleTicks);
+        stopped_[s] = stopped[s] ? 1 : 0;
+    }
+}
+
+std::vector<SamplerRunReport> SamplerRun::execute() {
+    const std::size_t n = slots_.size();
+
+    // Per-slot sink pipelines: summary sink + convergence monitor behind a
+    // locus-stamping adapter, so every streamed tag carries its slot id.
+    std::vector<FanoutSink> fanouts(n);
+    std::vector<LocusTagSink> tagged;
+    tagged.reserve(n);
+    for (std::size_t s = 0; s < n; ++s) {
+        fanouts[s].add(slots_[s].sink);
+        fanouts[s].add(slots_[s].monitor);
+        fanouts[s].beginRun(slots_[s].sampler->chainCount());
+        tagged.emplace_back(static_cast<std::uint32_t>(s), &fanouts[s]);
+    }
 
     const std::size_t ckptEvery =
         cfg_.checkpointInterval > 0
@@ -185,9 +206,10 @@ SamplerRunReport SamplerRun::execute(SampleSink& sink, ConvergenceMonitor& monit
         sinceCkpt = 0;
         cfg_.checkpoint(burnDone_, sampleDone_, stopped_);
     };
-    // Cooperative stop: polled at every tick boundary so an interrupt
-    // always lands on a consistent state; the forced final checkpoint
-    // makes `--resume` continue bitwise-identically.
+    // Cooperative stop: polled at every tick boundary, in the serial
+    // section between rounds, so an interrupt always lands on a consistent
+    // state; the forced final checkpoint makes `--resume` continue
+    // bitwise-identically.
     const auto checkStop = [&](const char* where) {
         if (!cfg_.stopRequested || !cfg_.stopRequested()) return;
         maybeCheckpoint(true);
@@ -198,204 +220,77 @@ SamplerRunReport SamplerRun::execute(SampleSink& sink, ConvergenceMonitor& monit
 
     while (burnDone_ < cfg_.burnInTicks) {
         checkStop("burn-in");
-        sampler_.tick(nullptr);
+        launchChains(cfg_.pool, n, [&](std::size_t s) { slots_[s].sampler->tick(nullptr); });
         ++burnDone_;
         maybeCheckpoint(burnDone_ == cfg_.burnInTicks);
     }
 
-    SamplerRunReport report;
-    if (stopped_) {
-        // Resumed from a snapshot taken after the stopping rule fired:
-        // re-derive the diagnostics from the restored monitor, sample no
+    std::vector<SamplerRunReport> reports(n);
+    for (std::size_t s = 0; s < n; ++s) {
+        if (!stopped_[s]) continue;
+        // Resumed from a snapshot taken after this slot's rule fired:
+        // re-derive its diagnostics from the restored monitor, sample no
         // further.
-        report.stoppedEarly = true;
-        cfg_.stopping.satisfied(monitor, &report.rhat, &report.ess);
-    }
-    while (!stopped_ && sampleDone_ < cfg_.sampleTicks) {
-        checkStop("sampling");
-        sampler_.tick(&fanout);
-        ++sampleDone_;
-        guardTickLogPosts(cfg_.numeric, sampler_, monitor, sampleDone_, 0);
-        if (cfg_.stopping.enabled() && sampleDone_ % checkEvery == 0 &&
-            cfg_.stopping.satisfied(monitor, &report.rhat, &report.ess)) {
-            report.stoppedEarly = true;
-            stopped_ = true;
-            break;
-        }
-        maybeCheckpoint(false);
-    }
-    // A capped run reports the diagnostics at the cap (not at the last
-    // periodic check), which also keeps a run resumed from an at-cap
-    // snapshot consistent with its uninterrupted counterpart.
-    if (!report.stoppedEarly && cfg_.stopping.enabled())
-        cfg_.stopping.satisfied(monitor, &report.rhat, &report.ess);
-    maybeCheckpoint(true);
-
-    report.samples = monitor.totalSamples();
-    report.ticks = sampleDone_;
-    return report;
-}
-
-std::size_t MultiLocusReport::totalSamples() const {
-    std::size_t n = 0;
-    for (const LocusRunReport& r : loci) n += r.samples;
-    return n;
-}
-
-bool MultiLocusReport::allStoppedEarly() const {
-    for (const LocusRunReport& r : loci)
-        if (!r.stoppedEarly) return false;
-    return !loci.empty();
-}
-
-MultiLocusRun::MultiLocusRun(std::vector<LocusSlot> slots, Config cfg)
-    : slots_(std::move(slots)), cfg_(std::move(cfg)) {
-    require(!slots_.empty(), "MultiLocusRun: no loci");
-    for (const LocusSlot& s : slots_)
-        require(s.sampler && s.sink && s.monitor,
-                "MultiLocusRun: every slot needs a sampler, sink and monitor");
-    sampleDone_.assign(slots_.size(), 0);
-    stopped_.assign(slots_.size(), 0);
-}
-
-void MultiLocusRun::restoreProgress(std::size_t burnTicksDone,
-                                    std::span<const std::uint64_t> sampleTicksDone,
-                                    std::span<const std::uint8_t> stopped) {
-    require(sampleTicksDone.size() == slots_.size() && stopped.size() == slots_.size(),
-            "MultiLocusRun: restored progress has the wrong locus count");
-    burnDone_ = std::min(burnTicksDone, cfg_.burnInTicks);
-    for (std::size_t l = 0; l < slots_.size(); ++l) {
-        sampleDone_[l] = std::min<std::uint64_t>(sampleTicksDone[l], cfg_.sampleTicks);
-        stopped_[l] = stopped[l] ? 1 : 0;
-    }
-}
-
-MultiLocusReport MultiLocusRun::execute() {
-    const std::size_t L = slots_.size();
-
-    // Per-locus sink pipelines: summary sink + convergence monitor behind a
-    // locus-stamping adapter, so every streamed tag carries its locus id.
-    std::vector<FanoutSink> fanouts(L);
-    std::vector<LocusTagSink> tagged;
-    tagged.reserve(L);
-    for (std::size_t l = 0; l < L; ++l) {
-        fanouts[l].add(slots_[l].sink);
-        fanouts[l].add(slots_[l].monitor);
-        fanouts[l].beginRun(slots_[l].sampler->chainCount());
-        tagged.emplace_back(static_cast<std::uint32_t>(l), &fanouts[l]);
+        reports[s].stoppedEarly = true;
+        cfg_.stopping.satisfied(*slots_[s].monitor, &reports[s].rhat, &reports[s].ess);
     }
 
-    // The single-locus cadence formulas of SamplerRun, applied per round: a
-    // round advances every active locus by one tick, so the L = 1 round
-    // sequence is exactly the SamplerRun tick sequence.
-    const std::size_t ckptEvery =
-        cfg_.checkpointInterval > 0
-            ? cfg_.checkpointInterval
-            : std::max<std::size_t>(1, (cfg_.burnInTicks + cfg_.sampleTicks) / 16);
-    const std::size_t checkEvery =
-        cfg_.stopping.checkInterval > 0
-            ? cfg_.stopping.checkInterval
-            : std::max<std::size_t>(1, cfg_.sampleTicks / 64);
-
-    std::size_t sinceCkpt = 0;
-    const auto maybeCheckpoint = [&](bool force) {
-        if (!cfg_.checkpoint) return;
-        if (!force && ++sinceCkpt < ckptEvery) return;
-        sinceCkpt = 0;
-        cfg_.checkpoint(burnDone_, sampleDone_, stopped_);
-    };
-    // Cooperative stop at round boundaries, in the serial section between
-    // parallel rounds — same contract as SamplerRun.
-    const auto checkStop = [&](const char* where) {
-        if (!cfg_.stopRequested || !cfg_.stopRequested()) return;
-        maybeCheckpoint(true);
-        throw InterruptedError(std::string("stop requested during ") + where +
-                                   " — progress checkpointed at the round boundary",
-                               static_cast<bool>(cfg_.checkpoint));
-    };
-    const auto guardRound = [&](std::uint64_t round) {
-        for (std::size_t l = 0; l < L; ++l)
-            guardTickLogPosts(cfg_.numeric, *slots_[l].sampler, *slots_[l].monitor,
-                              round, static_cast<std::uint32_t>(l));
-    };
-
-    // The loci axis: one indivisible unit of pool work per locus and round.
-    // With a single slot the sampler may own the pool internally, so the
-    // round must run on the calling thread (pool sections don't nest).
-    const auto forEachLocus = [&](const std::function<void(std::size_t)>& f) {
-        if (L == 1)
-            f(0);
-        else
-            launchChains(cfg_.pool, L, f);
-    };
-
-    while (burnDone_ < cfg_.burnInTicks) {
-        checkStop("burn-in");
-        forEachLocus([&](std::size_t l) { slots_[l].sampler->tick(nullptr); });
-        ++burnDone_;
-        maybeCheckpoint(burnDone_ == cfg_.burnInTicks);
-    }
-
-    MultiLocusReport report;
-    report.loci.resize(L);
-    for (std::size_t l = 0; l < L; ++l) {
-        if (!stopped_[l]) continue;
-        // Resumed from a snapshot taken after this locus's rule fired:
-        // re-derive its diagnostics from the restored monitor.
-        report.loci[l].stoppedEarly = true;
-        cfg_.stopping.satisfied(*slots_[l].monitor, &report.loci[l].rhat,
-                                &report.loci[l].ess);
-    }
-
-    const auto locusActive = [&](std::size_t l) {
-        return !stopped_[l] && sampleDone_[l] < cfg_.sampleTicks;
+    const auto slotActive = [&](std::size_t s) {
+        return !stopped_[s] && sampleDone_[s] < cfg_.sampleTicks;
     };
     const auto anyActive = [&] {
-        for (std::size_t l = 0; l < L; ++l)
-            if (locusActive(l)) return true;
+        for (std::size_t s = 0; s < n; ++s)
+            if (slotActive(s)) return true;
         return false;
     };
 
-    std::uint64_t round = 0;
     while (anyActive()) {
         checkStop("sampling");
-        forEachLocus([&](std::size_t l) {
-            if (!locusActive(l)) return;
-            slots_[l].sampler->tick(&tagged[l]);
-            ++sampleDone_[l];
+        launchChains(cfg_.pool, n, [&](std::size_t s) {
+            if (!slotActive(s)) return;
+            slots_[s].sampler->tick(&tagged[s]);
+            ++sampleDone_[s];
         });
-        guardRound(++round);
-        // Serialized barrier section: per-locus stopping checks at each
-        // locus's own cadence. A locus that satisfies its rule latches
+        for (std::size_t s = 0; s < n; ++s)
+            guardTickLogPosts(cfg_.numeric, *slots_[s].sampler, *slots_[s].monitor,
+                              sampleDone_[s], static_cast<std::uint32_t>(s));
+        // Serialized barrier section: per-slot stopping checks at each
+        // slot's own cadence. A slot that satisfies its rule latches
         // stopped and freezes; the others keep sampling.
+        bool fired = false;
         if (cfg_.stopping.enabled()) {
-            for (std::size_t l = 0; l < L; ++l) {
-                if (stopped_[l] || sampleDone_[l] % checkEvery != 0) continue;
-                if (cfg_.stopping.satisfied(*slots_[l].monitor, &report.loci[l].rhat,
-                                            &report.loci[l].ess)) {
-                    report.loci[l].stoppedEarly = true;
-                    stopped_[l] = 1;
+            for (std::size_t s = 0; s < n; ++s) {
+                if (stopped_[s] || sampleDone_[s] % checkEvery != 0) continue;
+                if (cfg_.stopping.satisfied(*slots_[s].monitor, &reports[s].rhat,
+                                            &reports[s].ess)) {
+                    reports[s].stoppedEarly = true;
+                    stopped_[s] = 1;
+                    fired = true;
                 }
             }
         }
+        // A stop that ends the phase leaves its snapshot to the forced one
+        // below instead of writing the same state twice.
+        if (fired && !anyActive()) break;
         maybeCheckpoint(false);
     }
-    // Phase-end snapshot (forced), covering the final round and the case
-    // where every locus was already complete on entry.
-    maybeCheckpoint(true);
-    // Capped loci report the diagnostics at the cap, exactly as SamplerRun
-    // does for its single sampler.
+    // Capped slots report the diagnostics at the cap (not at the last
+    // periodic check), which also keeps a run resumed from an at-cap
+    // snapshot consistent with its uninterrupted counterpart.
     if (cfg_.stopping.enabled())
-        for (std::size_t l = 0; l < L; ++l)
-            if (!report.loci[l].stoppedEarly)
-                cfg_.stopping.satisfied(*slots_[l].monitor, &report.loci[l].rhat,
-                                        &report.loci[l].ess);
+        for (std::size_t s = 0; s < n; ++s)
+            if (!reports[s].stoppedEarly)
+                cfg_.stopping.satisfied(*slots_[s].monitor, &reports[s].rhat,
+                                        &reports[s].ess);
+    // Phase-end snapshot (forced), covering the final round and the case
+    // where every slot was already complete on entry.
+    maybeCheckpoint(true);
 
-    for (std::size_t l = 0; l < L; ++l) {
-        report.loci[l].samples = slots_[l].monitor->totalSamples();
-        report.loci[l].ticks = sampleDone_[l];
+    for (std::size_t s = 0; s < n; ++s) {
+        reports[s].samples = slots_[s].monitor->totalSamples();
+        reports[s].ticks = sampleDone_[s];
     }
-    return report;
+    return reports;
 }
 
 }  // namespace mpcgs

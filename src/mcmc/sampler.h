@@ -11,8 +11,10 @@
 //     |                       zero or more chain-tagged samples to a sink
 //   SampleSink (abstract)     streaming consumer; bounded memory, no
 //     |                       buffer-then-replay
-//   SamplerRun                burn-in -> sampling loop -> StoppingRule
-//                             checks -> periodic checkpoint callbacks
+//   SamplerRun                one or more samplers (slots) in lockstep:
+//                             burn-in -> sampling rounds -> per-slot
+//                             StoppingRule checks -> periodic checkpoint
+//                             callbacks
 //
 // Sink concurrency contract: for a fixed chain id, consume() calls arrive
 // in index order and never concurrently; calls for *different* chains may
@@ -73,9 +75,9 @@ class SampleSink {
 
 /// Stamps a fixed locus id onto every tag before forwarding (not owning
 /// the inner sink). Samplers are locus-agnostic and always emit locus 0;
-/// the multi-locus runtime wraps each locus's sink pipeline in one of
-/// these so any shared downstream consumer sees fully-qualified
-/// (locus, chain, index) provenance.
+/// SamplerRun wraps each slot's sink pipeline in one of these so any
+/// shared downstream consumer sees fully-qualified (locus, chain, index)
+/// provenance.
 class LocusTagSink final : public SampleSink {
   public:
     LocusTagSink(std::uint32_t locus, SampleSink* inner)
@@ -214,12 +216,12 @@ class Sampler {
     virtual void load(CheckpointReader& r) = 0;
 };
 
-/// Numeric-guardrail context shared by the run orchestrators: when
-/// enabled, the freshly-appended log-posteriors of every sampling tick are
-/// checked for finiteness in the serial section after the tick (never
-/// inside a parallel region), and a non-finite value dumps the offending
-/// chain state and raises NumericError (core/numeric_guard.h). theta and
-/// seed only label the fault dump.
+/// Numeric-guardrail context of a run: when enabled, the freshly-appended
+/// log-posteriors of every sampling tick are checked for finiteness in the
+/// serial section after the round (never inside a parallel region), and a
+/// non-finite value dumps the offending chain state and raises
+/// NumericError (core/numeric_guard.h). theta and seed only label the
+/// fault dump.
 struct SamplerNumericGuard {
     bool enabled = false;
     double theta = 0.0;
@@ -227,148 +229,86 @@ struct SamplerNumericGuard {
     std::string phase;  ///< extra dump context, e.g. "estimateTheta E-step"
 };
 
-/// What one sampling phase did.
-struct SamplerRunReport {
-    std::size_t samples = 0;     ///< samples emitted (including pre-resume)
-    std::size_t ticks = 0;       ///< sampling ticks executed
-    bool stoppedEarly = false;   ///< stopping rule fired before the cap
-    double rhat = 0.0;           ///< last diagnostic values (0 = never evaluated)
-    double ess = 0.0;
-};
-
-/// Orchestrates one sampling phase of any Sampler: burn-in ticks, streamed
-/// sampling through the sink pipeline, stopping-rule checks at a fixed
-/// tick cadence, and a periodic checkpoint callback (the owner serializes
-/// its context plus the sampler at every invocation). Progress counters
-/// are restorable so an interrupted phase resumes exactly where the last
-/// snapshot left it.
-class SamplerRun {
-  public:
-    struct Config {
-        std::size_t burnInTicks = 0;
-        std::size_t sampleTicks = 0;  ///< cap on sampling ticks
-        StoppingRule stopping;
-        /// Invoked every `checkpointInterval` ticks (and at the end of
-        /// burn-in) with the progress counters; `stopped` records that the
-        /// stopping rule already ended the phase. Empty = no checkpointing.
-        std::function<void(std::size_t burnDone, std::size_t sampleDone, bool stopped)>
-            checkpoint;
-        std::size_t checkpointInterval = 0;  ///< ticks between snapshots (0 = auto)
-        /// Polled at every tick boundary (RunSupervisor::stopCallback()).
-        /// When it returns true the run writes one final forced checkpoint
-        /// and raises InterruptedError; a later --resume continues
-        /// bitwise-identically to the uninterrupted run. Empty = no
-        /// cooperative stop.
-        std::function<bool()> stopRequested;
-        SamplerNumericGuard numeric;  ///< non-finite log-posterior guard
-    };
-
-    SamplerRun(Sampler& sampler, Config cfg);
-
-    /// Resume progress bookkeeping from a snapshot (the sampler itself is
-    /// restored separately via Sampler::load). A snapshot taken after the
-    /// stopping rule fired resumes as already-complete — no extra ticks.
-    void restoreProgress(std::size_t burnTicksDone, std::size_t sampleTicksDone,
-                         bool stopped = false);
-
-    /// Run to completion (cap or stopping rule). `monitor` is part of the
-    /// sink pipeline and feeds the stopping rule; `sink` receives every
-    /// sample as well.
-    SamplerRunReport execute(SampleSink& sink, ConvergenceMonitor& monitor);
-
-    std::size_t burnTicksDone() const { return burnDone_; }
-    std::size_t sampleTicksDone() const { return sampleDone_; }
-
-  private:
-    Sampler& sampler_;
-    Config cfg_;
-    std::size_t burnDone_ = 0;
-    std::size_t sampleDone_ = 0;
-    bool stopped_ = false;
-};
-
-/// One locus's participants in a multi-locus run (none owned). Sink and
-/// monitor are per-locus: convergence is judged locus by locus, and a
-/// locus's samples never mix into another locus's summaries.
-struct LocusSlot {
+/// One sampler's participants in a run (none owned). Sink and monitor are
+/// per slot: convergence is judged slot by slot, and a slot's samples
+/// never mix into another slot's summaries.
+struct RunSlot {
     Sampler* sampler = nullptr;
     SampleSink* sink = nullptr;
     ConvergenceMonitor* monitor = nullptr;
 };
 
-/// What one locus did during a multi-locus sampling phase.
-struct LocusRunReport {
+/// What one slot did during a sampling phase.
+struct SamplerRunReport {
     std::size_t samples = 0;    ///< samples emitted (including pre-resume)
     std::size_t ticks = 0;      ///< sampling ticks executed
-    bool stoppedEarly = false;  ///< this locus's stopping rule fired before the cap
+    bool stoppedEarly = false;  ///< the slot's stopping rule fired before the cap
     double rhat = 0.0;          ///< last diagnostic values (0 = never evaluated)
     double ess = 0.0;
 };
 
-struct MultiLocusReport {
-    std::vector<LocusRunReport> loci;
-
-    std::size_t totalSamples() const;
-    /// True when every locus's stopping rule fired before the cap.
-    bool allStoppedEarly() const;
-};
-
-/// Orchestrates one sampling phase across L independent loci: lockstep
-/// rounds where every still-active locus advances one tick, per-locus
-/// stopping-rule checks (a converged locus freezes while the rest keep
-/// sampling; the phase ends when ALL loci are stopped or capped), and a
-/// periodic checkpoint callback carrying every locus's progress.
+/// Orchestrates one sampling phase over one or more slots: a single
+/// sampler (one locus, the structured chains, PMMH) or one sampler per
+/// locus of a multi-locus run. Lockstep rounds advance every still-active
+/// slot by one tick: burn-in ticks first, then sampling ticks streamed
+/// through each slot's sink and monitor (samples are stamped with the
+/// slot's index as their locus). Each slot's stopping rule is checked at
+/// a fixed tick cadence; a converged slot freezes while the rest keep
+/// sampling, and the phase ends when every slot is stopped or capped. A
+/// periodic checkpoint callback carries every slot's progress, and the
+/// counters are restorable, so an interrupted phase resumes exactly where
+/// the last snapshot left it.
 ///
-/// Scheduling: with more than one slot, each round steps the loci in
-/// parallel across the pool via the chain-affinity launch — the loci axis
-/// is embarrassingly parallel, and per-locus state (sampler, sink,
-/// monitor) is disjoint by construction. The slots' samplers must then be
-/// built WITHOUT an inner pool (pool nesting is not supported); with a
-/// single slot the round runs on the calling thread and the sampler may
-/// use the pool internally, which is exactly the single-locus SamplerRun
-/// configuration. Either way results are bitwise invariant to the worker
-/// count: the parallel section only changes when loci step, never what
+/// Scheduling: a round is one launchChains over the slots. A single slot
+/// runs on the calling thread without claiming the pool, so its sampler's
+/// own launches get the whole pool; with several slots each one is a unit
+/// of pool work, and its sampler's launches run inline on the worker
+/// stepping it. Either way results are bitwise invariant to the worker
+/// count: the parallel section only changes when slots step, never what
 /// they compute.
-///
-/// For one slot this executes the identical tick/check/checkpoint sequence
-/// as SamplerRun, so single-locus datasets reproduce the single-sampler
-/// path bitwise.
-class MultiLocusRun {
+class SamplerRun {
   public:
     struct Config {
         std::size_t burnInTicks = 0;
-        std::size_t sampleTicks = 0;  ///< cap on sampling ticks per locus
-        StoppingRule stopping;        ///< applied to every locus independently
+        std::size_t sampleTicks = 0;  ///< cap on sampling ticks per slot
+        StoppingRule stopping;        ///< applied to every slot independently
         /// Invoked every `checkpointInterval` rounds (and at the end of
-        /// burn-in and of the phase) with the global burn progress and the
-        /// per-locus sampling progress/stopped latches.
+        /// burn-in and of the phase) with the burn progress and the
+        /// per-slot sampling progress and stopped latches (a stopped slot's
+        /// rule already ended its sampling). Empty = no checkpointing.
         std::function<void(std::size_t burnDone, std::span<const std::uint64_t> sampleDone,
                            std::span<const std::uint8_t> stopped)>
             checkpoint;
         std::size_t checkpointInterval = 0;  ///< rounds between snapshots (0 = auto)
-        ThreadPool* pool = nullptr;          ///< loci-parallel axis (>= 2 slots)
-        /// Polled at every round boundary, in the serial section — same
-        /// contract as SamplerRun::Config::stopRequested.
+        ThreadPool* pool = nullptr;          ///< runs the slots of a round
+        /// Polled at every tick boundary, in the serial section
+        /// (RunSupervisor::stopCallback()). When it returns true the run
+        /// writes one final forced checkpoint and raises InterruptedError;
+        /// a later --resume continues bitwise-identically to the
+        /// uninterrupted run. Empty = no cooperative stop.
         std::function<bool()> stopRequested;
         SamplerNumericGuard numeric;  ///< non-finite log-posterior guard
     };
 
-    MultiLocusRun(std::vector<LocusSlot> slots, Config cfg);
+    SamplerRun(std::vector<RunSlot> slots, Config cfg);
 
     /// Resume progress bookkeeping from a snapshot (samplers, sinks and
-    /// monitors are restored separately by the owner).
+    /// monitors are restored separately by the owner). A slot whose
+    /// snapshot was taken after its stopping rule fired resumes as already
+    /// complete — no extra ticks.
     void restoreProgress(std::size_t burnTicksDone, std::span<const std::uint64_t> sampleTicksDone,
                          std::span<const std::uint8_t> stopped);
 
-    /// Run to completion (every locus at its cap or stopped).
-    MultiLocusReport execute();
+    /// Run to completion (every slot at its cap or stopped); one report
+    /// per slot.
+    std::vector<SamplerRunReport> execute();
 
   private:
-    std::vector<LocusSlot> slots_;
+    std::vector<RunSlot> slots_;
     Config cfg_;
     std::size_t burnDone_ = 0;
     std::vector<std::uint64_t> sampleDone_;
-    std::vector<std::uint8_t> stopped_;  ///< per-locus latch (u8: serialized + span-able)
+    std::vector<std::uint8_t> stopped_;  ///< per-slot latch (u8: serialized + span-able)
 };
 
 }  // namespace mpcgs

@@ -5,6 +5,7 @@
 
 #include "core/numeric_guard.h"
 #include "mcmc/checkpoint.h"
+#include "par/kernel.h"
 #include "rng/splitmix.h"
 #include "util/error.h"
 #include "util/failpoint.h"
@@ -30,7 +31,6 @@ PmmhSampler::PmmhSampler(const PooledSmcLikelihood& marginal, double thetaInit,
                          const PmmhOptions& opts, ThreadPool* pool)
     : marginal_(marginal),
       opts_(opts),
-      scheduler_(opts.chains > 1 ? pool : nullptr, opts.chains),
       pool_(pool),
       chains_(opts.chains) {
     validatePmmhOptions(opts);
@@ -48,12 +48,8 @@ std::uint64_t PmmhSampler::passSeed(std::size_t c, std::uint64_t eval) const {
 
 void PmmhSampler::stepChain(std::size_t c) {
     Chain& ch = chains_[c];
-    // Inner SMC passes may use the pool only when the chain axis does not
-    // (pool nesting is unsupported — the MultiLocusRun discipline).
-    ThreadPool* inner = chains_.size() > 1 ? nullptr : pool_;
-
     if (!initialized_) {
-        const auto passes = marginal_.passes(ch.theta, passSeed(c, ch.evals++), inner);
+        const auto passes = marginal_.passes(ch.theta, passSeed(c, ch.evals++), pool_);
         ch.logZ = 0.0;
         for (const SmcPassResult& p : passes) ch.logZ += p.logZ;
         ch.tree = passes.front().sampled;
@@ -67,7 +63,7 @@ void PmmhSampler::stepChain(std::size_t c) {
     ++ch.steps;
     if (thetaNew < opts_.thetaMin || thetaNew > opts_.thetaMax) return;  // zero prior
 
-    const auto passes = marginal_.passes(thetaNew, passSeed(c, ch.evals++), inner);
+    const auto passes = marginal_.passes(thetaNew, passSeed(c, ch.evals++), pool_);
     double logZNew = 0.0;
     for (const SmcPassResult& p : passes) logZNew += p.logZ;
     ch.lastProposalLogZ = logZNew;
@@ -85,7 +81,7 @@ void PmmhSampler::stepChain(std::size_t c) {
 }
 
 void PmmhSampler::tick(SampleSink* sink) {
-    scheduler_.stepChains([&](std::size_t c) {
+    launchChains(pool_, chains_.size(), [&](std::size_t c) {
         stepChain(c);
         if (sink && initialized_) {
             Chain& ch = chains_[c];

@@ -11,10 +11,11 @@
 // prior ratio exactly, so the log acceptance ratio is just
 // logZhat' - logZhat (bounded to [thetaMin, thetaMax] to stay proper).
 //
-// PmmhSampler implements the PR 2 Sampler interface: chains step in
-// parallel through ChainScheduler (inner SMC passes claim the pool only
-// for a single chain, mirroring the MultiLocusRun nesting discipline),
-// every chain owns a SplitMix64-derived Mt19937 stream plus a
+// PmmhSampler implements the Sampler interface: chains step in parallel,
+// one launchChains per tick (a single chain runs on the calling thread and
+// its SMC passes get the pool; with several, each chain's passes run
+// inline on its worker), every chain owns a SplitMix64-derived Mt19937
+// stream plus a
 // counter-based pass-seed sequence (stateless given the serialized
 // evaluation counter, so checkpoint/resume is bitwise-identical), samples
 // stream to any SampleSink, and R-hat/ESS stopping applies to the theta
@@ -25,7 +26,6 @@
 #include <vector>
 
 #include "mcmc/sampler.h"
-#include "mcmc/schedule.h"
 #include "rng/mt19937.h"
 #include "smc/smc_sampler.h"
 
@@ -50,9 +50,9 @@ void validatePmmhOptions(const PmmhOptions& opts);
 class PmmhSampler final : public Sampler {
   public:
     /// `marginal` supplies the per-locus SMC passes (summed into the
-    /// pooled logZ) and must outlive the sampler. `pool` parallelizes the
-    /// chain axis when chains > 1, otherwise the single chain's particle
-    /// blocks; results are bitwise identical for any pool width.
+    /// pooled logZ) and must outlive the sampler. `pool` runs the chain
+    /// axis, and a single chain's particle blocks; results are bitwise
+    /// identical for any pool width.
     PmmhSampler(const PooledSmcLikelihood& marginal, double thetaInit,
                 const PmmhOptions& opts, ThreadPool* pool = nullptr);
 
@@ -100,7 +100,6 @@ class PmmhSampler final : public Sampler {
 
     const PooledSmcLikelihood& marginal_;
     PmmhOptions opts_;
-    ChainScheduler scheduler_;
     ThreadPool* pool_;
     std::vector<Chain> chains_;
     bool initialized_ = false;     ///< chains ran their theta0 pass (lazy: load skips it)

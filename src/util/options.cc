@@ -1,5 +1,6 @@
 #include "util/options.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 
@@ -30,6 +31,13 @@ Options Options::parse(int argc, const char* const* argv) {
 }
 
 bool Options::has(const std::string& key) const { return kv_.count(key) > 0; }
+
+void Options::requireKnown(std::span<const char* const> known) const {
+    for (const auto& kv : kv_)
+        if (std::none_of(known.begin(), known.end(),
+                         [&](const char* k) { return kv.first == k; }))
+            throw ConfigError("unknown option --" + kv.first);
+}
 
 std::optional<std::string> Options::get(const std::string& key) const {
     const auto it = kv_.find(key);
@@ -73,11 +81,16 @@ double Options::getDouble(const std::string& key, double dflt) const {
                       [](const char* s, char** end) { return std::strtod(s, end); });
 }
 
-std::size_t Options::getCount(const std::string& key, std::size_t dflt) const {
-    const long long n = getInt(key, static_cast<long long>(dflt));
+std::size_t Options::getCount(const std::string& key, std::size_t dflt,
+                              std::size_t max) const {
+    const auto v = get(key);
+    if (!v || v->empty()) return dflt;
+    const long long n = getInt(key, 0);
     if (n < 0)
-        throw ConfigError("--" + key + " expects a non-negative count, got '" +
-                          get(key, "") + "'");
+        throw ConfigError("--" + key + " expects a non-negative count, got '" + *v + "'");
+    if (static_cast<unsigned long long>(n) > max)
+        throw ConfigError("--" + key + " expects at most " + std::to_string(max) + ", got '" +
+                          *v + "'");
     return static_cast<std::size_t>(n);
 }
 

@@ -4,8 +4,10 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,9 @@ class Options {
     static Options parse(int argc, const char* const* argv);
 
     bool has(const std::string& key) const;
+    /// Throws ConfigError naming the first parsed option that is not in
+    /// `known`, so a misspelt or retired flag cannot run with defaults.
+    void requireKnown(std::span<const char* const> known) const;
 
     std::optional<std::string> get(const std::string& key) const;
     std::string get(const std::string& key, const std::string& dflt) const;
@@ -27,8 +32,9 @@ class Options {
     long long getInt(const std::string& key, long long dflt) const;
     double getDouble(const std::string& key, double dflt) const;
     /// getInt for a count (samples, particles, threads, ...): also throws
-    /// ConfigError naming the flag on a negative value.
-    std::size_t getCount(const std::string& key, std::size_t dflt) const;
+    /// ConfigError naming the flag on a negative value or one above `max`.
+    std::size_t getCount(const std::string& key, std::size_t dflt,
+                         std::size_t max = std::numeric_limits<std::size_t>::max()) const;
     bool getBool(const std::string& key, bool dflt) const;
 
     const std::vector<std::string>& positional() const { return positional_; }

@@ -4,6 +4,7 @@
 // estimateTheta (EM-boundary resume).
 #include "mcmc/checkpoint.h"
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 
@@ -12,6 +13,7 @@
 #include "coalescent/simulator.h"
 #include "coalescent/structured.h"
 #include "core/driver.h"
+#include "core/lockstep_chains.h"
 #include "core/samplers.h"
 #include "core/structured_sampler.h"
 #include "rng/mt19937.h"
@@ -160,11 +162,11 @@ void expectBitwiseEqual(const RunArtifacts& a, const RunArtifacts& b) {
     EXPECT_EQ(a.logPosteriors, b.logPosteriors);
 }
 
-/// Mid-sampling kill/resume at the SamplerRun level: run to the cap in one
-/// go, versus "crash" after killTicks and continue from the snapshot. Both
-/// must produce the identical sample stream and final state. Every MH-family
-/// chain rebuilds its likelihood arena after load(), which the structured
-/// case (path refresh on) covers for labelled genealogies.
+/// Mid-sampling kill/resume at the SamplerRun level (one slot): run to the
+/// cap in one go, versus "crash" after killTicks and continue from the
+/// snapshot. Both must produce the identical sample stream and final state.
+/// Every MH-family chain rebuilds its likelihood arena after load(), which
+/// the structured case (path refresh on) covers for labelled genealogies.
 enum class ResumeCase { Gmh, SerialMh, MultiChain, HeatedMh, Structured };
 
 class MidRunResumeTest : public ::testing::TestWithParam<ResumeCase> {};
@@ -197,9 +199,9 @@ TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
             case ResumeCase::MultiChain: spec.strategy = Strategy::MultiChain; break;
             case ResumeCase::HeatedMh: spec.strategy = Strategy::HeatedMh; break;
             case ResumeCase::Structured:
-                return std::make_unique<StructuredChainsSampler>(
-                    lik, migration, structuredInit, spec.chains, spec.seed,
-                    /*pathRefreshProb=*/0.25, nullptr);
+                return std::make_unique<LockstepChains<StructuredMhProblem>>(
+                    StructuredMhProblem(lik, migration, /*pathRefreshProb=*/0.25),
+                    structuredInit, spec.chains, spec.seed, kStructuredSnapshotTag, nullptr);
         }
         return makeSampler(spec, lik, 0.5, init, nullptr);
     };
@@ -213,8 +215,8 @@ TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
         SamplerRun::Config cfg;
         cfg.burnInTicks = burnTicks;
         cfg.sampleTicks = capTicks;
-        SamplerRun run(*sampler, cfg);
-        run.execute(sink, monitor);
+        SamplerRun run({{sampler.get(), &sink, &monitor}}, cfg);
+        run.execute();
         full = RunArtifacts{sink.chainMajor(), sampler->continuation(), sampler->stats(),
                             tracesOf(monitor)};
     }
@@ -229,17 +231,18 @@ TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
         cfg.burnInTicks = burnTicks;
         cfg.sampleTicks = killTicks;
         cfg.checkpointInterval = 1;
-        cfg.checkpoint = [&](std::size_t burnDone, std::size_t sampleDone, bool) {
+        cfg.checkpoint = [&](std::size_t burnDone, std::span<const std::uint64_t> sampleDone,
+                             std::span<const std::uint8_t>) {
             CheckpointWriter w(path);
             w.u64(burnDone);
-            w.u64(sampleDone);
+            w.u64(sampleDone[0]);
             sampler->save(w);
             sink.save(w);
             monitor.save(w);
             w.commit();
         };
-        SamplerRun run(*sampler, cfg);
-        run.execute(sink, monitor);
+        SamplerRun run({{sampler.get(), &sink, &monitor}}, cfg);
+        run.execute();
     }
 
     // Resume from the snapshot and run out the remaining ticks.
@@ -250,7 +253,7 @@ TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
         ConvergenceMonitor monitor;
         CheckpointReader r(path);
         const std::size_t burnDone = r.u64();
-        const std::size_t sampleDone = r.u64();
+        const std::uint64_t sampleDone = r.u64();
         EXPECT_EQ(burnDone, burnTicks);
         EXPECT_EQ(sampleDone, killTicks);
         sampler->load(r);
@@ -259,9 +262,10 @@ TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
         SamplerRun::Config cfg;
         cfg.burnInTicks = burnTicks;
         cfg.sampleTicks = capTicks;
-        SamplerRun run(*sampler, cfg);
-        run.restoreProgress(burnDone, sampleDone);
-        run.execute(sink, monitor);
+        SamplerRun run({{sampler.get(), &sink, &monitor}}, cfg);
+        const std::uint8_t stopped = 0;
+        run.restoreProgress(burnDone, {&sampleDone, 1}, {&stopped, 1});
+        run.execute();
         resumed = RunArtifacts{sink.chainMajor(), sampler->continuation(), sampler->stats(),
                                tracesOf(monitor)};
     }
@@ -283,6 +287,146 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return std::string("Unknown");
     });
+
+/// Runs `sampler` through one SamplerRun slot and saves it into a
+/// one-section snapshot at `path`.
+void runAndSave(Sampler& sampler, ConvergenceMonitor& monitor, std::size_t burnTicks,
+                std::size_t sampleTicks, const std::string& path) {
+    SummarySink sink;
+    SamplerRun::Config cfg;
+    cfg.burnInTicks = burnTicks;
+    cfg.sampleTicks = sampleTicks;
+    SamplerRun({{&sampler, &sink, &monitor}}, cfg).execute();
+    CheckpointWriter w(path);
+    w.beginSection("sampler");
+    sampler.save(w);
+    w.commit();
+}
+
+/// The rest of one chain record after its state: log-posterior, steps,
+/// accepts and RNG.
+struct RecordTail {
+    double logPosterior;
+    std::uint64_t steps;
+    std::uint64_t accepted;
+};
+RecordTail readRecordTail(CheckpointReader& r) {
+    const RecordTail t{r.f64(), r.u64(), r.u64()};  // braced init reads in order
+    Mt19937 rng;
+    readRng(r, rng);
+    EXPECT_LE(t.accepted, t.steps);
+    return t;
+}
+
+/// The chain ensembles' payloads, read back field by field in the
+/// documented order (core/lockstep_chains.h): tag, chain count, one record
+/// per chain (state, log-posterior, steps, accepts, RNG), then the trailer
+/// — sampling rounds for the lockstep ensembles; the swap stream, sweeps,
+/// swap counters and emitted samples for MC^3. Snapshots written by
+/// earlier builds resume only while this order holds.
+TEST(SnapshotLayoutTest, ChainPayloadsKeepTheirFieldOrder) {
+    const Alignment aln = simulateData(7, 1.0, 150, 42);
+    const F81Model model(aln.baseFrequencies());
+    const DataLikelihood lik(aln, model);
+    const Genealogy init = initialGenealogy(aln, 0.5);
+    const std::size_t burnTicks = 5, sampleTicks = 12, ticks = burnTicks + sampleTicks;
+    SamplerSpec spec;
+    spec.seed = 23;
+    spec.chains = 3;
+
+    {
+        SCOPED_TRACE("multichain");
+        spec.strategy = Strategy::MultiChain;
+        const auto sampler = makeSampler(spec, lik, 0.5, init, nullptr);
+        ConvergenceMonitor monitor;
+        const std::string path = tempPath("layout_multichain.ckpt");
+        runAndSave(*sampler, monitor, burnTicks, sampleTicks, path);
+        CheckpointReader r(path);
+        r.enterSection("sampler");
+        EXPECT_EQ(r.u32(), static_cast<std::uint32_t>(Strategy::MultiChain));
+        ASSERT_EQ(r.u64(), 3u);
+        std::uint64_t accepted = 0;
+        for (std::uint32_t c = 0; c < 3; ++c) {
+            const Genealogy g = readGenealogy(r);
+            if (c == 0) {
+                EXPECT_EQ(g, sampler->continuation());
+            }
+            const RecordTail t = readRecordTail(r);
+            EXPECT_EQ(t.logPosterior, monitor.trace(c).back());
+            EXPECT_EQ(t.steps, ticks);
+            accepted += t.accepted;
+        }
+        EXPECT_EQ(accepted, sampler->stats().accepted);
+        EXPECT_EQ(r.u64(), sampleTicks);
+        EXPECT_EQ(r.remaining(), 0u);
+    }
+    {
+        SCOPED_TRACE("structured");
+        const MigrationModel migration(2, 0.5, 0.8);
+        Mt19937 labelRng(43);
+        const StructuredGenealogy labelled =
+            simulateStructuredCoalescent({0, 0, 0, 1, 1, 1, 1}, migration, labelRng);
+        LockstepChains<StructuredMhProblem> sampler(StructuredMhProblem(lik, migration, 0.25),
+                                                    labelled, 3, spec.seed,
+                                                    kStructuredSnapshotTag, nullptr);
+        ConvergenceMonitor monitor;
+        const std::string path = tempPath("layout_structured.ckpt");
+        runAndSave(sampler, monitor, burnTicks, sampleTicks, path);
+        CheckpointReader r(path);
+        r.enterSection("sampler");
+        EXPECT_EQ(r.u32(), kStructuredSnapshotTag);
+        ASSERT_EQ(r.u64(), 3u);
+        std::uint64_t accepted = 0;
+        for (std::uint32_t c = 0; c < 3; ++c) {
+            const StructuredGenealogy g = readStructuredGenealogy(r, 2);
+            if (c == 0) {
+                EXPECT_EQ(g, sampler.front());
+            }
+            const RecordTail t = readRecordTail(r);
+            EXPECT_EQ(t.logPosterior, monitor.trace(c).back());
+            EXPECT_EQ(t.steps, ticks);
+            accepted += t.accepted;
+        }
+        EXPECT_EQ(accepted, sampler.stats().accepted);
+        EXPECT_EQ(r.u64(), sampleTicks);
+        EXPECT_EQ(r.remaining(), 0u);
+    }
+    {
+        SCOPED_TRACE("heated");
+        spec.strategy = Strategy::HeatedMh;
+        spec.swapInterval = 2;
+        const auto sampler = makeSampler(spec, lik, 0.5, init, nullptr);
+        ConvergenceMonitor monitor;
+        const std::string path = tempPath("layout_heated.ckpt");
+        runAndSave(*sampler, monitor, burnTicks, sampleTicks, path);
+        const SamplerStats stats = sampler->stats();
+        CheckpointReader r(path);
+        r.enterSection("sampler");
+        EXPECT_EQ(r.u32(), static_cast<std::uint32_t>(Strategy::HeatedMh));
+        ASSERT_EQ(r.u64(), spec.temperatures.size());
+        std::uint64_t accepted = 0;
+        for (std::size_t c = 0; c < spec.temperatures.size(); ++c) {
+            const Genealogy g = readGenealogy(r);
+            const RecordTail t = readRecordTail(r);
+            if (c == 0) {  // only the cold chain is sampled
+                EXPECT_EQ(g, sampler->continuation());
+                EXPECT_EQ(t.logPosterior, monitor.trace(0).back());
+            }
+            EXPECT_TRUE(std::isfinite(t.logPosterior));
+            EXPECT_EQ(t.steps, ticks);
+            accepted += t.accepted;
+        }
+        EXPECT_EQ(accepted, stats.accepted);
+        Mt19937 swapRng;
+        readRng(r, swapRng);
+        EXPECT_EQ(r.u64(), ticks);  // sweeps
+        EXPECT_EQ(r.u64(), stats.swapsProposed);
+        EXPECT_EQ(r.u64(), stats.swapsAccepted);
+        EXPECT_GT(stats.swapsProposed, 0u);
+        EXPECT_EQ(r.u64(), sampleTicks);  // emitted samples
+        EXPECT_EQ(r.remaining(), 0u);
+    }
+}
 
 TEST(CheckpointResumeTest, LoadingIntoWrongStrategyThrows) {
     const Alignment aln = simulateData(6, 1.0, 100, 43);

@@ -3,7 +3,8 @@
 // target, chosen index (0..N-1 a proposal, N the generator) and the new
 // generator's log-posterior bits are pinned to recorded values. How a
 // proposal's likelihood is computed may change; the chain it drives may
-// not.
+// not. Targets and indices are exact in every build, the log-posteriors
+// outside the recording build (golden_build.h) to 1e-12 relative.
 //
 // On a mismatch the test prints the chain's actual table in its own
 // source form, so a deliberate, documented re-baseline is a paste.
@@ -13,7 +14,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,7 +25,7 @@
 #include "rng/mt19937.h"
 #include "seq/seqgen.h"
 #include "seq/subst_model.h"
-#include "util/build_info.h"
+#include "golden_build.h"
 
 namespace mpcgs {
 namespace {
@@ -161,19 +161,6 @@ std::string formatTable(const std::vector<GoldenStep>& steps) {
         out += buf;
     }
     return out;
-}
-
-/// The table was recorded by a GCC 12 Release build with -march=native on
-/// an AVX-512 host. Builds that contract a*b+c differently round the
-/// likelihood kernels a few ULPs apart, so there the log-posteriors are
-/// held to 1e-12 relative instead of bitwise; targets and indices stay
-/// exact in every build.
-bool recordingBuild() {
-#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ == 12
-    return std::string_view(buildType()) == "Release" && simdWidthDoubles() == 8;
-#else
-    return false;
-#endif
 }
 
 TEST(GmhGoldenTest, ChainReproducesRecordedSteps) {

@@ -4,6 +4,9 @@
 // state, the bits of its log-posterior, and the strategy's step, accept
 // and swap counts are pinned to recorded values. How a proposal's
 // likelihood is computed may change; the chains it drives may not.
+// Topologies and counts are exact in every build, the times and
+// log-posteriors outside the recording build (golden_build.h) to 1e-12
+// relative.
 //
 // On a mismatch the test prints the actual tables in their own source
 // form, so a deliberate, documented re-baseline is a paste.
@@ -21,6 +24,7 @@
 
 #include "coalescent/simulator.h"
 #include "coalescent/structured.h"
+#include "core/lockstep_chains.h"
 #include "core/samplers.h"
 #include "core/structured_sampler.h"
 #include "lik/felsenstein.h"
@@ -28,7 +32,7 @@
 #include "rng/mt19937.h"
 #include "seq/seqgen.h"
 #include "seq/subst_model.h"
-#include "util/build_info.h"
+#include "golden_build.h"
 
 namespace mpcgs {
 namespace {
@@ -200,7 +204,8 @@ std::vector<RunResult> goldenRuns(ThreadPool* pool) {
         const StructuredGenealogy init = simulateStructuredCoalescent(demes, migration, rng);
         const F81Model model(data.baseFrequencies());
         const DataLikelihood lik(data, model);
-        StructuredChainsSampler sampler(lik, migration, init, 2, 73, 0.25, pool);
+        LockstepChains<StructuredMhProblem> sampler(StructuredMhProblem(lik, migration, 0.25),
+                                                    init, 2, 73, kStructuredSnapshotTag, pool);
         runs.push_back(runTicks("structured", sampler, 200));
     }
     return runs;
@@ -225,19 +230,6 @@ std::string formatTables(const std::vector<RunResult>& runs) {
         out += buf;
     }
     return out + "};\n";
-}
-
-/// The tables were recorded by a GCC 12 Release build with -march=native
-/// on an AVX-512 host. Builds that contract a*b+c differently round
-/// proposals and likelihoods a few ULPs apart, so there the times and
-/// log-posteriors are held to 1e-12 relative instead of bitwise; the
-/// topologies and counts stay exact in every build.
-bool recordingBuild() {
-#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ == 12
-    return std::string_view(buildType()) == "Release" && simdWidthDoubles() == 8;
-#else
-    return false;
-#endif
 }
 
 void expectNearBits(std::uint64_t actual, std::uint64_t want) {

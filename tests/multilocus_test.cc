@@ -242,7 +242,7 @@ TEST(MultiLocusCheckpointTest, KillAndResumeIsBitwiseIdentical) {
 }
 
 TEST(MultiLocusCheckpointTest, MidSamplingKillAndResumeIsBitwiseIdentical) {
-    // Kill a 3-locus MultiLocusRun in the middle of its sampling phase
+    // Kill a 3-locus SamplerRun in the middle of its sampling phase
     // (snapshot every round) and resume to the full cap: every locus's
     // stream of summaries must match the uninterrupted run's bitwise.
     const Dataset ds = simulateDataset(3, 6, 1.0, 120, 64);
@@ -276,13 +276,13 @@ TEST(MultiLocusCheckpointTest, MidSamplingKillAndResumeIsBitwiseIdentical) {
         auto samplers = makeSamplers();
         std::vector<SummarySink> sinks(3);
         std::vector<ConvergenceMonitor> monitors(3);
-        std::vector<LocusSlot> slots(3);
+        std::vector<RunSlot> slots(3);
         for (std::size_t l = 0; l < 3; ++l)
-            slots[l] = LocusSlot{samplers[l].get(), &sinks[l], &monitors[l]};
-        MultiLocusRun::Config cfg;
+            slots[l] = RunSlot{samplers[l].get(), &sinks[l], &monitors[l]};
+        SamplerRun::Config cfg;
         cfg.burnInTicks = burnTicks;
         cfg.sampleTicks = capTicks;
-        MultiLocusRun run(std::move(slots), cfg);
+        SamplerRun run(std::move(slots), cfg);
         run.execute();
         full = collect(sinks);
     }
@@ -292,10 +292,10 @@ TEST(MultiLocusCheckpointTest, MidSamplingKillAndResumeIsBitwiseIdentical) {
         auto samplers = makeSamplers();
         std::vector<SummarySink> sinks(3);
         std::vector<ConvergenceMonitor> monitors(3);
-        std::vector<LocusSlot> slots(3);
+        std::vector<RunSlot> slots(3);
         for (std::size_t l = 0; l < 3; ++l)
-            slots[l] = LocusSlot{samplers[l].get(), &sinks[l], &monitors[l]};
-        MultiLocusRun::Config cfg;
+            slots[l] = RunSlot{samplers[l].get(), &sinks[l], &monitors[l]};
+        SamplerRun::Config cfg;
         cfg.burnInTicks = burnTicks;
         cfg.sampleTicks = killTicks;  // "crash" mid-phase
         cfg.checkpointInterval = 1;
@@ -312,7 +312,7 @@ TEST(MultiLocusCheckpointTest, MidSamplingKillAndResumeIsBitwiseIdentical) {
             for (const ConvergenceMonitor& m : monitors) m.save(w);
             w.commit();
         };
-        MultiLocusRun run(std::move(slots), cfg);
+        SamplerRun run(std::move(slots), cfg);
         run.execute();
     }
 
@@ -333,13 +333,13 @@ TEST(MultiLocusCheckpointTest, MidSamplingKillAndResumeIsBitwiseIdentical) {
         for (auto& s : samplers) s->load(r);
         for (SummarySink& s : sinks) s.load(r);
         for (ConvergenceMonitor& m : monitors) m.load(r);
-        std::vector<LocusSlot> slots(3);
+        std::vector<RunSlot> slots(3);
         for (std::size_t l = 0; l < 3; ++l)
-            slots[l] = LocusSlot{samplers[l].get(), &sinks[l], &monitors[l]};
-        MultiLocusRun::Config cfg;
+            slots[l] = RunSlot{samplers[l].get(), &sinks[l], &monitors[l]};
+        SamplerRun::Config cfg;
         cfg.burnInTicks = burnTicks;
         cfg.sampleTicks = capTicks;
-        MultiLocusRun run(std::move(slots), cfg);
+        SamplerRun run(std::move(slots), cfg);
         run.restoreProgress(burnDone, sampleDone, stopped);
         run.execute();
         resumed = collect(sinks);

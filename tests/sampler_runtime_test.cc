@@ -4,13 +4,16 @@
 #include "core/samplers.h"
 
 #include <cmath>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "coalescent/simulator.h"
 #include "core/driver.h"
 #include "mcmc/mh.h"
-#include "mcmc/schedule.h"
+#include "par/kernel.h"
 #include "par/thread_pool.h"
 #include "rng/splitmix.h"
 #include "seq/seqgen.h"
@@ -287,16 +290,56 @@ TEST(SamplerRuntimeTest, StoppingReachableForSingleChainStrategies) {
     EXPECT_LT(res.history[0].samples, o.samplesPerIteration);
 }
 
-TEST(SamplerRuntimeTest, ChainSchedulerRoundsAreDeterministic) {
+TEST(SamplerRuntimeTest, StopThatEndsThePhaseSnapshotsOnce) {
+    // With a snapshot due every round, the round whose stopping checks
+    // leave no slot active writes no periodic snapshot: the forced
+    // phase-end one that follows carries the same state.
+    const Alignment aln = simulateData(6, 1.0, 150, 35);
+    const F81Model model(aln.baseFrequencies());
+    const DataLikelihood lik(aln, model);
+    for (const std::size_t slotCount : {1u, 2u}) {
+        SCOPED_TRACE(std::to_string(slotCount) + " slots");
+        std::vector<std::unique_ptr<Sampler>> samplers;
+        std::vector<SummarySink> sinks(slotCount);
+        std::vector<ConvergenceMonitor> monitors(slotCount);
+        std::vector<RunSlot> slots;
+        for (std::size_t s = 0; s < slotCount; ++s) {
+            SamplerSpec spec;
+            spec.strategy = Strategy::SerialMh;
+            spec.seed = 40 + s;
+            samplers.push_back(makeSampler(spec, lik, 1.0, initialGenealogy(aln, 1.0)));
+            slots.push_back({samplers.back().get(), &sinks[s], &monitors[s]});
+        }
+        using Progress = std::pair<std::vector<std::uint64_t>, std::vector<std::uint8_t>>;
+        std::vector<Progress> snapshots;
+        SamplerRun::Config cfg;
+        cfg.sampleTicks = 4000;
+        cfg.stopping.rhatBelow = 3.0;
+        cfg.stopping.essAtLeast = 5.0;
+        cfg.checkpointInterval = 1;
+        cfg.checkpoint = [&](std::size_t, std::span<const std::uint64_t> sampleDone,
+                             std::span<const std::uint8_t> stopped) {
+            snapshots.emplace_back(std::vector<std::uint64_t>(sampleDone.begin(), sampleDone.end()),
+                                   std::vector<std::uint8_t>(stopped.begin(), stopped.end()));
+        };
+        for (const SamplerRunReport& r : SamplerRun(std::move(slots), cfg).execute())
+            ASSERT_TRUE(r.stoppedEarly);
+        ASSERT_GE(snapshots.size(), 2u);
+        EXPECT_EQ(snapshots.back().second, std::vector<std::uint8_t>(slotCount, 1));
+        EXPECT_NE(snapshots[snapshots.size() - 2], snapshots.back());
+    }
+}
+
+TEST(SamplerRuntimeTest, LaunchChainsRoundsAreDeterministic) {
     // Chains mutate only their own slot; serial and pooled execution agree.
     const auto run = [](ThreadPool* pool) {
-        ChainScheduler sched(pool, 8);
         std::vector<std::uint64_t> state(8);
         for (std::size_t c = 0; c < 8; ++c) state[c] = splitMix64At(123, c);
         std::uint64_t barriers = 0;
-        for (int round = 0; round < 100; ++round)
-            sched.round([&](std::size_t c) { state[c] = splitMix64Mix(state[c] + c); },
-                        [&] { ++barriers; });
+        for (int round = 0; round < 100; ++round) {
+            launchChains(pool, 8, [&](std::size_t c) { state[c] = splitMix64Mix(state[c] + c); });
+            ++barriers;
+        }
         EXPECT_EQ(barriers, 100u);
         return state;
     };
@@ -324,8 +367,8 @@ TEST(SamplerRuntimeTest, MakeSamplerBuildsEveryStrategy) {
         SamplerRun::Config cfg;
         cfg.burnInTicks = 5;
         cfg.sampleTicks = 10;
-        SamplerRun run(*sampler, cfg);
-        const SamplerRunReport report = run.execute(sink, monitor);
+        SamplerRun run({{sampler.get(), &sink, &monitor}}, cfg);
+        const SamplerRunReport report = run.execute().front();
         EXPECT_EQ(report.ticks, 10u);
         EXPECT_EQ(report.samples, 10u * sampler->samplesPerTick());
         EXPECT_EQ(sink.total(), report.samples);

@@ -3,10 +3,10 @@
 // minimum ESS fraction and the sampled log-posterior, the resample count,
 // and the sampled genealogy's parent array and internal node times are
 // pinned to recorded values. Every row must reproduce bitwise at 1 and 4
-// threads in the build that recorded it (recordingBuild() below). The
-// filter's state layout may change (how particles share or copy partials,
-// how genealogies are stored, when the likelihood items run); the values
-// it produces may not.
+// threads in the build that recorded it (recordingBuild(), golden_build.h).
+// The filter's state layout may change (how particles share or copy
+// partials, how genealogies are stored, when the likelihood items run); the
+// values it produces may not.
 //
 // On a mismatch the test prints the pass's actual row in the table's own
 // source form, so a deliberate, documented re-baseline is a paste.
@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -27,7 +26,7 @@
 #include "seq/seqgen.h"
 #include "seq/subst_model.h"
 #include "smc/smc_sampler.h"
-#include "util/build_info.h"
+#include "golden_build.h"
 
 namespace mpcgs {
 namespace {
@@ -237,21 +236,10 @@ const Golden* findGolden(ResamplingScheme scheme, double threshold, bool gamma) 
     return nullptr;
 }
 
-/// The table was recorded by a GCC 12 Release build with -march=native on
-/// an AVX-512 host, where GCC contracts a*b+c into fused multiply-adds.
-/// Builds that contract differently (no -march=native, -O0, clang) round
-/// the likelihood kernels a few ULPs apart, so there the likelihood-derived
+/// Outside the recording build (golden_build.h) the likelihood-derived
 /// values are held to 1e-12 relative instead of bitwise. Resample counts,
 /// topology and node times stay exact in every build (checked under GCC 12
 /// Debug without -march=native too).
-bool recordingBuild() {
-#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ == 12
-    return std::string_view(buildType()) == "Release" && simdWidthDoubles() == 8;
-#else
-    return false;
-#endif
-}
-
 void expectLikelihoodValue(double got, std::uint64_t wantBits, const char* what) {
     const double want = std::bit_cast<double>(wantBits);
     if (recordingBuild())

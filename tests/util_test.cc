@@ -102,6 +102,32 @@ TEST(OptionsTest, CountsRejectNegativeValues) {
     EXPECT_EQ(o.getCount("chains", 4), 4u);
 }
 
+TEST(OptionsTest, CountsRejectValuesAboveTheirCap) {
+    // --threads 5000000000 would truncate to 705032704 as an unsigned;
+    // the cap rejects it while it is still a parsed number.
+    const Options o = parse({"--threads", "5000000000", "--chains", "1024", "--em", "1025"});
+    EXPECT_TRUE(rejectsNaming([&] { o.getCount("threads", 1, 1024); }, "--threads"));
+    EXPECT_EQ(o.getCount("chains", 1, 1024), 1024u);
+    EXPECT_TRUE(rejectsNaming([&] { o.getCount("em", 1, 1024); }, "--em"));
+    EXPECT_EQ(o.getCount("samples", 2048, 1024), 2048u);  // a default is not a value
+    EXPECT_EQ(o.getCount("threads", 1), 5000000000u);     // uncapped by default
+}
+
+TEST(OptionsTest, RequireKnownNamesTheUnknownFlag) {
+    constexpr const char* kKnown[] = {"particles", "threads", "resume"};
+    EXPECT_NO_THROW(parse({"d.phy", "--particles", "512", "--threads=2", "--resume"})
+                        .requireKnown(kKnown));
+    EXPECT_NO_THROW(parse({"d.phy", "1.0"}).requireKnown(kKnown));
+    EXPECT_TRUE(rejectsNaming(
+        [&] { parse({"d.phy", "--threads", "2", "--partcles", "512"}).requireKnown(kKnown); },
+        "--partcles"));
+    EXPECT_TRUE(rejectsNaming(
+        [&] { parse({"--resume", "--cached-baseline"}).requireKnown(kKnown); },
+        "--cached-baseline"));
+    EXPECT_TRUE(rejectsNaming([&] { parse({"--lik-backend=arena"}).requireKnown(kKnown); },
+                              "--lik-backend"));
+}
+
 TEST(TableTest, AlignedOutput) {
     Table t({"name", "value"});
     t.addRow({"alpha", "1"});

@@ -31,11 +31,31 @@
 
 namespace {
 
+/// Every flag the tool reads, for any subcommand. main() rejects any other
+/// flag (exit 2) right after parsing, so a misspelt or retired flag
+/// (--partcles, --lik-backend, --cached-baseline) cannot run with defaults.
+constexpr const char* kFlags[] = {
+    "algo", "chains", "checkpoint", "checkpoint-interval", "curve", "em", "ess-threshold",
+    "failpoints", "host", "loci-manifest", "max-wall-time", "metrics-out", "mig-init", "model",
+    "particles", "path-refresh", "pmmh-sigma", "pop-map", "populations", "port", "print-config",
+    "proposals", "rejuvenation-sweeps", "resampling", "resume", "resume-policy", "samples",
+    "seed", "set-samples", "socket", "state", "stop-ess", "stop-rhat", "strategy", "threads",
+    "trace", "trace-out"};
+
 /// Flags whose values are counts. main() parses each of them whole and
 /// non-negative before anything else runs.
 constexpr const char* kCountFlags[] = {
     "samples",     "em",      "chains",              "particles",          "proposals",
     "set-samples", "threads", "checkpoint-interval", "rejuvenation-sweeps"};
+
+/// Cap on --threads: a larger value is a typo, and a pool of that many
+/// workers would exhaust the host.
+constexpr std::size_t kMaxThreads = 1024;
+
+/// --threads (default: the hardware's thread count), at most kMaxThreads.
+unsigned threadCount(const mpcgs::Options& opts) {
+    return static_cast<unsigned>(opts.getCount("threads", mpcgs::hardwareThreads(), kMaxThreads));
+}
 
 void usage(const char* prog) {
     std::fprintf(stderr,
@@ -44,7 +64,7 @@ void usage(const char* prog) {
                  "  (.phy | .nex/.nxs | .fa/.fasta); loci share one theta\n"
                  "  --loci-manifest F  read loci from a manifest file instead/as well:\n"
                  "                     one '<file> [name=N] [rate=R] [pop=F]' per line\n"
-                 "  --threads N        worker threads (default: hardware)\n"
+                 "  --threads N        worker threads (default: hardware, at most 1024)\n"
                  "  --algo A           mcmc (default) | smc | pmmh\n"
                  "  --strategy S       gmh | mh | multichain | heated (default gmh,\n"
                  "                     mcmc algo only)\n"
@@ -357,7 +377,7 @@ mpcgs::OnlineOptions onlineOptionsFrom(const mpcgs::Options& opts) {
 
 /// mpcgs online-init <seqdata> <theta> --state FILE: cold-start a warm
 /// posterior (one full SMC pass) and save it for `mpcgs serve`.
-int runOnlineInit(const mpcgs::Options& opts) {
+int runOnlineInit(const mpcgs::Options& opts, unsigned threads) {
     using namespace mpcgs;
     if (opts.positional().size() != 3) {
         std::fprintf(stderr, "usage: %s online-init <seqdata> <theta> --state FILE\n",
@@ -374,8 +394,6 @@ int runOnlineInit(const mpcgs::Options& opts) {
     smc.scheme = parseResamplingScheme(opts.get("resampling", "systematic"));
     smc.essThreshold = opts.getDouble("ess-threshold", 0.5);
     const auto seed = static_cast<std::uint64_t>(opts.getInt("seed", 20160408));
-    const unsigned threads =
-        static_cast<unsigned>(opts.getCount("threads", hardwareThreads()));
     ThreadPool pool(threads);
 
     const OnlineState st = initOnlineState(ds.locus(0).alignment, theta0, smc,
@@ -392,15 +410,14 @@ int runOnlineInit(const mpcgs::Options& opts) {
 
 /// mpcgs serve --state FILE: load the warm posterior and serve jobs until
 /// shutdown (exit 0) or SIGTERM/--max-wall-time (snapshot, exit 3).
-int runServe(const mpcgs::Options& opts, std::unique_ptr<mpcgs::RunSupervisor>& supervisor) {
+int runServe(const mpcgs::Options& opts, unsigned threads,
+             std::unique_ptr<mpcgs::RunSupervisor>& supervisor) {
     using namespace mpcgs;
     const auto statePath = opts.get("state");
     if (!statePath) throw ConfigError("serve: --state FILE is required");
     const ServeEndpoint ep = endpointFromOptions(opts);
 
     OnlineState st = loadOnlineState(*statePath);
-    const unsigned threads =
-        static_cast<unsigned>(opts.getCount("threads", hardwareThreads()));
     ThreadPool pool(threads);
 
     RunSupervisor::Config svCfg;
@@ -473,27 +490,30 @@ int runServeSend(const mpcgs::Options& opts) {
 int main(int argc, char** argv) {
     using namespace mpcgs;
     const Options opts = Options::parse(argc, argv);
-    if (opts.has("print-config")) {
-        std::fputs(buildConfigSummary().c_str(), stdout);
-        return 0;
-    }
-    const std::string subcmd =
-        opts.positional().empty() ? std::string() : opts.positional().front();
-    const bool isSubcommand =
-        subcmd == "serve" || subcmd == "online-init" || subcmd == "serve-send";
-    const bool haveManifest = opts.has("loci-manifest");
-    // Without a manifest at least one locus file plus theta0 is required;
-    // with one, theta0 alone suffices.
-    if (!isSubcommand && opts.positional().size() < (haveManifest ? 1u : 2u)) {
-        usage(argv[0]);
-        return 2;
-    }
-
     std::unique_ptr<RunSupervisor> supervisor;
     try {
-        // A malformed or negative count exits 2 naming its flag before any
-        // pool or buffer is sized from it.
+        // An unknown flag, a malformed or negative count, or a thread
+        // count above the cap exits 2 naming its flag before any pool or
+        // buffer is sized from it.
+        opts.requireKnown(kFlags);
         for (const char* flag : kCountFlags) opts.getCount(flag, 0);
+        const unsigned threads = threadCount(opts);
+
+        if (opts.has("print-config")) {
+            std::fputs(buildConfigSummary().c_str(), stdout);
+            return 0;
+        }
+        const std::string subcmd =
+            opts.positional().empty() ? std::string() : opts.positional().front();
+        const bool isSubcommand =
+            subcmd == "serve" || subcmd == "online-init" || subcmd == "serve-send";
+        const bool haveManifest = opts.has("loci-manifest");
+        // Without a manifest at least one locus file plus theta0 is
+        // required; with one, theta0 alone suffices.
+        if (!isSubcommand && opts.positional().size() < (haveManifest ? 1u : 2u)) {
+            usage(argv[0]);
+            return 2;
+        }
 
         // Fault injection arms before anything can fail: the env var first,
         // then --failpoints (later specs override earlier ones per point).
@@ -519,8 +539,8 @@ int main(int argc, char** argv) {
             return rc;
         };
 
-        if (subcmd == "online-init") return finishObs(runOnlineInit(opts));
-        if (subcmd == "serve") return finishObs(runServe(opts, supervisor));
+        if (subcmd == "online-init") return finishObs(runOnlineInit(opts, threads));
+        if (subcmd == "serve") return finishObs(runServe(opts, threads, supervisor));
         if (subcmd == "serve-send") return runServeSend(opts);
 
         MpcgsOptions mo;
@@ -595,8 +615,6 @@ int main(int argc, char** argv) {
         if (const auto popMap = opts.get("pop-map")) ds.applyPopMap(readPopMap(*popMap));
         ds.validate();
 
-        const unsigned threads =
-            static_cast<unsigned>(opts.getCount("threads", hardwareThreads()));
         ThreadPool pool(threads);
 
         // One supervisor per run: SIGTERM/SIGINT and --max-wall-time feed
