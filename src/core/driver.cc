@@ -175,7 +175,7 @@ std::vector<EmIterationRecord> readHistory(CheckpointReader& r) {
 }  // namespace
 
 void validateOptions(const MpcgsOptions& opts) {
-    if (opts.theta0 <= 0.0) throw ConfigError("options: theta0 must be positive");
+    if (!(opts.theta0 > 0.0)) throw ConfigError("options: theta0 must be positive");
     if (opts.emIterations == 0) throw ConfigError("options: need >= 1 EM iteration");
     if (opts.samplesPerIteration == 0)
         throw ConfigError("options: need >= 1 sample per EM iteration");

@@ -240,7 +240,7 @@ double quantileOfSorted(const std::vector<double>& sorted, double q) {
 
 SmcEstimateResult estimateThetaSmc(const Dataset& dataset, const SmcEstimateOptions& opts,
                                    ThreadPool* pool) {
-    if (opts.theta0 <= 0.0) throw ConfigError("smc: theta0 must be positive");
+    if (!(opts.theta0 > 0.0)) throw ConfigError("smc: theta0 must be positive");
     if (opts.resume && opts.checkpointPath.empty())
         throw ConfigError("smc: resume requires a checkpointPath");
     validateSmcOptions(opts.smc);
@@ -266,7 +266,7 @@ SmcEstimateResult estimateThetaSmc(const Dataset& dataset, const SmcEstimateOpti
 
 PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& opts,
                            ThreadPool* pool) {
-    if (opts.theta0 <= 0.0) throw ConfigError("pmmh: theta0 must be positive");
+    if (!(opts.theta0 > 0.0)) throw ConfigError("pmmh: theta0 must be positive");
     if (opts.samples == 0) throw ConfigError("pmmh: need >= 1 sample");
     if (opts.burnInFraction1000 > 1000)
         throw ConfigError("pmmh: burn-in permille must be <= 1000");

@@ -11,6 +11,7 @@
 #include "par/kernel.h"
 #include "util/error.h"
 #include "util/failpoint.h"
+#include "util/stats.h"
 
 namespace mpcgs {
 namespace {
@@ -53,15 +54,11 @@ void SampleSink::consume(const StructuredGenealogy& g, const SampleTag& tag) {
 }
 
 void ConvergenceMonitor::beginRun(std::uint32_t chains) {
-    if (chains > traces_.size()) {
-        traces_.resize(chains);
-        stats_.resize(chains);
-    }
+    if (chains > traces_.size()) traces_.resize(chains);
 }
 
 void ConvergenceMonitor::consume(const Genealogy&, const SampleTag& tag) {
     traces_[tag.chain].push_back(tag.logPosterior);
-    stats_[tag.chain].add(tag.logPosterior);
 }
 
 std::size_t ConvergenceMonitor::minChainLength() const {
@@ -122,13 +119,7 @@ void ConvergenceMonitor::load(CheckpointReader& r) {
     if (chains > r.remaining() / sizeof(std::uint64_t))  // every trace carries a length word
         throw CheckpointError("corrupt snapshot: implausible chain count");
     traces_.assign(chains, {});
-    stats_.assign(chains, RunningStats{});
-    for (std::uint64_t c = 0; c < chains; ++c) {
-        traces_[c] = r.doubles();
-        // Replaying the trace rebuilds the Welford accumulator with the
-        // exact sequence of adds, so the stats match the saved run bitwise.
-        for (const double x : traces_[c]) stats_[c].add(x);
-    }
+    for (auto& t : traces_) t = r.doubles();
 }
 
 bool StoppingRule::satisfied(const ConvergenceMonitor& m, double* rhatOut,
@@ -178,26 +169,19 @@ void SamplerRun::restoreProgress(std::size_t burnTicksDone,
 std::vector<SamplerRunReport> SamplerRun::execute() {
     const std::size_t n = slots_.size();
 
-    // Per-slot sink pipelines: summary sink + convergence monitor behind a
-    // locus-stamping adapter, so every streamed tag carries its slot id.
+    // Per-slot sink pipelines: summary sink + convergence monitor.
     std::vector<FanoutSink> fanouts(n);
-    std::vector<LocusTagSink> tagged;
-    tagged.reserve(n);
     for (std::size_t s = 0; s < n; ++s) {
         fanouts[s].add(slots_[s].sink);
         fanouts[s].add(slots_[s].monitor);
         fanouts[s].beginRun(slots_[s].sampler->chainCount());
-        tagged.emplace_back(static_cast<std::uint32_t>(s), &fanouts[s]);
     }
 
     const std::size_t ckptEvery =
         cfg_.checkpointInterval > 0
             ? cfg_.checkpointInterval
             : std::max<std::size_t>(1, (cfg_.burnInTicks + cfg_.sampleTicks) / 16);
-    const std::size_t checkEvery =
-        cfg_.stopping.checkInterval > 0
-            ? cfg_.stopping.checkInterval
-            : std::max<std::size_t>(1, cfg_.sampleTicks / 64);
+    const std::size_t checkEvery = std::max<std::size_t>(1, cfg_.sampleTicks / 64);
 
     std::size_t sinceCkpt = 0;
     const auto maybeCheckpoint = [&](bool force) {
@@ -248,7 +232,7 @@ std::vector<SamplerRunReport> SamplerRun::execute() {
         checkStop("sampling");
         launchChains(cfg_.pool, n, [&](std::size_t s) {
             if (!slotActive(s)) return;
-            slots_[s].sampler->tick(&tagged[s]);
+            slots_[s].sampler->tick(&fanouts[s]);
             ++sampleDone_[s];
         });
         for (std::size_t s = 0; s < n; ++s)

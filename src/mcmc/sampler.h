@@ -37,7 +37,6 @@
 #include "mcmc/diagnostics.h"
 #include "par/thread_pool.h"
 #include "phylo/tree.h"
-#include "util/stats.h"
 
 namespace mpcgs {
 
@@ -50,7 +49,6 @@ struct SampleTag {
     std::uint32_t chain = 0;    ///< logical chain that produced the sample
     std::uint64_t index = 0;    ///< 0-based position within that chain
     double logPosterior = 0.0;  ///< unnormalized log pi of the sample
-    std::uint32_t locus = 0;    ///< locus whose genealogy this is (multi-locus runs)
 };
 
 /// Streaming consumer of chain-tagged samples (see the concurrency
@@ -73,33 +71,6 @@ class SampleSink {
     virtual void consume(const StructuredGenealogy& g, const SampleTag& tag);
 };
 
-/// Stamps a fixed locus id onto every tag before forwarding (not owning
-/// the inner sink). Samplers are locus-agnostic and always emit locus 0;
-/// SamplerRun wraps each slot's sink pipeline in one of these so any
-/// shared downstream consumer sees fully-qualified (locus, chain, index)
-/// provenance.
-class LocusTagSink final : public SampleSink {
-  public:
-    LocusTagSink(std::uint32_t locus, SampleSink* inner)
-        : locus_(locus), inner_(inner) {}
-
-    void beginRun(std::uint32_t chains) override { inner_->beginRun(chains); }
-    void consume(const Genealogy& g, const SampleTag& tag) override {
-        SampleTag stamped = tag;
-        stamped.locus = locus_;
-        inner_->consume(g, stamped);
-    }
-    void consume(const StructuredGenealogy& g, const SampleTag& tag) override {
-        SampleTag stamped = tag;
-        stamped.locus = locus_;
-        inner_->consume(g, stamped);
-    }
-
-  private:
-    std::uint32_t locus_;
-    SampleSink* inner_;
-};
-
 /// Fans every sample out to several sinks (not owned).
 class FanoutSink final : public SampleSink {
   public:
@@ -120,10 +91,9 @@ class FanoutSink final : public SampleSink {
     std::vector<SampleSink*> sinks_;
 };
 
-/// Online per-chain statistics and scalar traces: running mean/variance of
-/// the log-posterior per chain plus the full per-chain trace the
-/// convergence diagnostics need. Memory is one double per sample — bounded
-/// by design compared to retaining genealogy states.
+/// Per-chain scalar traces: the full log-posterior trace of every chain,
+/// which the convergence diagnostics read. Memory is one double per
+/// sample — bounded by design compared to retaining genealogy states.
 class ConvergenceMonitor final : public SampleSink {
   public:
     void beginRun(std::uint32_t chains) override;
@@ -133,7 +103,6 @@ class ConvergenceMonitor final : public SampleSink {
     std::size_t minChainLength() const;
     std::size_t totalSamples() const;
     const std::vector<double>& trace(std::uint32_t chain) const { return traces_[chain]; }
-    const RunningStats& chainStats(std::uint32_t chain) const { return stats_[chain]; }
 
     /// Diagnostics evaluate at most this many recent samples per chain, so
     /// the per-check cost stays bounded no matter how long the run grows
@@ -158,19 +127,18 @@ class ConvergenceMonitor final : public SampleSink {
 
   private:
     std::vector<std::vector<double>> traces_;
-    std::vector<RunningStats> stats_;
 };
 
 /// Convergence-driven stopping: keep sampling until the cross-chain R-hat
 /// drops below `rhatBelow` AND the pooled ESS reaches `essAtLeast`
 /// (whichever of the two is enabled), or until the sample cap. Disabled
 /// thresholds (<= 0) are ignored; with both disabled the rule never fires
-/// and the run always uses the full cap.
+/// and the run always uses the full cap. SamplerRun checks the rule every
+/// max(1, sampleTicks / 64) ticks.
 struct StoppingRule {
     double rhatBelow = 0.0;               ///< require rhat() < this (0 = off)
     double essAtLeast = 0.0;              ///< require pooledEss() >= this (0 = off)
     std::size_t minSamplesPerChain = 64;  ///< no checks before this much data
-    std::size_t checkInterval = 0;        ///< ticks between checks (0 = auto)
 
     bool enabled() const { return rhatBelow > 0.0 || essAtLeast > 0.0; }
     bool satisfied(const ConvergenceMonitor& m, double* rhatOut = nullptr,
@@ -251,13 +219,12 @@ struct SamplerRunReport {
 /// sampler (one locus, the structured chains, PMMH) or one sampler per
 /// locus of a multi-locus run. Lockstep rounds advance every still-active
 /// slot by one tick: burn-in ticks first, then sampling ticks streamed
-/// through each slot's sink and monitor (samples are stamped with the
-/// slot's index as their locus). Each slot's stopping rule is checked at
-/// a fixed tick cadence; a converged slot freezes while the rest keep
-/// sampling, and the phase ends when every slot is stopped or capped. A
-/// periodic checkpoint callback carries every slot's progress, and the
-/// counters are restorable, so an interrupted phase resumes exactly where
-/// the last snapshot left it.
+/// through each slot's sink and monitor. Each slot's stopping rule is
+/// checked at a fixed tick cadence; a converged slot freezes while the
+/// rest keep sampling, and the phase ends when every slot is stopped or
+/// capped. A periodic checkpoint callback carries every slot's progress,
+/// and the counters are restorable, so an interrupted phase resumes
+/// exactly where the last snapshot left it.
 ///
 /// Scheduling: a round is one launchChains over the slots. A single slot
 /// runs on the calling thread without claiming the pool, so its sampler's

@@ -3,41 +3,15 @@
 #include <limits>
 #include <vector>
 
+#include "util/logspace.h"
+
 namespace mpcgs {
-
-namespace {
-
-std::size_t numBlocks(std::size_t n, std::size_t blockDim) {
-    return (n + blockDim - 1) / blockDim;
-}
-
-}  // namespace
-
-double blockReduceAdd(ThreadPool* pool, std::span<const double> values, std::size_t blockDim) {
-    if (values.empty()) return 0.0;
-    blockDim = std::max<std::size_t>(1, blockDim);
-    const std::size_t blocks = numBlocks(values.size(), blockDim);
-    std::vector<double> partial(blocks, 0.0);
-    forEachIndex(
-        pool, blocks,
-        [&](std::size_t b) {
-            const std::size_t lo = b * blockDim;
-            const std::size_t hi = std::min(lo + blockDim, values.size());
-            double acc = 0.0;
-            for (std::size_t i = lo; i < hi; ++i) acc += values[i];
-            partial[b] = acc;
-        },
-        1);
-    double total = 0.0;
-    for (double p : partial) total += p;
-    return total;
-}
 
 double blockReduceLogSumExp(ThreadPool* pool, std::span<const double> logValues,
                             std::size_t blockDim) {
     if (logValues.empty()) return -std::numeric_limits<double>::infinity();
     blockDim = std::max<std::size_t>(1, blockDim);
-    const std::size_t blocks = numBlocks(logValues.size(), blockDim);
+    const std::size_t blocks = (logValues.size() + blockDim - 1) / blockDim;
     std::vector<double> partial(blocks);
     forEachIndex(
         pool, blocks,
@@ -48,26 +22,6 @@ double blockReduceLogSumExp(ThreadPool* pool, std::span<const double> logValues,
         },
         1);
     return logSumExp(partial);
-}
-
-double blockReduceMax(ThreadPool* pool, std::span<const double> values, std::size_t blockDim) {
-    if (values.empty()) return -std::numeric_limits<double>::infinity();
-    blockDim = std::max<std::size_t>(1, blockDim);
-    const std::size_t blocks = numBlocks(values.size(), blockDim);
-    std::vector<double> partial(blocks, -std::numeric_limits<double>::infinity());
-    forEachIndex(
-        pool, blocks,
-        [&](std::size_t b) {
-            const std::size_t lo = b * blockDim;
-            const std::size_t hi = std::min(lo + blockDim, values.size());
-            double m = -std::numeric_limits<double>::infinity();
-            for (std::size_t i = lo; i < hi; ++i) m = std::max(m, values[i]);
-            partial[b] = m;
-        },
-        1);
-    double m = -std::numeric_limits<double>::infinity();
-    for (double p : partial) m = std::max(m, p);
-    return m;
 }
 
 }  // namespace mpcgs

@@ -1,16 +1,19 @@
-// CUDA-launch-shaped facade over the thread pool.
+// Launch shapes over the thread pool for the sampler's grid-structured work.
 //
-// The paper structures its device work as three kernels launched over a
-// grid of blocks of threads (§5.2), with warp-shuffle + shared-memory tree
-// reductions. This header preserves that structure on the CPU so the core
-// sampler code reads like the paper's implementation chapter: a Kernel is a
-// function of (blockIdx, threadIdx), launched over a LaunchConfig, and
-// blockReduce* mirror the two-stage (intra-block, then cross-block)
-// reduction pattern of §5.2.1-5.2.3.
+// The paper launches its device work over grids of blocks (§5.2). On the
+// CPU every such launch is one ThreadPool::parallelFor with a grain of one
+// block: launchBlocked splits an index range into fixed-size blocks (the
+// likelihood engine's site-pattern blocks), launchChains runs one
+// indivisible unit per chain (the sampler runtime's lockstep rounds), and
+// blockReduceLogSumExp is the two-stage log-space reduction of the
+// posterior kernel (§5.2.3): per-block partials, then a serial fold in
+// block order. Block partitions depend only on the problem size and block
+// size, never on the pool width, so their results are bitwise invariant to
+// the thread count. A null pool runs every shape serially in order.
 //
-// The launch entry points are templates: the callable is compiled into the
-// pool's per-chunk trampoline (one indirect call per block), with no
-// std::function construction or allocation on the hot path.
+// The shapes are templates: the callable compiles into the pool's
+// per-chunk trampoline, with no std::function construction or allocation
+// on the hot path.
 #pragma once
 
 #include <algorithm>
@@ -18,44 +21,8 @@
 #include <span>
 
 #include "par/thread_pool.h"
-#include "util/logspace.h"
 
 namespace mpcgs {
-
-/// Grid geometry of a kernel launch.
-struct LaunchConfig {
-    std::size_t gridDim = 1;   ///< number of blocks
-    std::size_t blockDim = 1;  ///< threads per block
-
-    std::size_t totalThreads() const { return gridDim * blockDim; }
-};
-
-/// Index of one logical device thread within a launch.
-struct ThreadIdx {
-    std::size_t block = 0;   ///< blockIdx.x analogue
-    std::size_t thread = 0;  ///< threadIdx.x analogue
-    std::size_t global = 0;  ///< block * blockDim + thread
-};
-
-/// Launch `kernel` once per logical thread. Blocks are distributed across
-/// the pool; within a block, threads run sequentially on one worker (the
-/// CPU analogue of a streaming multiprocessor executing a block).
-/// A null pool runs the whole grid serially.
-template <class Kernel>
-void launchKernel(ThreadPool* pool, LaunchConfig cfg, Kernel&& kernel) {
-    forEachIndex(
-        pool, cfg.gridDim,
-        [&](std::size_t b) {
-            ThreadIdx idx;
-            idx.block = b;
-            for (std::size_t t = 0; t < cfg.blockDim; ++t) {
-                idx.thread = t;
-                idx.global = b * cfg.blockDim + t;
-                kernel(idx);
-            }
-        },
-        /*grain=*/1);
-}
 
 /// Launch `f(blockIndex, begin, end)` over [0, n) partitioned into
 /// contiguous blocks of `blockSize` indices (the last block may be short).
@@ -89,22 +56,10 @@ void launchChains(ThreadPool* pool, std::size_t chains, F&& f) {
     forEachIndex(pool, chains, f, /*grain=*/1);
 }
 
-/// Two-stage additive reduction in linear space: per-block partial sums
-/// (the warp-shuffle stage of §5.2.1) followed by a serial cross-block
-/// fold (the paper performs this on a single master thread and notes the
-/// block count is small enough for it not to matter).
-double blockReduceAdd(ThreadPool* pool, std::span<const double> values,
-                      std::size_t blockDim);
-
 /// Two-stage log-space additive reduction (log-sum-exp per block, then a
 /// cross-block log-sum-exp); the underflow-safe form used by the posterior
 /// kernel (§5.2.3 + §5.3).
 double blockReduceLogSumExp(ThreadPool* pool, std::span<const double> logValues,
                             std::size_t blockDim);
-
-/// Two-stage max reduction (used to find the normalization constant before
-/// exponentiation in the posterior kernel).
-double blockReduceMax(ThreadPool* pool, std::span<const double> values,
-                      std::size_t blockDim);
 
 }  // namespace mpcgs

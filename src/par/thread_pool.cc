@@ -73,7 +73,7 @@ inline void cpuRelax() {
 bool ThreadPool::insideLaunch() const { return tlActivePool == this; }
 
 ThreadPool::ThreadPool(unsigned nThreads)
-    : width_(nThreads == 0 ? 1u : nThreads), spans_(width_), reduceSlots_(width_) {
+    : width_(nThreads == 0 ? 1u : nThreads), spans_(width_) {
     const unsigned hw = hardwareThreads();
     oversubscribed_ = width_ > hw;
     wakeCap_ = hw > 1 ? hw - 1 : 0;
@@ -94,12 +94,8 @@ ThreadPool::~ThreadPool() {
     for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::launchImpl(std::size_t n, std::size_t grain, ChunkFn fn, void* ctx) {
+void ThreadPool::launch(std::size_t n, std::size_t grain, ChunkFn fn, void* ctx) {
     std::lock_guard<std::mutex> launchGuard(launchMu_);
-    launchLocked(n, grain, fn, ctx);
-}
-
-void ThreadPool::launchLocked(std::size_t n, std::size_t grain, ChunkFn fn, void* ctx) {
     const LaunchObserver observer;
     if (grain == 0) {
         // Aim for ~4 chunks per slot: slack for stealing to balance uneven
@@ -119,7 +115,7 @@ void ThreadPool::launchLocked(std::size_t n, std::size_t grain, ChunkFn fn, void
 
     if (chunks == 1) {
         ScopedActive active(this);
-        fn(ctx, 0, n, 0);
+        fn(ctx, 0, n);
         return;
     }
 
@@ -216,11 +212,11 @@ void ThreadPool::runChunks(unsigned slot) {
     std::size_t chunk;
     for (;;) {
         if (popOwn(slot, chunk)) {
-            executeChunk(chunk, slot);
+            executeChunk(chunk);
             continue;
         }
         if (stealChunk(slot, chunk)) {
-            executeChunk(chunk, slot);
+            executeChunk(chunk);
             continue;
         }
         return;
@@ -269,12 +265,12 @@ bool ThreadPool::stealChunk(unsigned slot, std::size_t& chunk) {
     return false;
 }
 
-void ThreadPool::executeChunk(std::size_t chunk, unsigned slot) {
+void ThreadPool::executeChunk(std::size_t chunk) {
     if (!abort_.load(std::memory_order_relaxed)) {
         const std::size_t begin = chunk * grain_;
         const std::size_t end = std::min(begin + grain_, n_);
         try {
-            fn_(ctx_, begin, end, slot);
+            fn_(ctx_, begin, end);
         } catch (...) {
             std::lock_guard<std::mutex> g(errMu_);
             if (!error_) error_ = std::current_exception();

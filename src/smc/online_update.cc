@@ -261,6 +261,9 @@ class TripodScorer {
     std::vector<Matrix4> matsU_, matsA_, matsB_;
 };
 
+/// Golden-section iterations of the per-candidate height optimization.
+constexpr std::size_t kHeightSearchIterations = 24;
+
 /// Fixed-iteration golden-section maximum of f over [lo, hi]. The
 /// evaluation points are a deterministic function of (lo, hi, iters), so
 /// the guided proposal stays a deterministic function of the particle
@@ -361,9 +364,6 @@ OnlineSmcUpdater::OnlineSmcUpdater(OnlineState& state, const OnlineOptions& opts
     : state_(state), opts_(opts), pool_(pool) {
     if (!(opts.essThreshold >= 0.0 && opts.essThreshold <= 1.0))
         throw ConfigError("online: ESS threshold must lie in [0, 1]");
-    if (opts.blockSize == 0) throw ConfigError("online: particle block size must be >= 1");
-    if (opts.heightSearchIterations < 2)
-        throw ConfigError("online: height search needs >= 2 iterations");
     if (state.particles.empty()) throw ConfigError("online: state holds no particles");
     if (state.slotRngs.size() != state.particles.size())
         throw ConfigError("online: state RNG stream count does not match particle count");
@@ -411,7 +411,7 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
     };
     for (int t = 0; t <= n; ++t) arena.tipInit(static_cast<SlotArena::Slot>(t), t, nullptr);
     const int nodes = 2 * n - 1;
-    launchBlocked(pool_, N, opts_.blockSize, [&](std::size_t, std::size_t begin,
+    launchBlocked(pool_, N, kParticleBlockSize, [&](std::size_t, std::size_t begin,
                                                  std::size_t end) {
         for (std::size_t p = begin; p < end; ++p) {
             const Genealogy& g = state_.particles[p].tree;
@@ -433,7 +433,7 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
     std::vector<double> delta(N, 0.0);
     std::vector<double> newLogL(N, 0.0);
     std::vector<Genealogy> newTrees(N);
-    launchBlocked(pool_, N, opts_.blockSize, [&](std::size_t, std::size_t begin,
+    launchBlocked(pool_, N, kParticleBlockSize, [&](std::size_t, std::size_t begin,
                                                  std::size_t end) {
         for (std::size_t p = begin; p < end; ++p) {
             const OnlineParticle& pt = state_.particles[p];
@@ -461,7 +461,7 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
                 const double lo = v == g.root() ? tRoot : g.node(v).time;
                 const double hi =
                     v == g.root() ? tRoot + 2.0 * theta : g.node(g.node(v).parent).time;
-                phi[i] = goldenSectionMax(lo, hi, opts_.heightSearchIterations,
+                phi[i] = goldenSectionMax(lo, hi, kHeightSearchIterations,
                                           [&](double h) { return scorer.logLikAt(v, h); });
             }
 
@@ -569,7 +569,7 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
         // thread-invariant.
         std::vector<std::size_t> accepts(N, 0);
         for (std::size_t sweep = 0; sweep < opts_.rejuvenationSweeps; ++sweep) {
-            launchBlocked(pool_, N, opts_.blockSize, [&](std::size_t, std::size_t begin,
+            launchBlocked(pool_, N, kParticleBlockSize, [&](std::size_t, std::size_t begin,
                                                          std::size_t end) {
                 for (std::size_t p = begin; p < end; ++p) {
                     OnlineParticle& pt = state_.particles[p];

@@ -67,16 +67,9 @@ struct OnlineOptions {
     /// reweight; 1.0 refreshes after every update, 0.0 never.
     double essThreshold = 0.5;
     ResamplingScheme scheme = ResamplingScheme::Systematic;
-    /// Particle-block grain of the parallel phases (fixed partition =>
-    /// thread-count invariance).
-    std::size_t blockSize = 16;
     /// Recoalesce MH sweeps per particle after an ESS-triggered resample
     /// (0 disables rejuvenation).
     std::size_t rejuvenationSweeps = 1;
-    /// Fixed golden-section iterations of the per-candidate height
-    /// optimization (fixed so the proposal is a deterministic function of
-    /// the particle state).
-    std::size_t heightSearchIterations = 24;
 };
 
 /// The warm posterior state a serve session holds per dataset: the

@@ -20,7 +20,7 @@ constexpr std::uint64_t kPassSalt = 0x50534D4350534D43ull;  // "PSMCPSMC"
 
 void validatePmmhOptions(const PmmhOptions& opts) {
     if (opts.chains == 0) throw ConfigError("pmmh: need >= 1 chain");
-    if (opts.proposalSigma <= 0.0)
+    if (!(opts.proposalSigma > 0.0))
         throw ConfigError("pmmh: proposal sigma must be positive");
     if (!(opts.thetaMin > 0.0) || !(opts.thetaMax > opts.thetaMin))
         throw ConfigError("pmmh: need 0 < thetaMin < thetaMax");

@@ -20,7 +20,6 @@ void validateSmcOptions(const SmcOptions& opts) {
     if (opts.particles == 0) throw ConfigError("smc: need >= 1 particle");
     if (!(opts.essThreshold >= 0.0 && opts.essThreshold <= 1.0))
         throw ConfigError("smc: ESS threshold must lie in [0, 1]");
-    if (opts.blockSize == 0) throw ConfigError("smc: particle block size must be >= 1");
 }
 
 SmcFilter::SmcFilter(SlotArena& arena, double theta, const SmcOptions& opts,
@@ -51,11 +50,11 @@ void SmcFilter::step() {
     // Parallel over particle blocks: each slot draws its own event with its
     // own stream, records the merge in the write-once slot of (p, event)
     // and combines into it, folding the new root. The block partition
-    // depends only on (N, blockSize).
+    // depends only on (N, kParticleBlockSize).
     {
         const obs::TraceSpan propose("smc_propose", "smc");
         const obs::PhaseTimer timer(obs::Counter::SmcProposeNs);
-        launchBlocked(pool_, N, opts_.blockSize,
+        launchBlocked(pool_, N, kParticleBlockSize,
                       [&](std::size_t, std::size_t begin, std::size_t end) {
                           for (std::size_t p = begin; p < end; ++p) propagate(p, event);
                       });
@@ -190,10 +189,6 @@ SmcPassResult runSmcPass(const DataLikelihood& lik, double theta, const SmcOptio
     SmcFilter filter(arena, theta, opts, passSeed, pool);
     while (!filter.done()) filter.step();
     return filter.finish();
-}
-
-double SmcThetaLikelihood::logL(double theta, ThreadPool* pool) const {
-    return runSmcPass(lik_, theta, opts_, passSeed_, pool).logZ;
 }
 
 double PooledSmcLikelihood::logL(double theta, ThreadPool* pool) const {

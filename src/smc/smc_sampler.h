@@ -52,13 +52,15 @@ struct SmcOptions {
     /// contractual: 1.0 resamples on EVERY step (unconditionally — not
     /// just when ESS happens to dip below N), 0.0 never resamples.
     double essThreshold = 0.5;
-    /// Particle-block grain of the parallel launches; fixed so the block
-    /// partition (and thus the result) is independent of the thread count.
-    std::size_t blockSize = 16;
 };
 
+/// Particle-block grain of the parallel launches of the filter and of the
+/// online updater; fixed so the block partition (and thus the result) is
+/// independent of the thread count.
+inline constexpr std::size_t kParticleBlockSize = 16;
+
 /// Throws ConfigError on nonsensical options (no particles, threshold
-/// outside [0,1], zero block size).
+/// outside [0,1]).
 void validateSmcOptions(const SmcOptions& opts);
 
 /// One filter pass over the posterior P(G | D, theta).
@@ -129,28 +131,14 @@ SmcPassResult runSmcPass(const DataLikelihood& lik, double theta, const SmcOptio
 
 /// The SMC marginal-likelihood curve theta -> log Zhat(theta) behind the
 /// ThetaLikelihood interface, so maximizeTheta / supportInterval drive
-/// SMC-based point estimates and support curves directly. Every
-/// evaluation reuses the same passSeed (common random numbers), making
-/// the curve a deterministic function of theta — smooth enough for the
-/// golden-section fallback even when gradient ascent stalls on residual
-/// Monte-Carlo roughness.
-class SmcThetaLikelihood final : public ThetaLikelihood {
-  public:
-    SmcThetaLikelihood(const DataLikelihood& lik, SmcOptions opts, std::uint64_t passSeed)
-        : lik_(lik), opts_(opts), passSeed_(passSeed) {}
-
-    double logL(double theta, ThreadPool* pool = nullptr) const override;
-
-  private:
-    const DataLikelihood& lik_;
-    SmcOptions opts_;
-    std::uint64_t passSeed_;
-};
-
-/// Multi-locus pooled marginal likelihood: independent per-locus particle
-/// clouds, their logZ summed —
+/// SMC-based point estimates and support curves directly. Multi-locus:
+/// independent per-locus particle clouds, their logZ summed —
 ///   log Zhat(theta) = sum_l log Zhat_l(mu_l * theta),
 /// locus l's pass seeded splitMix64At(passSeed, l) so loci decorrelate.
+/// Every evaluation reuses the same passSeed (common random numbers),
+/// making the curve a deterministic function of theta — smooth enough for
+/// the golden-section fallback even when gradient ascent stalls on
+/// residual Monte-Carlo roughness.
 class PooledSmcLikelihood final : public ThetaLikelihood {
   public:
     struct LocusTerm {

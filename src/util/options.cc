@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/error.h"
@@ -51,34 +52,49 @@ std::string Options::get(const std::string& key, const std::string& dflt) const 
 
 namespace {
 
+[[noreturn]] void reject(const std::string& name, const std::string& text,
+                         const char* expected) {
+    throw ConfigError(name + " expects " + expected + ", got '" + text + "'");
+}
+
 /// Parse all of `text` with `conv` (strtoll / strtod), or throw naming
-/// --key and what was expected.
+/// `name` and what was expected.
 template <class Conv>
-auto parseWhole(const std::string& key, const std::string& text, const char* expected,
+auto parseWhole(const std::string& name, const std::string& text, const char* expected,
                 Conv conv) {
     const char* begin = text.c_str();
     char* end = nullptr;
     errno = 0;
     const auto value = conv(begin, &end);
-    if (end == begin || *end != '\0' || errno == ERANGE)
-        throw ConfigError("--" + key + " expects " + expected + ", got '" + text + "'");
+    if (end == begin || *end != '\0' || errno == ERANGE) reject(name, text, expected);
     return value;
 }
 
 }  // namespace
 
+long long parseInt(const std::string& name, const std::string& text) {
+    return parseWhole(name, text, "an integer",
+                      [](const char* s, char** end) { return std::strtoll(s, end, 10); });
+}
+
+double parseDouble(const std::string& name, const std::string& text) {
+    constexpr const char* kExpected = "a finite number";
+    const double value = parseWhole(
+        name, text, kExpected, [](const char* s, char** end) { return std::strtod(s, end); });
+    if (!std::isfinite(value)) reject(name, text, kExpected);
+    return value;
+}
+
 long long Options::getInt(const std::string& key, long long dflt) const {
     const auto v = get(key);
     if (!v || v->empty()) return dflt;
-    return parseWhole(key, *v, "an integer",
-                      [](const char* s, char** end) { return std::strtoll(s, end, 10); });
+    return parseInt("--" + key, *v);
 }
 
 double Options::getDouble(const std::string& key, double dflt) const {
     const auto v = get(key);
     if (!v || v->empty()) return dflt;
-    return parseWhole(key, *v, "a number",
-                      [](const char* s, char** end) { return std::strtod(s, end); });
+    return parseDouble("--" + key, *v);
 }
 
 std::size_t Options::getCount(const std::string& key, std::size_t dflt,

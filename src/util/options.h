@@ -26,9 +26,8 @@ class Options {
 
     std::optional<std::string> get(const std::string& key) const;
     std::string get(const std::string& key, const std::string& dflt) const;
-    /// Numeric values must be one whole token ("1e3", "4x" and "0.5.1"
-    /// are rejected); a malformed or out-of-range value throws ConfigError
-    /// naming the flag. A missing or empty value returns `dflt`.
+    /// Numeric values parse with parseInt / parseDouble below, naming the
+    /// flag. A missing or empty value returns `dflt`.
     long long getInt(const std::string& key, long long dflt) const;
     double getDouble(const std::string& key, double dflt) const;
     /// getInt for a count (samples, particles, threads, ...): also throws
@@ -45,5 +44,13 @@ class Options {
     std::map<std::string, std::string> kv_;
     std::vector<std::string> positional_;
 };
+
+/// Parse `text` as one whole token: an integer (parseInt) or a finite
+/// number (parseDouble). "1e3" is not an integer, and "4x", "0.5.1", "nan"
+/// and "inf" are not numbers; a malformed, out-of-range or non-finite value
+/// throws ConfigError naming `name` (a flag such as "--theta" or a
+/// positional such as "<init_theta>").
+long long parseInt(const std::string& name, const std::string& text);
+double parseDouble(const std::string& name, const std::string& text);
 
 }  // namespace mpcgs

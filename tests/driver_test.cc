@@ -123,6 +123,8 @@ TEST(DriverTest, OptionValidation) {
     MpcgsOptions o = quickOptions(Strategy::Gmh);
     o.theta0 = 0.0;
     EXPECT_THROW(estimateTheta(aln, o), ConfigError);
+    o.theta0 = std::nan("");  // NaN passes `x <= 0`; only `!(x > 0)` rejects it
+    EXPECT_THROW(validateOptions(o), ConfigError);
     o = quickOptions(Strategy::Gmh);
     o.emIterations = 0;
     EXPECT_THROW(estimateTheta(aln, o), ConfigError);

@@ -4,7 +4,7 @@
 // thread-count invariance of logZ and of a full PMMH run, the particle
 // cloud's write-once slot discipline (earlier generations' slots never
 // change), kill+resume of PMMH being bitwise-identical, scheme
-// cross-agreement, the SmcThetaLikelihood curve behaving as a likelihood
+// cross-agreement, the one-locus SMC curve behaving as a likelihood
 // (maximizer near the data's information), and checkpoint format v5 with
 // v1-v4 read-compat.
 #include "smc/smc_sampler.h"
@@ -308,15 +308,15 @@ TEST(SmcWriteOnceTest, SlotsAreWrittenOnceAndReadOnlyAfterTheirGeneration) {
     EXPECT_EQ(res.sampled, plain.sampled);
 }
 
-// --- SmcThetaLikelihood ------------------------------------------------
+// --- PooledSmcLikelihood -----------------------------------------------
 
-TEST(SmcThetaLikelihoodTest, CurveIsDeterministicAndPeaksInTheInterior) {
+TEST(PooledSmcLikelihoodTest, OneLocusCurveIsDeterministicAndPeaksInTheInterior) {
     const Alignment aln = simulateData(6, 1.0, 300, 31);
     const F81Model model(aln.baseFrequencies());
     const DataLikelihood lik(aln, model);
     SmcOptions opts;
     opts.particles = 512;
-    const SmcThetaLikelihood curve(lik, opts, 55);
+    const PooledSmcLikelihood curve({{&lik, 1.0}}, opts, 55);
 
     EXPECT_EQ(curve.logL(1.0), curve.logL(1.0));  // common random numbers
     // The marginal likelihood must fall off on both flanks of the truth.
@@ -336,6 +336,19 @@ PmmhEstimateOptions smallPmmhOptions(std::uint64_t seed) {
     opts.pmmh.seed = seed;
     opts.pmmh.smc.particles = 64;
     return opts;
+}
+
+TEST(PmmhTest, SmcAndPmmhRejectNanThetaAndSigma) {
+    const Dataset ds = Dataset::single(simulateData(6, 1.0, 60, 43));
+    SmcEstimateOptions smc;
+    smc.theta0 = std::nan("");
+    EXPECT_THROW(estimateThetaSmc(ds, smc), ConfigError);
+    PmmhEstimateOptions pmmh = smallPmmhOptions(5);
+    pmmh.theta0 = std::nan("");
+    EXPECT_THROW(runPmmh(ds, pmmh), ConfigError);
+    PmmhOptions sigma;
+    sigma.proposalSigma = std::nan("");
+    EXPECT_THROW(validatePmmhOptions(sigma), ConfigError);
 }
 
 TEST(PmmhTest, RunIsBitwiseThreadCountInvariant) {

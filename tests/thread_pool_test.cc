@@ -1,7 +1,7 @@
 #include "par/thread_pool.h"
 
 #include <atomic>
-#include <numeric>
+#include <cmath>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -43,26 +43,6 @@ TEST(ThreadPoolTest, EmptyRangeIsNoop) {
     EXPECT_FALSE(called);
 }
 
-TEST(ThreadPoolTest, SlotsAreWithinBounds) {
-    ThreadPool pool(3);
-    std::atomic<bool> ok{true};
-    pool.parallelForSlot(5000, [&](std::size_t, unsigned slot) {
-        if (slot >= pool.size()) ok = false;
-    });
-    EXPECT_TRUE(ok);
-}
-
-TEST(ThreadPoolTest, SlotsDoNotCollideConcurrently) {
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> inUse(pool.size());
-    std::atomic<bool> collision{false};
-    pool.parallelForSlot(20000, [&](std::size_t, unsigned slot) {
-        if (inUse[slot].fetch_add(1) != 0) collision = true;
-        inUse[slot].fetch_sub(1);
-    });
-    EXPECT_FALSE(collision);
-}
-
 TEST(ThreadPoolTest, ExceptionPropagates) {
     ThreadPool pool(4);
     EXPECT_THROW(pool.parallelFor(1000,
@@ -74,25 +54,6 @@ TEST(ThreadPoolTest, ExceptionPropagates) {
     std::atomic<int> count{0};
     pool.parallelFor(100, [&](std::size_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, ReduceSumsCorrectly) {
-    ThreadPool pool(4);
-    const double sum = pool.parallelReduce(
-        1000, 0.0, [](std::size_t i) { return static_cast<double>(i); },
-        [](double a, double b) { return a + b; });
-    EXPECT_DOUBLE_EQ(sum, 999.0 * 1000.0 / 2.0);
-}
-
-TEST(ThreadPoolTest, ReduceMax) {
-    ThreadPool pool(4);
-    const double m = pool.parallelReduce(
-        777, -1e300, [](std::size_t i) { return static_cast<double>((i * 37) % 1000); },
-        [](double a, double b) { return a > b ? a : b; });
-    double expect = -1e300;
-    for (std::size_t i = 0; i < 777; ++i)
-        expect = std::max(expect, static_cast<double>((i * 37) % 1000));
-    EXPECT_DOUBLE_EQ(m, expect);
 }
 
 TEST(ThreadPoolTest, BackToBackBatches) {
@@ -130,43 +91,35 @@ TEST(ThreadPoolTest, NestedLaunchRunsSeriallyInline) {
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPoolTest, NestedReduceInsideLaunch) {
-    // Nested reduces fold into function-local accumulators: many outer
-    // indices reduce concurrently, and every one must see an exact result
-    // (a regression here means the shared per-slot partials leaked into
-    // the nested path — a data race TSAN flags deterministically).
+TEST(ThreadPoolTest, ConcurrentExternalLaunches) {
+    // Launches submitted from distinct external threads serialize on the
+    // launch mutex; neither may see chunks of the other's launch, and each
+    // caller's chunk-indexed output must come back whole.
     ThreadPool pool(4);
-    std::vector<double> out(256, 0.0);
-    pool.parallelFor(out.size(), [&](std::size_t i) {
-        out[i] = pool.parallelReduce(
-            100, 0.0, [](std::size_t j) { return static_cast<double>(j); },
-            [](double a, double b) { return a + b; });
-    });
-    for (const double v : out) EXPECT_DOUBLE_EQ(v, 4950.0);
-}
-
-TEST(ThreadPoolTest, ConcurrentExternalReduces) {
-    // Reduces submitted from distinct external threads serialize on the
-    // launch mutex for the full reset/launch/fold sequence; neither may
-    // corrupt the other's per-slot partials.
-    ThreadPool pool(4);
+    const std::size_t n = 1000;
     std::atomic<bool> go{false};
-    std::vector<double> results(4, 0.0);
+    std::vector<std::vector<double>> outputs(4, std::vector<double>(n, 0.0));
     std::vector<std::thread> callers;
-    for (std::size_t t = 0; t < results.size(); ++t) {
+    for (std::size_t t = 0; t < outputs.size(); ++t) {
         callers.emplace_back([&, t] {
             while (!go.load()) std::this_thread::yield();
+            std::vector<double>& out = outputs[t];
             for (int round = 0; round < 50; ++round) {
-                results[t] = pool.parallelReduce(
-                    1000, 0.0, [](std::size_t j) { return static_cast<double>(j); },
-                    [](double a, double b) { return a + b; });
-                EXPECT_DOUBLE_EQ(results[t], 999.0 * 1000.0 / 2.0);
+                const double tag = static_cast<double>(t * 100 + round);
+                pool.parallelFor(n, [&](std::size_t j) {
+                    out[j] = tag + static_cast<double>(j) * 1e-3;
+                });
+                for (std::size_t j = 0; j < n; ++j)
+                    ASSERT_EQ(out[j], tag + static_cast<double>(j) * 1e-3)
+                        << "caller " << t << " round " << round << " index " << j;
             }
         });
     }
     go.store(true);
     for (auto& c : callers) c.join();
-    for (const double v : results) EXPECT_DOUBLE_EQ(v, 999.0 * 1000.0 / 2.0);
+    for (std::size_t t = 0; t < outputs.size(); ++t)
+        EXPECT_EQ(outputs[t][n - 1], static_cast<double>(t * 100 + 49) +
+                                         static_cast<double>(n - 1) * 1e-3);
 }
 
 TEST(ThreadPoolTest, ExceptionUnderContention) {
@@ -207,10 +160,6 @@ TEST(ThreadPoolTest, OversubscribedPoolIsCorrect) {
     std::vector<std::atomic<int>> hits(20000);
     pool.parallelFor(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
     for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
-    const double sum = pool.parallelReduce(
-        1000, 0.0, [](std::size_t i) { return static_cast<double>(i); },
-        [](double a, double b) { return a + b; });
-    EXPECT_DOUBLE_EQ(sum, 999.0 * 1000.0 / 2.0);
     EXPECT_THROW(pool.parallelFor(100,
                                   [](std::size_t i) {
                                       if (i == 50) throw std::runtime_error("x");
@@ -225,12 +174,9 @@ TEST(ThreadPoolTest, BitwiseInvarianceAcrossWidths) {
     const std::size_t n = 4097;
     const auto runAll = [n](unsigned width) {
         ThreadPool pool(width);
-        std::vector<double> viaFor(n), viaSlot(n), viaBlocked(n), viaChains(8);
+        std::vector<double> viaFor(n), viaBlocked(n), viaChains(8);
         pool.parallelFor(n, [&](std::size_t i) {
             viaFor[i] = std::sin(static_cast<double>(i) * 0.7) * 3.0;
-        });
-        pool.parallelForSlot(n, [&](std::size_t i, unsigned) {
-            viaSlot[i] = std::cos(static_cast<double>(i) * 1.3);
         });
         launchBlocked(&pool, n, 64, [&](std::size_t, std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i)
@@ -243,12 +189,11 @@ TEST(ThreadPoolTest, BitwiseInvarianceAcrossWidths) {
         });
         std::vector<double> blockRed;
         for (const std::size_t bd : {1u, 3u, 64u, 1024u}) {
-            blockRed.push_back(blockReduceAdd(&pool, viaFor, bd));
+            blockRed.push_back(blockReduceLogSumExp(&pool, viaFor, bd));
             blockRed.push_back(blockReduceLogSumExp(&pool, viaBlocked, bd));
-            blockRed.push_back(blockReduceMax(&pool, viaSlot, bd));
         }
         std::vector<double> all;
-        for (const auto* v : {&viaFor, &viaSlot, &viaBlocked, &viaChains, &blockRed})
+        for (const auto* v : {&viaFor, &viaBlocked, &viaChains, &blockRed})
             all.insert(all.end(), v->begin(), v->end());
         return all;
     };
@@ -261,31 +206,7 @@ TEST(ThreadPoolTest, BitwiseInvarianceAcrossWidths) {
     }
 }
 
-// --- kernel facade -----------------------------------------------------------
-
-TEST(KernelTest, LaunchCoversGrid) {
-    ThreadPool pool(4);
-    LaunchConfig cfg{8, 32};
-    std::vector<std::atomic<int>> hits(cfg.totalThreads());
-    launchKernel(&pool, cfg, [&](const ThreadIdx& idx) {
-        EXPECT_EQ(idx.global, idx.block * 32 + idx.thread);
-        hits[idx.global].fetch_add(1);
-    });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(KernelTest, BlockReduceAddMatchesSerial) {
-    ThreadPool pool(4);
-    std::vector<double> v(1237);
-    for (std::size_t i = 0; i < v.size(); ++i) v[i] = std::sin(static_cast<double>(i));
-    const double expect = std::accumulate(v.begin(), v.end(), 0.0);
-    EXPECT_NEAR(blockReduceAdd(&pool, v, 64), expect, 1e-9);
-    EXPECT_NEAR(blockReduceAdd(nullptr, v, 64), expect, 1e-9);
-}
-
-TEST(KernelTest, BlockReduceAddEmpty) {
-    EXPECT_DOUBLE_EQ(blockReduceAdd(nullptr, {}, 32), 0.0);
-}
+// --- launch shapes -----------------------------------------------------------
 
 TEST(KernelTest, BlockReduceLogSumExpMatchesDirect) {
     ThreadPool pool(4);
@@ -295,14 +216,9 @@ TEST(KernelTest, BlockReduceLogSumExpMatchesDirect) {
     EXPECT_NEAR(blockReduceLogSumExp(&pool, v, 32), logSumExp(v), 1e-10);
 }
 
-TEST(KernelTest, BlockReduceMaxMatchesDirect) {
-    ThreadPool pool(4);
-    std::vector<double> v{3.0, -1.0, 7.5, 2.0, 7.4999};
-    EXPECT_DOUBLE_EQ(blockReduceMax(&pool, v, 2), 7.5);
-}
-
-// Parameterized sweep: all reductions agree with serial references across
-// block sizes.
+// Parameterized sweep: the blocked launch covers its range once in
+// block-sized pieces, and the blocked reduction agrees with the serial
+// reference, across block sizes.
 class BlockSizeSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BlockSizeSweep, ReductionsConsistent) {
@@ -311,11 +227,15 @@ TEST_P(BlockSizeSweep, ReductionsConsistent) {
     std::vector<double> v(301);
     for (std::size_t i = 0; i < v.size(); ++i)
         v[i] = std::cos(static_cast<double>(i) * 0.37) * 3.0 - 1.0;
-    const double sum = std::accumulate(v.begin(), v.end(), 0.0);
-    EXPECT_NEAR(blockReduceAdd(&pool, v, blockDim), sum, 1e-10);
     EXPECT_NEAR(blockReduceLogSumExp(&pool, v, blockDim), logSumExp(v), 1e-10);
-    EXPECT_NEAR(blockReduceMax(&pool, v, blockDim), *std::max_element(v.begin(), v.end()),
-                1e-15);
+
+    std::vector<std::atomic<int>> hits(v.size());
+    launchBlocked(&pool, v.size(), blockDim, [&](std::size_t b, std::size_t lo, std::size_t hi) {
+        EXPECT_EQ(lo, b * blockDim);
+        EXPECT_LE(hi - lo, blockDim);
+        for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(BlockSizes, BlockSizeSweep,

@@ -91,6 +91,33 @@ TEST(OptionsTest, NumbersMustBeWholeTokens) {
     EXPECT_TRUE(rejectsNaming([&] { o.getDouble("theta", 0.0); }, "--theta"));
 }
 
+TEST(OptionsTest, DoublesMustBeFinite) {
+    // strtod reads "nan" and "inf" whole; a non-finite theta or threshold
+    // would pass every `x <= 0` check downstream.
+    const Options o = parse({"--stop-rhat", "nan", "--pmmh-sigma", "inf", "--theta", "-inf",
+                             "--stop-ess", "INFINITY", "--mig-init", "nan(1)", "--path-refresh",
+                             "0x1p-2"});
+    EXPECT_TRUE(rejectsNaming([&] { o.getDouble("stop-rhat", 0.0); }, "--stop-rhat"));
+    EXPECT_TRUE(rejectsNaming([&] { o.getDouble("pmmh-sigma", 0.4); }, "--pmmh-sigma"));
+    EXPECT_TRUE(rejectsNaming([&] { o.getDouble("theta", 1.0); }, "--theta"));
+    EXPECT_TRUE(rejectsNaming([&] { o.getDouble("stop-ess", 0.0); }, "--stop-ess"));
+    EXPECT_TRUE(rejectsNaming([&] { o.getDouble("mig-init", 1.0); }, "--mig-init"));
+    EXPECT_DOUBLE_EQ(o.getDouble("path-refresh", 0.0), 0.25);  // finite hex float
+}
+
+TEST(OptionsTest, PositionalNumbersParseWholeAndFinite) {
+    // The tools' positional theta and tip count go through the same parser
+    // as the flags, named by their usage placeholder.
+    EXPECT_DOUBLE_EQ(parseDouble("<init_theta>", "1.0"), 1.0);
+    EXPECT_DOUBLE_EQ(parseDouble("<init_theta>", "2e-3"), 2e-3);
+    for (const char* bad : {"1.0x", "abc", "", "nan", "inf", "-inf", "1e999"})
+        EXPECT_TRUE(rejectsNaming([&] { parseDouble("<init_theta>", bad); }, "<init_theta>"))
+            << bad;
+    EXPECT_EQ(parseInt("<nTips>", "12"), 12);
+    for (const char* bad : {"5x", "5.0", "1e3", "", "twelve"})
+        EXPECT_TRUE(rejectsNaming([&] { parseInt("<nTips>", bad); }, "<nTips>")) << bad;
+}
+
 TEST(OptionsTest, CountsRejectNegativeValues) {
     const Options o =
         parse({"--particles", "-5", "--threads", "-1", "--em", "0", "--samples", "12"});

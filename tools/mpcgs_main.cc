@@ -384,10 +384,10 @@ int runOnlineInit(const mpcgs::Options& opts, unsigned threads) {
                      opts.programName().c_str());
         return 2;
     }
+    const double theta0 = parseDouble("<theta>", opts.positional()[2]);
     const auto statePath = opts.get("state");
     if (!statePath) throw ConfigError("online-init: --state FILE is required");
     const Dataset ds = Dataset::fromFiles({opts.positional()[1]});
-    const double theta0 = std::stod(opts.positional()[2]);
 
     SmcOptions smc;
     smc.particles = opts.getCount("particles", 1024);
@@ -544,7 +544,7 @@ int main(int argc, char** argv) {
         if (subcmd == "serve-send") return runServeSend(opts);
 
         MpcgsOptions mo;
-        mo.theta0 = std::stod(opts.positional().back());
+        mo.theta0 = parseDouble("<init_theta>", opts.positional().back());
         mo.samplesPerIteration = opts.getCount("samples", 4000);
         mo.emIterations = opts.getCount("em", 4);
         mo.gmhProposals = opts.getCount("proposals", 32);

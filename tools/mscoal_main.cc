@@ -5,7 +5,9 @@
 // Prints one Newick tree per replicate, like `ms <n> <R> -T`.
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "coalescent/simulator.h"
 #include "core/supervisor.h"
@@ -14,6 +16,7 @@
 #include "phylo/newick.h"
 #include "rng/mt19937.h"
 #include "util/build_info.h"
+#include "util/error.h"
 #include "util/failpoint.h"
 #include "util/options.h"
 
@@ -43,14 +46,18 @@ int main(int argc, char** argv) {
             traceRec = std::make_unique<obs::TraceRecorder>();
             obs::armTrace(traceRec.get());
         }
-        const int n = std::stoi(opts.positional()[0]);
+        const long long n = parseInt("<nTips>", opts.positional()[0]);
+        if (n < 2 || n > std::numeric_limits<int>::max())
+            throw ConfigError("<nTips> expects 2 to " +
+                              std::to_string(std::numeric_limits<int>::max()) + " tips, got '" +
+                              opts.positional()[0] + "'");
         const double theta = opts.getDouble("theta", 1.0);
         const auto reps = opts.getInt("reps", 1);
         Mt19937 rng(static_cast<std::uint32_t>(opts.getInt("seed", 42)));
         {
             const obs::TraceSpan span("mscoal_simulate", "sim");
             for (long long r = 0; r < reps; ++r) {
-                const Genealogy g = simulateCoalescent(n, theta, rng);
+                const Genealogy g = simulateCoalescent(static_cast<int>(n), theta, rng);
                 std::cout << toNewick(g) << "\n";
             }
         }
