@@ -26,21 +26,26 @@ MleResult maximizeThetaGradient(const ThetaLikelihood& rl, double thetaStart,
         // Initial step proportional to the gradient.
         double step = gradient * std::max(theta * theta, 1e-12);
 
-        // Halve while the step leaves the domain or decreases L (Alg 2
-        // lines 6-8).
+        // Halve while the step leaves the domain or the band, or decreases
+        // L (Alg 2 lines 6-8); a step below the floor ends the search.
         double thetaNext = theta + step;
         double logLNext = -std::numeric_limits<double>::infinity();
-        int halvings = 0;
-        while (halvings < opts.maxHalvings) {
-            if (thetaNext > 0.0) {
+        bool uphill = false;
+        for (int halvings = 0;
+             halvings < opts.maxHalvings && !(std::fabs(step) < opts.minStep * theta);
+             ++halvings) {
+            if (thetaNext > 0.0 && thetaNext >= theta / opts.maxStepFactor &&
+                thetaNext <= theta * opts.maxStepFactor) {
                 logLNext = rl.logL(thetaNext, pool);
-                if (logLNext >= logL) break;
+                if (logLNext >= logL) {
+                    uphill = true;
+                    break;
+                }
             }
             step *= 0.5;
             thetaNext = theta + step;
-            ++halvings;
         }
-        if (halvings >= opts.maxHalvings) {
+        if (!uphill) {
             // No uphill step found: already at (numerical) maximum.
             out.converged = true;
             break;
@@ -93,8 +98,9 @@ MleResult maximizeThetaGolden(const ThetaLikelihood& rl, double lo, double hi, d
     return out;
 }
 
-MleResult maximizeTheta(const ThetaLikelihood& rl, double thetaStart, ThreadPool* pool) {
-    MleResult grad = maximizeThetaGradient(rl, thetaStart, {}, pool);
+MleResult maximizeTheta(const ThetaLikelihood& rl, double thetaStart, ThreadPool* pool,
+                        const GradientAscentOptions& opts) {
+    MleResult grad = maximizeThetaGradient(rl, thetaStart, opts, pool);
     if (grad.converged) return grad;
     // Fallback: bracket a few decades around the start value.
     MleResult golden =

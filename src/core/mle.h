@@ -5,6 +5,8 @@
 // curve and the multi-locus pooled curve (core/locus_problem.h).
 #pragma once
 
+#include <limits>
+
 #include "core/posterior.h"
 #include "par/thread_pool.h"
 
@@ -15,6 +17,12 @@ struct GradientAscentOptions {
     double epsilon = 1e-6;      ///< convergence threshold on |theta - theta_next|
     int maxIterations = 200;
     int maxHalvings = 60;       ///< line-search halvings per step
+    /// A trial point outside [theta/f, theta*f] is halved without an
+    /// evaluation, as a non-positive one is. The default never caps.
+    double maxStepFactor = std::numeric_limits<double>::infinity();
+    /// Before each trial the line search stops as converged once
+    /// |step| < minStep * theta. The default never stops early.
+    double minStep = 0.0;
 };
 
 struct MleResult {
@@ -25,7 +33,8 @@ struct MleResult {
 };
 
 /// Algorithm 2: iterative gradient ascent from theta0 with step halving
-/// whenever the step would decrease L or push theta non-positive.
+/// whenever the step would decrease L, push theta non-positive or leave
+/// the maxStepFactor band.
 MleResult maximizeThetaGradient(const ThetaLikelihood& rl, double thetaStart,
                                 const GradientAscentOptions& opts = {},
                                 ThreadPool* pool = nullptr);
@@ -35,9 +44,9 @@ MleResult maximizeThetaGradient(const ThetaLikelihood& rl, double thetaStart,
 MleResult maximizeThetaGolden(const ThetaLikelihood& rl, double lo, double hi,
                               double tol = 1e-7, ThreadPool* pool = nullptr);
 
-/// Robust driver: gradient ascent per Algorithm 2, falling back to a
-/// bracketed golden-section search when ascent fails to converge.
+/// Robust driver: gradient ascent per Algorithm 2 with `opts`, falling
+/// back to a bracketed golden-section search when ascent fails to converge.
 MleResult maximizeTheta(const ThetaLikelihood& rl, double thetaStart,
-                        ThreadPool* pool = nullptr);
+                        ThreadPool* pool = nullptr, const GradientAscentOptions& opts = {});
 
 }  // namespace mpcgs

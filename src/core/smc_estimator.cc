@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "core/mle.h"
 #include "lik/locus_likelihoods.h"
@@ -159,6 +160,7 @@ class CheckpointedSmcLikelihood final : public ThetaLikelihood {
 
     double logL(double theta, ThreadPool* pool = nullptr) const override {
         const std::uint64_t key = thetaKey(theta);
+        asked_.insert(key);
         if (const auto it = index_.find(key); it != index_.end()) return it->second;
         // Stop only before a LIVE evaluation: memo replay after a resume
         // involves no new work, so cache hits never interrupt.
@@ -195,7 +197,9 @@ class CheckpointedSmcLikelihood final : public ThetaLikelihood {
         }
     }
 
-    std::size_t evaluations() const { return memo_.size(); }
+    /// Distinct theta asked for, live or replayed from a snapshot. Memo
+    /// entries of a snapshot that this run never asks for do not count.
+    std::size_t evaluations() const { return asked_.size(); }
 
   private:
     static std::uint64_t thetaKey(double theta) {
@@ -225,7 +229,23 @@ class CheckpointedSmcLikelihood final : public ThetaLikelihood {
     std::size_t snapshotEvery_;
     mutable std::vector<std::pair<double, double>> memo_;
     mutable std::unordered_map<std::uint64_t, double> index_;
+    mutable std::unordered_set<std::uint64_t> asked_;
 };
+
+// Optimizer settings for the SMC curve. Under common random numbers the
+// curve is deterministic, but it is a Monte Carlo estimate and jagged at
+// small scales: on a 10 x 400 bp alignment with 256 particles, points 2e-4
+// apart near the mode differ by 0.3-0.6 in logZ. The smooth-curve defaults
+// spend passes resolving that noise, so:
+// - a line-search trial more than a factor kMaxStepFactor from its iterate
+//   is halved without a pass (the theta^2-scaled gradient step otherwise
+//   tries points decades away, which the search then rejects);
+// - a step shorter than the finite-difference step ends the line search,
+//   since the gradient cannot resolve the curve below it;
+// - each interval crossing is bisected to kIntervalTolerance in log theta,
+//   where the bounds of other pass seeds lie tenths away.
+constexpr double kMaxStepFactor = 2.0;
+constexpr double kIntervalTolerance = 1e-3;
 
 double quantileOfSorted(const std::vector<double>& sorted, double q) {
     if (sorted.empty()) return 0.0;
@@ -254,12 +274,16 @@ SmcEstimateResult estimateThetaSmc(const Dataset& dataset, const SmcEstimateOpti
     if (opts.resume) curve.loadFromSnapshot();
 
     SmcEstimateResult res;
-    const MleResult mle = maximizeTheta(curve, opts.theta0, pool);
+    GradientAscentOptions ascent;
+    ascent.maxStepFactor = kMaxStepFactor;
+    ascent.minStep = ascent.delta;
+    const MleResult mle = maximizeTheta(curve, opts.theta0, pool, ascent);
     res.theta = mle.theta;
     res.logZAtMax = mle.logL;
-    res.support = supportInterval(curve, res.theta, 1.92, 1e4, pool);
+    res.support = supportInterval(curve, res.theta, 1.92, 1e4, pool, kIntervalTolerance);
     if (opts.curvePoints > 0)
         res.curve = curve.curve(res.theta / 20, res.theta * 20, opts.curvePoints, pool);
+    res.passes = curve.evaluations();
     res.totalSeconds = total.seconds();
     return res;
 }

@@ -3,7 +3,8 @@
 // estimateThetaSmc: the SMC marginal-likelihood curve theta -> log Zhat
 // (per-locus particle clouds summed into a pooled logZ) maximized with the
 // same Algorithm-2 machinery as the MCMC-EM path and bracketed by the same
-// support-interval search — an independent inference paradigm whose point
+// support-interval search, with the step and tolerance settings matched to
+// a Monte Carlo curve — an independent inference paradigm whose point
 // estimate cross-validates the MCMC answer (tests/statistical_qa_test.cc).
 //
 // runPmmh: particle-marginal MH over theta through the unified sampler
@@ -54,6 +55,9 @@ struct SmcEstimateResult {
     double logZAtMax = 0.0;   ///< pooled log marginal likelihood there
     SupportInterval support;  ///< 1.92-unit drop interval on the logZ curve
     std::vector<std::pair<double, double>> curve;  ///< when curvePoints > 0
+    /// Distinct theta the curve was evaluated at, each one filter pass per
+    /// locus; points replayed from a snapshot count.
+    std::size_t passes = 0;
     double totalSeconds = 0.0;
 };
 

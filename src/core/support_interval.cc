@@ -8,11 +8,12 @@ namespace mpcgs {
 namespace {
 
 /// Bisection for the theta in [inside, outside] (by log-theta) where the
-/// curve crosses `target`, assuming logL(inside) >= target >= logL(outside).
+/// curve crosses `target`, assuming logL(inside) >= target >= logL(outside),
+/// down to a bracket `tol` wide.
 double bisectCrossing(const ThetaLikelihood& rl, double target, double inside,
-                      double outside, ThreadPool* pool) {
+                      double outside, double tol, ThreadPool* pool) {
     double lo = std::log(inside), hi = std::log(outside);
-    for (int it = 0; it < 100 && std::fabs(hi - lo) > 1e-10; ++it) {
+    for (int it = 0; it < 100 && std::fabs(hi - lo) > tol; ++it) {
         const double mid = 0.5 * (lo + hi);
         if (rl.logL(std::exp(mid), pool) >= target)
             lo = mid;
@@ -25,7 +26,7 @@ double bisectCrossing(const ThetaLikelihood& rl, double target, double inside,
 }  // namespace
 
 SupportInterval supportInterval(const ThetaLikelihood& rl, double mleTheta, double drop,
-                                double maxFactor, ThreadPool* pool) {
+                                double maxFactor, ThreadPool* pool, double tol) {
     require(mleTheta > 0.0, "supportInterval: mle must be positive");
     require(drop > 0.0, "supportInterval: drop must be positive");
     SupportInterval out;
@@ -41,7 +42,7 @@ SupportInterval supportInterval(const ThetaLikelihood& rl, double mleTheta, doub
         while (factor <= maxFactor) {
             const double probe = upperSide ? mleTheta * factor : mleTheta / factor;
             if (rl.logL(probe, pool) < target)
-                return bisectCrossing(rl, target, inside, probe, pool);
+                return bisectCrossing(rl, target, inside, probe, tol, pool);
             inside = probe;
             factor *= 2.0;
         }

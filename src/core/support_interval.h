@@ -23,10 +23,11 @@ struct SupportInterval {
 
 /// Compute the support interval around `mleTheta` on the Eq. 26 curve.
 /// `drop` defaults to 1.92 (95% for one parameter). Crossings are located
-/// by bisection on each side; the search expands geometrically up to
-/// `maxFactor` away from the MLE before declaring the side unbounded.
+/// by bisection on each side until the bracket is narrower than `tol` in
+/// log theta; the search expands geometrically up to `maxFactor` away from
+/// the MLE before declaring the side unbounded.
 SupportInterval supportInterval(const ThetaLikelihood& rl, double mleTheta,
                                 double drop = 1.92, double maxFactor = 1e4,
-                                ThreadPool* pool = nullptr);
+                                ThreadPool* pool = nullptr, double tol = 1e-10);
 
 }  // namespace mpcgs

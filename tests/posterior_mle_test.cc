@@ -1,4 +1,5 @@
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -138,6 +139,71 @@ TEST(Mle, StartingFarBelowStillConverges) {
     const RelativeLikelihood rl(samples, 0.01);
     const MleResult res = maximizeTheta(rl, 0.01);
     EXPECT_NEAR(res.theta, 1.0, 0.1);
+}
+
+/// The single-tree coalescent curve log L = -E log(theta) - W / theta,
+/// maximal at W / E, recording every (theta, log L) it is asked for.
+class RecordingCurve final : public ThetaLikelihood {
+  public:
+    static constexpr double kEvents = 6.0;
+    static constexpr double kLength = 12.0;  ///< maximum at theta = 2
+
+    double logL(double theta, ThreadPool* = nullptr) const override {
+        const double v = -kEvents * std::log(theta) - kLength / theta;
+        calls.emplace_back(theta, v);
+        return v;
+    }
+    mutable std::vector<std::pair<double, double>> calls;
+};
+
+TEST(Mle, StepCapAndFloorBoundEveryLineSearchTrial) {
+    GradientAscentOptions capped;
+    capped.maxStepFactor = 2.0;
+    capped.minStep = capped.delta;
+    const RecordingCurve curve;
+    const MleResult res = maximizeThetaGradient(curve, 0.05, capped);
+    ASSERT_TRUE(res.converged);
+    EXPECT_NEAR(res.theta, 2.0, 4 * capped.delta * 2.0);
+
+    // Replay the calls: each iteration evaluates its two finite-difference
+    // probes, then line-search trials until one is uphill of the iterate.
+    const auto& calls = curve.calls;
+    std::pair<double, double> iterate = calls.front();
+    std::size_t i = 1, trials = 0;
+    while (i < calls.size()) {
+        ASSERT_LE(i + 2, calls.size());
+        for (const std::size_t p : {i, i + 1})
+            EXPECT_NEAR(std::fabs(calls[p].first - iterate.first),
+                        capped.delta * iterate.first, 1e-12 * iterate.first);
+        for (i += 2; i < calls.size();) {
+            const auto [theta, logL] = calls[i++];
+            ++trials;
+            EXPECT_GE(theta, iterate.first / 2.0);
+            EXPECT_LE(theta, iterate.first * 2.0);
+            EXPECT_GE(std::fabs(theta - iterate.first), capped.delta * iterate.first);
+            if (logL >= iterate.second) {
+                iterate = {theta, logL};
+                break;
+            }
+        }
+    }
+    EXPECT_GT(trials, 0u);
+    EXPECT_EQ(iterate.first, res.theta);
+
+    const RecordingCurve plain;
+    const MleResult ref = maximizeThetaGradient(plain, 0.05);
+    ASSERT_TRUE(ref.converged);
+    EXPECT_LT(calls.size(), plain.calls.size());
+}
+
+TEST(Mle, DefaultOptionsNeitherCapNorFloorTheSteps) {
+    // From 0.05 the first gradient step lands near 11.75, far outside a
+    // factor-2 band; the defaults evaluate it, and it is uphill.
+    const RecordingCurve curve;
+    const MleResult res = maximizeTheta(curve, 0.05);
+    EXPECT_NEAR(res.theta, 2.0, 1e-3);
+    ASSERT_GE(curve.calls.size(), 4u);
+    EXPECT_GT(curve.calls[3].first, 10.0);
 }
 
 TEST(Mle, RejectsNonPositiveStart) {

@@ -5,11 +5,14 @@
 // cloud's write-once slot discipline (earlier generations' slots never
 // change), kill+resume of PMMH being bitwise-identical, scheme
 // cross-agreement, the one-locus SMC curve behaving as a likelihood
-// (maximizer near the data's information), and checkpoint format v5 with
-// v1-v4 read-compat.
+// (maximizer near the data's information), estimateThetaSmc's thread
+// invariance and pass budget, and checkpoint format v5 with v1-v4
+// read-compat.
 #include "smc/smc_sampler.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <span>
@@ -323,6 +326,29 @@ TEST(PooledSmcLikelihoodTest, OneLocusCurveIsDeterministicAndPeaksInTheInterior)
     const double atTruth = curve.logL(1.0);
     EXPECT_GT(atTruth, curve.logL(0.02));
     EXPECT_GT(atTruth, curve.logL(50.0));
+}
+
+// --- estimateThetaSmc ---------------------------------------------------
+
+TEST(SmcEstimateTest, EstimateIsBitwiseThreadCountInvariantInFewPasses) {
+    const Dataset ds = Dataset::single(simulateData(8, 1.0, 200, 43));
+    SmcEstimateOptions opts;
+    opts.theta0 = 1.0;
+    opts.smc.particles = 64;
+    opts.seed = 7;
+    ThreadPool one(1), four(4);
+    const SmcEstimateResult a = estimateThetaSmc(ds, opts, &one);
+    const SmcEstimateResult b = estimateThetaSmc(ds, opts, &four);
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    EXPECT_EQ(bits(a.theta), bits(b.theta));
+    EXPECT_EQ(bits(a.logZAtMax), bits(b.logZAtMax));
+    EXPECT_EQ(bits(a.support.lower), bits(b.support.lower));
+    EXPECT_EQ(bits(a.support.upper), bits(b.support.upper));
+    EXPECT_EQ(a.passes, b.passes);
+    // The smooth-curve optimizer settings (no step cap or floor, interval
+    // bisected to 1e-10) spent 174 passes on this input.
+    EXPECT_GT(a.passes, 0u);
+    EXPECT_LE(a.passes, 174u / 2);
 }
 
 // --- PMMH --------------------------------------------------------------

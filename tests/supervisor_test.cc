@@ -221,6 +221,7 @@ TEST_F(SupervisorTest, SmcInterruptThenResumeIsBitwiseIdentical) {
     EXPECT_EQ(resumed.logZAtMax, baseline.logZAtMax);
     EXPECT_EQ(resumed.support.lower, baseline.support.lower);
     EXPECT_EQ(resumed.support.upper, baseline.support.upper);
+    EXPECT_EQ(resumed.passes, baseline.passes);  // replayed points count
     std::remove(path.c_str());
 }
 

@@ -71,6 +71,26 @@ TEST(SupportIntervalTest, AsymmetryMatchesLikelihoodShape) {
     EXPECT_GT(si.upper - si.mle, si.mle - si.lower);
 }
 
+/// Counts the evaluations of a single-tree curve (maximum at theta = 2).
+class CountingCurve final : public ThetaLikelihood {
+  public:
+    double logL(double theta, ThreadPool* = nullptr) const override {
+        ++calls;
+        return -6.0 * std::log(theta) - 12.0 / theta;
+    }
+    mutable int calls = 0;
+};
+
+TEST(SupportIntervalTest, CoarserToleranceKeepsTheBoundsWithFewerEvaluations) {
+    const CountingCurve fine, coarse;
+    const SupportInterval ref = supportInterval(fine, 2.0);
+    const SupportInterval si = supportInterval(coarse, 2.0, 1.92, 1e4, nullptr, 1e-3);
+    EXPECT_NEAR(std::log(si.lower), std::log(ref.lower), 5e-4);
+    EXPECT_NEAR(std::log(si.upper), std::log(ref.upper), 5e-4);
+    EXPECT_EQ(si.logLAtMle, ref.logLAtMle);
+    EXPECT_LT(coarse.calls, fine.calls);
+}
+
 TEST(SupportIntervalTest, Validation) {
     const std::vector<IntervalSummary> samples{IntervalSummary{12.0, 6}};
     const RelativeLikelihood rl(samples, 2.0);

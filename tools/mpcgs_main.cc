@@ -299,8 +299,9 @@ int runSmcAlgo(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double thet
                 resamplingSchemeName(so.smc.scheme).c_str(), theta0, threads);
     const SmcEstimateResult res = withResumeFallback(
         so.resume, strictResumePolicy(opts), [&] { return estimateThetaSmc(ds, so, &pool); });
-    std::printf("SMC theta estimate: %.6g  (pooled log marginal likelihood %.4g, %s)\n",
+    std::printf("SMC theta estimate: %.6g  (pooled log marginal likelihood %.10g, %s)\n",
                 res.theta, res.logZAtMax, formatDuration(res.totalSeconds).c_str());
+    std::printf("SMC filter passes per locus: %zu\n", res.passes);
     std::printf("approx. 95%% support interval: [%.6g, %.6g]%s\n", res.support.lower,
                 res.support.upper,
                 (res.support.lowerBounded && res.support.upperBounded) ? ""

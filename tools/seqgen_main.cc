@@ -175,7 +175,8 @@ int main(int argc, char** argv) {
         const std::string modelName = opts.get("model", "F84");
         const double kappa = opts.getDouble("kappa", 2.0);
         SeqGenOptions so;
-        so.length = static_cast<std::size_t>(opts.getInt("length", 200));
+        so.length = opts.getCount("length", 200);
+        if (so.length == 0) throw ConfigError("--length must be positive");
         so.scale = opts.getDouble("scale", 1.0);
         const auto seed = static_cast<std::uint64_t>(opts.getInt("seed", 42));
 
@@ -190,9 +191,9 @@ int main(int argc, char** argv) {
 
         if (opts.has("demes")) return finishObs(runTwoDeme(opts, *model, so, seed));
 
-        const auto loci = static_cast<std::size_t>(opts.getInt("loci", 0));
+        const std::size_t loci = opts.getCount("loci", 0);
         if (loci > 0) {
-            const int tips = static_cast<int>(opts.getInt("tips", 0));
+            const int tips = static_cast<int>(opts.getCount("tips", 0, 1000000));
             const double theta = opts.getDouble("theta", 0.0);
             if (tips < 2 || theta <= 0.0) {
                 std::fprintf(stderr,
