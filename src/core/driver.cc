@@ -75,70 +75,37 @@ std::uint64_t emSeed(const MpcgsOptions& opts, std::size_t em) {
 // v2 stamps the locus roster (names, shapes, mutation scales) into the
 // fingerprint and repeats every per-locus section L times; v1 files are
 // the single-locus layout (no roster, one genealogy, one payload) and are
-// read back as L = 1. emIterations is deliberately NOT part of the
-// fingerprint: a resumed run may extend the EM horizon of the interrupted
-// one.
+// read back as L = 1. Left out of the fingerprint on purpose: the EM
+// iteration count (a resumed run may extend the EM horizon of the
+// interrupted one), the checkpoint interval and the supervisor.
 
-void writeFingerprint(CheckpointWriter& w, const MpcgsOptions& opts, const Dataset& ds) {
-    w.u32(static_cast<std::uint32_t>(opts.strategy));
-    w.u64(opts.seed);
-    w.u64(opts.samplesPerIteration);
-    w.u64(opts.burnInFraction1000);
-    w.u64(opts.gmhProposals);
-    w.u64(opts.gmhSamplesPerSet);
-    w.u64(opts.chains);
-    w.doubles(opts.temperatures);
-    w.str(opts.substModel);
-    w.u32(0);  // slot of the removed cached serial-MH flag (see checkFingerprint)
-    w.f64(opts.theta0);
-    w.f64(opts.stopRhat);
-    w.f64(opts.stopEss);
-    w.u64(ds.locusCount());
-    for (const Locus& locus : ds.loci()) {
-        w.str(locus.name);
-        w.u64(locus.alignment.sequenceCount());
-        w.u64(locus.alignment.length());
-        w.f64(locus.mutationScale);
+/// The run configuration a snapshot must match to resume, as format
+/// `version` encodes it.
+CheckpointEncoder fingerprint(const MpcgsOptions& opts, const Dataset& ds,
+                              std::uint32_t version = kCheckpointVersion) {
+    CheckpointEncoder f;
+    f.u32(static_cast<std::uint32_t>(opts.strategy));
+    f.u64(opts.seed);
+    f.u64(opts.samplesPerIteration);
+    f.u64(opts.burnInFraction1000);
+    f.u64(opts.gmhProposals);
+    f.u64(opts.gmhSamplesPerSet);
+    f.u64(opts.chains);
+    f.doubles(opts.temperatures);
+    f.str(opts.substModel);
+    // Slot of the removed cached serial-MH flag: its snapshots (slot 1) hold
+    // a data log-likelihood where serial MH expects a log-posterior.
+    f.u32(0);
+    f.f64(opts.theta0);
+    f.f64(opts.stopRhat);
+    f.f64(opts.stopEss);
+    if (version >= 2) {
+        writeLocusRoster(f, ds);
+    } else {  // v1: locus 0's shape in place of the roster
+        f.u64(ds.locus(0).alignment.sequenceCount());
+        f.u64(ds.locus(0).alignment.length());
     }
-}
-
-void checkFingerprint(CheckpointReader& r, const MpcgsOptions& opts, const Dataset& ds) {
-    bool ok = true;
-    ok &= r.u32() == static_cast<std::uint32_t>(opts.strategy);
-    ok &= r.u64() == opts.seed;
-    ok &= r.u64() == opts.samplesPerIteration;
-    ok &= r.u64() == opts.burnInFraction1000;
-    ok &= r.u64() == opts.gmhProposals;
-    ok &= r.u64() == opts.gmhSamplesPerSet;
-    ok &= r.u64() == opts.chains;
-    ok &= r.doubles() == opts.temperatures;
-    ok &= r.str() == opts.substModel;
-    // A snapshot of the removed cached serial MH (slot value 1) stored a data
-    // log-likelihood where the serial-MH sampler expects a log-posterior.
-    ok &= r.u32() == 0;
-    ok &= r.f64() == opts.theta0;
-    ok &= r.f64() == opts.stopRhat;
-    ok &= r.f64() == opts.stopEss;
-    if (r.version() >= 2) {
-        ok &= r.u64() == ds.locusCount();
-        if (ok) {
-            for (const Locus& locus : ds.loci()) {
-                ok &= r.str() == locus.name;
-                ok &= r.u64() == locus.alignment.sequenceCount();
-                ok &= r.u64() == locus.alignment.length();
-                ok &= r.f64() == locus.mutationScale;
-            }
-        }
-    } else {
-        // v1: single-locus fingerprint tail (sequence count + length).
-        ok &= ds.locusCount() == 1;
-        ok &= r.u64() == ds.locus(0).alignment.sequenceCount();
-        ok &= r.u64() == ds.locus(0).alignment.length();
-        ok &= ds.locus(0).mutationScale == 1.0;
-    }
-    if (!ok)
-        throw ConfigError(
-            "resume: checkpoint was written by an incompatible run configuration");
+    return f;
 }
 
 void writeHistory(CheckpointWriter& w, const std::vector<EmIterationRecord>& history) {
@@ -301,13 +268,17 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
 
     if (opts.resume) {
         // Any CheckpointError while READING the snapshot context becomes a
-        // ResumeError, so callers can fall back to a fresh run; config
-        // mismatches (checkFingerprint) stay ConfigError and stay fatal.
+        // ResumeError, so callers can fall back to a fresh run; fingerprint
+        // mismatches stay ConfigError and stay fatal.
         try {
             resumeReader = std::make_unique<CheckpointReader>(
                 pickResumeSnapshot(opts.checkpointPath));
-            resumeReader->enterSection("fingerprint");
-            checkFingerprint(*resumeReader, opts, dataset);
+            const std::uint32_t version = resumeReader->version();
+            // A v1 snapshot holds a single locus at mutation scale 1.
+            if (!resumeReader->fingerprintMatches(fingerprint(opts, dataset, version)) ||
+                (version < 2 && (L != 1 || dataset.locus(0).mutationScale != 1.0)))
+                throw ConfigError(
+                    "resume: checkpoint was written by an incompatible run configuration");
             resumeReader->enterSection("context");
             emStart = resumeReader->u64();
             theta = resumeReader->f64();
@@ -385,8 +356,7 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
                                      std::span<const std::uint8_t> stopped) {
                 withCheckpointRetry(opts.supervisor, [&] {
                     CheckpointWriter w(opts.checkpointPath);
-                    w.beginSection("fingerprint");
-                    writeFingerprint(w, opts, dataset);
+                    w.fingerprint(fingerprint(opts, dataset));
                     w.beginSection("context");
                     w.u64(em);
                     w.f64(rec.thetaBefore);
@@ -500,8 +470,7 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
         if (!opts.checkpointPath.empty() && em + 1 < opts.emIterations) {
             withCheckpointRetry(opts.supervisor, [&] {
                 CheckpointWriter w(opts.checkpointPath);
-                w.beginSection("fingerprint");
-                writeFingerprint(w, opts, dataset);
+                w.fingerprint(fingerprint(opts, dataset));
                 w.beginSection("context");
                 w.u64(em + 1);
                 w.f64(theta);

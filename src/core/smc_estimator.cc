@@ -38,108 +38,49 @@ std::vector<PooledSmcLikelihood::LocusTerm> allTerms(const Dataset& ds,
 }
 
 // --- PMMH checkpoint layout -------------------------------------------
-// fingerprint ('PSMC' tag + run configuration + locus roster; the sample
-// cap is deliberately absent so a resumed run may extend the horizon) |
-// burnDone sampleDone stopped | sampler payload | monitor payload.
+// fingerprint ('PSMC' tag + run configuration + locus roster) | burnTicks
+// burnDone sampleDone stopped | sampler payload | monitor payload. Left out
+// of the fingerprint on purpose: the sample cap (a resumed run may extend
+// the horizon), the checkpoint interval and the supervisor. It also lacks
+// the stopping thresholds, which only a new format version can add.
 
-void writeFingerprint(CheckpointWriter& w, const PmmhEstimateOptions& opts,
-                      const Dataset& ds) {
-    w.u32(kPmmhSnapshotTag);
-    w.u64(opts.pmmh.seed);
-    w.u64(opts.pmmh.chains);
-    w.u64(opts.pmmh.smc.particles);
-    w.u32(static_cast<std::uint32_t>(opts.pmmh.smc.scheme));
-    w.f64(opts.pmmh.smc.essThreshold);
-    w.f64(opts.pmmh.proposalSigma);
-    w.f64(opts.pmmh.thetaMin);
-    w.f64(opts.pmmh.thetaMax);
-    w.f64(opts.theta0);
-    w.u64(opts.burnInFraction1000);
-    w.str(opts.substModel);
-    w.u64(ds.locusCount());
-    for (const Locus& locus : ds.loci()) {
-        w.str(locus.name);
-        w.u64(locus.alignment.sequenceCount());
-        w.u64(locus.alignment.length());
-        w.f64(locus.mutationScale);
-    }
-}
-
-void checkFingerprint(CheckpointReader& r, const PmmhEstimateOptions& opts,
-                      const Dataset& ds) {
-    bool ok = true;
-    ok &= r.u32() == kPmmhSnapshotTag;
-    ok &= r.u64() == opts.pmmh.seed;
-    ok &= r.u64() == opts.pmmh.chains;
-    ok &= r.u64() == opts.pmmh.smc.particles;
-    ok &= r.u32() == static_cast<std::uint32_t>(opts.pmmh.smc.scheme);
-    ok &= r.f64() == opts.pmmh.smc.essThreshold;
-    ok &= r.f64() == opts.pmmh.proposalSigma;
-    ok &= r.f64() == opts.pmmh.thetaMin;
-    ok &= r.f64() == opts.pmmh.thetaMax;
-    ok &= r.f64() == opts.theta0;
-    ok &= r.u64() == opts.burnInFraction1000;
-    ok &= r.str() == opts.substModel;
-    ok &= r.u64() == ds.locusCount();
-    if (ok) {
-        for (const Locus& locus : ds.loci()) {
-            ok &= r.str() == locus.name;
-            ok &= r.u64() == locus.alignment.sequenceCount();
-            ok &= r.u64() == locus.alignment.length();
-            ok &= r.f64() == locus.mutationScale;
-        }
-    }
-    if (!ok)
-        throw ConfigError(
-            "resume: PMMH checkpoint was written by an incompatible run configuration");
+CheckpointEncoder fingerprint(const PmmhEstimateOptions& opts, const Dataset& ds) {
+    CheckpointEncoder f;
+    f.u32(kPmmhSnapshotTag);
+    f.u64(opts.pmmh.seed);
+    f.u64(opts.pmmh.chains);
+    f.u64(opts.pmmh.smc.particles);
+    f.u32(static_cast<std::uint32_t>(opts.pmmh.smc.scheme));
+    f.f64(opts.pmmh.smc.essThreshold);
+    f.f64(opts.pmmh.proposalSigma);
+    f.f64(opts.pmmh.thetaMin);
+    f.f64(opts.pmmh.thetaMax);
+    f.f64(opts.theta0);
+    f.u64(opts.burnInFraction1000);
+    f.str(opts.substModel);
+    writeLocusRoster(f, ds);
+    return f;
 }
 
 // --- SMC-estimate checkpoint layout -----------------------------------
 // fingerprint ('SMCZ' tag + run configuration + locus roster) | memo
-// (the (theta, logZ) pairs evaluated so far, in evaluation order).
+// (the (theta, logZ) pairs evaluated so far, in evaluation order). Left
+// out of the fingerprint on purpose: the curve export, the checkpoint
+// interval and the supervisor.
 
 constexpr std::uint32_t kSmcEstimateSnapshotTag = 0x5A434D53u;  // "SMCZ"
 
-void writeSmcFingerprint(CheckpointWriter& w, const SmcEstimateOptions& opts,
-                         const Dataset& ds) {
-    w.u32(kSmcEstimateSnapshotTag);
-    w.u64(opts.seed);
-    w.u64(opts.smc.particles);
-    w.u32(static_cast<std::uint32_t>(opts.smc.scheme));
-    w.f64(opts.smc.essThreshold);
-    w.f64(opts.theta0);
-    w.str(opts.substModel);
-    w.u64(ds.locusCount());
-    for (const Locus& locus : ds.loci()) {
-        w.str(locus.name);
-        w.u64(locus.alignment.sequenceCount());
-        w.u64(locus.alignment.length());
-        w.f64(locus.mutationScale);
-    }
-}
-
-void checkSmcFingerprint(CheckpointReader& r, const SmcEstimateOptions& opts,
-                         const Dataset& ds) {
-    bool ok = true;
-    ok &= r.u32() == kSmcEstimateSnapshotTag;
-    ok &= r.u64() == opts.seed;
-    ok &= r.u64() == opts.smc.particles;
-    ok &= r.u32() == static_cast<std::uint32_t>(opts.smc.scheme);
-    ok &= r.f64() == opts.smc.essThreshold;
-    ok &= r.f64() == opts.theta0;
-    ok &= r.str() == opts.substModel;
-    ok &= r.u64() == ds.locusCount();
-    if (ok) {
-        for (const Locus& locus : ds.loci()) {
-            ok &= r.str() == locus.name;
-            ok &= r.u64() == locus.alignment.sequenceCount();
-            ok &= r.u64() == locus.alignment.length();
-            ok &= r.f64() == locus.mutationScale;
-        }
-    }
-    if (!ok)
-        throw ConfigError(
-            "resume: SMC checkpoint was written by an incompatible run configuration");
+CheckpointEncoder fingerprint(const SmcEstimateOptions& opts, const Dataset& ds) {
+    CheckpointEncoder f;
+    f.u32(kSmcEstimateSnapshotTag);
+    f.u64(opts.seed);
+    f.u64(opts.smc.particles);
+    f.u32(static_cast<std::uint32_t>(opts.smc.scheme));
+    f.f64(opts.smc.essThreshold);
+    f.f64(opts.theta0);
+    f.str(opts.substModel);
+    writeLocusRoster(f, ds);
+    return f;
 }
 
 /// Memoizing, checkpointing, stop-aware view of the pooled SMC curve.
@@ -182,8 +123,9 @@ class CheckpointedSmcLikelihood final : public ThetaLikelihood {
     void loadFromSnapshot() {
         try {
             CheckpointReader r(pickResumeSnapshot(opts_.checkpointPath));
-            r.enterSection("fingerprint");
-            checkSmcFingerprint(r, opts_, ds_);
+            if (!r.fingerprintMatches(fingerprint(opts_, ds_)))
+                throw ConfigError(
+                    "resume: SMC checkpoint was written by an incompatible run configuration");
             r.enterSection("memo");
             const std::uint64_t n = r.u64();
             for (std::uint64_t i = 0; i < n; ++i) {
@@ -211,8 +153,7 @@ class CheckpointedSmcLikelihood final : public ThetaLikelihood {
     void snapshot() const {
         withCheckpointRetry(opts_.supervisor, [&] {
             CheckpointWriter w(opts_.checkpointPath);
-            w.beginSection("fingerprint");
-            writeSmcFingerprint(w, opts_, ds_);
+            w.fingerprint(fingerprint(opts_, ds_));
             w.beginSection("memo");
             w.u64(memo_.size());
             for (const auto& [t, v] : memo_) {
@@ -268,7 +209,7 @@ SmcEstimateResult estimateThetaSmc(const Dataset& dataset, const SmcEstimateOpti
 
     Timer total;
     const obs::TraceSpan span("smc_estimate", "smc");
-    const LocusLikelihoods liks(dataset, opts.substModel, opts.compressPatterns);
+    const LocusLikelihoods liks(dataset, opts.substModel);
     const PooledSmcLikelihood pooled(allTerms(dataset, liks), opts.smc, opts.seed);
     CheckpointedSmcLikelihood curve(pooled, opts, dataset);
     if (opts.resume) curve.loadFromSnapshot();
@@ -301,7 +242,7 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
 
     Timer total;
     const obs::TraceSpan span("pmmh_run", "mcmc");
-    const LocusLikelihoods liks(dataset, opts.substModel, opts.compressPatterns);
+    const LocusLikelihoods liks(dataset, opts.substModel);
     const PooledSmcLikelihood pooled(allTerms(dataset, liks), opts.pmmh.smc,
                                      opts.pmmh.seed);
     PmmhSampler sampler(pooled, opts.theta0, opts.pmmh, pool);
@@ -323,8 +264,9 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
     if (opts.resume) {
         try {
             CheckpointReader r(pickResumeSnapshot(opts.checkpointPath));
-            r.enterSection("fingerprint");
-            checkFingerprint(r, opts, dataset);
+            if (!r.fingerprintMatches(fingerprint(opts, dataset)))
+                throw ConfigError(
+                    "resume: PMMH checkpoint was written by an incompatible run configuration");
             r.enterSection("context");
             burnTicks = r.u64();
             resumeBurnDone = r.u64();
@@ -356,8 +298,7 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
                                         std::span<const std::uint8_t> stopped) {
             withCheckpointRetry(opts.supervisor, [&] {
                 CheckpointWriter w(opts.checkpointPath);
-                w.beginSection("fingerprint");
-                writeFingerprint(w, opts, dataset);
+                w.fingerprint(fingerprint(opts, dataset));
                 w.beginSection("context");
                 w.u64(burnTicks);  // freeze the burn geometry for resumes
                 w.u64(burnDone);

@@ -33,7 +33,6 @@ struct SmcEstimateOptions {
     SmcOptions smc;
     std::uint64_t seed = 20160408;
     std::string substModel = "F81";
-    bool compressPatterns = true;
     int curvePoints = 0;  ///< export the logZ curve on [theta/20, theta*20]
 
     // Checkpoint/resume (format v5). The logZ curve is a deterministic
@@ -73,7 +72,6 @@ struct PmmhEstimateOptions {
     std::size_t samples = 2000;           ///< theta draws summed over chains
     std::size_t burnInFraction1000 = 100; ///< burn-in as permille of the tick cap
     std::string substModel = "F81";
-    bool compressPatterns = true;
     double stopRhat = 0.0;
     double stopEss = 0.0;
     std::string checkpointPath;

@@ -19,7 +19,7 @@ std::uint64_t emSeed(const StructuredOptions& opts, std::size_t em) {
     return opts.seed + em * 0x632BE59BD9B4E019ull;
 }
 
-void writeModel(CheckpointWriter& w, const MigrationModel& m) {
+void writeModel(CheckpointEncoder& w, const MigrationModel& m) {
     w.doubles(m.theta);
     w.doubles(m.mig);
 }
@@ -33,51 +33,27 @@ MigrationModel readModel(CheckpointReader& r) {
     return m;
 }
 
-void writeFingerprint(CheckpointWriter& w, const StructuredOptions& opts,
-                      const Alignment& aln, const std::vector<int>& tipDemes) {
-    w.u32(kStructuredSnapshotTag);
-    w.u64(opts.seed);
-    w.u64(opts.samplesPerIteration);
-    w.u64(opts.burnInFraction1000);
-    w.u64(opts.chains);
-    w.f64(opts.pathRefreshProb);
-    w.str(opts.substModel);
-    w.f64(opts.stopRhat);
-    w.f64(opts.stopEss);
-    writeModel(w, opts.init);
-    w.u64(tipDemes.size());
-    for (const int d : tipDemes) w.u32(static_cast<std::uint32_t>(d));
-    w.u64(aln.sequenceCount());
-    w.u64(aln.length());
-}
-
-void checkFingerprint(CheckpointReader& r, const StructuredOptions& opts,
-                      const Alignment& aln, const std::vector<int>& tipDemes) {
-    if (r.version() < 3)
-        throw ConfigError(
-            "resume: structured runs need a format v3 snapshot (found version " +
-            std::to_string(r.version()) + ")");
-    bool ok = true;
-    ok &= r.u32() == kStructuredSnapshotTag;
-    ok &= r.u64() == opts.seed;
-    ok &= r.u64() == opts.samplesPerIteration;
-    ok &= r.u64() == opts.burnInFraction1000;
-    ok &= r.u64() == opts.chains;
-    ok &= r.f64() == opts.pathRefreshProb;
-    ok &= r.str() == opts.substModel;
-    ok &= r.f64() == opts.stopRhat;
-    ok &= r.f64() == opts.stopEss;
-    if (ok) ok &= readModel(r) == opts.init;
-    if (ok) {
-        ok &= r.u64() == tipDemes.size();
-        if (ok)
-            for (const int d : tipDemes) ok &= r.u32() == static_cast<std::uint32_t>(d);
-    }
-    ok &= r.u64() == aln.sequenceCount();
-    ok &= r.u64() == aln.length();
-    if (!ok)
-        throw ConfigError(
-            "resume: checkpoint was written by an incompatible structured run");
+/// The run configuration a snapshot must match to resume. Left out on
+/// purpose: the EM iteration count (a resumed run may extend the EM
+/// horizon), the checkpoint interval and the supervisor.
+CheckpointEncoder fingerprint(const StructuredOptions& opts, const Alignment& aln,
+                              const std::vector<int>& tipDemes) {
+    CheckpointEncoder f;
+    f.u32(kStructuredSnapshotTag);
+    f.u64(opts.seed);
+    f.u64(opts.samplesPerIteration);
+    f.u64(opts.burnInFraction1000);
+    f.u64(opts.chains);
+    f.f64(opts.pathRefreshProb);
+    f.str(opts.substModel);
+    f.f64(opts.stopRhat);
+    f.f64(opts.stopEss);
+    writeModel(f, opts.init);
+    f.u64(tipDemes.size());
+    for (const int d : tipDemes) f.u32(static_cast<std::uint32_t>(d));
+    f.u64(aln.sequenceCount());
+    f.u64(aln.length());
+    return f;
 }
 
 void writeHistory(CheckpointWriter& w, const std::vector<StructuredEmRecord>& history) {
@@ -156,7 +132,7 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
 
     Timer total;
     const std::unique_ptr<SubstModel> model = makeInferenceModel(opts.substModel, aln);
-    const DataLikelihood lik(aln, *model, opts.compressPatterns);
+    const DataLikelihood lik(aln, *model);
 
     StructuredResult result;
     MigrationModel driving = opts.init;
@@ -181,8 +157,13 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
         try {
             resumeReader = std::make_unique<CheckpointReader>(
                 pickResumeSnapshot(opts.checkpointPath));
-            resumeReader->enterSection("fingerprint");
-            checkFingerprint(*resumeReader, opts, aln, tipDemes);
+            if (resumeReader->version() < 3)
+                throw ConfigError(
+                    "resume: structured runs need a format v3 snapshot (found version " +
+                    std::to_string(resumeReader->version()) + ")");
+            if (!resumeReader->fingerprintMatches(fingerprint(opts, aln, tipDemes)))
+                throw ConfigError(
+                    "resume: checkpoint was written by an incompatible structured run");
             resumeReader->enterSection("context");
             emStart = resumeReader->u64();
             driving = readModel(*resumeReader);
@@ -249,8 +230,7 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
                                      std::span<const std::uint8_t> stopped) {
                 withCheckpointRetry(opts.supervisor, [&] {
                     CheckpointWriter w(opts.checkpointPath);
-                    w.beginSection("fingerprint");
-                    writeFingerprint(w, opts, aln, tipDemes);
+                    w.fingerprint(fingerprint(opts, aln, tipDemes));
                     w.beginSection("context");
                     w.u64(em);
                     writeModel(w, rec.before);
@@ -311,8 +291,7 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
         if (!opts.checkpointPath.empty() && em + 1 < opts.emIterations) {
             withCheckpointRetry(opts.supervisor, [&] {
                 CheckpointWriter w(opts.checkpointPath);
-                w.beginSection("fingerprint");
-                writeFingerprint(w, opts, aln, tipDemes);
+                w.fingerprint(fingerprint(opts, aln, tipDemes));
                 w.beginSection("context");
                 w.u64(em + 1);
                 writeModel(w, driving);

@@ -37,7 +37,6 @@ struct StructuredOptions {
     double pathRefreshProb = 0.25;  ///< labels-only move share of proposals
     std::uint64_t seed = 20160408;
     std::string substModel = "F81";
-    bool compressPatterns = true;
 
     // Convergence-driven stopping (0 disables each criterion).
     double stopRhat = 0.0;

@@ -13,6 +13,7 @@
 #include "coalescent/structured.h"
 #include "phylo/tree.h"
 #include "rng/mt19937.h"
+#include "seq/dataset.h"
 #include "util/crc32c.h"
 #include "util/failpoint.h"
 
@@ -43,7 +44,14 @@ std::string hex32(std::uint32_t v) {
     return buf;
 }
 
+constexpr const char* kFingerprintSection = "fingerprint";
+
 }  // namespace
+
+void CheckpointEncoder::raw(const void* data, std::size_t bytes) {
+    const char* p = static_cast<const char*>(data);
+    bytes_.insert(bytes_.end(), p, p + bytes);
+}
 
 CheckpointWriter::CheckpointWriter(std::string path, std::uint32_t version)
     : path_(std::move(path)), version_(version) {
@@ -53,8 +61,8 @@ CheckpointWriter::CheckpointWriter(std::string path, std::uint32_t version)
     out_.open(path_ + ".tmp", std::ios::binary | std::ios::trunc);
     if (!out_) fail("open", path_ + ".tmp", errno);
     try {
-        u32(kCheckpointMagic);
-        u32(version_);
+        rawToStream(&kCheckpointMagic, sizeof kCheckpointMagic);
+        rawToStream(&version_, sizeof version_);
     } catch (...) {
         // The destructor never runs when the constructor throws — remove
         // the staging file here so no .tmp litter survives a header fault.
@@ -84,51 +92,36 @@ void CheckpointWriter::rawToStream(const void* data, std::size_t bytes) {
     if (!out_) fail("write", path_ + ".tmp", errno);
 }
 
-void CheckpointWriter::raw(const void* data, std::size_t bytes) {
-    if (inSection_) {
-        const char* p = static_cast<const char*>(data);
-        section_.insert(section_.end(), p, p + bytes);
-    } else {
-        rawToStream(data, bytes);
-    }
-}
-
-void CheckpointWriter::u32(std::uint32_t v) { raw(&v, sizeof v); }
-void CheckpointWriter::u64(std::uint64_t v) { raw(&v, sizeof v); }
-void CheckpointWriter::f64(double v) { raw(&v, sizeof v); }
-
-void CheckpointWriter::str(const std::string& s) {
-    u64(s.size());
-    raw(s.data(), s.size());
-}
-
-void CheckpointWriter::doubles(std::span<const double> xs) {
-    u64(xs.size());
-    raw(xs.data(), xs.size() * sizeof(double));
-}
-
 void CheckpointWriter::beginSection(const std::string& name) {
     if (version_ < 5) return;
-    if (inSection_) flushSection();
+    flushStaged();
     inSection_ = true;
     sectionName_ = name;
-    section_.clear();
 }
 
-void CheckpointWriter::flushSection() {
-    // Frame fields bypass raw() — they must hit the stream, not the buffer.
-    const std::uint32_t marker = kSectionMarker;
-    rawToStream(&marker, sizeof marker);
-    const std::uint64_t nameLen = sectionName_.size();
-    rawToStream(&nameLen, sizeof nameLen);
-    rawToStream(sectionName_.data(), sectionName_.size());
-    const std::uint64_t payloadLen = section_.size();
-    rawToStream(&payloadLen, sizeof payloadLen);
-    const std::uint32_t crc = crc32c(section_.data(), section_.size());
-    rawToStream(&crc, sizeof crc);
-    rawToStream(section_.data(), section_.size());
+void CheckpointWriter::fingerprint(const CheckpointEncoder& f) {
+    beginSection(kFingerprintSection);
+    raw(f.bytes().data(), f.bytes().size());
+}
+
+void CheckpointWriter::flushStaged() {
+    if (inSection_) {
+        // Frame fields go straight to the stream, ahead of the payload.
+        const std::uint32_t marker = kSectionMarker;
+        rawToStream(&marker, sizeof marker);
+        const std::uint64_t nameLen = sectionName_.size();
+        rawToStream(&nameLen, sizeof nameLen);
+        rawToStream(sectionName_.data(), sectionName_.size());
+        const std::uint64_t payloadLen = bytes_.size();
+        rawToStream(&payloadLen, sizeof payloadLen);
+        const std::uint32_t crc = crc32c(bytes_.data(), bytes_.size());
+        rawToStream(&crc, sizeof crc);
+        rawToStream(bytes_.data(), bytes_.size());
+    } else if (!bytes_.empty()) {
+        rawToStream(bytes_.data(), bytes_.size());
+    }
     inSection_ = false;
-    section_.clear();
+    bytes_.clear();
 }
 
 namespace {
@@ -153,7 +146,7 @@ bool syncPath(const std::string& path) {
 }  // namespace
 
 void CheckpointWriter::commit() {
-    if (inSection_) flushSection();
+    flushStaged();
     out_.flush();
     out_.close();
     if (!out_) fail("flush", path_ + ".tmp", errno);
@@ -308,6 +301,26 @@ void CheckpointReader::enterSection(const std::string& expected) {
                               "' but found '" + name + "'");
 }
 
+bool CheckpointReader::fingerprintMatches(const CheckpointEncoder& f) {
+    const std::vector<char>& expected = f.bytes();
+    if (version_ >= 5) {
+        // A healthy first section of another name is a snapshot of another
+        // kind: refused, where an unreadable one would be started over.
+        const std::string name = nextSection();
+        if (name.empty()) throw CheckpointError("'" + path_ + "' holds no section");
+        if (name != kFingerprintSection)
+            throw ConfigError("resume: '" + path_ +
+                              "' is not a checkpoint of this run kind (it opens with section '" +
+                              name + "')");
+        if (remaining() != expected.size()) return false;
+    } else if (remaining() < expected.size()) {
+        return false;
+    }
+    std::vector<char> stored(expected.size());
+    raw(stored.data(), stored.size());
+    return stored == expected;
+}
+
 bool checkpointExists(const std::string& path) {
     std::error_code ec;
     return std::filesystem::exists(path, ec) && !ec;
@@ -345,6 +358,16 @@ std::string pickResumeSnapshot(const std::string& path) {
         }
     }
     throw ResumeError(firstFault);
+}
+
+void writeLocusRoster(CheckpointEncoder& f, const Dataset& ds) {
+    f.u64(ds.locusCount());
+    for (const Locus& locus : ds.loci()) {
+        f.str(locus.name);
+        f.u64(locus.alignment.sequenceCount());
+        f.u64(locus.alignment.length());
+        f.f64(locus.mutationScale);
+    }
 }
 
 void writeGenealogy(CheckpointWriter& w, const Genealogy& g) {

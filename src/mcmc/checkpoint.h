@@ -25,6 +25,14 @@
 // Snapshots are not portable across architectures with different
 // endianness or double format — they are restart files, not an
 // interchange format.
+//
+// Every resumable run kind's snapshot opens with its fingerprint: the run
+// configuration, encoded by that kind's one fingerprint() function. A
+// resume encodes it again at the file's version and compares the bytes
+// (fingerprintMatches). A mismatch, or a snapshot of another kind, is a
+// ConfigError (exit 2), and the file is never overwritten. Bytes differ
+// from `==` only for ±0 and NaN: -0 does not resume a +0 snapshot, and
+// NaN would match its own bits (the CLI rejects NaN).
 #pragma once
 
 #include <cstdint>
@@ -37,6 +45,7 @@
 
 namespace mpcgs {
 
+class Dataset;
 class Genealogy;
 class Mt19937;
 class StructuredGenealogy;
@@ -82,7 +91,31 @@ inline constexpr std::uint32_t kCheckpointMinVersion = 1;
 /// Marker word opening every v5 section frame ("SECT").
 inline constexpr std::uint32_t kSectionMarker = 0x54434553u;
 
-class CheckpointWriter {
+/// Snapshot primitives encoded into an in-memory byte buffer. The writer
+/// stages every section in one; a run kind's fingerprint is one.
+class CheckpointEncoder {
+  public:
+    void u32(std::uint32_t v) { raw(&v, sizeof v); }
+    void u64(std::uint64_t v) { raw(&v, sizeof v); }
+    void f64(double v) { raw(&v, sizeof v); }
+    void str(const std::string& s) {
+        u64(s.size());
+        raw(s.data(), s.size());
+    }
+    void doubles(std::span<const double> xs) {
+        u64(xs.size());
+        raw(xs.data(), xs.size() * sizeof(double));
+    }
+
+    const std::vector<char>& bytes() const { return bytes_; }
+
+  protected:
+    void raw(const void* data, std::size_t bytes);
+
+    std::vector<char> bytes_;
+};
+
+class CheckpointWriter : public CheckpointEncoder {
   public:
     /// Opens `<path>.tmp` and writes the header. Nothing becomes visible at
     /// `path` until commit(). `version` is the header format stamp — always
@@ -94,12 +127,6 @@ class CheckpointWriter {
     CheckpointWriter(const CheckpointWriter&) = delete;
     CheckpointWriter& operator=(const CheckpointWriter&) = delete;
 
-    void u32(std::uint32_t v);
-    void u64(std::uint64_t v);
-    void f64(double v);
-    void str(const std::string& s);
-    void doubles(std::span<const double> xs);
-
     /// Start a named section: subsequent primitives are buffered and
     /// flushed as one checksummed frame when the next section begins or
     /// commit() runs. No-op when the writer's format version predates v5,
@@ -108,15 +135,17 @@ class CheckpointWriter {
     /// unframed, exactly like pre-v5 files.
     void beginSection(const std::string& name);
 
+    /// Write `f` as the snapshot's fingerprint section.
+    void fingerprint(const CheckpointEncoder& f);
+
     /// Flush and atomically rename the staging file onto `path`. When a
     /// snapshot already exists at `path` it is preserved as `<path>.prev`
     /// (two-generation retention) before the rename.
     void commit();
 
   private:
-    void raw(const void* data, std::size_t bytes);
     void rawToStream(const void* data, std::size_t bytes);
-    void flushSection();
+    void flushStaged();
     [[noreturn]] void fail(const std::string& op, const std::string& target,
                            int errnum);
 
@@ -126,7 +155,6 @@ class CheckpointWriter {
     bool committed_ = false;
     bool inSection_ = false;
     std::string sectionName_;
-    std::vector<char> section_;
 };
 
 class CheckpointReader {
@@ -155,6 +183,12 @@ class CheckpointReader {
     /// call it unconditionally; any unread tail of the previous section is
     /// discarded.
     void enterSection(const std::string& expected);
+
+    /// Compare the stored fingerprint with `f` byte for byte: a v5+ file's
+    /// whole fingerprint section, an older file's next f.bytes().size()
+    /// bytes. A v5+ file that opens with another section is a snapshot of
+    /// another kind and raises ConfigError.
+    bool fingerprintMatches(const CheckpointEncoder& f);
 
     /// Advance to the next section frame, verify its CRC-32C, and position
     /// the reader inside it; returns the section's name, or "" at
@@ -197,6 +231,10 @@ std::uint32_t verifySnapshot(const std::string& path);
 /// verifies. Throws ResumeError when neither generation is usable,
 /// carrying both failure messages.
 std::string pickResumeSnapshot(const std::string& path);
+
+/// The locus roster that closes the multi-locus fingerprints: locus count,
+/// then name, sequence count, length and mutation scale per locus.
+void writeLocusRoster(CheckpointEncoder& f, const Dataset& ds);
 
 // Serialization helpers for the two composite types every sampler state
 // contains. Node times and tip names round-trip exactly, so a restored

@@ -1,8 +1,9 @@
 // Checkpoint robustness: truncated and version-bumped MPCK snapshots must
 // produce a diagnosable CheckpointError (never a crash, hang or silent
-// misread), v1 and v2 snapshots stay readable under the v3 reader, and
-// structured payload corruption is caught by label validation.
+// misread), v1-v4 snapshots stay readable and resumable under the v5
+// reader, and structured payload corruption is caught by label validation.
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -12,12 +13,16 @@
 #include "coalescent/simulator.h"
 #include "coalescent/structured.h"
 #include "core/driver.h"
+#include "core/smc_estimator.h"
+#include "core/structured_estimator.h"
+#include "core/supervisor.h"
 #include "mcmc/checkpoint.h"
 #include "phylo/tree.h"
 #include "rng/mt19937.h"
 #include "seq/seqgen.h"
 #include "seq/subst_model.h"
 #include "util/error.h"
+#include "util/failpoint.h"
 
 namespace mpcgs {
 namespace {
@@ -298,6 +303,154 @@ TEST(CheckpointHardeningTest, GarbageMagicIsRejected) {
     }
     EXPECT_THROW(CheckpointReader r(path), CheckpointError);
     std::remove(path.c_str());
+}
+
+/// Rewrite the v5 snapshot at `path` in the unframed layout of format
+/// `version`: the header stamped with that version, then every section's
+/// payload in order. Older builds wrote exactly this stream.
+void stripFrames(const std::string& path, std::uint32_t version) {
+    const std::vector<char> framed = slurp(path);
+    std::vector<char> flat(framed.begin(), framed.begin() + 8);
+    std::memcpy(flat.data() + 4, &version, sizeof version);
+    std::size_t pos = 8;
+    const auto word = [&](std::size_t at) {
+        std::uint64_t v = 0;
+        std::memcpy(&v, framed.data() + at, sizeof v);
+        return static_cast<std::size_t>(v);
+    };
+    while (pos < framed.size()) {
+        const std::size_t nameLen = word(pos + 4);  // after the 'SECT' marker
+        const std::size_t payloadLen = word(pos + 12 + nameLen);
+        const std::size_t payload = pos + 12 + nameLen + 8 + 4;  // length, CRC
+        flat.insert(flat.end(), framed.begin() + static_cast<std::ptrdiff_t>(payload),
+                    framed.begin() + static_cast<std::ptrdiff_t>(payload + payloadLen));
+        pos = payload + payloadLen;
+    }
+    dump(path, flat);
+    std::remove((path + ".prev").c_str());
+}
+
+/// Runs `run` under a supervisor whose stop request fires after `polls`
+/// quiet polls (one per tick), so the run is interrupted mid-sampling with
+/// a snapshot of the tick boundary.
+template <class Run>
+void interruptAfter(int polls, Run run) {
+    failpoint::configure("supervisor.stop=after(" + std::to_string(polls) + ")");
+    RunSupervisor::Config cfg;
+    cfg.handleSignals = false;
+    const RunSupervisor sv(cfg);
+    EXPECT_THROW(run(&sv), InterruptedError);
+    failpoint::reset();
+}
+
+Alignment smallAlignment(std::uint32_t seed, int tips = 6) {
+    Mt19937 rng(seed);
+    const Genealogy g = simulateCoalescent(tips, 1.0, rng);
+    SeqGenOptions so;
+    so.length = 120;
+    return simulateSequences(g, *makeF84(2.0, kUniformFreqs), so, rng);
+}
+
+TEST(CheckpointHardeningTest, FrameStrippedMidRunSnapshotsResumeBitwise) {
+    // A mid-run v5 snapshot with its frames stripped is the stream that
+    // format v2 (multi-locus), v3 (structured) and v4 (PMMH) builds wrote;
+    // resuming it must finish exactly like the uninterrupted run.
+    {
+        SCOPED_TRACE("2-locus multichain as v2");
+        Dataset ds;
+        ds.add(Locus{"locus0", smallAlignment(21), 1.0, {}});
+        ds.add(Locus{"locus1", smallAlignment(22), 0.5, {}});
+        MpcgsOptions o;
+        o.theta0 = 0.5;
+        o.emIterations = 2;
+        o.samplesPerIteration = 200;
+        o.strategy = Strategy::MultiChain;
+        o.chains = 2;
+        o.seed = 23;
+        const MpcgsResult full = estimateTheta(ds, o);
+
+        MpcgsOptions part = o;
+        part.checkpointPath = tempPath("strip_v2.mpck");
+        part.checkpointIntervalTicks = 5;
+        interruptAfter(60, [&](const RunSupervisor* sv) {
+            part.supervisor = sv;
+            estimateTheta(ds, part);
+        });
+        stripFrames(part.checkpointPath, 2);
+
+        MpcgsOptions rest = o;
+        rest.checkpointPath = part.checkpointPath;
+        rest.resume = true;
+        const MpcgsResult resumed = estimateTheta(ds, rest);
+        EXPECT_EQ(resumed.theta, full.theta);
+        ASSERT_EQ(resumed.history.size(), full.history.size());
+        for (std::size_t i = 0; i < full.history.size(); ++i)
+            EXPECT_EQ(resumed.history[i].thetaAfter, full.history[i].thetaAfter);
+        std::remove(rest.checkpointPath.c_str());
+    }
+    {
+        SCOPED_TRACE("structured as v3");
+        Mt19937 rng(43);
+        const std::vector<int> demes{0, 0, 0, 1, 1, 1};
+        const StructuredGenealogy g =
+            simulateStructuredCoalescent(demes, MigrationModel(2, 1.0, 0.5), rng);
+        SeqGenOptions so;
+        so.length = 150;
+        const Alignment aln = simulateSequences(g.tree(), *makeF84(2.0, kUniformFreqs), so, rng);
+        StructuredOptions o;
+        o.init = MigrationModel(2, 1.0, 1.0);
+        o.emIterations = 2;
+        o.samplesPerIteration = 150;
+        o.chains = 2;
+        o.seed = 4242;
+        const StructuredResult full = estimateStructured(aln, demes, o);
+
+        StructuredOptions part = o;
+        part.checkpointPath = tempPath("strip_v3.mpck");
+        part.checkpointIntervalTicks = 5;
+        interruptAfter(40, [&](const RunSupervisor* sv) {
+            part.supervisor = sv;
+            estimateStructured(aln, demes, part);
+        });
+        stripFrames(part.checkpointPath, 3);
+
+        StructuredOptions rest = o;
+        rest.checkpointPath = part.checkpointPath;
+        rest.resume = true;
+        const StructuredResult resumed = estimateStructured(aln, demes, rest);
+        EXPECT_EQ(resumed.estimate, full.estimate);
+        ASSERT_EQ(resumed.history.size(), full.history.size());
+        for (std::size_t i = 0; i < full.history.size(); ++i)
+            EXPECT_EQ(resumed.history[i].after, full.history[i].after);
+        std::remove(rest.checkpointPath.c_str());
+    }
+    {
+        SCOPED_TRACE("PMMH as v4");
+        Dataset ds;
+        ds.add(Locus{"locus0", smallAlignment(3), 1.0, {}});
+        PmmhEstimateOptions o;
+        o.samples = 40;
+        o.pmmh.chains = 2;
+        o.pmmh.smc.particles = 32;
+        o.pmmh.seed = 23;
+        const PmmhEstimateResult full = runPmmh(ds, o);
+
+        PmmhEstimateOptions part = o;
+        part.checkpointPath = tempPath("strip_v4.mpck");
+        part.checkpointIntervalTicks = 3;
+        interruptAfter(8, [&](const RunSupervisor* sv) {
+            part.supervisor = sv;
+            runPmmh(ds, part);
+        });
+        stripFrames(part.checkpointPath, 4);
+
+        PmmhEstimateOptions rest = o;
+        rest.checkpointPath = part.checkpointPath;
+        rest.resume = true;
+        const PmmhEstimateResult resumed = runPmmh(ds, rest);
+        EXPECT_EQ(resumed.thetaChainMajor, full.thetaChainMajor);
+        std::remove(rest.checkpointPath.c_str());
+    }
 }
 
 TEST(CheckpointHardeningTest, CorruptStructuredPayloadIsRejected) {

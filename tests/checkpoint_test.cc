@@ -1,12 +1,16 @@
 // Checkpoint/resume: primitive round-trips, snapshot integrity, and
 // bitwise-identical continuation of interrupted runs for every strategy —
 // both at the SamplerRun level (mid-sampling kill) and through
-// estimateTheta (EM-boundary resume).
+// estimateTheta (EM-boundary resume) — plus each run kind's fingerprint:
+// its field order, and the refusal of a changed or foreign snapshot.
 #include "mcmc/checkpoint.h"
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,16 +19,25 @@
 #include "core/driver.h"
 #include "core/lockstep_chains.h"
 #include "core/samplers.h"
+#include "core/smc_estimator.h"
+#include "core/structured_estimator.h"
 #include "core/structured_sampler.h"
 #include "rng/mt19937.h"
 #include "seq/seqgen.h"
 #include "seq/subst_model.h"
+#include "smc/online_update.h"
 
 namespace mpcgs {
 namespace {
 
 std::string tempPath(const std::string& name) {
     return ::testing::TempDir() + "/" + name;
+}
+
+/// Removes a snapshot and its previous generation.
+void removeSnapshot(const std::string& path) {
+    std::remove(path.c_str());
+    std::remove((path + ".prev").c_str());
 }
 
 Alignment simulateData(int n, double theta, std::size_t length, unsigned seed) {
@@ -428,6 +441,149 @@ TEST(SnapshotLayoutTest, ChainPayloadsKeepTheirFieldOrder) {
     }
 }
 
+/// The locus roster that closes the multi-locus fingerprints: locus count,
+/// then name, sequence count, length and mutation scale per locus.
+void expectLocusRoster(CheckpointReader& r, const Dataset& ds) {
+    ASSERT_EQ(r.u64(), ds.locusCount());
+    for (const Locus& locus : ds.loci()) {
+        EXPECT_EQ(r.str(), locus.name);
+        EXPECT_EQ(r.u64(), locus.alignment.sequenceCount());
+        EXPECT_EQ(r.u64(), locus.alignment.length());
+        EXPECT_EQ(r.f64(), locus.mutationScale);
+    }
+}
+
+/// Each run kind's fingerprint section, read back field by field in the
+/// order its layout comment documents (core/driver.cc,
+/// core/structured_estimator.cc, core/smc_estimator.cc). A resume compares
+/// the stored section with the run's own encoding byte for byte, so
+/// snapshots written by earlier builds resume only while this order holds.
+TEST(SnapshotLayoutTest, FingerprintsKeepTheirFieldOrder) {
+    Dataset ds;
+    ds.add(Locus{"alpha", simulateData(6, 1.0, 90, 51), 1.0, {}});
+    ds.add(Locus{"beta", simulateData(6, 1.0, 70, 52), 0.5, {}});
+
+    {
+        SCOPED_TRACE("estimateTheta");
+        MpcgsOptions o;
+        o.theta0 = 0.6;
+        o.emIterations = 1;
+        o.samplesPerIteration = 60;
+        o.strategy = Strategy::MultiChain;
+        o.chains = 2;
+        o.seed = 5;
+        o.stopRhat = 1.5;
+        o.stopEss = 1e6;  // with the R-hat rule: never fires
+        o.checkpointPath = tempPath("fp_mcmc.ckpt");
+        o.checkpointIntervalTicks = 5;
+        estimateTheta(ds, o);
+        CheckpointReader r(o.checkpointPath);
+        r.enterSection("fingerprint");
+        EXPECT_EQ(r.u32(), static_cast<std::uint32_t>(o.strategy));
+        EXPECT_EQ(r.u64(), o.seed);
+        EXPECT_EQ(r.u64(), o.samplesPerIteration);
+        EXPECT_EQ(r.u64(), o.burnInFraction1000);
+        EXPECT_EQ(r.u64(), o.gmhProposals);
+        EXPECT_EQ(r.u64(), o.gmhSamplesPerSet);
+        EXPECT_EQ(r.u64(), o.chains);
+        EXPECT_EQ(r.doubles(), o.temperatures);
+        EXPECT_EQ(r.str(), o.substModel);
+        EXPECT_EQ(r.u32(), 0u);  // slot of the removed cached serial-MH flag
+        EXPECT_EQ(r.f64(), o.theta0);
+        EXPECT_EQ(r.f64(), o.stopRhat);
+        EXPECT_EQ(r.f64(), o.stopEss);
+        expectLocusRoster(r, ds);
+        EXPECT_EQ(r.remaining(), 0u);
+        removeSnapshot(o.checkpointPath);
+    }
+    {
+        SCOPED_TRACE("estimateStructured");
+        const Alignment& aln = ds.locus(0).alignment;
+        const std::vector<int> demes{0, 0, 0, 1, 1, 1};
+        StructuredOptions o;
+        o.init = MigrationModel(2, 0.7, 0.9);
+        o.emIterations = 1;
+        o.samplesPerIteration = 60;
+        o.chains = 2;
+        o.seed = 6;
+        o.stopRhat = 1.5;
+        o.stopEss = 1e6;
+        o.checkpointPath = tempPath("fp_structured.ckpt");
+        o.checkpointIntervalTicks = 5;
+        estimateStructured(aln, demes, o);
+        CheckpointReader r(o.checkpointPath);
+        r.enterSection("fingerprint");
+        EXPECT_EQ(r.u32(), kStructuredSnapshotTag);
+        EXPECT_EQ(r.u64(), o.seed);
+        EXPECT_EQ(r.u64(), o.samplesPerIteration);
+        EXPECT_EQ(r.u64(), o.burnInFraction1000);
+        EXPECT_EQ(r.u64(), o.chains);
+        EXPECT_EQ(r.f64(), o.pathRefreshProb);
+        EXPECT_EQ(r.str(), o.substModel);
+        EXPECT_EQ(r.f64(), o.stopRhat);
+        EXPECT_EQ(r.f64(), o.stopEss);
+        EXPECT_EQ(r.doubles(), o.init.theta);
+        EXPECT_EQ(r.doubles(), o.init.mig);
+        ASSERT_EQ(r.u64(), demes.size());
+        for (const int d : demes) EXPECT_EQ(r.u32(), static_cast<std::uint32_t>(d));
+        EXPECT_EQ(r.u64(), aln.sequenceCount());
+        EXPECT_EQ(r.u64(), aln.length());
+        EXPECT_EQ(r.remaining(), 0u);
+        removeSnapshot(o.checkpointPath);
+    }
+    {
+        SCOPED_TRACE("runPmmh");
+        PmmhEstimateOptions o;
+        o.theta0 = 0.6;
+        o.samples = 8;
+        o.pmmh.chains = 2;
+        o.pmmh.seed = 7;
+        o.pmmh.smc.particles = 16;
+        o.checkpointPath = tempPath("fp_pmmh.ckpt");
+        o.checkpointIntervalTicks = 1;
+        runPmmh(ds, o);
+        CheckpointReader r(o.checkpointPath);
+        r.enterSection("fingerprint");
+        EXPECT_EQ(r.u32(), kPmmhSnapshotTag);
+        EXPECT_EQ(r.u64(), o.pmmh.seed);
+        EXPECT_EQ(r.u64(), o.pmmh.chains);
+        EXPECT_EQ(r.u64(), o.pmmh.smc.particles);
+        EXPECT_EQ(r.u32(), static_cast<std::uint32_t>(o.pmmh.smc.scheme));
+        EXPECT_EQ(r.f64(), o.pmmh.smc.essThreshold);
+        EXPECT_EQ(r.f64(), o.pmmh.proposalSigma);
+        EXPECT_EQ(r.f64(), o.pmmh.thetaMin);
+        EXPECT_EQ(r.f64(), o.pmmh.thetaMax);
+        EXPECT_EQ(r.f64(), o.theta0);
+        EXPECT_EQ(r.u64(), o.burnInFraction1000);
+        EXPECT_EQ(r.str(), o.substModel);
+        expectLocusRoster(r, ds);
+        EXPECT_EQ(r.remaining(), 0u);
+        removeSnapshot(o.checkpointPath);
+    }
+    {
+        SCOPED_TRACE("estimateThetaSmc");
+        SmcEstimateOptions o;
+        o.theta0 = 0.6;
+        o.seed = 8;
+        o.smc.particles = 16;
+        o.checkpointPath = tempPath("fp_smc.ckpt");
+        o.checkpointIntervalEvals = 1;
+        estimateThetaSmc(ds, o);
+        CheckpointReader r(o.checkpointPath);
+        r.enterSection("fingerprint");
+        EXPECT_EQ(r.u32(), 0x5A434D53u);  // "SMCZ"
+        EXPECT_EQ(r.u64(), o.seed);
+        EXPECT_EQ(r.u64(), o.smc.particles);
+        EXPECT_EQ(r.u32(), static_cast<std::uint32_t>(o.smc.scheme));
+        EXPECT_EQ(r.f64(), o.smc.essThreshold);
+        EXPECT_EQ(r.f64(), o.theta0);
+        EXPECT_EQ(r.str(), o.substModel);
+        expectLocusRoster(r, ds);
+        EXPECT_EQ(r.remaining(), 0u);
+        removeSnapshot(o.checkpointPath);
+    }
+}
+
 TEST(CheckpointResumeTest, LoadingIntoWrongStrategyThrows) {
     const Alignment aln = simulateData(6, 1.0, 100, 43);
     const F81Model model(aln.baseFrequencies());
@@ -556,6 +712,130 @@ TEST(CheckpointResumeTest, IncompatibleConfigurationIsRejected) {
     noPath.checkpointPath.clear();
     EXPECT_THROW(estimateTheta(aln, noPath), ConfigError);
     std::remove(path.c_str());
+}
+
+std::vector<char> slurp(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>());
+}
+
+/// Runs a resume that must be refused: a readable snapshot of another
+/// configuration or run kind raises ConfigError, never ResumeError (on
+/// which the CLI starts fresh and overwrites the file), and its bytes are
+/// left as they were.
+template <class Resume>
+void expectRefusedUntouched(const std::string& path, Resume resume) {
+    const std::vector<char> before = slurp(path);
+    ASSERT_FALSE(before.empty());
+    try {
+        resume();
+        ADD_FAILURE() << "the resume was accepted";
+    } catch (const ResumeError& e) {
+        ADD_FAILURE() << "refusal surfaced as a ResumeError: " << e.what();
+    } catch (const ConfigError&) {
+        // refused, as it must be
+    }
+    EXPECT_EQ(slurp(path), before);
+}
+
+TEST(CheckpointResumeTest, StructuredAndSmcRunsRefuseAChangedOption) {
+    const Alignment aln = simulateData(6, 1.0, 100, 47);
+    {
+        SCOPED_TRACE("estimateStructured");
+        const std::vector<int> demes{0, 0, 0, 1, 1, 1};
+        StructuredOptions o;
+        o.init = MigrationModel(2, 1.0, 1.0);
+        o.emIterations = 2;
+        o.samplesPerIteration = 60;
+        o.chains = 2;
+        o.seed = 9;
+        o.checkpointPath = tempPath("refuse_structured.ckpt");
+        estimateStructured(aln, demes, o);
+        StructuredOptions changed = o;
+        changed.resume = true;
+        changed.pathRefreshProb = 0.5;
+        expectRefusedUntouched(o.checkpointPath,
+                               [&] { estimateStructured(aln, demes, changed); });
+        removeSnapshot(o.checkpointPath);
+    }
+    {
+        SCOPED_TRACE("estimateThetaSmc");
+        SmcEstimateOptions o;
+        o.smc.particles = 16;
+        o.seed = 10;
+        o.checkpointPath = tempPath("refuse_smc.ckpt");
+        o.checkpointIntervalEvals = 1;
+        estimateThetaSmc(Dataset::single(aln), o);
+        SmcEstimateOptions changed = o;
+        changed.resume = true;
+        changed.smc.essThreshold = 0.25;
+        expectRefusedUntouched(o.checkpointPath,
+                               [&] { estimateThetaSmc(Dataset::single(aln), changed); });
+        removeSnapshot(o.checkpointPath);
+    }
+}
+
+TEST(CheckpointResumeTest, SnapshotOfAnotherRunKindIsRefused) {
+    const Dataset ds = Dataset::single(simulateData(6, 1.0, 100, 48));
+    SmcEstimateOptions smc;
+    smc.smc.particles = 16;
+    smc.seed = 11;
+    {
+        SCOPED_TRACE("PMMH snapshot under estimateThetaSmc");
+        PmmhEstimateOptions pmmh;
+        pmmh.samples = 8;
+        pmmh.pmmh.smc.particles = 16;
+        pmmh.checkpointPath = tempPath("foreign_pmmh.ckpt");
+        pmmh.checkpointIntervalTicks = 1;
+        runPmmh(ds, pmmh);
+        SmcEstimateOptions resume = smc;
+        resume.checkpointPath = pmmh.checkpointPath;
+        resume.resume = true;
+        expectRefusedUntouched(resume.checkpointPath, [&] { estimateThetaSmc(ds, resume); });
+        removeSnapshot(resume.checkpointPath);
+    }
+    {
+        SCOPED_TRACE("SMC memo under estimateTheta");
+        SmcEstimateOptions memo = smc;
+        memo.checkpointPath = tempPath("foreign_smc.ckpt");
+        memo.checkpointIntervalEvals = 1;
+        estimateThetaSmc(ds, memo);
+        MpcgsOptions resume;
+        resume.samplesPerIteration = 60;
+        resume.checkpointPath = memo.checkpointPath;
+        resume.resume = true;
+        expectRefusedUntouched(resume.checkpointPath, [&] { estimateTheta(ds, resume); });
+        removeSnapshot(resume.checkpointPath);
+    }
+}
+
+TEST(CheckpointResumeTest, OnlineStateIsRefusedAndLeftUntouched) {
+    // A serve state is a healthy snapshot of another kind: a resume pointed
+    // at it must refuse, not read it as corrupt and start over it.
+    const Alignment aln = simulateData(6, 1.0, 100, 49);
+    SmcOptions filter;
+    filter.particles = 16;
+    const std::string path = tempPath("online_state.ckpt");
+    saveOnlineState(path, initOnlineState(aln, 1.0, filter, "F81", 5));
+    {
+        SCOPED_TRACE("estimateTheta");
+        MpcgsOptions o;
+        o.samplesPerIteration = 60;
+        o.checkpointPath = path;
+        o.resume = true;
+        expectRefusedUntouched(path, [&] { estimateTheta(aln, o); });
+    }
+    {
+        SCOPED_TRACE("estimateThetaSmc");
+        SmcEstimateOptions o;
+        o.smc.particles = 16;
+        o.checkpointPath = path;
+        o.resume = true;
+        expectRefusedUntouched(path, [&] { estimateThetaSmc(Dataset::single(aln), o); });
+    }
+    EXPECT_NO_THROW(loadOnlineState(path));
+    removeSnapshot(path);
 }
 
 }  // namespace
