@@ -15,17 +15,6 @@ double expDiffOverG(double a, double b, double g) {
     return std::exp(g * a) * std::expm1(x) / g;
 }
 
-/// d/dg [ (e^{g b} - e^{g a}) / g ], stable as g -> 0 (limit (b^2-a^2)/2).
-double dExpDiffOverG(double a, double b, double g) {
-    if (std::fabs(g) < 1e-7) {
-        // Second-order Taylor expansion around g = 0.
-        return (b * b - a * a) / 2.0 + g * (b * b * b - a * a * a) / 3.0;
-    }
-    const double eb = std::exp(g * b);
-    const double ea = std::exp(g * a);
-    return ((b * eb - a * ea) * g - (eb - ea)) / (g * g);
-}
-
 }  // namespace
 
 double logGrowthCoalescentPrior(std::span<const CoalInterval> intervals,
@@ -44,19 +33,6 @@ double logGrowthCoalescentPrior(std::span<const CoalInterval> intervals,
 double logGrowthCoalescentPrior(const Genealogy& g, const GrowthParams& p) {
     const auto ivs = g.intervals();
     return logGrowthCoalescentPrior(std::span<const CoalInterval>(ivs), p);
-}
-
-GrowthGradient growthPriorGradient(std::span<const CoalInterval> intervals,
-                                   const GrowthParams& p) {
-    require(p.theta > 0.0, "growth prior needs theta > 0");
-    GrowthGradient grad;
-    for (const auto& iv : intervals) {
-        const double kk = static_cast<double>(iv.lineages) * (iv.lineages - 1);
-        grad.dTheta += kk * expDiffOverG(iv.begin, iv.end, p.growth) / (p.theta * p.theta) -
-                       1.0 / p.theta;
-        grad.dGrowth += iv.end - kk * dExpDiffOverG(iv.begin, iv.end, p.growth) / p.theta;
-    }
-    return grad;
 }
 
 Genealogy simulateGrowthCoalescent(int nTips, const GrowthParams& p, Rng& rng) {

@@ -34,12 +34,6 @@ double logCoalescentPrior(const Genealogy& g, double theta) {
     return logCoalescentPrior(std::span<const CoalInterval>(ivs), theta);
 }
 
-double dLogCoalescentPrior(std::span<const CoalInterval> intervals, double theta) {
-    require(theta > 0.0, "coalescent prior needs theta > 0");
-    const double events = static_cast<double>(intervals.size());
-    return -events / theta + weightedIntervalSum(intervals) / (theta * theta);
-}
-
 double singleTreeThetaMle(std::span<const CoalInterval> intervals) {
     require(!intervals.empty(), "theta MLE needs at least one interval");
     return weightedIntervalSum(intervals) / static_cast<double>(intervals.size());

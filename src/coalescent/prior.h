@@ -31,9 +31,6 @@ double logCoalescentPrior(std::span<const CoalInterval> intervals, double theta)
 /// log P(G|theta) for a genealogy.
 double logCoalescentPrior(const Genealogy& g, double theta);
 
-/// d/dtheta log P(G|theta): -(n-1)/theta + sum_k k(k-1) t_k / theta^2.
-double dLogCoalescentPrior(std::span<const CoalInterval> intervals, double theta);
-
 /// The single-genealogy maximizer of Eq. 18:
 /// theta_hat = sum_k k(k-1) t_k / (n-1). Useful as a sanity anchor and in
 /// tests (the posterior-likelihood curve of one sample peaks here).

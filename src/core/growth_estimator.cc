@@ -4,6 +4,7 @@
 
 #include "core/driver.h"
 #include "core/locus_problem.h"
+#include "core/mle.h"
 #include "mcmc/gmh.h"
 #include "par/kernel.h"
 #include "util/error.h"
@@ -47,37 +48,6 @@ double PooledGrowthRelativeLikelihood::logL(const GrowthParams& p, ThreadPool* p
     return sum;
 }
 
-namespace {
-
-/// Golden-section maximization of f over [lo, hi].
-template <class F>
-double goldenMax(F&& f, double lo, double hi, double tol) {
-    const double phi = 0.5 * (std::sqrt(5.0) - 1.0);
-    double a = lo, b = hi;
-    double x1 = b - phi * (b - a);
-    double x2 = a + phi * (b - a);
-    double f1 = f(x1), f2 = f(x2);
-    int guard = 0;
-    while (b - a > tol && ++guard < 300) {
-        if (f1 < f2) {
-            a = x1;
-            x1 = x2;
-            f1 = f2;
-            x2 = a + phi * (b - a);
-            f2 = f(x2);
-        } else {
-            b = x2;
-            x2 = x1;
-            f2 = f1;
-            x1 = b - phi * (b - a);
-            f1 = f(x1);
-        }
-    }
-    return 0.5 * (a + b);
-}
-
-}  // namespace
-
 GrowthMleResult maximizeGrowthParams(const GrowthLikelihood& rl, GrowthParams start,
                                      double growthLo, double growthHi, ThreadPool* pool) {
     GrowthMleResult out;
@@ -85,17 +55,19 @@ GrowthMleResult maximizeGrowthParams(const GrowthLikelihood& rl, GrowthParams st
     double curLogL = rl.logL(cur, pool);
     for (int sweep = 0; sweep < 30; ++sweep) {
         ++out.sweeps;
-        // Theta sweep in log space around the current value.
-        const double logTheta = goldenMax(
+        // Theta sweep in log space around the current value, then a growth
+        // sweep on the bounded interval; each takes its final bracket's
+        // midpoint.
+        const GoldenSection thetaSweep = goldenSectionMax(
             [&](double lt) {
                 return rl.logL(GrowthParams{std::exp(lt), cur.growth}, pool);
             },
-            std::log(cur.theta) - 3.0, std::log(cur.theta) + 3.0, 1e-7);
-        cur.theta = std::exp(logTheta);
-        // Growth sweep on the bounded interval.
-        cur.growth = goldenMax(
+            std::log(cur.theta) - 3.0, std::log(cur.theta) + 3.0, 1e-7, 299);
+        cur.theta = std::exp(0.5 * (thetaSweep.lo + thetaSweep.hi));
+        const GoldenSection growthSweep = goldenSectionMax(
             [&](double g) { return rl.logL(GrowthParams{cur.theta, g}, pool); }, growthLo,
-            growthHi, 1e-7);
+            growthHi, 1e-7, 299);
+        cur.growth = 0.5 * (growthSweep.lo + growthSweep.hi);
         const double next = rl.logL(cur, pool);
         if (next - curLogL < 1e-10) {
             curLogL = next;

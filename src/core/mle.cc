@@ -68,33 +68,14 @@ MleResult maximizeThetaGolden(const ThetaLikelihood& rl, double lo, double hi, d
                               ThreadPool* pool) {
     require(lo > 0.0 && hi > lo, "maximizeThetaGolden: bad bracket");
     // Work in log-theta so the search is scale-free.
-    double a = std::log(lo), b = std::log(hi);
-    const double phi = 0.5 * (std::sqrt(5.0) - 1.0);
-    double x1 = b - phi * (b - a);
-    double x2 = a + phi * (b - a);
-    double f1 = rl.logL(std::exp(x1), pool);
-    double f2 = rl.logL(std::exp(x2), pool);
+    const GoldenSection g = goldenSectionMax(
+        [&](double x) { return rl.logL(std::exp(x), pool); }, std::log(lo), std::log(hi), tol,
+        501);
     MleResult out;
-    while (b - a > tol) {
-        ++out.iterations;
-        if (f1 < f2) {
-            a = x1;
-            x1 = x2;
-            f1 = f2;
-            x2 = a + phi * (b - a);
-            f2 = rl.logL(std::exp(x2), pool);
-        } else {
-            b = x2;
-            x2 = x1;
-            f2 = f1;
-            x1 = b - phi * (b - a);
-            f1 = rl.logL(std::exp(x1), pool);
-        }
-        if (out.iterations > 500) break;
-    }
-    out.theta = std::exp(0.5 * (a + b));
+    out.iterations = g.iterations;
+    out.theta = std::exp(0.5 * (g.lo + g.hi));
     out.logL = rl.logL(out.theta, pool);
-    out.converged = (b - a) <= tol;
+    out.converged = (g.hi - g.lo) <= tol;
     return out;
 }
 

@@ -32,6 +32,45 @@ struct MleResult {
     bool converged = false;
 };
 
+/// The final bracket of a golden-section search and f at its two interior
+/// points, x1 = hi - r (hi - lo) and x2 = lo + r (hi - lo), r = (sqrt 5 - 1) / 2.
+struct GoldenSection {
+    double lo = 0.0;
+    double hi = 0.0;
+    double f1 = 0.0;  ///< f(x1)
+    double f2 = 0.0;  ///< f(x2)
+    int iterations = 0;
+};
+
+/// Golden-section maximization of f over [lo, hi]: the bracket shrinks by
+/// r per iteration while it is wider than `tol`, at most `maxIterations`
+/// times, with one evaluation of f per iteration after the first two.
+template <class F>
+GoldenSection goldenSectionMax(F&& f, double lo, double hi, double tol, int maxIterations) {
+    constexpr double kInvPhi = 0.6180339887498949;
+    GoldenSection g{lo, hi};
+    double x1 = hi - kInvPhi * (hi - lo);
+    double x2 = lo + kInvPhi * (hi - lo);
+    g.f1 = f(x1);
+    g.f2 = f(x2);
+    for (; g.iterations < maxIterations && g.hi - g.lo > tol; ++g.iterations) {
+        if (g.f1 < g.f2) {
+            g.lo = x1;
+            x1 = x2;
+            g.f1 = g.f2;
+            x2 = g.lo + kInvPhi * (g.hi - g.lo);
+            g.f2 = f(x2);
+        } else {
+            g.hi = x2;
+            x2 = x1;
+            g.f2 = g.f1;
+            x1 = g.hi - kInvPhi * (g.hi - g.lo);
+            g.f1 = f(x1);
+        }
+    }
+    return g;
+}
+
 /// Algorithm 2: iterative gradient ascent from theta0 with step halving
 /// whenever the step would decrease L, push theta non-positive or leave
 /// the maxStepFactor band.

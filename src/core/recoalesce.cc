@@ -41,12 +41,6 @@ LineageIndex::LineageIndex(const Genealogy& g, NodeId root) : g_(g), root_(root)
     }
 }
 
-int LineageIndex::crossingCount(double t) const {
-    if (boundaries_.empty() || t < boundaries_.front()) return 0;
-    const auto it = std::upper_bound(boundaries_.begin(), boundaries_.end(), t);
-    return count_[static_cast<std::size_t>(it - boundaries_.begin() - 1)];
-}
-
 std::vector<NodeId> LineageIndex::crossingNodes(double t) const {
     std::vector<NodeId> out;
     std::vector<NodeId> walk{root_};

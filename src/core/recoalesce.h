@@ -45,9 +45,6 @@ class LineageIndex {
     /// lineage extends to +infinity.
     LineageIndex(const Genealogy& g, NodeId root);
 
-    /// Number of lineages crossing backward time t.
-    int crossingCount(double t) const;
-
     /// Nodes whose parent branch crosses t (the root node represents the
     /// semi-infinite root lineage).
     std::vector<NodeId> crossingNodes(double t) const;

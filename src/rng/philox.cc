@@ -63,19 +63,4 @@ std::uint32_t Philox::nextU32() {
     return buffer_[bufPos_++];
 }
 
-void Philox::skipBlocks(std::uint64_t blocks) {
-    std::uint64_t lo = (static_cast<std::uint64_t>(counter_[1]) << 32) | counter_[0];
-    const std::uint64_t before = lo;
-    lo += blocks;
-    counter_[0] = static_cast<std::uint32_t>(lo);
-    counter_[1] = static_cast<std::uint32_t>(lo >> 32);
-    if (lo < before) {  // carry into the high 64 bits
-        std::uint64_t hi = (static_cast<std::uint64_t>(counter_[3]) << 32) | counter_[2];
-        ++hi;
-        counter_[2] = static_cast<std::uint32_t>(hi);
-        counter_[3] = static_cast<std::uint32_t>(hi >> 32);
-    }
-    bufPos_ = 4;  // discard buffered words
-}
-
 }  // namespace mpcgs

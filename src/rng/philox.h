@@ -33,9 +33,6 @@ class Philox final : public Rng {
     /// per-thread stream derivation).
     Philox split(std::uint64_t stream) const { return Philox(seed_, stream); }
 
-    /// Jump the counter forward by `blocks` 4-word blocks.
-    void skipBlocks(std::uint64_t blocks);
-
   private:
     void refill();
 

@@ -60,13 +60,6 @@ BaseFreqs Alignment::baseFrequencies() const {
     return pi;
 }
 
-bool Alignment::hasUnknowns() const {
-    for (const auto& s : seqs_)
-        for (const NucCode c : s.codes())
-            if (c == kNucUnknown) return true;
-    return false;
-}
-
 std::size_t Alignment::segregatingSites() const {
     std::size_t count = 0;
     const std::size_t len = length();

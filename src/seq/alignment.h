@@ -33,9 +33,6 @@ class Alignment {
     /// pseudo-frequency so no stationary frequency is exactly 0.
     BaseFreqs baseFrequencies() const;
 
-    /// True if any site of any sequence is unknown/ambiguous.
-    bool hasUnknowns() const;
-
     /// Number of polymorphic (segregating) columns.
     std::size_t segregatingSites() const;
 

@@ -1,41 +1,15 @@
 #include "seq/distance.h"
 
-#include <cmath>
-#include <functional>
-
 namespace mpcgs {
-namespace {
 
-std::vector<std::vector<double>> pairwise(
-    const Alignment& aln, const std::function<double(std::size_t)>& fromCount) {
+std::vector<std::vector<double>> hammingMatrix(const Alignment& aln) {
     const std::size_t n = aln.sequenceCount();
     std::vector<std::vector<double>> d(n, std::vector<double>(n, 0.0));
     for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = i + 1; j < n; ++j) {
-            const std::size_t c = aln.sequence(i).hammingDistance(aln.sequence(j));
-            d[i][j] = d[j][i] = fromCount(c);
-        }
+        for (std::size_t j = i + 1; j < n; ++j)
+            d[i][j] = d[j][i] =
+                static_cast<double>(aln.sequence(i).hammingDistance(aln.sequence(j)));
     return d;
-}
-
-}  // namespace
-
-std::vector<std::vector<double>> hammingMatrix(const Alignment& aln) {
-    return pairwise(aln, [](std::size_t c) { return static_cast<double>(c); });
-}
-
-std::vector<std::vector<double>> pDistanceMatrix(const Alignment& aln) {
-    const double len = static_cast<double>(aln.length());
-    return pairwise(aln, [len](std::size_t c) { return static_cast<double>(c) / len; });
-}
-
-std::vector<std::vector<double>> jcDistanceMatrix(const Alignment& aln) {
-    const double len = static_cast<double>(aln.length());
-    return pairwise(aln, [len](std::size_t c) {
-        const double p = static_cast<double>(c) / len;
-        if (p >= 0.749999) return 10.0;  // saturation clamp
-        return -0.75 * std::log(1.0 - 4.0 * p / 3.0);
-    });
 }
 
 }  // namespace mpcgs

@@ -12,11 +12,4 @@ namespace mpcgs {
 /// Raw count of differing (known) positions — the paper's measure.
 std::vector<std::vector<double>> hammingMatrix(const Alignment& aln);
 
-/// Proportion of differing positions (count / length).
-std::vector<std::vector<double>> pDistanceMatrix(const Alignment& aln);
-
-/// Jukes-Cantor corrected distance, -3/4 ln(1 - 4p/3); saturated pairs
-/// (p >= 3/4) are clamped to a large finite distance.
-std::vector<std::vector<double>> jcDistanceMatrix(const Alignment& aln);
-
 }  // namespace mpcgs

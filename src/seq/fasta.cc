@@ -57,10 +57,4 @@ void writeFasta(std::ostream& out, const Alignment& aln, std::size_t lineWidth) 
     }
 }
 
-std::string writeFastaString(const Alignment& aln, std::size_t lineWidth) {
-    std::ostringstream os;
-    writeFasta(os, aln, lineWidth);
-    return os.str();
-}
-
 }  // namespace mpcgs

@@ -13,6 +13,5 @@ Alignment readFastaString(const std::string& text);
 Alignment readFastaFile(const std::string& path);
 
 void writeFasta(std::ostream& out, const Alignment& aln, std::size_t lineWidth = 70);
-std::string writeFastaString(const Alignment& aln, std::size_t lineWidth = 70);
 
 }  // namespace mpcgs

@@ -158,9 +158,4 @@ std::unique_ptr<SubstModel> makeF84(double kappa, BaseFreqs pi) {
         GtrModel::Exchangeabilities{1, 1 + kappa / piR, 1, 1, 1 + kappa / piY, 1}, pi);
 }
 
-std::unique_ptr<SubstModel> makeGtr(const GtrModel::Exchangeabilities& s, BaseFreqs pi,
-                                    bool normalize) {
-    return std::make_unique<GtrModel>("GTR", s, pi, normalize);
-}
-
 }  // namespace mpcgs

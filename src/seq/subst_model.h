@@ -111,8 +111,4 @@ std::unique_ptr<SubstModel> makeHky85(double kappa, BaseFreqs pi);
 /// two-process formulation); kappa = 0 reduces to F81.
 std::unique_ptr<SubstModel> makeF84(double kappa, BaseFreqs pi);
 
-/// Fully general GTR.
-std::unique_ptr<SubstModel> makeGtr(const GtrModel::Exchangeabilities& s, BaseFreqs pi,
-                                    bool normalize = true);
-
 }  // namespace mpcgs

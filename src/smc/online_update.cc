@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "coalescent/prior.h"
+#include "core/mle.h"
 #include "core/numeric_guard.h"
 #include "core/recoalesce.h"
 #include "lik/locus_likelihoods.h"
@@ -23,276 +24,115 @@ namespace mpcgs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Tripod scorer: exact grafted-tree log-likelihood as a function of the
-// attachment point, without ever building the grafted tree.
+// Attachment scorer: the exact log-likelihood of a tree grafted with the
+// new tip X, from slot-arena combines, without building the grafted tree.
+// Every supported model is time-reversible, so the grafted tree may be
+// rooted at the new node u, where X, the subtree below the branch and the
+// rest of the tree meet.
 //
-// Lower partials D_v (conditional vectors of the subtree below v against
-// the ENLARGED pattern set) are supplied from outside — arena slots in
-// the add-sequence path, CPU buffers in the test hook. The scorer adds the
-// OUTER partials: for every non-root v with parent w,
+// The lower slot D_v holds v's subtree. The outer slot O_v of a non-root
+// node v, with parent w and sibling s, holds everything outside v's
+// subtree as seen from w:
 //
-//   S_v,c(y)  = sum_z M_c(t_w - t_v)(y, z) D_v,c(z)       (D pushed up v's
-//                                                          branch)
-//   T_v,c(y)  = P(data outside v's subtree | state y at w), including the
-//               root marginalization over pi:
-//                 v child of the root:  T_v = pi .* S_sib(v)
-//                 otherwise:            T_v = U_w .* S_sib(v),
-//                 U_w,c(y) = sum_y' T_w,c(y') M_c(len_w)(y', y),
+//   O_v = combine(O_w, len_w, D_s, len_s).
 //
-// so the likelihood of the tree with a new tip X joined to branch (v, w)
-// by a coalescent node u at height h in (t_v, t_w) factorizes per pattern
-// and category as the tripod
+// Directly below the root nothing lies above w, so O_v is D_s at an extra
+// length len_s (M(a) M(b) = M(a + b)) and needs no slot. Attaching X to
+// the branch above v at height h in [t_v, t_w] scores as the root fold of
 //
-//   site_c = sum_y T_v,c(y) sum_z M_c(t_w - h)(y, z) A_c(z) B_c(z),
-//   A_c(z) = sum_a M_c(h - t_v)(z, a) D_v,c(a),
-//   B_c(z) = sum_b M_c(h)(z, b) X_c(b),
+//   combine(O_v, t_w - h, combine(D_v, h - t_v, X, h), 0),
 //
-// with per-pattern log scale scaleT_v + scaleD_v (the new tip carries
-// scale 0). Attaching to the ROOT LINEAGE (u above the old root at height
-// h > t_root) instead marginalizes pi at u directly:
-//
-//   site_c = sum_y pi_y [sum_z M_c(h - t_root)(y, z) D_root,c(z)]
-//                       [sum_b M_c(h)(y, b) X_c(b)],
-//
-// valid because every supported model is time-reversible, so re-rooting at
-// u leaves the likelihood unchanged. Matrix rows index the SOURCE
-// (ancestral) state throughout, matching SubstModel::transition.
+// and attaching it to the root lineage, at h above the old root, as the
+// root fold of combine(D_root, h - t_root, X, h).
 // ---------------------------------------------------------------------------
-class TripodScorer {
+class AttachmentScorer {
   public:
-    TripodScorer(const SitePatterns& patterns, const SubstModel& model,
-                 const BaseFreqs& pi, const RateCategories& rates, const Genealogy& tree)
-        : patterns_(patterns),
-          model_(model),
-          pi_(pi),
-          rates_(rates),
-          tree_(tree),
-          P_(patterns.patternCount()),
-          C_(rates.count()),
-          vlen_(C_ * P_ * 4) {
-        const std::size_t nodes = static_cast<std::size_t>(tree.nodeCount());
-        lowData_.assign(nodes, nullptr);
-        lowScale_.assign(nodes, nullptr);
-        matsU_.resize(C_);
-        matsA_.resize(C_);
-        matsB_.resize(C_);
+    using Slot = SlotArena::Slot;
+
+    /// Scratch slots one scorer needs: an outer slot per node of an
+    /// n-tip tree plus two for a candidate's combines.
+    static std::size_t scratchSlots(int n) { return 2 * static_cast<std::size_t>(n) + 1; }
+
+    /// Slot layout: tip t at slot t, the new tip X at slot n, internal
+    /// node n + k at `internal` + k, and scratchSlots(n) slots from
+    /// `scratch`. The tips and X must already hold their tipInit.
+    AttachmentScorer(SlotArena& arena, const Genealogy& g, Slot internal, Slot scratch)
+        : arena_(arena), g_(g), n_(g.tipCount()), internal_(internal), scratch_(scratch) {}
+
+    /// Combine every internal node's lower slot, children first.
+    void buildLower() {
+        for (NodeId v : g_.postorder()) {
+            if (g_.isTip(v)) continue;
+            const NodeId a = g_.node(v).child[0];
+            const NodeId b = g_.node(v).child[1];
+            arena_.combine(lower(v), lower(a), g_.branchLength(a), lower(b),
+                           g_.branchLength(b), nullptr);
+        }
     }
 
-    /// Lower conditional vectors of node `v`: data[(c*P+p)*4+x] plus the
-    /// per-pattern log scale. Must be set for every node reachable from the
-    /// root before buildOuter().
-    void setLower(NodeId v, const double* data, const double* scale) {
-        lowData_[static_cast<std::size_t>(v)] = data;
-        lowScale_[static_cast<std::size_t>(v)] = scale;
-    }
-
-    /// The new tip's conditional vectors (indicator columns, scale 0).
-    void setNewTip(const double* data) { tip_ = data; }
-
-    /// Compute S, U and T for the whole tree (preorder, parents first).
+    /// Combine every outer slot, parents first.
     void buildOuter() {
-        const std::size_t nodes = static_cast<std::size_t>(tree_.nodeCount());
-        sBuf_.assign(nodes * vlen_, 0.0);
-        uBuf_.assign(nodes * vlen_, 0.0);
-        tBuf_.assign(nodes * vlen_, 0.0);
-        tScale_.assign(nodes * P_, 0.0);
-
-        // S_v for every non-root node.
-        for (NodeId v = 0; v < tree_.nodeCount(); ++v) {
-            if (v == tree_.root()) continue;
-            const double len = tree_.branchLength(v);
-            for (std::size_t c = 0; c < C_; ++c)
-                matsA_[c] = model_.transition(rates_.rates[c] * len);
-            const double* d = lowData_[static_cast<std::size_t>(v)];
-            double* s = sBuf_.data() + static_cast<std::size_t>(v) * vlen_;
-            for (std::size_t c = 0; c < C_; ++c)
-                for (std::size_t p = 0; p < P_; ++p) {
-                    const double* dp = d + (c * P_ + p) * 4;
-                    double* sp = s + (c * P_ + p) * 4;
-                    for (int y = 0; y < 4; ++y)
-                        sp[y] = matsA_[c](y, 0) * dp[0] + matsA_[c](y, 1) * dp[1] +
-                                matsA_[c](y, 2) * dp[2] + matsA_[c](y, 3) * dp[3];
-                }
-        }
-
-        // U and T, parents before children.
-        for (NodeId w : tree_.preorder()) {
-            if (tree_.isTip(w)) continue;
-            double* u = uBuf_.data() + static_cast<std::size_t>(w) * vlen_;
-            if (w == tree_.root()) {
-                for (std::size_t c = 0; c < C_; ++c)
-                    for (std::size_t p = 0; p < P_; ++p)
-                        for (int y = 0; y < 4; ++y)
-                            u[(c * P_ + p) * 4 + y] = pi_[static_cast<std::size_t>(y)];
-            } else {
-                const double len = tree_.branchLength(w);
-                for (std::size_t c = 0; c < C_; ++c)
-                    matsA_[c] = model_.transition(rates_.rates[c] * len);
-                const double* t = tBuf_.data() + static_cast<std::size_t>(w) * vlen_;
-                for (std::size_t c = 0; c < C_; ++c)
-                    for (std::size_t p = 0; p < P_; ++p) {
-                        const double* tp = t + (c * P_ + p) * 4;
-                        double* up = u + (c * P_ + p) * 4;
-                        for (int y = 0; y < 4; ++y)
-                            up[y] = matsA_[c](0, y) * tp[0] + matsA_[c](1, y) * tp[1] +
-                                    matsA_[c](2, y) * tp[2] + matsA_[c](3, y) * tp[3];
-                    }
-            }
-            const double* uScale =
-                w == tree_.root() ? nullptr : tScale_.data() + static_cast<std::size_t>(w) * P_;
-
-            for (int side = 0; side < 2; ++side) {
-                const NodeId v = tree_.node(w).child[static_cast<std::size_t>(side)];
-                const NodeId sib = tree_.node(w).child[static_cast<std::size_t>(1 - side)];
-                const double* s = sBuf_.data() + static_cast<std::size_t>(sib) * vlen_;
-                const double* sibScale = lowScale_[static_cast<std::size_t>(sib)];
-                double* t = tBuf_.data() + static_cast<std::size_t>(v) * vlen_;
-                double* ts = tScale_.data() + static_cast<std::size_t>(v) * P_;
-                for (std::size_t c = 0; c < C_; ++c)
-                    for (std::size_t p = 0; p < P_; ++p)
-                        for (int y = 0; y < 4; ++y)
-                            t[(c * P_ + p) * 4 + y] =
-                                u[(c * P_ + p) * 4 + y] * s[(c * P_ + p) * 4 + y];
-                for (std::size_t p = 0; p < P_; ++p)
-                    ts[p] = (uScale ? uScale[p] : 0.0) + sibScale[p];
-                // Per-pattern max rescale across categories so deep
-                // outer products cannot underflow.
-                for (std::size_t p = 0; p < P_; ++p) {
-                    double m = 0.0;
-                    for (std::size_t c = 0; c < C_; ++c)
-                        for (int y = 0; y < 4; ++y)
-                            m = std::max(m, t[(c * P_ + p) * 4 + y]);
-                    if (m > 0.0 && std::isfinite(m)) {
-                        const double inv = 1.0 / m;
-                        for (std::size_t c = 0; c < C_; ++c)
-                            for (int y = 0; y < 4; ++y) t[(c * P_ + p) * 4 + y] *= inv;
-                        ts[p] += std::log(m);
-                    }
-                }
-            }
+        for (NodeId v : g_.preorder()) {
+            const NodeId w = g_.node(v).parent;
+            if (w == kNoNode || w == g_.root()) continue;
+            const Outer up = outer(w);
+            const NodeId s = sibling(v);
+            arena_.combine(scratch_ + static_cast<Slot>(v), up.slot,
+                           up.extra + g_.branchLength(w), lower(s), g_.branchLength(s),
+                           nullptr);
         }
     }
 
-    /// log-likelihood of the grafted tree for attachment node `v` at height
-    /// `h`; v == root() means the root lineage (h above the old root).
+    /// Log-likelihood of the grafted tree with X joined above `v` at height
+    /// `h`; v == root means the root lineage.
     double logLikAt(NodeId v, double h) {
-        constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-        double total = 0.0;
-        if (v == tree_.root()) {
-            const double tr = tree_.node(v).time;
-            for (std::size_t c = 0; c < C_; ++c) {
-                matsA_[c] = model_.transition(rates_.rates[c] * (h - tr));
-                matsB_[c] = model_.transition(rates_.rates[c] * h);
-            }
-            const double* d = lowData_[static_cast<std::size_t>(v)];
-            const double* dScale = lowScale_[static_cast<std::size_t>(v)];
-            for (std::size_t p = 0; p < P_; ++p) {
-                double site = 0.0;
-                for (std::size_t c = 0; c < C_; ++c) {
-                    const double* dp = d + (c * P_ + p) * 4;
-                    const double* xp = tip_ + (c * P_ + p) * 4;
-                    double acc = 0.0;
-                    for (int y = 0; y < 4; ++y) {
-                        const double a = matsA_[c](y, 0) * dp[0] + matsA_[c](y, 1) * dp[1] +
-                                         matsA_[c](y, 2) * dp[2] + matsA_[c](y, 3) * dp[3];
-                        const double b = matsB_[c](y, 0) * xp[0] + matsB_[c](y, 1) * xp[1] +
-                                         matsB_[c](y, 2) * xp[2] + matsB_[c](y, 3) * xp[3];
-                        acc += pi_[static_cast<std::size_t>(y)] * a * b;
-                    }
-                    site += rates_.weights[c] * acc;
-                }
-                const double logSite = site > 0.0 ? std::log(site) + dScale[p] : kNegInf;
-                total += patterns_.weight(p) * logSite;
-            }
-            return total;
+        const Slot joined = scratch_ + static_cast<Slot>(2 * n_ - 1);
+        const bool rootLineage = v == g_.root();
+        double logL = 0.0;
+        arena_.combine(joined, lower(v), h - g_.node(v).time, static_cast<Slot>(n_), h,
+                       rootLineage ? &logL : nullptr);
+        if (!rootLineage) {
+            const Outer up = outer(v);
+            arena_.combine(joined + 1, up.slot,
+                           up.extra + (g_.node(g_.node(v).parent).time - h), joined, 0.0,
+                           &logL);
         }
-
-        const NodeId w = tree_.node(v).parent;
-        const double tv = tree_.node(v).time;
-        const double tw = tree_.node(w).time;
-        for (std::size_t c = 0; c < C_; ++c) {
-            matsU_[c] = model_.transition(rates_.rates[c] * (tw - h));
-            matsA_[c] = model_.transition(rates_.rates[c] * (h - tv));
-            matsB_[c] = model_.transition(rates_.rates[c] * h);
-        }
-        const double* t = tBuf_.data() + static_cast<std::size_t>(v) * vlen_;
-        const double* ts = tScale_.data() + static_cast<std::size_t>(v) * P_;
-        const double* d = lowData_[static_cast<std::size_t>(v)];
-        const double* dScale = lowScale_[static_cast<std::size_t>(v)];
-        for (std::size_t p = 0; p < P_; ++p) {
-            double site = 0.0;
-            for (std::size_t c = 0; c < C_; ++c) {
-                const double* tp = t + (c * P_ + p) * 4;
-                const double* dp = d + (c * P_ + p) * 4;
-                const double* xp = tip_ + (c * P_ + p) * 4;
-                double ab[4];
-                for (int z = 0; z < 4; ++z) {
-                    const double a = matsA_[c](z, 0) * dp[0] + matsA_[c](z, 1) * dp[1] +
-                                     matsA_[c](z, 2) * dp[2] + matsA_[c](z, 3) * dp[3];
-                    const double b = matsB_[c](z, 0) * xp[0] + matsB_[c](z, 1) * xp[1] +
-                                     matsB_[c](z, 2) * xp[2] + matsB_[c](z, 3) * xp[3];
-                    ab[z] = a * b;
-                }
-                double acc = 0.0;
-                for (int y = 0; y < 4; ++y) {
-                    const double inner = matsU_[c](y, 0) * ab[0] + matsU_[c](y, 1) * ab[1] +
-                                         matsU_[c](y, 2) * ab[2] + matsU_[c](y, 3) * ab[3];
-                    acc += tp[y] * inner;
-                }
-                site += rates_.weights[c] * acc;
-            }
-            const double logSite =
-                site > 0.0 ? std::log(site) + ts[p] + dScale[p] : kNegInf;
-            total += patterns_.weight(p) * logSite;
-        }
-        return total;
+        return logL;
     }
 
   private:
-    const SitePatterns& patterns_;
-    const SubstModel& model_;
-    const BaseFreqs& pi_;
-    const RateCategories& rates_;
-    const Genealogy& tree_;
-    std::size_t P_, C_, vlen_;
-    std::vector<const double*> lowData_, lowScale_;
-    const double* tip_ = nullptr;
-    std::vector<double> sBuf_, uBuf_, tBuf_, tScale_;
-    std::vector<Matrix4> matsU_, matsA_, matsB_;
+    /// An outer slot and the branch length it still sits below.
+    struct Outer {
+        Slot slot;
+        double extra;
+    };
+
+    Slot lower(NodeId v) const {
+        return v < n_ ? static_cast<Slot>(v) : internal_ + static_cast<Slot>(v - n_);
+    }
+    NodeId sibling(NodeId v) const {
+        const TreeNode& w = g_.node(g_.node(v).parent);
+        return w.child[0] == v ? w.child[1] : w.child[0];
+    }
+    Outer outer(NodeId v) const {
+        if (g_.node(v).parent == g_.root()) {
+            const NodeId s = sibling(v);
+            return {lower(s), g_.branchLength(s)};
+        }
+        return {scratch_ + static_cast<Slot>(v), 0.0};
+    }
+
+    SlotArena& arena_;
+    const Genealogy& g_;
+    int n_;
+    Slot internal_;
+    Slot scratch_;
 };
 
-/// Golden-section iterations of the per-candidate height optimization.
-constexpr std::size_t kHeightSearchIterations = 24;
-
-/// Fixed-iteration golden-section maximum of f over [lo, hi]. The
-/// evaluation points are a deterministic function of (lo, hi, iters), so
-/// the guided proposal stays a deterministic function of the particle
-/// state (no adaptive tolerance).
-template <class F>
-double goldenSectionMax(double lo, double hi, std::size_t iters, F&& f) {
-    constexpr double kInvPhi = 0.6180339887498949;
-    double a = lo, b = hi;
-    double x1 = b - kInvPhi * (b - a);
-    double x2 = a + kInvPhi * (b - a);
-    double f1 = f(x1);
-    double f2 = f(x2);
-    for (std::size_t i = 0; i < iters; ++i) {
-        if (f1 < f2) {
-            a = x1;
-            x1 = x2;
-            f1 = f2;
-            x2 = a + kInvPhi * (b - a);
-            f2 = f(x2);
-        } else {
-            b = x2;
-            x2 = x1;
-            f2 = f1;
-            x1 = b - kInvPhi * (b - a);
-            f1 = f(x1);
-        }
-    }
-    return std::max(f1, f2);
-}
+/// Golden-section steps of the per-candidate height search. A fixed count
+/// keeps the guided proposal a deterministic function of the particle's
+/// tree.
+constexpr int kHeightSearchIterations = 24;
 
 /// The enlarged-arena graft: old tips keep their ids, the new tip becomes
 /// id n, old internals shift by one (v -> v+1) and the new coalescent node
@@ -367,7 +207,7 @@ OnlineSmcUpdater::OnlineSmcUpdater(OnlineState& state, const OnlineOptions& opts
     if (state.particles.empty()) throw ConfigError("online: state holds no particles");
     if (state.slotRngs.size() != state.particles.size())
         throw ConfigError("online: state RNG stream count does not match particle count");
-    if (state.theta <= 0.0) throw ConfigError("online: theta must be positive");
+    if (!(state.theta > 0.0)) throw ConfigError("online: theta must be positive");
 }
 
 OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
@@ -396,61 +236,41 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
     SlotArena arena(lik);
     const std::vector<std::string> newNames = newAln.names();
 
-    // --- Phase 1: rebuild every particle's lower partials against the new
-    // pattern set. Slot map: tips [0, n] shared (the new tip is sequence
-    // n), then (n-1) internal slots per particle, which only that
-    // particle's postorder writes — so one launch over fixed particle
-    // blocks rebuilds the whole cloud.
+    // --- Phase 1: rebuild each particle's lower slots against the new
+    // pattern set and draw its guided attachment, thread-parallel over
+    // fixed particle blocks with slot-pinned RNG streams (bitwise invariant
+    // to the worker count). Slot map: tips [0, n] shared (the new tip is
+    // sequence n), then n-1 lower slots per particle, then one scorer's
+    // scratch per block; a particle's combines write only its own lower
+    // slots and its block's scratch. Candidates are the 2n-2 non-root nodes
+    // in id order plus the root lineage LAST; each candidate's weight is
+    // its height-optimized grafted-tree log-likelihood, softmax-normalized.
     const std::size_t tipSlots = static_cast<std::size_t>(n) + 1;
     const std::size_t perParticle = static_cast<std::size_t>(n) - 1;
-    arena.resizeSlots(tipSlots + N * perParticle);
-    const auto slotOf = [&](std::size_t p, NodeId id) {
-        return static_cast<SlotArena::Slot>(
-            id < n ? static_cast<std::size_t>(id)
-                   : tipSlots + p * perParticle + static_cast<std::size_t>(id - n));
-    };
+    const std::size_t lowerSlots = tipSlots + N * perParticle;
+    const std::size_t scratchSlots = AttachmentScorer::scratchSlots(n);
+    const std::size_t blocks = (N + kParticleBlockSize - 1) / kParticleBlockSize;
+    arena.resizeSlots(lowerSlots + blocks * scratchSlots);
     for (int t = 0; t <= n; ++t) arena.tipInit(static_cast<SlotArena::Slot>(t), t, nullptr);
-    const int nodes = 2 * n - 1;
-    launchBlocked(pool_, N, kParticleBlockSize, [&](std::size_t, std::size_t begin,
-                                                 std::size_t end) {
-        for (std::size_t p = begin; p < end; ++p) {
-            const Genealogy& g = state_.particles[p].tree;
-            for (NodeId v : g.postorder()) {
-                if (g.isTip(v)) continue;
-                const NodeId a = g.node(v).child[0];
-                const NodeId b = g.node(v).child[1];
-                arena.combine(slotOf(p, v), slotOf(p, a), g.node(v).time - g.node(a).time,
-                              slotOf(p, b), g.node(v).time - g.node(b).time, nullptr);
-            }
-        }
-    });
-
-    // --- Phase 2: guided attachment per particle, thread-parallel over
-    // fixed particle blocks with slot-pinned RNG streams (bitwise invariant
-    // to the worker count). Candidates are the 2n-2 non-root nodes in id
-    // order plus the root lineage LAST; each candidate's weight is its
-    // height-optimized tripod log-likelihood, softmax-normalized.
     std::vector<double> delta(N, 0.0);
     std::vector<double> newLogL(N, 0.0);
     std::vector<Genealogy> newTrees(N);
-    launchBlocked(pool_, N, kParticleBlockSize, [&](std::size_t, std::size_t begin,
+    launchBlocked(pool_, N, kParticleBlockSize, [&](std::size_t block, std::size_t begin,
                                                  std::size_t end) {
         for (std::size_t p = begin; p < end; ++p) {
             const OnlineParticle& pt = state_.particles[p];
             const Genealogy& g = pt.tree;
             Mt19937& rng = state_.slotRngs[p];
 
-            TripodScorer scorer(lik.patterns(), lik.model(), lik.rootFreqs(),
-                                lik.rateCategories(), g);
-            for (NodeId v = 0; v < nodes; ++v)
-                scorer.setLower(v, arena.slotData(slotOf(p, v)).data(),
-                                arena.slotScale(slotOf(p, v)).data());
-            scorer.setNewTip(arena.slotData(static_cast<SlotArena::Slot>(n)).data());
+            AttachmentScorer scorer(
+                arena, g, static_cast<SlotArena::Slot>(tipSlots + p * perParticle),
+                static_cast<SlotArena::Slot>(lowerSlots + block * scratchSlots));
+            scorer.buildLower();
             scorer.buildOuter();
 
             std::vector<NodeId> cands;
-            cands.reserve(static_cast<std::size_t>(nodes));
-            for (NodeId v = 0; v < nodes; ++v)
+            cands.reserve(static_cast<std::size_t>(g.nodeCount()));
+            for (NodeId v = 0; v < g.nodeCount(); ++v)
                 if (v != g.root()) cands.push_back(v);
             cands.push_back(g.root());  // the root lineage, by convention last
 
@@ -461,8 +281,10 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
                 const double lo = v == g.root() ? tRoot : g.node(v).time;
                 const double hi =
                     v == g.root() ? tRoot + 2.0 * theta : g.node(g.node(v).parent).time;
-                phi[i] = goldenSectionMax(lo, hi, kHeightSearchIterations,
-                                          [&](double h) { return scorer.logLikAt(v, h); });
+                const GoldenSection best = goldenSectionMax(
+                    [&](double h) { return scorer.logLikAt(v, h); }, lo, hi, 0.0,
+                    kHeightSearchIterations);
+                phi[i] = std::max(best.f1, best.f2);
             }
 
             const double logQNorm = logSumExp(phi);
@@ -495,7 +317,7 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
         }
     });
 
-    // --- Phase 3 (serial): reweight, guard, commit. The fail point lives
+    // --- Phase 2 (serial): reweight, guard, commit. The fail point lives
     // here so its evaluation count (one per update) is deterministic.
     if (const auto hit = MPCGS_FAILPOINT("online.reweight"); hit.fired()) {
         if (hit.action == failpoint::Action::Nan)
@@ -543,7 +365,7 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
     OnlineUpdateResult res;
     res.logZIncrement = logZInc;
 
-    // --- Phase 4: ESS refresh. Threshold 1.0 refreshes unconditionally
+    // --- Phase 3: ESS refresh. Threshold 1.0 refreshes unconditionally
     // (the same boundary contract as the batch filter), 0.0 never does.
     std::vector<double> probs;
     for (std::size_t p = 0; p < N; ++p) logW[p] = state_.particles[p].logW;
@@ -691,30 +513,15 @@ double onlineAttachmentLogLik(const DataLikelihood& lik, const Genealogy& tree,
             "online: attachment evaluator needs exactly one more alignment "
             "sequence than the tree has tips");
 
-    // Lower partials through the items the add-sequence path runs: slot =
-    // node id, the new tip (sequence n) in the slot after the last node.
+    // The add-sequence scorer over one particle's slot layout: tips and
+    // the new tip in [0, n], lower slots from n + 1, scratch after them.
     using Slot = SlotArena::Slot;
+    const Slot n = static_cast<Slot>(tree.tipCount());
     SlotArena arena(lik);
-    const Slot newTip = static_cast<Slot>(tree.nodeCount());
-    arena.resizeSlots(newTip + 1u);
-    for (int t = 0; t < tree.tipCount(); ++t)
-        arena.tipInit(static_cast<Slot>(t), t, nullptr);
-    arena.tipInit(newTip, tree.tipCount(), nullptr);
-    for (NodeId v : tree.postorder()) {
-        if (tree.isTip(v)) continue;
-        const NodeId a = tree.node(v).child[0];
-        const NodeId b = tree.node(v).child[1];
-        arena.combine(static_cast<Slot>(v), static_cast<Slot>(a),
-                      tree.node(v).time - tree.node(a).time, static_cast<Slot>(b),
-                      tree.node(v).time - tree.node(b).time, nullptr);
-    }
-
-    TripodScorer scorer(lik.patterns(), lik.model(), lik.rootFreqs(), lik.rateCategories(),
-                        tree);
-    for (NodeId v = 0; v < tree.nodeCount(); ++v)
-        scorer.setLower(v, arena.slotData(static_cast<Slot>(v)).data(),
-                        arena.slotScale(static_cast<Slot>(v)).data());
-    scorer.setNewTip(arena.slotData(newTip).data());
+    arena.resizeSlots(2 * n + AttachmentScorer::scratchSlots(tree.tipCount()));
+    for (Slot t = 0; t <= n; ++t) arena.tipInit(t, static_cast<int>(t), nullptr);
+    AttachmentScorer scorer(arena, tree, n + 1, 2 * n);
+    scorer.buildLower();
     scorer.buildOuter();
     return scorer.logLikAt(attach, height);
 }

@@ -11,13 +11,16 @@
 //      combines its own tree in postorder, all particles in one launch
 //      over fixed particle blocks (the generation-launch shape of the
 //      batch filter).
-//   2. For every particle, enumerate candidate attachment branches (every
-//      branch of the old tree plus the root lineage), 1D-optimize the
-//      attachment height per candidate against the EXACT grafted-tree
-//      likelihood (tripod evaluation: outer partials above the branch x
-//      lower partials below x the new tip's vectors), and sample an
-//      attachment from the softmax of the optimized scores — a guided
-//      proposal with a closed-form density.
+//   2. In the same launch, enumerate each particle's candidate attachment
+//      branches (every branch of the old tree plus the root lineage),
+//      golden-section-optimize the attachment height per candidate against
+//      the EXACT grafted-tree likelihood, and sample an attachment from the
+//      softmax of the optimized scores — a guided proposal with a
+//      closed-form density. Scores are SlotArena combines: every supported
+//      model is time-reversible, so the grafted tree is rooted at the new
+//      node, where the new tip, the subtree below the branch (its lower
+//      slot) and the rest of the tree (an outer slot, combined once per
+//      node) meet.
 //   3. Importance-reweight by the exact target/proposal ratio
 //        dlogw = [logL_{n+1}(G') + logPrior_{n+1}(G')]
 //              - [logL_n(G) + logPrior_n(G)] - log q(branch) - log q(h|b),
@@ -32,10 +35,10 @@
 // Determinism contract (inherited from the batch filter): particle slot i
 // owns a persistent Mt19937 stream, cloud-level draws use the host
 // stream, all parallel phases run over fixed particle blocks
-// (launchBlocked), and a particle's rebuild writes only its own slots — an
-// online update is bitwise invariant to the thread count, and a
-// saved/loaded OnlineState continues bitwise-identically (serve
-// kill+resume).
+// (launchBlocked), and a particle's combines write only its own slots and
+// its block's scratch slots — an online update is bitwise invariant to
+// the thread count, and a saved/loaded OnlineState continues
+// bitwise-identically (serve kill+resume).
 #pragma once
 
 #include <cstdint>
@@ -108,7 +111,9 @@ OnlineState initOnlineState(const Alignment& aln, double theta, const SmcOptions
 /// The add-sequence updater. Borrows the state (mutated in place) and the
 /// pool; construction is cheap — per-update resources (pattern data,
 /// slot arena) are rebuilt per call because the enlarged
-/// alignment's compressed pattern set differs from the old one.
+/// alignment's compressed pattern set differs from the old one. Throws
+/// ConfigError on a threshold outside [0, 1], an empty state or a theta
+/// that is not positive (NaN included).
 class OnlineSmcUpdater {
   public:
     OnlineSmcUpdater(OnlineState& state, const OnlineOptions& opts,
@@ -142,12 +147,11 @@ void saveOnlineState(const std::string& path, const OnlineState& state);
 OnlineState loadOnlineState(const std::string& path);
 
 /// Exact log-likelihood of `tree` with the LAST sequence of `lik`'s
-/// alignment grafted as a new tip above node `attach` at height `height`
-/// (tripod evaluation over lower/outer partials). `tree` must span
-/// alignment sequences [0, n-1) with tip ids [0, n-1) inside an
-/// (n+1)-sized arena — the remapped layout addSequence uses internally.
-/// Exposed for the agreement tests; attach == tree.root() means the root
-/// lineage (height above the root).
+/// alignment grafted as a new tip above node `attach` at height `height`,
+/// from the same slot-arena combines addSequence scores and commits with.
+/// `tree` has one tip fewer than the alignment has sequences, and its tip
+/// t is sequence t. Exposed for the agreement tests; attach == tree.root()
+/// means the root lineage (height above the root).
 double onlineAttachmentLogLik(const DataLikelihood& lik, const Genealogy& tree,
                               NodeId attach, double height);
 

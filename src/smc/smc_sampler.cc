@@ -31,7 +31,7 @@ SmcFilter::SmcFilter(SlotArena& arena, double theta, const SmcOptions& opts,
       pool_(pool),
       totalEvents_([&] {
           validateSmcOptions(opts);
-          if (theta <= 0.0) throw ConfigError("smc: theta must be positive");
+          if (!(theta > 0.0)) throw ConfigError("smc: theta must be positive");
           const int n = static_cast<int>(arena.tipNames().size());
           if (n < 2) throw ConfigError("smc: need at least 2 sequences");
           return n - 1;

@@ -54,12 +54,6 @@ TEST(AlignmentTest, BaseFrequenciesNeverZero) {
     EXPECT_GT(pi[kNucG], 0.0);
 }
 
-TEST(AlignmentTest, UnknownDetection) {
-    EXPECT_FALSE(makeAln().hasUnknowns());
-    const Alignment b({Sequence::fromString("s1", "ACN"), Sequence::fromString("s2", "ACG")});
-    EXPECT_TRUE(b.hasUnknowns());
-}
-
 TEST(AlignmentTest, SegregatingSites) {
     const Alignment a = makeAln();
     // Columns: AAA, AAA, CCC, GGT, TAT -> 2 polymorphic.

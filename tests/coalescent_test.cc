@@ -58,21 +58,14 @@ TEST(CoalescentPrior, GenealogyOverloadAgrees) {
                 logCoalescentPrior(std::span<const CoalInterval>(ivs), 1.3), 1e-12);
 }
 
-TEST(CoalescentPrior, DerivativeMatchesNumeric) {
-    std::vector<CoalInterval> ivs{{0.0, 0.1, 4}, {0.1, 0.35, 3}, {0.35, 1.2, 2}};
-    for (const double theta : {0.3, 1.0, 4.0}) {
-        const double h = 1e-6 * theta;
-        const double numeric = (logCoalescentPrior(ivs, theta + h) -
-                                logCoalescentPrior(ivs, theta - h)) /
-                               (2.0 * h);
-        EXPECT_NEAR(dLogCoalescentPrior(ivs, theta), numeric, 1e-5 * std::fabs(numeric) + 1e-8);
-    }
-}
-
 TEST(CoalescentPrior, SingleTreeMleIsStationaryPoint) {
     std::vector<CoalInterval> ivs{{0.0, 0.1, 4}, {0.1, 0.35, 3}, {0.35, 1.2, 2}};
     const double mle = singleTreeThetaMle(ivs);
-    EXPECT_NEAR(dLogCoalescentPrior(ivs, mle), 0.0, 1e-10);
+    // The central difference of the log prior vanishes there.
+    const double h = 1e-6 * mle;
+    const double slope =
+        (logCoalescentPrior(ivs, mle + h) - logCoalescentPrior(ivs, mle - h)) / (2.0 * h);
+    EXPECT_NEAR(slope, 0.0, 1e-6);
     // And it is a maximum: slightly off values give lower prior.
     EXPECT_GT(logCoalescentPrior(ivs, mle), logCoalescentPrior(ivs, mle * 1.1));
     EXPECT_GT(logCoalescentPrior(ivs, mle), logCoalescentPrior(ivs, mle * 0.9));

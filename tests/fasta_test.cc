@@ -1,5 +1,7 @@
 #include "seq/fasta.h"
 
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "util/error.h"
@@ -30,7 +32,9 @@ TEST(FastaTest, HandlesCrLf) {
 TEST(FastaTest, RoundTripWithWrapping) {
     const Alignment a({Sequence::fromString("long", std::string(150, 'A') + std::string(50, 'C')),
                        Sequence::fromString("short", std::string(200, 'G'))});
-    const Alignment b = readFastaString(writeFastaString(a, 60));
+    std::ostringstream text;
+    writeFasta(text, a, 60);
+    const Alignment b = readFastaString(text.str());
     EXPECT_EQ(b.sequence(0).toString(), a.sequence(0).toString());
     EXPECT_EQ(b.sequence(1).toString(), a.sequence(1).toString());
 }

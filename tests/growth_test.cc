@@ -46,24 +46,6 @@ TEST(GrowthPrior, HandComputedSingleInterval) {
     EXPECT_NEAR(logGrowthCoalescentPrior(ivs, {theta, g}), expect, 1e-12);
 }
 
-TEST(GrowthPrior, GradientMatchesNumeric) {
-    const auto ivs = sampleIntervals();
-    for (const GrowthParams p : {GrowthParams{0.7, 0.0}, GrowthParams{1.3, 1.5},
-                                 GrowthParams{2.0, 5.0}, GrowthParams{0.5, -0.8}}) {
-        const GrowthGradient grad = growthPriorGradient(ivs, p);
-        const double hT = 1e-6 * p.theta;
-        const double numT = (logGrowthCoalescentPrior(ivs, {p.theta + hT, p.growth}) -
-                             logGrowthCoalescentPrior(ivs, {p.theta - hT, p.growth})) /
-                            (2 * hT);
-        const double hG = 1e-6;
-        const double numG = (logGrowthCoalescentPrior(ivs, {p.theta, p.growth + hG}) -
-                             logGrowthCoalescentPrior(ivs, {p.theta, p.growth - hG})) /
-                            (2 * hG);
-        EXPECT_NEAR(grad.dTheta, numT, 1e-4 * (1.0 + std::fabs(numT)));
-        EXPECT_NEAR(grad.dGrowth, numG, 1e-4 * (1.0 + std::fabs(numG)));
-    }
-}
-
 TEST(GrowthSimulator, ZeroGrowthMatchesConstantSizeMoments) {
     Mt19937 rng(61);
     const double theta = 1.0;

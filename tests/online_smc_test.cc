@@ -1,6 +1,6 @@
-// Online SMC add-sequence move (src/smc/online_update.h): tripod
-// attachment likelihoods must agree with full Felsenstein pruning on the
-// explicitly grafted tree, an update must leave a normalized cloud whose
+// Online SMC add-sequence move (src/smc/online_update.h): attachment
+// scores must agree with the scalar pruning reference on the explicitly
+// grafted tree, an update must leave a normalized cloud whose
 // cached likelihoods ARE the grafted trees' likelihoods, results must be
 // bitwise invariant to the thread count, and the ESS-threshold boundaries
 // (0.0 never / 1.0 always) must behave contractually for both the batch
@@ -15,11 +15,13 @@
 #include "coalescent/simulator.h"
 #include "lik/felsenstein.h"
 #include "lik/locus_likelihoods.h"
+#include "lik/rate_model.h"
 #include "par/thread_pool.h"
 #include "rng/mt19937.h"
 #include "seq/seqgen.h"
 #include "smc/online_update.h"
 #include "smc/smc_sampler.h"
+#include "util/error.h"
 #include "util/logspace.h"
 
 namespace mpcgs {
@@ -70,6 +72,34 @@ Genealogy graftForTest(const Genealogy& t, NodeId attach, double h) {
     return g;
 }
 
+/// Every branch of `tree` at three interior heights and the root lineage
+/// at three heights above the root: the online score of each graft against
+/// the scalar reference of the explicit graft, to `relTol` relative.
+void expectAttachmentsMatchReference(const DataLikelihood& lik, const Genealogy& tree,
+                                     double relTol) {
+    for (NodeId v = 0; v < tree.nodeCount(); ++v) {
+        if (v == tree.root()) continue;
+        const double lo = tree.node(v).time;
+        const double hi = tree.node(tree.node(v).parent).time;
+        for (const double f : {0.07, 0.5, 0.93}) {
+            const double h = lo + f * (hi - lo);
+            const double reference = lik.logLikelihoodReference(graftForTest(tree, v, h));
+            EXPECT_NEAR(onlineAttachmentLogLik(lik, tree, v, h), reference,
+                        relTol * std::abs(reference))
+                << "attach=" << v << " h=" << h;
+        }
+    }
+    const double tRoot = tree.node(tree.root()).time;
+    for (const double dh : {0.05, 0.6, 2.3}) {
+        const double h = tRoot + dh;
+        const double reference =
+            lik.logLikelihoodReference(graftForTest(tree, tree.root(), h));
+        EXPECT_NEAR(onlineAttachmentLogLik(lik, tree, tree.root(), h), reference,
+                    relTol * std::abs(reference))
+            << "root h=" << h;
+    }
+}
+
 TEST(OnlineTripodTest, AttachmentLogLikMatchesExplicitGraftEverywhere) {
     const Alignment aln = simAlignment(5, 11);
     const auto model = makeInferenceModel("F81", aln);
@@ -77,28 +107,37 @@ TEST(OnlineTripodTest, AttachmentLogLikMatchesExplicitGraftEverywhere) {
 
     Mt19937 rng(29);
     const Genealogy tree = simulateCoalescent(4, 1.0, rng);
-    const double tRoot = tree.node(tree.root()).time;
+    expectAttachmentsMatchReference(lik, tree, 1e-9);
+}
 
-    // Every branch of the tree at several interior heights, plus the root
-    // lineage at several heights above the root.
-    for (NodeId v = 0; v < tree.nodeCount(); ++v) {
-        if (v == tree.root()) continue;
-        const double lo = tree.node(v).time;
-        const double hi = tree.node(tree.node(v).parent).time;
-        for (const double f : {0.07, 0.5, 0.93}) {
-            const double h = lo + f * (hi - lo);
-            const double viaTripod = onlineAttachmentLogLik(lik, tree, v, h);
-            const double viaFull = lik.logLikelihood(graftForTest(tree, v, h));
-            EXPECT_NEAR(viaTripod, viaFull, 1e-9 * std::abs(viaFull))
-                << "attach=" << v << " h=" << h;
-        }
-    }
-    for (const double dh : {0.05, 0.6, 2.3}) {
-        const double h = tRoot + dh;
-        const double viaTripod = onlineAttachmentLogLik(lik, tree, tree.root(), h);
-        const double viaFull = lik.logLikelihood(graftForTest(tree, tree.root(), h));
-        EXPECT_NEAR(viaTripod, viaFull, 1e-9 * std::abs(viaFull)) << "root h=" << h;
-    }
+TEST(OnlineTripodTest, GammaAndHkyScoresMatchTheReferenceOnTwelveTips) {
+    const Alignment aln = simAlignment(13, 41);
+    Mt19937 rng(43);
+    const Genealogy tree = simulateCoalescent(12, 1.0, rng);
+
+    const auto f81 = makeInferenceModel("F81", aln);
+    const DataLikelihood gamma(aln, *f81, RateCategories::discreteGamma(0.5, 4));
+    expectAttachmentsMatchReference(gamma, tree, 1e-10);
+
+    // HKY85 is a GtrModel: its transition(0), which every branch candidate
+    // combines through, equals the identity only to round-off.
+    const auto hky = makeInferenceModel("HKY85", aln);
+    const DataLikelihood hkyLik(aln, *hky);
+    expectAttachmentsMatchReference(hkyLik, tree, 1e-10);
+}
+
+TEST(OnlineUpdateTest, FilterAndUpdaterRejectNanTheta) {
+    const Alignment full = simAlignment(5, 31);
+    const double nan = std::nan("");
+    SmcOptions smc;
+    smc.particles = 8;
+    const auto model = makeInferenceModel("F81", full);
+    const DataLikelihood lik(full, *model);
+    EXPECT_THROW(runSmcPass(lik, nan, smc, 1), ConfigError);
+    EXPECT_THROW(initOnlineState(dropLast(full), nan, smc, "F81", 1), ConfigError);
+    OnlineState st = initOnlineState(dropLast(full), 1.0, smc, "F81", 1);
+    st.theta = nan;
+    EXPECT_THROW(OnlineSmcUpdater(st, OnlineOptions{}), ConfigError);
 }
 
 TEST(OnlineUpdateTest, AddSequenceCommitsExactLikelihoodsAndNormalizedWeights) {
@@ -125,7 +164,7 @@ TEST(OnlineUpdateTest, AddSequenceCommitsExactLikelihoodsAndNormalizedWeights) {
 
     // Every committed particle is a valid 6-tip genealogy whose cached
     // logL IS the full-data Felsenstein likelihood of its tree — the
-    // tripod score the proposal used, cross-checked against the
+    // attachment score the proposal used, cross-checked against the
     // independent pruning engine.
     const auto model = makeInferenceModel("F81", st.alignment);
     const DataLikelihood lik(st.alignment, *model);
@@ -133,7 +172,7 @@ TEST(OnlineUpdateTest, AddSequenceCommitsExactLikelihoodsAndNormalizedWeights) {
         ASSERT_EQ(p.tree.tipCount(), 6);
         p.tree.validate();
         const double reference = lik.logLikelihood(p.tree);
-        EXPECT_NEAR(p.logL, reference, 1e-7 * std::abs(reference));
+        EXPECT_NEAR(p.logL, reference, 1e-10 * std::abs(reference));
     }
 }
 

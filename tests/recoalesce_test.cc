@@ -29,15 +29,6 @@ Genealogy makeThreeTip() {
     return g;
 }
 
-TEST(LineageIndexTest, CrossingCountsOnHandTree) {
-    const Genealogy g = makeThreeTip();
-    const LineageIndex idx(g, g.root());
-    EXPECT_EQ(idx.crossingCount(0.5), 3);   // 0,1,2 branches
-    EXPECT_EQ(idx.crossingCount(1.5), 2);   // node3 and tip2 branches
-    EXPECT_EQ(idx.crossingCount(5.0), 1);   // root lineage only
-    EXPECT_EQ(idx.crossingCount(-0.1), 0);  // before the present
-}
-
 TEST(LineageIndexTest, CrossingNodesIdentity) {
     const Genealogy g = makeThreeTip();
     const LineageIndex idx(g, g.root());
@@ -67,7 +58,7 @@ TEST(LineageIndexTest, AttachDensityNormalizes) {
     const double dt = 1e-3;
     for (double s = start; s < 40.0; s += dt) {
         const double mid = s + dt / 2;
-        integral += idx.crossingCount(mid) *
+        integral += static_cast<double>(idx.crossingNodes(mid).size()) *
                     std::exp(idx.logAttachDensity(start, mid, theta)) * dt;
     }
     EXPECT_NEAR(integral, 1.0, 1e-3);

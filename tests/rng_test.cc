@@ -109,14 +109,6 @@ TEST(PhiloxTest, SplitMatchesDirectConstruction) {
     for (int i = 0; i < 64; ++i) EXPECT_EQ(split.nextU32(), direct.nextU32());
 }
 
-TEST(PhiloxTest, SkipBlocksMatchesDraining) {
-    Philox a(5, 3);
-    Philox b(5, 3);
-    for (int i = 0; i < 10 * 4; ++i) a.nextU32();  // 10 blocks
-    b.skipBlocks(10);
-    for (int i = 0; i < 32; ++i) EXPECT_EQ(a.nextU32(), b.nextU32());
-}
-
 TEST(PhiloxTest, DeterministicAcrossInstances) {
     Philox a(123, 5), b(123, 5);
     for (int i = 0; i < 100; ++i) EXPECT_EQ(a.nextU32(), b.nextU32());

@@ -20,7 +20,8 @@ std::vector<std::unique_ptr<SubstModel>> allModels() {
     ms.push_back(makeK80(2.5));
     ms.push_back(makeHky85(2.5, kSkewed));
     ms.push_back(makeF84(1.5, kSkewed));
-    ms.push_back(makeGtr({1.0, 2.0, 0.5, 0.7, 3.0, 1.2}, kSkewed));
+    ms.push_back(std::make_unique<GtrModel>(
+        "GTR", GtrModel::Exchangeabilities{1.0, 2.0, 0.5, 0.7, 3.0, 1.2}, kSkewed));
     return ms;
 }
 
@@ -99,9 +100,9 @@ TEST(SubstModelTest, F81MatchesEq20Verbatim) {
 TEST(SubstModelTest, F81EqualsGtrWithUniformExchangeabilities) {
     // F81 with u=1 equals unnormalized GTR with all exchangeabilities 1.
     const F81Model analytic(kSkewed, 1.0);
-    const auto spectral = makeGtr({1, 1, 1, 1, 1, 1}, kSkewed, /*normalize=*/false);
+    const GtrModel spectral("GTR", {1, 1, 1, 1, 1, 1}, kSkewed, /*normalize=*/false);
     for (const double t : {0.05, 0.3, 1.2}) {
-        EXPECT_LT(analytic.transition(t).maxAbsDiff(spectral->transition(t)), 1e-10);
+        EXPECT_LT(analytic.transition(t).maxAbsDiff(spectral.transition(t)), 1e-10);
     }
 }
 
@@ -109,9 +110,9 @@ TEST(SubstModelTest, F84WithZeroKappaIsF81Shape) {
     // kappa = 0 removes the within-class boost; after normalization F84
     // equals normalized F81 (= normalized uniform-exchangeability GTR).
     const auto f84 = makeF84(0.0, kSkewed);
-    const auto f81norm = makeGtr({1, 1, 1, 1, 1, 1}, kSkewed, /*normalize=*/true);
+    const GtrModel f81norm("GTR", {1, 1, 1, 1, 1, 1}, kSkewed, /*normalize=*/true);
     for (const double t : {0.1, 0.7}) {
-        EXPECT_LT(f84->transition(t).maxAbsDiff(f81norm->transition(t)), 1e-10);
+        EXPECT_LT(f84->transition(t).maxAbsDiff(f81norm.transition(t)), 1e-10);
     }
 }
 

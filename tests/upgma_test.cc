@@ -79,17 +79,8 @@ TEST(DistanceTest, MatricesAreConsistent) {
     const Alignment aln({Sequence::fromString("a", "AAAA"),
                          Sequence::fromString("b", "AATT")});
     EXPECT_DOUBLE_EQ(hammingMatrix(aln)[0][1], 2.0);
-    EXPECT_DOUBLE_EQ(pDistanceMatrix(aln)[0][1], 0.5);
-    // JC correction: -3/4 ln(1 - 4*0.5/3).
-    EXPECT_NEAR(jcDistanceMatrix(aln)[0][1], -0.75 * std::log(1.0 - 2.0 / 3.0), 1e-12);
     EXPECT_DOUBLE_EQ(hammingMatrix(aln)[1][0], hammingMatrix(aln)[0][1]);
     EXPECT_DOUBLE_EQ(hammingMatrix(aln)[0][0], 0.0);
-}
-
-TEST(DistanceTest, JcSaturationClamps) {
-    const Alignment aln({Sequence::fromString("a", "AAAA"),
-                         Sequence::fromString("b", "TTTT")});
-    EXPECT_DOUBLE_EQ(jcDistanceMatrix(aln)[0][1], 10.0);
 }
 
 }  // namespace
