@@ -94,29 +94,25 @@ LikelihoodEngine::LikelihoodEngine(const SitePatterns& patterns, const SubstMode
 
     const std::size_t P = patterns_.patternCount();
     const std::size_t nSeq = patterns_.sequenceCount();
-    stride_ = roundUpTo(std::max<std::size_t>(P, 1), 8);
+    stride_ = roundUpTo(std::max<std::size_t>(P, 1), kTilePatterns);
     tipPartials_.ensure(nSeq * stride_ * 4);
-    for (std::size_t s = 0; s < nSeq; ++s) {
-        double* row = tipPartials_.data() + s * stride_ * 4;
-        fillTipStrip(patterns_.codesData(), nSeq, s, 0, row, P);
-        // Padding patterns: benign ones so vector lanes never see garbage.
-        for (std::size_t p = P; p < stride_; ++p)
-            row[4 * p] = row[4 * p + 1] = row[4 * p + 2] = row[4 * p + 3] = 1.0;
-    }
+    for (std::size_t s = 0; s < nSeq; ++s)
+        fillTipStrip(patterns_.codesData(), nSeq, s, tipPartials_.data() + s * stride_ * 4, P);
 }
 
 std::size_t LikelihoodEngine::blockSize() const {
     // Size pattern blocks so one block's partials + scale working set
     // (internals x (4+1) doubles per pattern) stays around 128 KiB —
     // comfortably cache-resident while leaving enough blocks to spread
-    // across workers. Multiples of 8 keep every strip 64-byte aligned, and
-    // the partition depends only on the problem shape, never on the pool.
+    // across workers. Blocks of whole tiles start every slice on a tile
+    // (and cache-line) boundary, and the partition depends only on the
+    // problem shape, never on the pool.
     const std::size_t internals =
         std::max<std::size_t>(1, patterns_.sequenceCount() - 1);
     const std::size_t bytesPerPattern = internals * 5 * sizeof(double);
     std::size_t b = (128 * 1024) / bytesPerPattern;
     b = std::clamp<std::size_t>(b, 16, 2048);
-    return b - b % 8;
+    return b - b % kTilePatterns;
 }
 
 void LikelihoodEngine::traversalMeta(const Genealogy& g, const std::vector<NodeId>& order,
@@ -180,7 +176,8 @@ double LikelihoodEngine::runBlock(const BlockJob& job, std::size_t lo, std::size
         // Listed nodes go to the output arena's full-length strips, at this
         // block's offset, or to block-local scratch strips.
         const bool toArena = job.out != nullptr;
-        double* const outPart = toArena ? job.out->partials(c, tips) + lo * 4 : s.partials.data();
+        double* const outPart =
+            toArena ? job.out->partials(c, tips) + stripIndex(lo, 0) : s.partials.data();
         double* const outScale = toArena ? job.out->scale(c, tips) + lo : s.scale.data();
         const std::size_t stride1 = toArena ? job.out->patternStride : B;
         const std::size_t stride4 = stride1 * 4;
@@ -189,8 +186,8 @@ double LikelihoodEngine::runBlock(const BlockJob& job, std::size_t lo, std::size
         };
         auto partialsOf = [&](NodeId id) -> const double* {
             const std::size_t i = static_cast<std::size_t>(id);
-            if (i < tips) return tipPartials_.data() + i * stride_ * 4 + lo * 4;
-            if (fromBase(i)) return job.base->partials(c, i) + lo * 4;
+            if (i < tips) return tipPartials_.data() + i * stride_ * 4 + stripIndex(lo, 0);
+            if (fromBase(i)) return job.base->partials(c, i) + stripIndex(lo, 0);
             return outPart + (i - tips) * stride4;
         };
         auto scaleOf = [&](NodeId id) -> const double* {

@@ -1,4 +1,4 @@
-// Pattern-major likelihood engine: the shared evaluation core behind
+// Tiled likelihood engine: the shared evaluation core behind
 // DataLikelihood::logLikelihood (stateless, full recomputation — the
 // paper's GPU strategy, §5.2.2) and the region evaluation every MCMC
 // chain scores its proposals with (each proposal re-prunes only the nodes
@@ -7,10 +7,11 @@
 //
 // Design, versus the seed's scalar per-pattern pruning:
 //
-//  * Partials are pattern-major ([pattern][state], contiguous per node), so
-//    one node is processed as a single sweep over all its patterns by the
-//    strip kernels (pruning_kernels.h) with the transition matrices held in
-//    registers — the CPU image of one-GPU-thread-per-site.
+//  * Partials are strips of 8-pattern tiles, state-major inside each tile
+//    (pruning_kernels.h stripIndex), contiguous per node, so one node is
+//    processed as a single sweep over all its patterns by the strip
+//    kernels with the transition matrices broadcast from registers — the
+//    CPU image of one-GPU-thread-per-site.
 //  * Tip partials depend only on the alignment, never on the genealogy;
 //    they are packed once at construction and shared by every evaluation.
 //  * Rescaling (§5.3) runs every kRescaleInterval tree levels as a separate
@@ -87,12 +88,6 @@ class LikelihoodEngine {
                           const PartialsBuffer& base, ThreadPool* pool = nullptr) const;
 
     std::size_t patternCount() const { return patterns_.patternCount(); }
-    std::size_t patternStride() const { return stride_; }
-
-    /// Pattern-major conditional likelihoods of tip `s` (strip layout).
-    const double* tipPartials(std::size_t s) const {
-        return tipPartials_.data() + s * stride_ * 4;
-    }
 
     /// Traversal metadata for one genealogy: the per-node rescale schedule
     /// derived from pruning levels. Public so callers (and the engine's own
@@ -135,8 +130,8 @@ class LikelihoodEngine {
     BaseFreqs pi_;
     RateCategories rates_;
     std::vector<double> logCatWeights_;
-    std::size_t stride_ = 0;        ///< patternCount rounded up to 8
-    AlignedDoubles tipPartials_;    ///< nSeq x stride*4, packed once
+    std::size_t stride_ = 0;        ///< patternCount rounded up to whole tiles
+    AlignedDoubles tipPartials_;    ///< nSeq strips of stride patterns, packed once
 };
 
 }  // namespace mpcgs

@@ -1,5 +1,4 @@
-// Persistent pattern-major partials arena: a chain's kept likelihood
-// evaluation.
+// Persistent tiled partials arena: a chain's kept likelihood evaluation.
 //
 // One PartialsBuffer holds the complete pruning state of ONE genealogy:
 // per-internal-node conditional likelihood strips, per-node scale
@@ -13,10 +12,12 @@
 //
 // Layout: partials for (category c, internal node i) start at
 //   partialsData.data() + (c * internals + i) * patternStride * 4
-// with patterns adjacent ([pattern][state], the strip-kernel layout), and
-// scale exponents at (c * internals + i) * patternStride. patternStride is
-// the pattern count rounded up so every node strip starts cache-aligned.
-// Tip partials are genealogy-independent and live in the shared
+// as one strip of 8-pattern tiles, state-major inside each tile (the
+// strip-kernel layout, pruning_kernels.h stripIndex), and scale exponents
+// at (c * internals + i) * patternStride, one per pattern. patternStride
+// is the pattern count rounded up to whole tiles, so every node strip
+// starts cache-aligned and pad lanes never spill into the next strip. Tip
+// partials are genealogy-independent and live in the shared
 // LikelihoodEngine, not here.
 #pragma once
 

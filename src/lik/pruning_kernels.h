@@ -1,16 +1,25 @@
-// Pattern-major Felsenstein strip kernels.
+// Tiled Felsenstein strip kernels.
 //
 // Every routine here sweeps a contiguous strip of site patterns for ONE
-// tree node: partials are laid out [pattern][state] with the four state
-// entries of a pattern adjacent, so the per-pattern 4x4 mat-vec
+// tree node. A strip is a run of tiles of kTilePatterns (8) patterns,
+// state-major inside each tile: pattern p's state x sits at
+// stripIndex(p, x) = (p / 8) * 32 + x * 8 + p % 8, and that helper is the
+// only place the layout is written down. One state of a tile is one
+// full-width load, so with the transition matrices pre-transposed
+// (TransMat row y = P(., y)) the per-pattern 4x4 mat-vec
 //
 //   out[x] = (sum_y P_j(x,y) L_j[y]) * (sum_y P_k(x,y) L_k[y])    (Eq. 19)
 //
-// becomes, with the transition matrices pre-transposed (TransMat row y =
-// P(., y)), four fused multiply-adds over unit-stride 4-lane vectors. The
-// loops are written so the compiler's auto-vectorizer maps one pattern to
-// one 256-bit vector (or two patterns per 512-bit vector after unrolling);
-// all pointers are __restrict and strips never alias.
+// is four fused multiply-adds per tile row, each matrix entry broadcast
+// from a register, and the rescale and root kernels reduce across states
+// lane by lane instead of inside a vector. All pointers are __restrict
+// and strips never alias.
+//
+// A strip of n patterns covers the ceil(n/8) tiles stripLength(n) counts.
+// Kernels compute the partials of whole tiles; the tips fill pad lanes
+// with 1.0, so pads stay finite through every prune. Per-pattern outputs
+// (scales, site logs, fold lanes) are written for the n real patterns
+// only, so no pad lane reaches a likelihood.
 //
 // This is the CPU transcription of the paper's one-thread-per-site GPU
 // kernel (§5.2.2): the strip index plays the role of threadIdx.x.
@@ -38,30 +47,52 @@ namespace mpcgs {
 
 /// A transition matrix packed for the strip kernels: row y holds the
 /// probabilities INTO the four parent states from child state y,
-/// t[4*y + x] = P(x, y). 64-byte aligned so each row is one aligned load.
+/// t[4*y + x] = P(x, y). The kernels broadcast each entry across a tile
+/// row; 64-byte aligned, the sixteen entries fill two cache lines.
 struct alignas(kCacheLineBytes) TransMat {
     double t[16];
 
     void pack(const Matrix4& p) { p.packTransposed(t); }
 };
 
-/// Conditional-likelihood propagation for one internal node over `n`
-/// patterns: out[p] = (Pj lj[p]) .* (Pk lk[p]) element-wise over states.
+/// Patterns per strip tile.
+inline constexpr std::size_t kTilePatterns = 8;
+
+/// Position of pattern p's state x in a strip: tiles of kTilePatterns
+/// patterns, state-major inside each tile, i.e. (p / 8) * 32 + x * 8 +
+/// p % 8. Written with the tile start as 4 (p - p % 8), so a kernel's
+/// tile offset 4t stays affine in its loop counter t and vectorizes.
+constexpr std::size_t stripIndex(std::size_t p, std::size_t x) {
+    return 4 * (p - p % kTilePatterns) + x * kTilePatterns + p % kTilePatterns;
+}
+
+/// Doubles in a strip of n patterns: whole tiles.
+constexpr std::size_t stripLength(std::size_t n) {
+    return stripIndex(roundUpTo(n, kTilePatterns), 0);
+}
+
+/// Conditional-likelihood propagation for one internal node over the
+/// tiles of `n` patterns: out[p] = (Pj lj[p]) .* (Pk lk[p]) element-wise
+/// over states.
 inline void pruneStrip(const TransMat& pj, const TransMat& pk,
                        const double* __restrict lj, const double* __restrict lk,
                        double* __restrict out, std::size_t n) {
     const double* __restrict tj = pj.t;
     const double* __restrict tk = pk.t;
-    for (std::size_t p = 0; p < n; ++p) {
-        const double* a = lj + 4 * p;
-        const double* b = lk + 4 * p;
-        double* o = out + 4 * p;
-        const double a0 = a[0], a1 = a[1], a2 = a[2], a3 = a[3];
-        const double b0 = b[0], b1 = b[1], b2 = b[2], b3 = b[3];
-        for (std::size_t x = 0; x < 4; ++x) {
-            const double sj = tj[x] * a0 + tj[4 + x] * a1 + tj[8 + x] * a2 + tj[12 + x] * a3;
-            const double sk = tk[x] * b0 + tk[4 + x] * b1 + tk[8 + x] * b2 + tk[12 + x] * b3;
-            o[x] = sj * sk;
+    for (std::size_t t = 0; t < n; t += kTilePatterns) {
+        const double* a = lj + stripIndex(t, 0);
+        const double* b = lk + stripIndex(t, 0);
+        double* o = out + stripIndex(t, 0);
+        for (std::size_t l = 0; l < kTilePatterns; ++l) {
+            const double a0 = a[stripIndex(l, 0)], a1 = a[stripIndex(l, 1)],
+                         a2 = a[stripIndex(l, 2)], a3 = a[stripIndex(l, 3)];
+            const double b0 = b[stripIndex(l, 0)], b1 = b[stripIndex(l, 1)],
+                         b2 = b[stripIndex(l, 2)], b3 = b[stripIndex(l, 3)];
+            for (std::size_t x = 0; x < 4; ++x) {
+                const double sj = tj[x] * a0 + tj[4 + x] * a1 + tj[8 + x] * a2 + tj[12 + x] * a3;
+                const double sk = tk[x] * b0 + tk[4 + x] * b1 + tk[8 + x] * b2 + tk[12 + x] * b3;
+                o[stripIndex(l, x)] = sj * sk;
+            }
         }
     }
 }
@@ -143,14 +174,18 @@ inline Pow2Scale pow2Scale(double m) {
 /// no log. Called only every kRescaleInterval tree levels, instead of the
 /// scalar path's per-node per-pattern underflow branch.
 inline void rescaleStrip(double* __restrict part, double* __restrict scale, std::size_t n) {
-    for (std::size_t p = 0; p < n; ++p) {
-        double* o = part + 4 * p;
-        const Pow2Scale s = pow2Scale(std::max(std::max(o[0], o[1]), std::max(o[2], o[3])));
-        o[0] *= s.factor;
-        o[1] *= s.factor;
-        o[2] *= s.factor;
-        o[3] *= s.factor;
-        scale[p] += s.exponent * std::numbers::ln2;
+    for (std::size_t t = 0; t < n; t += kTilePatterns) {
+        double* v = part + stripIndex(t, 0);
+        double logFactor[kTilePatterns];
+        for (std::size_t l = 0; l < kTilePatterns; ++l) {
+            const Pow2Scale s =
+                pow2Scale(std::max(std::max(v[stripIndex(l, 0)], v[stripIndex(l, 1)]),
+                                   std::max(v[stripIndex(l, 2)], v[stripIndex(l, 3)])));
+            for (std::size_t x = 0; x < 4; ++x) v[stripIndex(l, x)] *= s.factor;
+            logFactor[l] = s.exponent * std::numbers::ln2;
+        }
+        const std::size_t lanes = std::min(kTilePatterns, n - t);
+        for (std::size_t l = 0; l < lanes; ++l) scale[t + l] += logFactor[l];
     }
 }
 
@@ -162,19 +197,31 @@ inline void rescaleStrip(double* __restrict part, double* __restrict scale, std:
 inline void rootLogStrip(const double* __restrict root, const double* __restrict scale,
                          const BaseFreqs& pi, double* __restrict out, std::size_t n) {
     const double p0 = pi[0], p1 = pi[1], p2 = pi[2], p3 = pi[3];
-    const auto dot = [&](std::size_t p) {
-        const double* r = root + 4 * p;
-        return p0 * r[0] + p1 * r[1] + p2 * r[2] + p3 * r[3];
+    // The dot products of tile t's eight lanes, pads included.
+    const auto dots = [&](std::size_t t, double* d) {
+        const double* r = root + stripIndex(t, 0);
+        for (std::size_t l = 0; l < kTilePatterns; ++l)
+            d[l] = p0 * r[stripIndex(l, 0)] + p1 * r[stripIndex(l, 1)] +
+                   p2 * r[stripIndex(l, 2)] + p3 * r[stripIndex(l, 3)];
     };
+    for (std::size_t t = 0; t < n; t += kTilePatterns) {
+        alignas(kCacheLineBytes) double d[kTilePatterns];
+        dots(t, d);
+        std::copy_n(d, std::min(kTilePatterns, n - t), out + t);
+    }
     std::size_t irregular = 0;
     for (std::size_t p = 0; p < n; ++p) {
-        const double d = dot(p);
+        const double d = out[p];
         out[p] = logPositiveNormal(d);
         irregular += !isPositiveNormal(d);
     }
     if (irregular != 0)
-        for (std::size_t p = 0; p < n; ++p)
-            if (const double d = dot(p); !isPositiveNormal(d)) out[p] = std::log(d);
+        for (std::size_t t = 0; t < n; t += kTilePatterns) {
+            alignas(kCacheLineBytes) double d[kTilePatterns];
+            dots(t, d);
+            for (std::size_t l = 0; l < std::min(kTilePatterns, n - t); ++l)
+                if (!isPositiveNormal(d[l])) out[t + l] = std::log(d[l]);
+        }
     if (scale != nullptr)
         for (std::size_t p = 0; p < n; ++p) out[p] += scale[p];
 }
@@ -188,21 +235,17 @@ inline double weightedSumStrip(const double* __restrict site, const double* __re
     return acc;
 }
 
-/// Tip conditional likelihoods for one sequence over `n` patterns starting
-/// at `p0`: the standard 0/1 indicator rows, with kNucUnknown marginalized
-/// as all-ones. `codes` is the pattern-major code matrix of SitePatterns
-/// (stride nSeq), `seq` the tip's column in it.
+/// Tip conditional likelihoods for one sequence over the tiles of `n`
+/// patterns: the standard 0/1 indicator rows, with kNucUnknown
+/// marginalized as all-ones, and 1.0 in every pad lane. `codes` is the
+/// pattern-major code matrix of SitePatterns (stride nSeq), `seq` the
+/// tip's column in it.
 inline void fillTipStrip(const NucCode* codes, std::size_t nSeq, std::size_t seq,
-                         std::size_t p0, double* __restrict out, std::size_t n) {
-    for (std::size_t p = 0; p < n; ++p) {
-        const NucCode c = codes[(p0 + p) * nSeq + seq];
-        double* o = out + 4 * p;
-        if (c == kNucUnknown) {
-            o[0] = o[1] = o[2] = o[3] = 1.0;
-        } else {
-            o[0] = o[1] = o[2] = o[3] = 0.0;
-            o[c] = 1.0;
-        }
+                         double* __restrict out, std::size_t n) {
+    for (std::size_t p = 0; p < roundUpTo(n, kTilePatterns); ++p) {
+        const NucCode c = p < n ? codes[p * nSeq + seq] : kNucUnknown;
+        for (std::size_t x = 0; x < 4; ++x)
+            out[stripIndex(p, x)] = c == kNucUnknown || c == x ? 1.0 : 0.0;
     }
 }
 
@@ -210,13 +253,14 @@ inline void fillTipStrip(const NucCode* codes, std::size_t nSeq, std::size_t seq
 // Partial-forest (SMC) items.
 //
 // A forest slot holds C category strips of P patterns back to back,
-// data[(c * P + p) * 4 + x], and one natural-log scale per pattern shared
-// by the categories. Each SlotArena operation (lik/slot_arena.h) is ONE
-// item below and nothing else: a tip fill, or a combine that packs its
-// branch matrices, prunes every category, rescales each pattern by an
-// exact power of two and, on request, folds the new root's
-// log-likelihood. Patterns after the prune are processed in stack chunks
-// of kForestChunk, so an item allocates nothing.
+// category c's at data + c * stripLength(P), and one natural-log scale per
+// pattern shared by the categories. Each SlotArena operation
+// (lik/slot_arena.h) is ONE item below and nothing else: a tip fill, or a
+// combine that packs its branch matrices, prunes every category, rescales
+// each pattern by an exact power of two and, on request, folds the new
+// root's log-likelihood. Patterns after the prune are processed in stack
+// chunks of kForestChunk, a whole number of tiles, so an item allocates
+// nothing.
 // ---------------------------------------------------------------------------
 
 /// What every forest item reads besides its slots: one alignment's
@@ -235,28 +279,41 @@ inline constexpr std::size_t kForestChunk = 64;
 /// state (pow2Scale), its values are multiplied by 2^-e_p, which changes
 /// exponents only and so is exact, and so[p] = sa[p] + sb[p] + e_p ln 2. A
 /// pattern whose max is zero, subnormal or not finite keeps its values
-/// (e_p = 0); a zero pattern then folds to -inf at the root.
+/// (e_p = 0); a zero pattern then folds to -inf at the root. p0 is a
+/// multiple of kForestChunk, so the chunk's tiles are contiguous in every
+/// category strip; pad lanes are rescaled by their own maxima.
 inline void rescaleForestChunk(double* data, std::size_t P, std::size_t C,
                                const double* sa, const double* sb, double* so,
                                std::size_t p0, std::size_t n) {
     alignas(kCacheLineBytes) double mx[4 * kForestChunk];
     alignas(kCacheLineBytes) double factor[kForestChunk];
-    const double* first = data + 4 * p0;
-    for (std::size_t j = 0; j < 4 * n; ++j) mx[j] = first[j];
+    alignas(kCacheLineBytes) double logFactor[kForestChunk];
+    const std::size_t len = stripLength(n);
+    const double* first = data + stripIndex(p0, 0);
+    for (std::size_t j = 0; j < len; ++j) mx[j] = first[j];
     for (std::size_t c = 1; c < C; ++c) {
-        const double* v = data + (c * P + p0) * 4;
-        for (std::size_t j = 0; j < 4 * n; ++j) mx[j] = v[j] > mx[j] ? v[j] : mx[j];
+        const double* v = data + c * stripLength(P) + stripIndex(p0, 0);
+        for (std::size_t j = 0; j < len; ++j) mx[j] = v[j] > mx[j] ? v[j] : mx[j];
     }
-    for (std::size_t i = 0; i < n; ++i) {
-        const Pow2Scale s = pow2Scale(std::max(std::max(mx[4 * i], mx[4 * i + 1]),
-                                               std::max(mx[4 * i + 2], mx[4 * i + 3])));
-        factor[i] = s.factor;
-        so[p0 + i] = sa[p0 + i] + sb[p0 + i] + s.exponent * std::numbers::ln2;
+    for (std::size_t t = 0; t < n; t += kTilePatterns) {
+        const double* m = mx + stripIndex(t, 0);
+        for (std::size_t l = 0; l < kTilePatterns; ++l) {
+            const Pow2Scale s =
+                pow2Scale(std::max(std::max(m[stripIndex(l, 0)], m[stripIndex(l, 1)]),
+                                   std::max(m[stripIndex(l, 2)], m[stripIndex(l, 3)])));
+            factor[t + l] = s.factor;
+            logFactor[t + l] = s.exponent * std::numbers::ln2;
+        }
     }
+    for (std::size_t i = 0; i < n; ++i) so[p0 + i] = sa[p0 + i] + sb[p0 + i] + logFactor[i];
     for (std::size_t c = 0; c < C; ++c) {
-        double* v = data + (c * P + p0) * 4;
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t x = 0; x < 4; ++x) v[4 * i + x] *= factor[i];
+        double* v = data + c * stripLength(P) + stripIndex(p0, 0);
+        for (std::size_t t = 0; t < n; t += kTilePatterns) {
+            double* tile = v + stripIndex(t, 0);
+            for (std::size_t x = 0; x < 4; ++x)
+                for (std::size_t l = 0; l < kTilePatterns; ++l)
+                    tile[stripIndex(l, x)] *= factor[t + l];
+        }
     }
 }
 
@@ -272,13 +329,17 @@ inline void rootForestChunk(const ForestKernelData& k, const double* data,
     const double pi0 = k.pi[0], pi1 = k.pi[1], pi2 = k.pi[2], pi3 = k.pi[3];
     alignas(kCacheLineBytes) double site[kForestChunk];
     alignas(kCacheLineBytes) double term[kForestChunk];
-    for (std::size_t i = 0; i < n; ++i) site[i] = 0.0;
+    // Whole tiles: the pad lanes' sites are never read.
+    for (std::size_t i = 0; i < roundUpTo(n, kTilePatterns); ++i) site[i] = 0.0;
     for (std::size_t c = 0; c < k.rates.count(); ++c) {
-        const double* v = data + (c * P + p0) * 4;
+        const double* v = data + c * stripLength(P) + stripIndex(p0, 0);
         const double wc = k.rates.weights[c];
-        for (std::size_t i = 0; i < n; ++i)
-            site[i] += wc * (pi0 * v[4 * i] + pi1 * v[4 * i + 1] + pi2 * v[4 * i + 2] +
-                             pi3 * v[4 * i + 3]);
+        for (std::size_t t = 0; t < n; t += kTilePatterns) {
+            const double* r = v + stripIndex(t, 0);
+            for (std::size_t l = 0; l < kTilePatterns; ++l)
+                site[t + l] += wc * (pi0 * r[stripIndex(l, 0)] + pi1 * r[stripIndex(l, 1)] +
+                                     pi2 * r[stripIndex(l, 2)] + pi3 * r[stripIndex(l, 3)]);
+        }
     }
     std::size_t irregular = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -325,7 +386,7 @@ inline void forestTipItem(const ForestKernelData& k, int tip, double* data,
     const std::size_t P = k.patterns.patternCount();
     for (std::size_t c = 0; c < k.rates.count(); ++c)
         fillTipStrip(k.patterns.codesData(), k.patterns.sequenceCount(),
-                     static_cast<std::size_t>(tip), 0, data + c * P * 4, P);
+                     static_cast<std::size_t>(tip), data + c * stripLength(P), P);
     std::fill_n(scale, P, 0.0);
     if (rootLogL != nullptr) *rootLogL = forestRootLogLik(k, data, scale);
 }
@@ -342,12 +403,13 @@ inline std::size_t forestCombineItem(const ForestKernelData& k, const double* a,
                                      double* so, double* rootLogL) {
     const std::size_t P = k.patterns.patternCount();
     const std::size_t C = k.rates.count();
+    const std::size_t S = stripLength(P);
     const bool shared = std::bit_cast<std::uint64_t>(lenA) == std::bit_cast<std::uint64_t>(lenB);
     for (std::size_t c = 0; c < C; ++c) {
         TransMat ta, tb;
         ta.pack(k.model.transition(lenA * k.rates.rates[c]));
         if (!shared) tb.pack(k.model.transition(lenB * k.rates.rates[c]));
-        pruneStrip(ta, shared ? ta : tb, a + c * P * 4, b + c * P * 4, out + c * P * 4, P);
+        pruneStrip(ta, shared ? ta : tb, a + c * S, b + c * S, out + c * S, P);
     }
     double lanes[8] = {};
     for (std::size_t p0 = 0; p0 < P; p0 += kForestChunk) {

@@ -8,14 +8,13 @@ SlotArena::SlotArena(const DataLikelihood& lik)
     : forest_{lik.patterns(), lik.model(), lik.rateCategories(), lik.rootFreqs()} {
     const std::size_t P = forest_.patterns.patternCount();
     const std::size_t C = forest_.rates.count();
-    dataLen_ = C * P * 4;
-    dataStride_ = roundUpTo(dataLen_, kCacheLineBytes / sizeof(double));
+    dataLen_ = C * stripLength(P);
     scaleStride_ = roundUpTo(P, kCacheLineBytes / sizeof(double));
 }
 
 void SlotArena::resizeSlots(std::size_t n) {
     slots_ = n;
-    data_.ensure(n * dataStride_);
+    data_.ensure(n * dataLen_);
     scale_.ensure(n * scaleStride_);
 }
 

@@ -12,7 +12,11 @@
 // is visible on return. Each operation can also fold the log of its slot's
 // root factor into a caller-owned double (null skips the fold). Storage is
 // one 64-byte-aligned grow-only slab of conditional vectors plus one of
-// per-pattern log scales, slot-strided.
+// per-pattern log scales, slot-strided. A slot's vectors are C category
+// strips of 8-pattern tiles, state-major inside each tile (the
+// strip-kernel layout, pruning_kernels.h stripIndex); each category's
+// pattern count is rounded up to a whole tile, and the pad lanes, filled
+// with 1.0 at the tips, never reach a scale or a root factor.
 //
 // Thread-safety: tipInit/combine may run concurrently from inside a
 // parallel launch (the SMC propagation phase, the online rebuild),
@@ -73,22 +77,22 @@ class SlotArena {
     void combine(Slot parent, Slot childA, double lenA, Slot childB, double lenB,
                  double* rootLogL);
 
-    /// Raw views of a slot's conditional vectors / per-pattern log scale
-    /// (valid until the next resizeSlots).
+    /// Raw views of a slot's conditional vectors, pad lanes included, and
+    /// its per-pattern log scale (valid until the next resizeSlots).
     std::span<const double> slotData(Slot slot) const { return {dataPtr(slot), dataLen_}; }
     std::span<const double> slotScale(Slot slot) const {
         return {scalePtr(slot), forest_.patterns.patternCount()};
     }
 
   private:
-    double* dataPtr(Slot s) { return data_.data() + s * dataStride_; }
-    const double* dataPtr(Slot s) const { return data_.data() + s * dataStride_; }
+    double* dataPtr(Slot s) { return data_.data() + s * dataLen_; }
+    const double* dataPtr(Slot s) const { return data_.data() + s * dataLen_; }
     double* scalePtr(Slot s) { return scale_.data() + s * scaleStride_; }
     const double* scalePtr(Slot s) const { return scale_.data() + s * scaleStride_; }
 
     const ForestKernelData forest_;
-    std::size_t dataLen_ = 0;     ///< doubles of one slot's vectors (C*P*4)
-    std::size_t dataStride_ = 0;  ///< dataLen_ rounded up to the cache line
+    std::size_t dataLen_ = 0;  ///< doubles of one slot's vectors: C strips of whole
+                               ///< tiles, so every slot starts cache-aligned
     std::size_t scaleStride_ = 0;
     std::size_t slots_ = 0;
     AlignedDoubles data_;

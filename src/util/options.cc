@@ -33,11 +33,12 @@ Options Options::parse(int argc, const char* const* argv) {
 
 bool Options::has(const std::string& key) const { return kv_.count(key) > 0; }
 
-void Options::requireKnown(std::span<const char* const> known) const {
+void Options::requireKnown(std::span<const char* const> known, const std::string& scope) const {
     for (const auto& kv : kv_)
         if (std::none_of(known.begin(), known.end(),
                          [&](const char* k) { return kv.first == k; }))
-            throw ConfigError("unknown option --" + kv.first);
+            throw ConfigError(scope.empty() ? "unknown option --" + kv.first
+                                            : "--" + kv.first + " does not apply to " + scope);
 }
 
 std::optional<std::string> Options::get(const std::string& key) const {

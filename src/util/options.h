@@ -22,7 +22,9 @@ class Options {
     bool has(const std::string& key) const;
     /// Throws ConfigError naming the first parsed option that is not in
     /// `known`, so a misspelt or retired flag cannot run with defaults.
-    void requireKnown(std::span<const char* const> known) const;
+    /// With a `scope` (a subcommand), the message says the option does not
+    /// apply to it.
+    void requireKnown(std::span<const char* const> known, const std::string& scope = "") const;
 
     std::optional<std::string> get(const std::string& key) const;
     std::string get(const std::string& key, const std::string& dflt) const;

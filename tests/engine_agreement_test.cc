@@ -1,10 +1,12 @@
 // Scalar-vs-vectorized agreement suite: the pattern-major engine (both the
 // stateless full-recomputation path and the arena paths) must reproduce
 // the original one-pattern-at-a-time scalar pruning to 1e-10, across
-// random genealogies/alignments, rescaling-triggering deep trees,
-// unknown-tip marginalization, and rate heterogeneity — and the
+// random genealogies/alignments, pattern counts that end in a partial
+// 8-pattern tile, rescaling-triggering deep trees, unknown-tip
+// marginalization, and rate heterogeneity — and the
 // region-scored MH chain must make bit-identical accept/reject decisions.
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -53,6 +55,43 @@ TEST(EngineAgreement, RandomGenealogiesMatchScalarReference) {
             const Genealogy g = simulateCoalescent(n, 1.0, rng);
             const double ref = lik.logLikelihoodReference(g);
             EXPECT_NEAR(lik.logLikelihood(g), ref, 1e-10) << "seed " << seed << " rep " << rep;
+        }
+    }
+}
+
+/// `tips` sequences whose columns spell 0..P-1 in base 4 (tip s holds
+/// digit s), so the alignment compresses to exactly P patterns.
+Alignment base4Columns(std::size_t P, int tips) {
+    std::vector<Sequence> seqs;
+    for (int s = 0; s < tips; ++s) {
+        std::string chars;
+        for (std::size_t j = 0; j < P; ++j) chars += "ACGT"[(j >> (2 * s)) & 3];
+        seqs.push_back(Sequence::fromString("s" + std::to_string(s), chars));
+    }
+    return Alignment(std::move(seqs));
+}
+
+TEST(EngineAgreement, PartialTilesMatchScalarReference) {
+    // A lone partial tile (1, 7), a full tile plus one pattern (9) and the
+    // smc_theta shape (255), with one rate and with four gamma categories.
+    for (const std::size_t P : {1u, 7u, 9u, 255u}) {
+        const Alignment data = base4Columns(P, 8);
+        const auto model = makeHky85(2.0, data.baseFrequencies());
+        for (const int C : {1, 4}) {
+            const DataLikelihood lik(data, *model,
+                                     C == 1 ? RateCategories::uniformRate()
+                                            : RateCategories::discreteGamma(0.6, C));
+            ASSERT_EQ(lik.patternCount(), P);
+            Mt19937 rng(static_cast<std::uint32_t>(P * 10 + C));
+            for (int rep = 0; rep < 3; ++rep) {
+                const Genealogy g = simulateCoalescent(8, 1.0, rng);
+                const double ref = lik.logLikelihoodReference(g);
+                EXPECT_NEAR(lik.logLikelihood(g), ref, 1e-10)
+                    << "P " << P << " C " << C << " rep " << rep;
+                PartialsBuffer arena;
+                EXPECT_NEAR(lik.engine().evaluate(g, arena), ref, 1e-10)
+                    << "P " << P << " C " << C << " rep " << rep;
+            }
         }
     }
 }

@@ -1,7 +1,8 @@
 // The SMC slot arena (lik/slot_arena.h) that executes the particle
 // filter's likelihood work. Tests pin (1) agreement of a forest built from
-// raw tipInit/combine operations with the scalar pruning reference, and
-// the matrix sharing of its cherries, (2) bitwise thread-count invariance
+// raw tipInit/combine operations with the scalar pruning reference, also
+// at pattern counts that end in a partial tile, and the matrix sharing of
+// its cherries, (2) bitwise thread-count invariance
 // of full SMC passes (logZ, sampled genealogy, resampling trajectory)
 // across resampling pressure, rate heterogeneity and multi-locus pooling,
 // and (3) the lik.* counters of a filter pass.
@@ -9,6 +10,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -75,8 +77,22 @@ BuiltForest buildForest(SlotArena& arena, int tips, Mt19937& rng) {
     return out;
 }
 
-TEST(SlotArenaTest, RawOpForestMatchesTheReferenceAndSharesCherryMatrices) {
-    const Alignment aln = simulateData(7, 1.0, 240, 11);
+/// Seven sequences whose columns spell 0..P-1 in base 4 (tip s holds
+/// digit s), so the alignment compresses to exactly P patterns.
+Alignment base4Columns(std::size_t P) {
+    std::vector<Sequence> seqs;
+    for (int s = 0; s < 7; ++s) {
+        std::string chars;
+        for (std::size_t j = 0; j < P; ++j) chars += "ACGT"[(j >> (2 * s)) & 3];
+        seqs.push_back(Sequence::fromString("s" + std::to_string(s), chars));
+    }
+    return Alignment(std::move(seqs));
+}
+
+/// Build a random 7-tip forest over `aln` through raw ops, with one rate
+/// and with four gamma categories: the completed tree's root factor must
+/// match the scalar reference, and each cherry must share its matrices.
+void expectRawOpForestMatchesReference(const Alignment& aln) {
     const F81Model model(aln.baseFrequencies());
     for (const bool gamma : {false, true}) {
         SCOPED_TRACE(gamma ? "gamma" : "one rate");
@@ -110,6 +126,18 @@ TEST(SlotArenaTest, RawOpForestMatchesTheReferenceAndSharesCherryMatrices) {
         EXPECT_EQ(snap.counter(obs::Counter::LikMatricesRequested), 6u * 2u * C);
         EXPECT_EQ(snap.counter(obs::Counter::LikMatricesComputed),
                   6u * 2u * C - C * forest.cherries);
+    }
+}
+
+TEST(SlotArenaTest, RawOpForestMatchesTheReferenceAndSharesCherryMatrices) {
+    expectRawOpForestMatchesReference(simulateData(7, 1.0, 240, 11));
+    // Exact pattern counts around the 8-pattern tile: a lone partial tile
+    // (1, 7), a full tile plus one pattern (9) and the smc_theta shape (255).
+    for (const std::size_t P : {1u, 7u, 9u, 255u}) {
+        SCOPED_TRACE("patterns " + std::to_string(P));
+        const Alignment aln = base4Columns(P);
+        ASSERT_EQ(SitePatterns(aln).patternCount(), P);
+        expectRawOpForestMatchesReference(aln);
     }
 }
 

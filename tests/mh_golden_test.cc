@@ -58,13 +58,16 @@ struct GoldenCounts {
     std::size_t swapsAccepted;
 };
 
-// Recorded with the runs of goldenRuns() below.
+// Recorded with the runs of goldenRuns() below. Heated chain 0's
+// log-posterior was re-recorded when the likelihood strips became 8-pattern
+// tiles: it moved by 1 ulp, and the previous table still passed in the
+// tolerance mode with every topology, state, time and count exact.
 const GoldenChain kGoldenChains[] = {
     {"mh", 0, 0x09dd9de43ed13bfe, 0xb045ed982883120e, 0x3fdb09b12d313a8e, 0xc0c17b2c2a1a387e},
     {"multichain", 0, 0xc680f5916932ab1e, 0x1b658f543c3bb36c, 0x3fd7926787c029e1, 0xc0c275311facf1d3},
     {"multichain", 1, 0x4ac69b760458aa3e, 0xd5f6d9da8903de2f, 0x3fdb422ce23a3410, 0xc0c20268a521125a},
     {"multichain", 2, 0x828fa6f904591e5e, 0x042de5e2927c7ca1, 0x3fd90b9360341dee, 0xc0c1b573588156de},
-    {"heated", 0, 0x21d20e5f14a11e4e, 0x1a7bddf2e590a4e7, 0x3fd911905c72570f, 0xc0c272d5f9b85138},
+    {"heated", 0, 0x21d20e5f14a11e4e, 0x1a7bddf2e590a4e7, 0x3fd911905c72570f, 0xc0c272d5f9b85137},
     {"structured", 0, 0xe7cb4c8f214dd573, 0x8edaf02da523978c, 0x400cff616c71a28f, 0xc0bcd3d7c508efa1},
     {"structured", 1, 0xf970871e2d95e8b5, 0x7e5a583d33347e1d, 0x4011ccecfe24cfcd, 0xc0bcc9530882ec9f},
 };

@@ -72,12 +72,13 @@ StructuredFixture makeStructuredSetup(int n, std::size_t length, unsigned seed) 
 }
 
 /// The arena's strips equal those of a fresh full evaluation of `g`
-/// bitwise (the partials of every internal node, category and pattern).
+/// bitwise (the partials of every internal node, category and pattern,
+/// over whole tiles).
 void expectArenaHolds(const DataLikelihood& lik, const PartialsBuffer& arena, const Genealogy& g) {
     PartialsBuffer fresh;
     lik.engine().evaluate(g, fresh);
     ASSERT_EQ(arena.nodeCount(), fresh.nodeCount());
-    const std::size_t bytes = lik.patternCount() * 4 * sizeof(double);
+    const std::size_t bytes = stripLength(lik.patternCount()) * sizeof(double);
     for (std::size_t c = 0; c < fresh.categories; ++c)
         for (std::size_t id = fresh.tips; id < fresh.nodeCount(); ++id)
             EXPECT_EQ(std::memcmp(arena.partials(c, id), fresh.partials(c, id), bytes), 0)

@@ -1,7 +1,8 @@
 // Strip kernels (lik/pruning_kernels.h): the vectorizable log against
 // std::log, the exactness of the power-of-two rescale in the engine strips
 // and the partial-forest items, the shared matrix of bit-equal branch
-// lengths, and the -inf path of a zero site.
+// lengths, and the -inf path of a zero site. Raw strips are built through
+// stripIndex, with 1.0 in their pad lanes as the tips have.
 #include "lik/pruning_kernels.h"
 
 #include <algorithm>
@@ -76,43 +77,85 @@ TEST(StripKernelsTest, EngineStripsRescaleExactlyAndFoldZeroSitesToMinusInfinity
     // Patterns spread over many binades, a zero pattern and a subnormal one.
     constexpr std::size_t n = 37;
     Mt19937 rng(91);
-    std::vector<double> raw(4 * n), part, scale(n), carried(n);
+    std::vector<double> raw(stripLength(n), 1.0), part, scale(n), carried(n);
     for (std::size_t p = 0; p < n; ++p) {
         const double binade = std::ldexp(1.0, -static_cast<int>(rng.below(900)));
-        for (std::size_t x = 0; x < 4; ++x) raw[4 * p + x] = binade * rng.uniform01();
+        for (std::size_t x = 0; x < 4; ++x) raw[stripIndex(p, x)] = binade * rng.uniform01();
         carried[p] = scale[p] = -3.0 * rng.uniform01();
     }
     for (std::size_t x = 0; x < 4; ++x) {
-        raw[x] = 0.0;
-        raw[4 + x] = std::numeric_limits<double>::denorm_min() * static_cast<double>(4 * (x + 1));
+        raw[stripIndex(0, x)] = 0.0;
+        raw[stripIndex(1, x)] =
+            std::numeric_limits<double>::denorm_min() * static_cast<double>(4 * (x + 1));
     }
     part = raw;
+    // A scale entry past the strip's patterns: no pad lane may reach it.
+    scale.push_back(5.0);
     rescaleStrip(part.data(), scale.data(), n);
+    EXPECT_EQ(scale[n], 5.0);
     for (std::size_t p = 2; p < n; ++p) {
-        const double m = *std::max_element(raw.begin() + 4 * p, raw.begin() + 4 * p + 4);
+        double m = raw[stripIndex(p, 0)];
+        for (std::size_t x = 1; x < 4; ++x) m = std::max(m, raw[stripIndex(p, x)]);
         const int e = std::ilogb(m);
         for (std::size_t x = 0; x < 4; ++x)
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(std::ldexp(part[4 * p + x], e)),
-                      std::bit_cast<std::uint64_t>(raw[4 * p + x]))
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(std::ldexp(part[stripIndex(p, x)], e)),
+                      std::bit_cast<std::uint64_t>(raw[stripIndex(p, x)]))
                 << "pattern " << p;
         EXPECT_DOUBLE_EQ(scale[p], carried[p] + e * std::numbers::ln2) << "pattern " << p;
     }
     // Zero and subnormal patterns keep their values and their scale.
-    for (std::size_t j = 0; j < 8; ++j) EXPECT_EQ(part[j], raw[j]);
+    for (std::size_t p = 0; p < 2; ++p)
+        for (std::size_t x = 0; x < 4; ++x)
+            EXPECT_EQ(part[stripIndex(p, x)], raw[stripIndex(p, x)]);
     EXPECT_EQ(scale[0], carried[0]);
     EXPECT_EQ(scale[1], carried[1]);
 
-    std::vector<double> site(n);
+    // One site past the strip's patterns: no pad lane may reach it.
+    std::vector<double> site(n + 1, 7.0);
     rootLogStrip(part.data(), scale.data(), kUniformFreqs, site.data(), n);
+    EXPECT_EQ(site[n], 7.0);
     EXPECT_EQ(site[0], -std::numeric_limits<double>::infinity());
     // Quarters of multiples of four subnormal units: the dot is exact.
     EXPECT_EQ(site[1], std::log(10 * std::numeric_limits<double>::denorm_min()) + scale[1]);
     for (std::size_t p = 2; p < n; ++p) {
-        const double* r = part.data() + 4 * p;
-        const double dot = 0.25 * r[0] + 0.25 * r[1] + 0.25 * r[2] + 0.25 * r[3];
+        const double dot = 0.25 * part[stripIndex(p, 0)] + 0.25 * part[stripIndex(p, 1)] +
+                           0.25 * part[stripIndex(p, 2)] + 0.25 * part[stripIndex(p, 3)];
         const double want = std::log(dot) + scale[p];
         EXPECT_NEAR(site[p], want, 1e-13 * std::abs(want)) << "pattern " << p;
     }
+}
+
+TEST(StripKernelsTest, StripIndexTilesEightPatternsStateMajor) {
+    EXPECT_EQ(stripIndex(0, 0), 0u);
+    EXPECT_EQ(stripIndex(7, 0), 7u);
+    EXPECT_EQ(stripIndex(0, 1), 8u);
+    EXPECT_EQ(stripIndex(5, 3), 29u);
+    EXPECT_EQ(stripIndex(8, 0), 32u);
+    EXPECT_EQ(stripIndex(13, 2), 32u + 16u + 5u);
+    EXPECT_EQ(stripLength(1), 32u);
+    EXPECT_EQ(stripLength(8), 32u);
+    EXPECT_EQ(stripLength(9), 64u);
+    EXPECT_EQ(stripLength(255), 1024u);
+    // Every (pattern, state) of a strip has its own slot inside it.
+    std::vector<int> seen(stripLength(21), 0);
+    for (std::size_t p = 0; p < 24; ++p)
+        for (std::size_t x = 0; x < 4; ++x) ++seen[stripIndex(p, x)];
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), static_cast<std::ptrdiff_t>(seen.size()));
+}
+
+TEST(StripKernelsTest, TipStripsIndicateStatesAndFillPadLanesWithOne) {
+    // Three sequences over 11 patterns; sequence 1 holds every code.
+    constexpr std::size_t nSeq = 3, n = 11;
+    std::vector<NucCode> codes(n * nSeq, 0);
+    for (std::size_t p = 0; p < n; ++p) codes[p * nSeq + 1] = static_cast<NucCode>(p % 5);
+    std::vector<double> strip(stripLength(n), -1.0);
+    fillTipStrip(codes.data(), nSeq, 1, strip.data(), n);
+    for (std::size_t p = 0; p < n; ++p)
+        for (std::size_t x = 0; x < 4; ++x)
+            EXPECT_EQ(strip[stripIndex(p, x)], p % 5 == 4 || p % 5 == x ? 1.0 : 0.0)
+                << "pattern " << p << " state " << x;
+    for (std::size_t p = n; p < 16; ++p)
+        for (std::size_t x = 0; x < 4; ++x) EXPECT_EQ(strip[stripIndex(p, x)], 1.0) << p;
 }
 
 /// A small alignment under discrete-gamma rates, and a pair of child slots
@@ -125,15 +168,16 @@ class ForestItemTest : public ::testing::Test {
           lik_(aln_, model_, RateCategories::discreteGamma(0.5, 4)),
           k_{lik_.patterns(), lik_.model(), lik_.rateCategories(), lik_.rootFreqs()},
           P_(lik_.patternCount()),
-          C_(lik_.rateCategories().count()) {
+          C_(lik_.rateCategories().count()),
+          S_(stripLength(P_)) {
         Mt19937 rng(77);
         for (std::vector<double>* v : {&a_, &b_}) {
-            v->resize(C_ * P_ * 4);
+            v->assign(C_ * S_, 1.0);
             for (std::size_t p = 0; p < P_; ++p) {
                 const double binade = std::ldexp(1.0, -static_cast<int>(rng.below(60)));
                 for (std::size_t c = 0; c < C_; ++c)
                     for (std::size_t x = 0; x < 4; ++x)
-                        (*v)[(c * P_ + p) * 4 + x] = binade * rng.uniform01();
+                        (*v)[at(c, p, x)] = binade * rng.uniform01();
             }
         }
         for (std::vector<double>* s : {&sa_, &sb_}) {
@@ -149,51 +193,55 @@ class ForestItemTest : public ::testing::Test {
         return simulateSequences(g, *gen, {300, 1.0}, rng);
     }
 
+    /// Where category c's pattern p, state x lives in a slot.
+    std::size_t at(std::size_t c, std::size_t p, std::size_t x) const {
+        return c * S_ + stripIndex(p, x);
+    }
+
     Alignment aln_;
     F81Model model_;
     DataLikelihood lik_;
     ForestKernelData k_;
-    std::size_t P_, C_;
+    std::size_t P_, C_, S_;  ///< patterns, categories, doubles per category strip
     std::vector<double> a_, b_, sa_, sb_;
 };
 
 TEST_F(ForestItemTest, RescaleIsAnExactPowerOfTwo) {
     const double lenA = 0.13, lenB = 0.41;
-    std::vector<double> out(C_ * P_ * 4), so(P_);
+    std::vector<double> out(C_ * S_), so(P_);
     EXPECT_EQ(forestCombineItem(k_, a_.data(), sa_.data(), lenA, b_.data(), sb_.data(), lenB,
                                 out.data(), so.data(), nullptr),
               2 * C_);
 
     // The unscaled Eq. 19 product through the same matrices.
-    std::vector<double> raw(C_ * P_ * 4);
+    std::vector<double> raw(C_ * S_);
     for (std::size_t c = 0; c < C_; ++c) {
         TransMat ta, tb;
         ta.pack(model_.transition(lenA * lik_.rateCategories().rates[c]));
         tb.pack(model_.transition(lenB * lik_.rateCategories().rates[c]));
-        pruneStrip(ta, tb, a_.data() + c * P_ * 4, b_.data() + c * P_ * 4,
-                   raw.data() + c * P_ * 4, P_);
+        pruneStrip(ta, tb, a_.data() + c * S_, b_.data() + c * S_, raw.data() + c * S_, P_);
     }
     for (std::size_t p = 0; p < P_; ++p) {
         double m = 0.0, scaledMax = 0.0;
         for (std::size_t c = 0; c < C_; ++c)
             for (std::size_t x = 0; x < 4; ++x) {
-                m = std::max(m, raw[(c * P_ + p) * 4 + x]);
-                scaledMax = std::max(scaledMax, out[(c * P_ + p) * 4 + x]);
+                m = std::max(m, raw[at(c, p, x)]);
+                scaledMax = std::max(scaledMax, out[at(c, p, x)]);
             }
         const int e = std::ilogb(m);
         EXPECT_GE(scaledMax, 1.0) << "pattern " << p;
         EXPECT_LT(scaledMax, 2.0) << "pattern " << p;
-        for (std::size_t j = (p * 4); j < C_ * P_ * 4; j += P_ * 4)
+        for (std::size_t c = 0; c < C_; ++c)
             for (std::size_t x = 0; x < 4; ++x)
-                EXPECT_EQ(std::bit_cast<std::uint64_t>(std::ldexp(out[j + x], e)),
-                          std::bit_cast<std::uint64_t>(raw[j + x]))
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(std::ldexp(out[at(c, p, x)], e)),
+                          std::bit_cast<std::uint64_t>(raw[at(c, p, x)]))
                     << "pattern " << p;
         EXPECT_DOUBLE_EQ(so[p], sa_[p] + sb_[p] + e * std::numbers::ln2) << "pattern " << p;
     }
 }
 
 TEST_F(ForestItemTest, BitEqualBranchLengthsShareOneMatrixPerCategory) {
-    std::vector<double> shared(C_ * P_ * 4), twice(C_ * P_ * 4), so(P_);
+    std::vector<double> shared(C_ * S_), twice(C_ * S_), so(P_);
     EXPECT_EQ(forestCombineItem(k_, a_.data(), sa_.data(), 0.25, b_.data(), sb_.data(), 0.25,
                                 shared.data(), so.data(), nullptr),
               C_);
@@ -202,8 +250,7 @@ TEST_F(ForestItemTest, BitEqualBranchLengthsShareOneMatrixPerCategory) {
         TransMat ta, tb;
         ta.pack(model_.transition(0.25 * lik_.rateCategories().rates[c]));
         tb.pack(model_.transition(0.25 * lik_.rateCategories().rates[c]));
-        pruneStrip(ta, tb, a_.data() + c * P_ * 4, b_.data() + c * P_ * 4,
-                   twice.data() + c * P_ * 4, P_);
+        pruneStrip(ta, tb, a_.data() + c * S_, b_.data() + c * S_, twice.data() + c * S_, P_);
     }
     std::vector<double> s2(P_);
     for (std::size_t p0 = 0; p0 < P_; p0 += kForestChunk)
@@ -217,8 +264,8 @@ TEST_F(ForestItemTest, AZeroSiteYieldsMinusInfinity) {
     // Pattern 0 is impossible in child A: its product is zero in every
     // category, it keeps its carried scale, and the root is -inf.
     for (std::size_t c = 0; c < C_; ++c)
-        for (std::size_t x = 0; x < 4; ++x) a_[c * P_ * 4 + x] = 0.0;
-    std::vector<double> out(C_ * P_ * 4), so(P_);
+        for (std::size_t x = 0; x < 4; ++x) a_[at(c, 0, x)] = 0.0;
+    std::vector<double> out(C_ * S_), so(P_);
     double rootLogL = 0.0;
     forestCombineItem(k_, a_.data(), sa_.data(), 0.2, b_.data(), sb_.data(), 0.3, out.data(),
                       so.data(), &rootLogL);

@@ -153,6 +153,10 @@ TEST(OptionsTest, RequireKnownNamesTheUnknownFlag) {
         "--cached-baseline"));
     EXPECT_TRUE(rejectsNaming([&] { parse({"--lik-backend=arena"}).requireKnown(kKnown); },
                               "--lik-backend"));
+    // A scoped check names the flag and the scope it does not apply to.
+    EXPECT_TRUE(rejectsNaming(
+        [&] { parse({"serve", "--resume", "--model", "HKY85"}).requireKnown(kKnown, "serve"); },
+        "--model does not apply to serve"));
 }
 
 TEST(TableTest, AlignedOutput) {

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <span>
 
 #include "core/driver.h"
 #include "core/smc_estimator.h"
@@ -41,6 +42,27 @@ constexpr const char* kFlags[] = {
     "proposals", "rejuvenation-sweeps", "resampling", "resume", "resume-policy", "samples",
     "seed", "set-samples", "socket", "state", "stop-ess", "stop-rhat", "strategy", "threads",
     "trace", "trace-out"};
+
+/// The flags each subcommand reads. main() rejects any other flag given
+/// with a subcommand (exit 2) before any file is opened: the state file
+/// fixes the model and the particles a daemon serves, and the client only
+/// talks to an endpoint.
+constexpr const char* kOnlineInitFlags[] = {
+    "ess-threshold", "failpoints", "metrics-out", "model", "particles", "print-config",
+    "resampling", "seed", "state", "threads", "trace-out"};
+constexpr const char* kServeFlags[] = {
+    "ess-threshold", "failpoints", "host", "max-wall-time", "metrics-out", "port",
+    "print-config", "rejuvenation-sweeps", "resampling", "socket", "state", "threads", "trace",
+    "trace-out"};
+constexpr const char* kServeSendFlags[] = {"host", "port", "print-config", "socket"};
+
+/// The flags subcommand `name` reads; empty for a batch run.
+std::span<const char* const> subcommandFlags(const std::string& name) {
+    if (name == "online-init") return kOnlineInitFlags;
+    if (name == "serve") return kServeFlags;
+    if (name == "serve-send") return kServeSendFlags;
+    return {};
+}
 
 /// Flags whose values are counts. main() parses each of them whole and
 /// non-negative before anything else runs.
@@ -493,10 +515,16 @@ int main(int argc, char** argv) {
     const Options opts = Options::parse(argc, argv);
     std::unique_ptr<RunSupervisor> supervisor;
     try {
-        // An unknown flag, a malformed or negative count, or a thread
-        // count above the cap exits 2 naming its flag before any pool or
-        // buffer is sized from it.
+        // An unknown flag, a flag the subcommand does not read, a
+        // malformed or negative count, or a thread count above the cap
+        // exits 2 naming its flag before any pool or buffer is sized from
+        // it and before any file is opened.
         opts.requireKnown(kFlags);
+        const std::string subcmd =
+            opts.positional().empty() ? std::string() : opts.positional().front();
+        const std::span<const char* const> subcmdFlags = subcommandFlags(subcmd);
+        const bool isSubcommand = !subcmdFlags.empty();
+        if (isSubcommand) opts.requireKnown(subcmdFlags, subcmd);
         for (const char* flag : kCountFlags) opts.getCount(flag, 0);
         const unsigned threads = threadCount(opts);
 
@@ -504,10 +532,6 @@ int main(int argc, char** argv) {
             std::fputs(buildConfigSummary().c_str(), stdout);
             return 0;
         }
-        const std::string subcmd =
-            opts.positional().empty() ? std::string() : opts.positional().front();
-        const bool isSubcommand =
-            subcmd == "serve" || subcmd == "online-init" || subcmd == "serve-send";
         const bool haveManifest = opts.has("loci-manifest");
         // Without a manifest at least one locus file plus theta0 is
         // required; with one, theta0 alone suffices.
