@@ -2,7 +2,7 @@
 // the sampler's building blocks, including the §5.2.2 ablation comparing
 // full likelihood recomputation (the paper's GPU choice) against
 // incremental dirty-path caching (the CPU alternative), and the
-// scalar-vs-pattern-major likelihood kernel comparison (patterns/sec via
+// scalar-vs-tiled-strip likelihood kernel comparison (patterns/sec via
 // items_per_second).
 //
 // Unless --benchmark_out is given, results are also written to
@@ -99,7 +99,7 @@ BENCHMARK(BM_BlockReduceLogSumExp)->Arg(1)->Arg(4)->Arg(16);
 
 /// The data-likelihood kernel: full pruning recomputation per call, the
 /// paper's GPU strategy (§5.2.2), across sequence lengths. Runs the
-/// pattern-major engine; items/sec is patterns/sec.
+/// tiled-strip engine; items/sec is patterns/sec.
 void BM_LikelihoodRecompute(benchmark::State& state) {
     Mt19937 rng(5);
     const Genealogy g = simulateCoalescent(12, 1.0, rng);
@@ -171,7 +171,7 @@ BENCHMARK(BM_GmhProposalRecompute)->Arg(400)->Arg(2000);
 
 /// The seed's scalar one-pattern-at-a-time pruning, kept as the reference
 /// path: the speedup of BM_LikelihoodRecompute over this is the
-/// pattern-major win.
+/// tiled-strip engine's win.
 void BM_LikelihoodScalarReference(benchmark::State& state) {
     Mt19937 rng(5);
     const Genealogy g = simulateCoalescent(12, 1.0, rng);

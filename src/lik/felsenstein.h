@@ -40,7 +40,7 @@ class DataLikelihood {
     DataLikelihood(const Alignment& aln, const SubstModel& model, RateCategories rates,
                    bool compressPatterns = true);
 
-    /// log P(D|G) via the pattern-major engine. Parallel over site-pattern
+    /// log P(D|G) via the tiled-strip engine. Parallel over site-pattern
     /// blocks when a pool is supplied — the data-likelihood kernel of
     /// §5.2.2 (one logical thread per site). Thread-safe, and bitwise
     /// deterministic across thread counts (the block partition depends only

@@ -1,6 +1,6 @@
 // Cache-line-aligned, grow-only storage for the likelihood kernels.
 //
-// The pattern-major partials arenas want 64-byte alignment (full AVX-512
+// The tiled partials arenas want 64-byte alignment (full AVX-512
 // vectors, no cache-line splits) and must not be reallocated on the MCMC
 // hot path: PartialsBuffer sizes them once per (genealogy shape, pattern
 // count) and reuses them across every subsequent sampler step.
