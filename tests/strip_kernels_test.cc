@@ -1,8 +1,8 @@
 // Strip kernels (lik/pruning_kernels.h): the vectorizable log against
 // std::log, the exactness of the power-of-two rescale in the engine strips
 // and the partial-forest items, the shared matrix of bit-equal branch
-// lengths, and the -inf path of a zero site. Raw strips are built through
-// stripIndex, with 1.0 in their pad lanes as the tips have.
+// lengths, the -inf path of a zero site, and pad lanes that reach no
+// scale, site or fold. Raw strips are built through stripIndex.
 #include "lik/pruning_kernels.h"
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <numbers>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -75,9 +76,12 @@ TEST(StripKernelsTest, FastLogIsExactlyZeroAtOneAndKnowsItsDomain) {
 
 TEST(StripKernelsTest, EngineStripsRescaleExactlyAndFoldZeroSitesToMinusInfinity) {
     // Patterns spread over many binades, a zero pattern and a subnormal one.
+    // The last tile's pad lanes hold NaN, so a pad that reached a scale or
+    // a site would show.
     constexpr std::size_t n = 37;
     Mt19937 rng(91);
-    std::vector<double> raw(stripLength(n), 1.0), part, scale(n), carried(n);
+    std::vector<double> raw(stripLength(n), std::numeric_limits<double>::quiet_NaN()), part,
+        scale(n), carried(n);
     for (std::size_t p = 0; p < n; ++p) {
         const double binade = std::ldexp(1.0, -static_cast<int>(rng.below(900)));
         for (std::size_t x = 0; x < 4; ++x) raw[stripIndex(p, x)] = binade * rng.uniform01();
@@ -156,6 +160,66 @@ TEST(StripKernelsTest, TipStripsIndicateStatesAndFillPadLanesWithOne) {
                 << "pattern " << p << " state " << x;
     for (std::size_t p = n; p < 16; ++p)
         for (std::size_t x = 0; x < 4; ++x) EXPECT_EQ(strip[stripIndex(p, x)], 1.0) << p;
+}
+
+TEST(StripKernelsTest, ForestPadLanesReachNoScaleAndNoFold) {
+    // Four tips whose columns spell 0..8 in base 4: nine patterns, one full
+    // tile and one pattern of a second, under four gamma categories.
+    std::vector<Sequence> seqs;
+    for (int s = 0; s < 4; ++s) {
+        std::string chars;
+        for (std::size_t j = 0; j < 9; ++j) chars += "ACGT"[(j >> (2 * s)) & 3];
+        seqs.push_back(Sequence::fromString("s" + std::to_string(s), chars));
+    }
+    const Alignment aln(std::move(seqs));
+    const F81Model model(aln.baseFrequencies());
+    const DataLikelihood lik(aln, model, RateCategories::discreteGamma(0.5, 4));
+    const ForestKernelData k{lik.patterns(), lik.model(), lik.rateCategories(),
+                             lik.rootFreqs()};
+    const std::size_t P = lik.patternCount(), C = lik.rateCategories().count();
+    const std::size_t S = stripLength(P);
+    ASSERT_EQ(P, 9u);
+
+    // Tip slots fill their pad lanes with 1.0 and write no scale past P.
+    std::vector<double> a(C * S), b(C * S), sa(P + 1, 5.0), sb(P + 1, 5.0);
+    double tipLogL = 0.0;
+    forestTipItem(k, 0, a.data(), sa.data(), &tipLogL);
+    forestTipItem(k, 1, b.data(), sb.data(), &tipLogL);
+    EXPECT_EQ(sa[P], 5.0);
+    EXPECT_EQ(sb[P], 5.0);
+    // The same children with NaN in every pad lane.
+    std::vector<double> a2 = a, b2 = b;
+    for (std::size_t c = 0; c < C; ++c)
+        for (std::size_t p = P; p < roundUpTo(P, kTilePatterns); ++p)
+            for (std::size_t x = 0; x < 4; ++x) {
+                EXPECT_EQ(a[c * S + stripIndex(p, x)], 1.0);
+                a2[c * S + stripIndex(p, x)] = std::numeric_limits<double>::quiet_NaN();
+                b2[c * S + stripIndex(p, x)] = std::numeric_limits<double>::quiet_NaN();
+            }
+
+    // Every scale, partial and root factor of the real patterns keeps its
+    // bits, and the scale entry past P is never written.
+    std::vector<double> out(C * S), out2(C * S), so(P + 1, 7.0), so2(P + 1, 7.0);
+    double rootLogL = 0.0, rootLogL2 = 0.0;
+    forestCombineItem(k, a.data(), sa.data(), 0.2, b.data(), sb.data(), 0.3, out.data(),
+                      so.data(), &rootLogL);
+    forestCombineItem(k, a2.data(), sa.data(), 0.2, b2.data(), sb.data(), 0.3, out2.data(),
+                      so2.data(), &rootLogL2);
+    EXPECT_TRUE(std::isfinite(rootLogL));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rootLogL), std::bit_cast<std::uint64_t>(rootLogL2));
+    EXPECT_EQ(so[P], 7.0);
+    EXPECT_EQ(so2[P], 7.0);
+    for (std::size_t p = 0; p < P; ++p) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(so[p]), std::bit_cast<std::uint64_t>(so2[p]))
+            << "pattern " << p;
+        for (std::size_t c = 0; c < C; ++c)
+            for (std::size_t x = 0; x < 4; ++x)
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(out[c * S + stripIndex(p, x)]),
+                          std::bit_cast<std::uint64_t>(out2[c * S + stripIndex(p, x)]))
+                    << "pattern " << p;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(forestRootLogLik(k, out2.data(), so2.data())),
+              std::bit_cast<std::uint64_t>(rootLogL));
 }
 
 /// A small alignment under discrete-gamma rates, and a pair of child slots
