@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/provenance.h"
 #include "coalescent/death_process.h"
 #include "coalescent/simulator.h"
 #include "core/neighborhood.h"
@@ -24,13 +25,13 @@
 #include "lik/partials_buffer.h"
 #include "lik/slot_arena.h"
 #include "par/kernel.h"
-#include "util/build_info.h"
 #include "phylo/upgma.h"
 #include "rng/mt19937.h"
 #include "rng/philox.h"
 #include "seq/distance.h"
 #include "seq/seqgen.h"
 #include "seq/subst_model.h"
+#include "tests/reference_likelihood.h"
 #include "util/logspace.h"
 
 namespace {
@@ -178,7 +179,7 @@ void BM_LikelihoodScalarReference(benchmark::State& state) {
     const Alignment data = benchData(12, static_cast<std::size_t>(state.range(0)), 5);
     const F81Model model(data.baseFrequencies());
     const DataLikelihood lik(data, model, /*compress=*/false);
-    for (auto _ : state) benchmark::DoNotOptimize(lik.logLikelihoodReference(g));
+    for (auto _ : state) benchmark::DoNotOptimize(referenceLogLikelihood(lik, g));
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_LikelihoodScalarReference)->Arg(200)->Arg(1000)->Arg(2000);

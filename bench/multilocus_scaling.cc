@@ -19,10 +19,10 @@
 #include <string>
 #include <vector>
 
+#include "bench/provenance.h"
 #include "bench/workload.h"
 #include "rng/splitmix.h"
 #include "seq/dataset.h"
-#include "util/build_info.h"
 #include "util/table.h"
 #include "util/timer.h"
 

@@ -28,8 +28,8 @@
 #include <string>
 #include <vector>
 
+#include "bench/provenance.h"
 #include "bench/workload.h"
-#include "util/build_info.h"
 #include "util/stats.h"
 #include "util/table.h"
 

@@ -35,6 +35,7 @@
 #include <iostream>
 #include <vector>
 
+#include "bench/provenance.h"
 #include "bench/workload.h"
 #include "lik/felsenstein.h"
 #include "obs/metrics.h"

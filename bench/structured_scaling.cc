@@ -17,12 +17,12 @@
 #include <string>
 #include <vector>
 
+#include "bench/provenance.h"
 #include "coalescent/structured.h"
 #include "core/structured_estimator.h"
 #include "rng/mt19937.h"
 #include "seq/seqgen.h"
 #include "seq/subst_model.h"
-#include "util/build_info.h"
 #include "util/options.h"
 #include "util/table.h"
 

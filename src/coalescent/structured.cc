@@ -53,20 +53,6 @@ StructuredGenealogy::StructuredGenealogy(Genealogy tree) : tree_(std::move(tree)
     branchEvents_.assign(static_cast<std::size_t>(tree_.nodeCount()), {});
 }
 
-int StructuredGenealogy::demeAt(NodeId child, double t) const {
-    int d = deme(child);
-    for (const MigrationEvent& e : branchEvents(child)) {
-        if (e.time > t) break;
-        d = e.toDeme;
-    }
-    return d;
-}
-
-int StructuredGenealogy::topDeme(NodeId child) const {
-    const auto& events = branchEvents(child);
-    return events.empty() ? deme(child) : events.back().toDeme;
-}
-
 std::size_t StructuredGenealogy::migrationCount() const {
     std::size_t n = 0;
     for (const auto& events : branchEvents_) n += events.size();

@@ -5,6 +5,7 @@
 #include <memory>
 #include <utility>
 
+#include "lik/locus_likelihoods.h"
 #include "mcmc/checkpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -164,7 +165,9 @@ namespace {
 
 /// Which run mode(s) each mode-specific CLI flag belongs to. Flags absent
 /// from this table (threads, seed, model, checkpoint/resume, failpoints,
-/// ...) apply everywhere and are never rejected.
+/// ...) apply everywhere and are never rejected. The subcommands
+/// (online-init, serve, serve-send) check their own flag lists, so their
+/// names here only tell a batch run where a flag does apply.
 struct AlgoFlag {
     const char* flag;
     const char* modes;  ///< space-separated applicable modes
@@ -187,6 +190,12 @@ constexpr AlgoFlag kAlgoFlags[] = {
     {"mig-init", "structured"},
     {"path-refresh", "structured"},
     {"pop-map", "structured"},
+    {"state", "online-init serve"},
+    {"socket", "serve serve-send"},
+    {"host", "serve serve-send"},
+    {"port", "serve serve-send"},
+    {"rejuvenation-sweeps", "serve"},
+    {"trace", "serve"},
 };
 
 bool modeListed(const char* modes, const std::string& mode) {
@@ -247,7 +256,6 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
 
     Timer total;
     const LocusLikelihoods liks(dataset, opts.substModel, opts.compressPatterns);
-    const LocusProblemSet problems(dataset, liks);
 
     MpcgsResult result;
     double theta = opts.theta0;
@@ -255,7 +263,7 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
     current.reserve(L);
     for (std::size_t l = 0; l < L; ++l)
         current.push_back(initialGenealogy(dataset.locus(l).alignment,
-                                           problems.at(l).effectiveTheta(opts.theta0)));
+                                           opts.theta0 * dataset.locus(l).mutationScale));
     std::size_t emStart = 0;
 
     // Mid-iteration resume payload stays open until the iteration's
@@ -333,7 +341,7 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
         for (std::size_t l = 0; l < L; ++l)
             samplers.push_back(makeSampler(specFor(opts, locusStreamSeed(seed, l)),
                                            liks.at(l),
-                                           problems.at(l).effectiveTheta(theta),
+                                           theta * dataset.locus(l).mutationScale,
                                            std::move(current[l]), pool));
         std::vector<SummarySink> sinks(L);
         std::vector<ConvergenceMonitor> monitors(L);
@@ -452,7 +460,7 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
             current[l] = samplers[l]->continuation();
             finals[l].name = dataset.locus(l).name;
             finals[l].mutationScale = dataset.locus(l).mutationScale;
-            finals[l].drivingTheta = problems.at(l).effectiveTheta(rec.thetaBefore);
+            finals[l].drivingTheta = rec.thetaBefore * finals[l].mutationScale;
             finals[l].summaries = sinks[l].chainMajor();
             terms.push_back({RelativeLikelihood(finals[l].summaries, finals[l].drivingTheta),
                              finals[l].mutationScale, finals[l].name});

@@ -5,6 +5,7 @@
 #include "core/driver.h"
 #include "core/locus_problem.h"
 #include "core/mle.h"
+#include "lik/locus_likelihoods.h"
 #include "mcmc/gmh.h"
 #include "par/kernel.h"
 #include "util/error.h"
@@ -48,8 +49,9 @@ double PooledGrowthRelativeLikelihood::logL(const GrowthParams& p, ThreadPool* p
     return sum;
 }
 
-GrowthMleResult maximizeGrowthParams(const GrowthLikelihood& rl, GrowthParams start,
-                                     double growthLo, double growthHi, ThreadPool* pool) {
+GrowthMleResult maximizeGrowthParams(const PooledGrowthRelativeLikelihood& rl,
+                                     GrowthParams start, double growthLo, double growthHi,
+                                     ThreadPool* pool) {
     GrowthMleResult out;
     GrowthParams cur = start;
     double curLogL = rl.logL(cur, pool);

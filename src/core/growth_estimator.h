@@ -32,24 +32,14 @@
 
 namespace mpcgs {
 
-/// Anything exposing a log relative likelihood over (theta, growth): one
-/// locus's Eq. 26' surface or the pooled multi-locus sum. The coordinate
-/// ascent maximizer operates on this interface.
-class GrowthLikelihood {
-  public:
-    virtual ~GrowthLikelihood() = default;
-
-    /// log L(theta, g).
-    virtual double logL(const GrowthParams& p, ThreadPool* pool = nullptr) const = 0;
-};
-
 /// Two-parameter relative likelihood surface over sampled genealogies.
-class GrowthRelativeLikelihood final : public GrowthLikelihood {
+class GrowthRelativeLikelihood {
   public:
     GrowthRelativeLikelihood(std::vector<std::vector<CoalInterval>> samples,
                              GrowthParams driving);
 
-    double logL(const GrowthParams& p, ThreadPool* pool = nullptr) const override;
+    /// log L(theta, g).
+    double logL(const GrowthParams& p, ThreadPool* pool = nullptr) const;
 
     const GrowthParams& driving() const { return driving_; }
     std::size_t sampleCount() const { return samples_.size(); }
@@ -63,7 +53,7 @@ class GrowthRelativeLikelihood final : public GrowthLikelihood {
 /// Pooled multi-locus surface: sum_l log L_l(mu_l * theta, g). Growth is a
 /// shared parameter; each locus's theta axis is scaled by its mutation
 /// rate. With one locus and mu = 1 this is the locus surface bitwise.
-class PooledGrowthRelativeLikelihood final : public GrowthLikelihood {
+class PooledGrowthRelativeLikelihood {
   public:
     struct LocusTerm {
         GrowthRelativeLikelihood rl;
@@ -73,7 +63,7 @@ class PooledGrowthRelativeLikelihood final : public GrowthLikelihood {
 
     explicit PooledGrowthRelativeLikelihood(std::vector<LocusTerm> loci);
 
-    double logL(const GrowthParams& p, ThreadPool* pool = nullptr) const override;
+    double logL(const GrowthParams& p, ThreadPool* pool = nullptr) const;
 
     std::size_t locusCount() const { return loci_.size(); }
 
@@ -88,9 +78,9 @@ struct GrowthMleResult {
     int sweeps = 0;
     bool converged = false;
 };
-GrowthMleResult maximizeGrowthParams(const GrowthLikelihood& rl, GrowthParams start,
-                                     double growthLo = 0.0, double growthHi = 20.0,
-                                     ThreadPool* pool = nullptr);
+GrowthMleResult maximizeGrowthParams(const PooledGrowthRelativeLikelihood& rl,
+                                     GrowthParams start, double growthLo = 0.0,
+                                     double growthHi = 20.0, ThreadPool* pool = nullptr);
 
 /// GMH problem for the growth posterior: the constant-size neighbourhood
 /// kernel driven at p.theta, growth-aware target density.

@@ -20,35 +20,8 @@
 #include <vector>
 
 #include "core/posterior.h"
-#include "lik/locus_likelihoods.h"
-#include "seq/dataset.h"
 
 namespace mpcgs {
-
-/// One locus's slice of the joint problem: its data likelihood plus the
-/// mapping from the shared theta to the locus's effective theta.
-struct LocusProblem {
-    const Locus* locus = nullptr;         ///< name, alignment, mutation scale
-    const DataLikelihood* lik = nullptr;  ///< per-locus engine (LocusLikelihoods)
-
-    double mutationScale() const { return locus->mutationScale; }
-    /// Effective theta governing this locus's coalescent prior. With
-    /// mu = 1 this is the shared theta bitwise (x * 1.0 == x).
-    double effectiveTheta(double theta) const { return theta * locus->mutationScale; }
-};
-
-/// The per-locus problem views over a Dataset and its likelihood set (both
-/// must outlive this object).
-class LocusProblemSet {
-  public:
-    LocusProblemSet(const Dataset& dataset, const LocusLikelihoods& liks);
-
-    std::size_t count() const { return problems_.size(); }
-    const LocusProblem& at(std::size_t l) const { return problems_[l]; }
-
-  private:
-    std::vector<LocusProblem> problems_;
-};
 
 /// RNG stream seed for locus `l` within an E-step seeded with `emSeed`.
 /// Locus 0 keeps `emSeed` itself so single-locus runs reproduce the
@@ -74,7 +47,6 @@ class PooledRelativeLikelihood final : public ThetaLikelihood {
     double logL(double theta, ThreadPool* pool = nullptr) const override;
 
     std::size_t locusCount() const { return loci_.size(); }
-    const LocusTerm& locusTerm(std::size_t l) const { return loci_[l]; }
 
     /// Samples summed over loci.
     std::size_t sampleCount() const;

@@ -42,8 +42,4 @@ std::string genealogySummary(const Genealogy& g);
 /// directory) and throw NumericError naming that file. Never returns.
 [[noreturn]] void raiseNumericFault(const NumericFaultContext& ctx);
 
-/// The guardrail itself: no-op when `ctx.value` is finite, otherwise dump
-/// and raise.
-void guardFinite(const NumericFaultContext& ctx);
-
 }  // namespace mpcgs

@@ -106,10 +106,6 @@ void validateStructuredOptions(const StructuredOptions& opts) {
         throw ConfigError("structured options: resume requires a checkpointPath");
 }
 
-StructuredRelativeLikelihood finalStructuredLikelihood(const StructuredResult& result) {
-    return StructuredRelativeLikelihood(result.finalSummaries, result.finalDriving);
-}
-
 StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>& tipDemes,
                                     const StructuredOptions& opts, ThreadPool* pool) {
     validateStructuredOptions(opts);

@@ -85,9 +85,6 @@ struct StructuredResult {
     std::vector<SupportInterval> support;
 };
 
-/// Rebuild the final-iteration relative-likelihood surface.
-StructuredRelativeLikelihood finalStructuredLikelihood(const StructuredResult& result);
-
 /// Estimate (theta_k, M_kl) from one alignment whose sequence i lives in
 /// deme tipDemes[i]. `pool` parallelizes the chain rounds and the M-step
 /// curve evaluations; results are bitwise identical for any pool width.

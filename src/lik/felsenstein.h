@@ -14,11 +14,12 @@
 // recomputation beat caching there). On the CPU every MCMC chain instead
 // scores a proposal over a kept evaluation of its current state
 // (LikelihoodEngine::evaluateRegion, see core/genealogy_problem.h), which
-// equals a full evaluation bitwise through the same kernels.
+// equals a full evaluation bitwise through the same kernels. The scalar
+// one-pattern-at-a-time pruning that tests hold the engine to is in
+// tests/reference_likelihood.h.
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "lik/engine.h"
 #include "lik/rate_model.h"
@@ -47,15 +48,6 @@ class DataLikelihood {
     /// on the problem shape).
     double logLikelihood(const Genealogy& g, ThreadPool* pool = nullptr) const;
 
-    /// log P(D|G) via the original scalar one-pattern-at-a-time pruning.
-    /// Kept as the numerical reference for the engine agreement tests and
-    /// the kernel benchmarks; not a hot path.
-    double logLikelihoodReference(const Genealogy& g) const;
-
-    /// Per-pattern log-likelihoods (diagnostics/tests; scalar reference
-    /// path).
-    std::vector<double> patternLogLikelihoods(const Genealogy& g) const;
-
     std::size_t patternCount() const { return patterns_.patternCount(); }
     std::size_t siteCount() const { return patterns_.siteCount(); }
     /// Pattern data — the SMC slot arena (lik/slot_arena.h) builds its
@@ -72,18 +64,6 @@ class DataLikelihood {
     DataLikelihood& operator=(const DataLikelihood&) = delete;
 
   private:
-    /// Per-branch transition matrices for a genealogy, indexed by child id;
-    /// branch lengths scaled by `rate`.
-    std::vector<Matrix4> branchMatrices(const Genealogy& g, double rate = 1.0) const;
-
-    /// Log-likelihood of one pattern via a pruning pass over the traversal
-    /// `order`; `partials` is caller-provided scratch ([node][nucleotide]),
-    /// with underflow handled by per-node rescaling carried in log space
-    /// (§5.3).
-    double computePattern(const Genealogy& g, const std::vector<NodeId>& order,
-                          const std::vector<Matrix4>& pmat, std::size_t pattern,
-                          std::vector<double>& partials) const;
-
     SitePatterns patterns_;
     std::unique_ptr<SubstModel> model_;
     BaseFreqs pi_;

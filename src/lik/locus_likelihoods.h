@@ -29,7 +29,6 @@ class LocusLikelihoods {
     LocusLikelihoods(const Dataset& dataset, const std::string& modelName,
                      bool compressPatterns = true);
 
-    std::size_t locusCount() const { return liks_.size(); }
     const DataLikelihood& at(std::size_t l) const { return *liks_[l]; }
 
     LocusLikelihoods(const LocusLikelihoods&) = delete;

@@ -11,16 +11,13 @@ SitePatterns::SitePatterns(const Alignment& aln, bool compress) {
     nSites_ = aln.length();
     require(nSeq_ > 0 && nSites_ > 0, "SitePatterns: empty alignment");
     names_ = aln.names();
-    siteToPattern_.resize(nSites_);
 
     if (!compress) {
         codes_.resize(nSites_ * nSeq_);
         weights_.assign(nSites_, 1.0);
-        for (std::size_t site = 0; site < nSites_; ++site) {
-            siteToPattern_[site] = site;
+        for (std::size_t site = 0; site < nSites_; ++site)
             for (std::size_t s = 0; s < nSeq_; ++s)
                 codes_[site * nSeq_ + s] = aln.sequence(s).at(site);
-        }
         return;
     }
 
@@ -30,14 +27,11 @@ SitePatterns::SitePatterns(const Alignment& aln, bool compress) {
         for (std::size_t s = 0; s < nSeq_; ++s) col[s] = aln.sequence(s).at(site);
         const auto it = seen.find(col);
         if (it == seen.end()) {
-            const std::size_t p = weights_.size();
-            seen.emplace(col, p);
+            seen.emplace(col, weights_.size());
             weights_.push_back(1.0);
             codes_.insert(codes_.end(), col.begin(), col.end());
-            siteToPattern_[site] = p;
         } else {
             weights_[it->second] += 1.0;
-            siteToPattern_[site] = it->second;
         }
     }
 }

@@ -17,21 +17,12 @@ namespace mpcgs {
 class SitePatterns {
   public:
     /// Compress (or, with compress=false, pass through) the columns of an
-    /// alignment. Pattern p covers `weight(p)` original columns.
+    /// alignment. Pattern p covers `weightsData()[p]` original columns.
     explicit SitePatterns(const Alignment& aln, bool compress = true);
 
     std::size_t patternCount() const { return weights_.size(); }
     std::size_t sequenceCount() const { return nSeq_; }
     std::size_t siteCount() const { return nSites_; }
-
-    /// Multiplicity of pattern p.
-    double weight(std::size_t p) const { return weights_[p]; }
-
-    /// Nucleotide code of sequence `s` in pattern `p` (pattern-major layout).
-    NucCode code(std::size_t p, std::size_t s) const { return codes_[p * nSeq_ + s]; }
-
-    /// Pattern index of each original column.
-    const std::vector<std::size_t>& siteToPattern() const { return siteToPattern_; }
 
     /// Sequence names in tip order, captured from the alignment — the SMC
     /// cloud labels its genealogies with these so sampled trees are
@@ -50,7 +41,6 @@ class SitePatterns {
     std::size_t nSites_ = 0;
     std::vector<NucCode> codes_;     // patternCount x nSeq
     std::vector<double> weights_;
-    std::vector<std::size_t> siteToPattern_;
     std::vector<std::string> names_;
 };
 

@@ -74,9 +74,6 @@ class Rng {
     /// Sample an index from log-space weights (max-normalized internally,
     /// §5.2.3 underflow discipline).
     std::size_t categoricalFromLog(std::span<const double> logWeights);
-
-    /// True with probability p (clamped to [0,1]).
-    bool bernoulli(double p) { return uniform01() < p; }
 };
 
 }  // namespace mpcgs

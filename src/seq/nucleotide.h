@@ -23,11 +23,6 @@ using BaseFreqs = std::array<double, 4>;
 
 inline constexpr BaseFreqs kUniformFreqs{0.25, 0.25, 0.25, 0.25};
 
-/// True for A or G.
-inline constexpr bool isPurine(NucCode c) { return c == kNucA || c == kNucG; }
-/// True for C or T.
-inline constexpr bool isPyrimidine(NucCode c) { return c == kNucC || c == kNucT; }
-
 /// Map an input character to a code. Accepts upper/lower case, U as T, and
 /// the common unknown markers (N, X, ?, -, and IUPAC ambiguity codes all
 /// collapse to kNucUnknown). Returns 0xFF for characters that are not

@@ -35,37 +35,4 @@ std::size_t Sequence::hammingDistance(const Sequence& other) const {
     return d;
 }
 
-PackedAlignment::PackedAlignment(const std::vector<Sequence>& seqs) {
-    nSeq_ = seqs.size();
-    length_ = seqs.empty() ? 0 : seqs[0].length();
-    for (const auto& s : seqs)
-        require(s.length() == length_, "PackedAlignment: ragged alignment");
-    wordsPerSeq_ = (length_ + 31) / 32;
-    maskWordsPerSeq_ = (length_ + 63) / 64;
-    words_.assign(nSeq_ * wordsPerSeq_, 0);
-    unknownMask_.assign(nSeq_ * maskWordsPerSeq_, 0);
-    for (std::size_t s = 0; s < nSeq_; ++s) {
-        for (std::size_t i = 0; i < length_; ++i) {
-            const NucCode c = seqs[s].at(i);
-            if (c == kNucUnknown) {
-                unknownMask_[s * maskWordsPerSeq_ + i / 64] |= (std::uint64_t{1} << (i % 64));
-                continue;  // packed bits stay 0 (reads as A; mask overrides)
-            }
-            words_[s * wordsPerSeq_ + i / 32] |=
-                (static_cast<std::uint64_t>(c & 0x3u) << (2 * (i % 32)));
-        }
-    }
-}
-
-NucCode PackedAlignment::at(std::size_t seq, std::size_t site) const {
-    if (unknownMask_[seq * maskWordsPerSeq_ + site / 64] & (std::uint64_t{1} << (site % 64)))
-        return kNucUnknown;
-    const std::uint64_t w = words_[seq * wordsPerSeq_ + site / 32];
-    return static_cast<NucCode>((w >> (2 * (site % 32))) & 0x3u);
-}
-
-std::uint64_t PackedAlignment::word(std::size_t seq, std::size_t w) const {
-    return words_[seq * wordsPerSeq_ + w];
-}
-
 }  // namespace mpcgs

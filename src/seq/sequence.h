@@ -1,12 +1,10 @@
-// Sequences and the 2-bit packed layout of §5.1.3.
+// Named nucleotide sequences, one code per byte.
 //
-// The paper stores sequence data in CUDA constant memory, 2 bits per base,
-// so that a 64-bit read feeds a whole 32-thread warp. PackedAlignment
-// reproduces that layout on the CPU: per-sequence 2-bit words with the
-// unknown sites tracked in a side mask.
+// The paper packs sequence data 2 bits per base into CUDA constant memory
+// (§5.1.3). The CPU engine reads the pattern-major codes of SitePatterns
+// (lik/site_pattern.h) instead, so a sequence keeps its codes unpacked.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -25,11 +23,9 @@ class Sequence {
     static Sequence fromString(std::string name, const std::string& chars);
 
     const std::string& name() const { return name_; }
-    void setName(std::string n) { name_ = std::move(n); }
 
     std::size_t length() const { return codes_.size(); }
     NucCode at(std::size_t i) const { return codes_[i]; }
-    void set(std::size_t i, NucCode c) { codes_[i] = c; }
     const std::vector<NucCode>& codes() const { return codes_; }
 
     /// Render as characters.
@@ -44,34 +40,6 @@ class Sequence {
   private:
     std::string name_;
     std::vector<NucCode> codes_;
-};
-
-/// 2-bit packed storage for a whole alignment (sequence-major). 32 bases
-/// per 64-bit word, mirroring the paper's constant-memory packing.
-class PackedAlignment {
-  public:
-    PackedAlignment() = default;
-    PackedAlignment(const std::vector<Sequence>& seqs);
-
-    std::size_t sequenceCount() const { return nSeq_; }
-    std::size_t length() const { return length_; }
-
-    /// Code of base `site` of sequence `seq` (0..3, or kNucUnknown).
-    NucCode at(std::size_t seq, std::size_t site) const;
-
-    /// The 64-bit word holding sites [32*w, 32*w+32) of sequence `seq` —
-    /// the unit the paper broadcasts to a warp.
-    std::uint64_t word(std::size_t seq, std::size_t w) const;
-
-    std::size_t wordsPerSequence() const { return wordsPerSeq_; }
-
-  private:
-    std::size_t nSeq_ = 0;
-    std::size_t length_ = 0;
-    std::size_t wordsPerSeq_ = 0;
-    std::vector<std::uint64_t> words_;
-    std::vector<std::uint64_t> unknownMask_;  // 1 bit per site
-    std::size_t maskWordsPerSeq_ = 0;
 };
 
 }  // namespace mpcgs

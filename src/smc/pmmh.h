@@ -67,8 +67,6 @@ class PmmhSampler final : public Sampler {
     void save(CheckpointWriter& w) const override;
     void load(CheckpointReader& r) override;
 
-    double chainTheta(std::size_t c) const { return chains_[c].theta; }
-    double chainLogZ(std::size_t c) const { return chains_[c].logZ; }
     /// Per-chain theta values recorded at every SAMPLING tick (burn-in
     /// ticks drive the chain but record nothing) — the posterior sample.
     const std::vector<double>& thetaTrace(std::size_t c) const {

@@ -1,6 +1,5 @@
 #include "util/build_info.h"
 
-#include <cstdio>
 #include <sstream>
 
 #include "par/thread_pool.h"
@@ -36,28 +35,6 @@ std::string buildConfigSummary() {
        << "SIMD width:      " << simdWidthDoubles() << " doubles/vector\n"
        << "git describe:    " << gitDescribe() << '\n'
        << "default threads: " << hardwareThreads() << '\n';
-    return os.str();
-}
-
-bool warnIfDirtyProvenance(const char* path) {
-    const std::string git = gitDescribe();
-    const bool dirty =
-        git == "unknown" ||
-        (git.size() >= 6 && git.compare(git.size() - 6, 6, "-dirty") == 0);
-    if (dirty)
-        std::fprintf(stderr,
-                     "WARNING: writing %s with provenance git=\"%s\" — this build "
-                     "does not correspond to a commit; do NOT commit this snapshot "
-                     "(rebuild from a clean checkout and rerun)\n",
-                     path, git.c_str());
-    return dirty;
-}
-
-std::string buildProvenanceJson() {
-    std::ostringstream os;
-    os << "{\"build_type\": \"" << buildType() << "\", \"simd_doubles\": "
-       << simdWidthDoubles() << ", \"git\": \"" << gitDescribe()
-       << "\", \"default_threads\": " << hardwareThreads() << "}";
     return os.str();
 }
 

@@ -1,7 +1,7 @@
-// Build provenance: compile-time facts every tool can print
-// (--print-config) and every bench harness can stamp into its
-// BENCH_*.json snapshot, so committed numbers carry the configuration
-// that produced them.
+// Build provenance: compile-time facts every tool prints under
+// --print-config. The bench harnesses stamp the same facts into their
+// BENCH_*.json snapshots (bench/provenance.h), and the golden tests read
+// them to recognize the build that recorded their tables.
 #pragma once
 
 #include <string>
@@ -24,16 +24,5 @@ int simdWidthDoubles();
 /// Human-readable multi-line summary: build type, SIMD width, git
 /// describe, and the runtime thread default (hardwareThreads()).
 std::string buildConfigSummary();
-
-/// The same facts as one JSON object, e.g.
-/// {"build_type": "Release", "simd_doubles": 4, "git": "abc1234",
-///  "default_threads": 8} — embedded under "provenance" in BENCH_*.json.
-std::string buildProvenanceJson();
-
-/// Print a loud stderr warning when the configure-time git describe is
-/// "-dirty" (or unknown): a committed BENCH snapshot stamped from an
-/// unclean tree can't be reproduced from any commit. Bench harnesses call
-/// this right before writing `path`. Returns true when the warning fired.
-bool warnIfDirtyProvenance(const char* path);
 
 }  // namespace mpcgs

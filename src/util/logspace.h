@@ -9,7 +9,6 @@
 // which keeps at least the larger operand exactly representable.
 #pragma once
 
-#include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -28,16 +27,6 @@ inline double logAdd(double a, double b) {
     return std::log(std::exp(a - k) + std::exp(b - k)) + k;
 }
 
-/// Natural log of the difference of two probabilities, ln(e^a - e^b).
-/// Requires a >= b; returns -inf when a == b.
-inline double logSub(double a, double b) {
-    assert(a >= b && "logSub requires a >= b");
-    if (b == -std::numeric_limits<double>::infinity()) return a;
-    const double d = -std::expm1(b - a);  // 1 - e^{b-a}, stable near 0
-    if (d <= 0.0) return -std::numeric_limits<double>::infinity();
-    return a + std::log(d);
-}
-
 /// Stable log-sum-exp over a span of log-values. Empty input -> -inf.
 inline double logSumExp(std::span<const double> xs) {
     if (xs.empty()) return -std::numeric_limits<double>::infinity();
@@ -49,70 +38,6 @@ inline double logSumExp(std::span<const double> xs) {
     for (double x : xs) acc += std::exp(x - k);
     return std::log(acc) + k;
 }
-
-/// A non-negative real stored as its natural logarithm.
-///
-/// Used for likelihoods, priors and proposal densities throughout the
-/// library. Multiplication/division are exact (log add/sub); addition uses
-/// the max-factored identity. The value 0 is representable (log == -inf).
-class LogValue {
-  public:
-    /// One (log == 0); the multiplicative identity.
-    constexpr LogValue() : log_(0.0) {}
-
-    /// Construct from an already-logged value.
-    static constexpr LogValue fromLog(double lg) { return LogValue(lg, 0); }
-
-    /// Construct from a linear-space value (must be >= 0).
-    static LogValue fromLinear(double v) {
-        assert(v >= 0.0);
-        return LogValue(v > 0.0 ? std::log(v) : -std::numeric_limits<double>::infinity(), 0);
-    }
-
-    static constexpr LogValue zero() {
-        return LogValue(-std::numeric_limits<double>::infinity(), 0);
-    }
-    static constexpr LogValue one() { return LogValue(0.0, 0); }
-
-    /// The stored logarithm.
-    constexpr double log() const { return log_; }
-    /// Back to linear space (may overflow/underflow for extreme logs).
-    double linear() const { return std::exp(log_); }
-
-    constexpr bool isZero() const {
-        return log_ == -std::numeric_limits<double>::infinity();
-    }
-
-    LogValue& operator*=(LogValue o) {
-        log_ += o.log_;
-        return *this;
-    }
-    LogValue& operator/=(LogValue o) {
-        log_ -= o.log_;
-        return *this;
-    }
-    LogValue& operator+=(LogValue o) {
-        log_ = logAdd(log_, o.log_);
-        return *this;
-    }
-
-    friend LogValue operator*(LogValue a, LogValue b) { return a *= b; }
-    friend LogValue operator/(LogValue a, LogValue b) { return a /= b; }
-    friend LogValue operator+(LogValue a, LogValue b) { return a += b; }
-
-    friend bool operator==(LogValue a, LogValue b) { return a.log_ == b.log_; }
-    friend bool operator<(LogValue a, LogValue b) { return a.log_ < b.log_; }
-    friend bool operator>(LogValue a, LogValue b) { return a.log_ > b.log_; }
-    friend bool operator<=(LogValue a, LogValue b) { return a.log_ <= b.log_; }
-    friend bool operator>=(LogValue a, LogValue b) { return a.log_ >= b.log_; }
-
-    /// a^p for real p.
-    LogValue pow(double p) const { return fromLog(log_ * p); }
-
-  private:
-    constexpr LogValue(double lg, int) : log_(lg) {}
-    double log_;
-};
 
 /// Normalize a vector of log-weights into linear-space probabilities that
 /// sum to 1 (max-normalized before exponentiation; §5.2.3).

@@ -1,7 +1,9 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <vector>
 
 namespace mpcgs {
 
@@ -55,22 +57,6 @@ double quantile(std::span<const double> xs, double q) {
     return v[lo] * (1.0 - frac) + v[hi] * frac;
 }
 
-void RunningStats::merge(const RunningStats& o) {
-    if (o.n_ == 0) return;
-    if (n_ == 0) {
-        *this = o;
-        return;
-    }
-    const auto n = n_ + o.n_;
-    const double d = o.mean_ - mean_;
-    const double nd = static_cast<double>(n);
-    m2_ += o.m2_ + d * d * static_cast<double>(n_) * static_cast<double>(o.n_) / nd;
-    mean_ += d * static_cast<double>(o.n_) / nd;
-    min_ = std::min(min_, o.min_);
-    max_ = std::max(max_, o.max_);
-    n_ = n;
-}
-
 double autocorrelation(std::span<const double> xs, std::size_t lag) {
     const std::size_t n = xs.size();
     if (lag >= n || n < 2) return 0.0;
@@ -95,22 +81,6 @@ double effectiveSampleSize(std::span<const double> xs) {
     }
     const double denom = 1.0 + 2.0 * sum;
     return static_cast<double>(n) / std::max(denom, 1.0);
-}
-
-Histogram::Histogram(double lo_, double hi_, std::size_t nbins) : lo(lo_), hi(hi_), bins(nbins, 0) {
-    if (nbins == 0 || !(hi > lo))
-        throw std::invalid_argument("Histogram: bad range/bins");
-}
-
-void Histogram::add(double x) {
-    if (x < lo || x >= hi) return;
-    const auto idx =
-        static_cast<std::size_t>((x - lo) / (hi - lo) * static_cast<double>(bins.size()));
-    bins[std::min(idx, bins.size() - 1)]++;
-}
-
-std::size_t Histogram::total() const {
-    return std::accumulate(bins.begin(), bins.end(), std::size_t{0});
 }
 
 }  // namespace mpcgs

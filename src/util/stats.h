@@ -1,12 +1,11 @@
-// Descriptive statistics used by the accuracy evaluation (Table 1 / Fig 13)
-// and by the MCMC diagnostics.
+// Descriptive statistics over a series: the MCMC diagnostics and the
+// sampler's effective sample size read them, and so does the accuracy
+// evaluation of Table 1 / Fig 13.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <span>
 #include <stdexcept>
-#include <vector>
 
 namespace mpcgs {
 
@@ -30,35 +29,6 @@ double median(std::span<const double> xs);
 /// Quantile in [0,1] with linear interpolation; throws on empty input.
 double quantile(std::span<const double> xs, double q);
 
-/// Streaming mean/variance accumulator (Welford).
-class RunningStats {
-  public:
-    void add(double x) {
-        ++n_;
-        const double d = x - mean_;
-        mean_ += d / static_cast<double>(n_);
-        m2_ += d * (x - mean_);
-        if (x < min_ || n_ == 1) min_ = x;
-        if (x > max_ || n_ == 1) max_ = x;
-    }
-    std::size_t count() const { return n_; }
-    double mean() const { return mean_; }
-    double variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0; }
-    double stdev() const { return std::sqrt(variance()); }
-    double min() const { return min_; }
-    double max() const { return max_; }
-
-    /// Merge another accumulator (parallel reduction support).
-    void merge(const RunningStats& o);
-
-  private:
-    std::size_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
 /// Lag-k autocorrelation of a series (biased normalization, standard for
 /// MCMC diagnostics).
 double autocorrelation(std::span<const double> xs, std::size_t lag);
@@ -66,16 +36,5 @@ double autocorrelation(std::span<const double> xs, std::size_t lag);
 /// Effective sample size via initial-positive-sequence truncation of the
 /// autocorrelation sum (Geyer 1992 style, simplified).
 double effectiveSampleSize(std::span<const double> xs);
-
-/// Simple fixed-width histogram; used by the burn-in/trace examples.
-struct Histogram {
-    double lo = 0.0;
-    double hi = 1.0;
-    std::vector<std::size_t> bins;
-
-    Histogram(double lo_, double hi_, std::size_t nbins);
-    void add(double x);
-    std::size_t total() const;
-};
 
 }  // namespace mpcgs

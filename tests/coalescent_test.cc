@@ -7,7 +7,7 @@
 #include "coalescent/simulator.h"
 #include "rng/mt19937.h"
 #include "util/error.h"
-#include "util/stats.h"
+#include "running_stats.h"
 
 namespace mpcgs {
 namespace {

@@ -8,7 +8,7 @@
 
 #include "rng/mt19937.h"
 #include "util/error.h"
-#include "util/stats.h"
+#include "running_stats.h"
 
 namespace mpcgs {
 namespace {

@@ -9,6 +9,7 @@
 #include "rng/mt19937.h"
 #include "seq/seqgen.h"
 #include "util/error.h"
+#include "reference_likelihood.h"
 
 namespace mpcgs {
 namespace {
@@ -98,7 +99,7 @@ TEST(Felsenstein, MatchesBruteForceEnumeration) {
     const Alignment aln = fourTipAlignment();
     const F81Model model(aln.baseFrequencies(), 1.0);
     const DataLikelihood lik(aln, model, /*compress=*/false);
-    const auto perPattern = lik.patternLogLikelihoods(g);
+    const auto perPattern = referencePatternLogLikelihoods(lik, g);
     ASSERT_EQ(perPattern.size(), aln.length());
     for (std::size_t site = 0; site < aln.length(); ++site) {
         const double brute = bruteForceSiteLik(g, model, aln.column(site));
@@ -111,7 +112,7 @@ TEST(Felsenstein, BruteForceAgreementUnderGtr) {
     const Alignment aln = fourTipAlignment();
     const auto model = makeHky85(2.0, aln.baseFrequencies());
     const DataLikelihood lik(aln, *model, false);
-    const auto perPattern = lik.patternLogLikelihoods(g);
+    const auto perPattern = referencePatternLogLikelihoods(lik, g);
     for (std::size_t site = 0; site < aln.length(); ++site) {
         const double brute = bruteForceSiteLik(g, *model, aln.column(site));
         EXPECT_NEAR(perPattern[site], std::log(brute), 1e-10);
@@ -245,7 +246,7 @@ TEST(LikelihoodCacheTest, DirtyUpdateMatchesFullRecompute) {
     const NodeId dirty[] = {moved, nd.child[0], nd.child[1]};
     const double incremental = lik.engine().evaluateDirty(g, dirty, arena);
     EXPECT_EQ(incremental, lik.logLikelihood(g));
-    EXPECT_NEAR(incremental, lik.logLikelihoodReference(g), 1e-10);
+    EXPECT_NEAR(incremental, referenceLogLikelihood(lik, g), 1e-10);
 }
 
 TEST(LikelihoodCacheTest, DirtyWithoutEvaluateThrows) {

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "util/stats.h"
+#include "running_stats.h"
 
 namespace mpcgs {
 namespace {

@@ -1,6 +1,9 @@
 #include "coalescent/growth.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,7 +15,7 @@
 #include "seq/seqgen.h"
 #include "seq/subst_model.h"
 #include "util/error.h"
-#include "util/stats.h"
+#include "running_stats.h"
 
 namespace mpcgs {
 namespace {
@@ -125,6 +128,33 @@ TEST(GrowthRelativeLikelihoodTest, ReducesToThetaOnlyCurveAtZeroGrowth) {
         EXPECT_NEAR(rl.logL({theta, 0.0}), flat.logL(theta), 1e-9);
 }
 
+TEST(PooledGrowthRelativeLikelihoodTest, SumsLocusSurfacesBitwise) {
+    // One locus at mu = 1 is the locus surface bitwise; two loci at
+    // mu = (1, 2) are the locus surfaces at (theta, g) and (2 theta, g),
+    // added in locus order.
+    using Term = PooledGrowthRelativeLikelihood::LocusTerm;
+    Mt19937 rng(70);
+    const auto samplesAt = [&](const GrowthParams& p) {
+        std::vector<std::vector<CoalInterval>> samples;
+        for (int r = 0; r < 100; ++r)
+            samples.push_back(simulateGrowthCoalescent(6, p, rng).intervals());
+        return samples;
+    };
+    const GrowthRelativeLikelihood a(samplesAt({1.0, 2.0}), {1.0, 2.0});
+    const GrowthRelativeLikelihood b(samplesAt({2.0, 2.0}), {2.0, 2.0});
+    const PooledGrowthRelativeLikelihood one(std::vector<Term>{{a, 1.0, "a"}});
+    const PooledGrowthRelativeLikelihood two(std::vector<Term>{{a, 1.0, "a"}, {b, 2.0, "b"}});
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    for (const double theta : {0.3, 1.0, 2.5})
+        for (const double g : {0.0, 1.5, 6.0}) {
+            EXPECT_EQ(bits(one.logL({theta, g})), bits(a.logL({theta, g})))
+                << "theta " << theta << " g " << g;
+            EXPECT_EQ(bits(two.logL({theta, g})),
+                      bits(a.logL({theta, g}) + b.logL({2.0 * theta, g})))
+                << "theta " << theta << " g " << g;
+        }
+}
+
 TEST(GrowthMle, RecoversConcentratedSurfacePeak) {
     // Posterior-like (concentrated) sample set: one genealogy at a few
     // nearby scales. The surface is then a smooth unimodal function of
@@ -140,7 +170,11 @@ TEST(GrowthMle, RecoversConcentratedSurfacePeak) {
         jittered.scaleTimes(0.96 + 0.002 * r);
         samples.push_back(jittered.intervals());
     }
-    const GrowthRelativeLikelihood rl(std::move(samples), truth);
+    // The maximizer takes a pooled surface; one locus at mu = 1 is this
+    // surface bitwise.
+    std::vector<PooledGrowthRelativeLikelihood::LocusTerm> terms;
+    terms.push_back({GrowthRelativeLikelihood(std::move(samples), truth), 1.0, "locus"});
+    const PooledGrowthRelativeLikelihood rl(std::move(terms));
     const GrowthMleResult mle = maximizeGrowthParams(rl, {0.3, 0.0}, 0.0, 12.0);
     double gridBest = -1e300;
     for (double lt = -1.5; lt <= 1.5; lt += 0.05)

@@ -22,6 +22,7 @@
 #include "seq/seqgen.h"
 #include "seq/subst_model.h"
 #include "smc/smc_sampler.h"
+#include "reference_likelihood.h"
 
 namespace mpcgs {
 namespace {
@@ -116,7 +117,7 @@ void expectRawOpForestMatchesReference(const Alignment& aln) {
         // The completed tree's root factor is its data likelihood.
         forest.tree.setTipNames(aln.names());
         forest.tree.validate();
-        EXPECT_NEAR(forest.logL.back(), lik.logLikelihoodReference(forest.tree), 1e-9);
+        EXPECT_NEAR(forest.logL.back(), referenceLogLikelihood(lik, forest.tree), 1e-9);
 
         // Each combine requests 2 matrices per category; a cherry's two
         // bit-equal branch lengths share one. The first merge of an

@@ -37,18 +37,6 @@ TEST(LogAdd, LargerOperandDominatesWhenFarApart) {
     EXPECT_DOUBLE_EQ(logAdd(0.0, -800.0), 0.0);
 }
 
-TEST(LogSub, MatchesLinear) {
-    EXPECT_NEAR(logSub(std::log(7.0), std::log(3.0)), std::log(4.0), 1e-12);
-}
-
-TEST(LogSub, EqualOperandsGiveZero) {
-    EXPECT_EQ(logSub(-3.0, -3.0), -kInf);
-}
-
-TEST(LogSub, SubtractingZeroIsIdentity) {
-    EXPECT_DOUBLE_EQ(logSub(1.25, -kInf), 1.25);
-}
-
 TEST(LogSumExp, EmptyIsLogZero) {
     EXPECT_EQ(logSumExp({}), -kInf);
 }
@@ -68,43 +56,6 @@ TEST(LogSumExp, MatchesSequentialLogAdd) {
 TEST(LogSumExp, AllZeros) {
     const std::vector<double> xs{-kInf, -kInf};
     EXPECT_EQ(logSumExp(xs), -kInf);
-}
-
-TEST(LogValue, DefaultIsOne) {
-    EXPECT_DOUBLE_EQ(LogValue().log(), 0.0);
-    EXPECT_DOUBLE_EQ(LogValue().linear(), 1.0);
-}
-
-TEST(LogValue, MultiplicationAddsLogs) {
-    const auto a = LogValue::fromLinear(2.0);
-    const auto b = LogValue::fromLinear(8.0);
-    EXPECT_NEAR((a * b).linear(), 16.0, 1e-12);
-    EXPECT_NEAR((b / a).linear(), 4.0, 1e-12);
-}
-
-TEST(LogValue, AdditionInLogSpace) {
-    const auto a = LogValue::fromLinear(0.5);
-    const auto b = LogValue::fromLinear(0.25);
-    EXPECT_NEAR((a + b).linear(), 0.75, 1e-12);
-}
-
-TEST(LogValue, ZeroBehaves) {
-    const auto z = LogValue::zero();
-    EXPECT_TRUE(z.isZero());
-    EXPECT_TRUE((z * LogValue::fromLinear(5.0)).isZero());
-    EXPECT_NEAR((z + LogValue::fromLinear(5.0)).linear(), 5.0, 1e-12);
-}
-
-TEST(LogValue, ComparisonsFollowMagnitude) {
-    EXPECT_LT(LogValue::fromLinear(1.0), LogValue::fromLinear(2.0));
-    EXPECT_GT(LogValue::fromLinear(3.0), LogValue::fromLinear(2.0));
-    EXPECT_LE(LogValue::zero(), LogValue::fromLinear(1e-300));
-}
-
-TEST(LogValue, PowScalesLog) {
-    const auto a = LogValue::fromLinear(4.0);
-    EXPECT_NEAR(a.pow(0.5).linear(), 2.0, 1e-12);
-    EXPECT_NEAR(a.pow(3.0).linear(), 64.0, 1e-9);
 }
 
 TEST(LogNormalize, ProducesProbabilities) {

@@ -14,6 +14,7 @@
 #include "core/driver.h"
 #include "core/locus_problem.h"
 #include "core/samplers.h"
+#include "lik/locus_likelihoods.h"
 #include "mcmc/checkpoint.h"
 #include "rng/mt19937.h"
 #include "rng/splitmix.h"
@@ -522,6 +523,13 @@ TEST(OptionValidationTest, AlgoMismatchedFlagsAreHardRejected) {
     EXPECT_THROW(validateAlgoFlags(parse({"--curve", "c.csv"}), "pmmh"), ConfigError);
     EXPECT_THROW(validateAlgoFlags(parse({"--mig-init", "1.5"}), "mcmc"), ConfigError);
     EXPECT_THROW(validateAlgoFlags(parse({"--set-samples", "8"}), "structured"), ConfigError);
+    // Flags only the subcommands read do not apply to a batch run.
+    EXPECT_THROW(validateAlgoFlags(parse({"--state", "s.mpck"}), "mcmc"), ConfigError);
+    EXPECT_THROW(validateAlgoFlags(parse({"--socket", "x.sock"}), "smc"), ConfigError);
+    EXPECT_THROW(validateAlgoFlags(parse({"--host", "127.0.0.1"}), "pmmh"), ConfigError);
+    EXPECT_THROW(validateAlgoFlags(parse({"--port", "9000"}), "structured"), ConfigError);
+    EXPECT_THROW(validateAlgoFlags(parse({"--rejuvenation-sweeps", "3"}), "mcmc"), ConfigError);
+    EXPECT_THROW(validateAlgoFlags(parse({"--trace", "t.jsonl"}), "smc"), ConfigError);
     try {
         validateAlgoFlags(parse({"--ess-threshold", "1.0"}), "mcmc");
         FAIL() << "mismatched flag was not rejected";

@@ -14,7 +14,7 @@
 #include "mcmc/gmh.h"
 #include "rng/mt19937.h"
 #include "util/error.h"
-#include "util/stats.h"
+#include "running_stats.h"
 
 namespace mpcgs {
 namespace {

@@ -23,6 +23,7 @@
 #include "smc/smc_sampler.h"
 #include "util/error.h"
 #include "util/logspace.h"
+#include "reference_likelihood.h"
 
 namespace mpcgs {
 namespace {
@@ -83,7 +84,7 @@ void expectAttachmentsMatchReference(const DataLikelihood& lik, const Genealogy&
         const double hi = tree.node(tree.node(v).parent).time;
         for (const double f : {0.07, 0.5, 0.93}) {
             const double h = lo + f * (hi - lo);
-            const double reference = lik.logLikelihoodReference(graftForTest(tree, v, h));
+            const double reference = referenceLogLikelihood(lik, graftForTest(tree, v, h));
             EXPECT_NEAR(onlineAttachmentLogLik(lik, tree, v, h), reference,
                         relTol * std::abs(reference))
                 << "attach=" << v << " h=" << h;
@@ -93,7 +94,7 @@ void expectAttachmentsMatchReference(const DataLikelihood& lik, const Genealogy&
     for (const double dh : {0.05, 0.6, 2.3}) {
         const double h = tRoot + dh;
         const double reference =
-            lik.logLikelihoodReference(graftForTest(tree, tree.root(), h));
+            referenceLogLikelihood(lik, graftForTest(tree, tree.root(), h));
         EXPECT_NEAR(onlineAttachmentLogLik(lik, tree, tree.root(), h), reference,
                     relTol * std::abs(reference))
             << "root h=" << h;
@@ -238,7 +239,7 @@ double exactLogMarginalThreeTips(const DataLikelihood& lik, const Alignment& aln
                 g.node(4).time = t3 + t2;
                 logVals.push_back(logCoalescentWaitDensity(3, t3, theta) +
                                   logCoalescentWaitDensity(2, t2, theta) +
-                                  lik.logLikelihoodReference(g));
+                                  referenceLogLikelihood(lik, g));
             }
         }
     }

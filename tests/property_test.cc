@@ -19,6 +19,7 @@
 #include "seq/seqgen.h"
 #include "seq/subst_model.h"
 #include "util/stats.h"
+#include "running_stats.h"
 
 namespace mpcgs {
 namespace {

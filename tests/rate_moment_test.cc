@@ -13,7 +13,7 @@
 #include "seq/seqgen.h"
 #include "seq/subst_model.h"
 #include "util/error.h"
-#include "util/stats.h"
+#include "running_stats.h"
 
 namespace mpcgs {
 namespace {

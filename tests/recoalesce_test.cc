@@ -11,7 +11,7 @@
 #include "mcmc/mh.h"
 #include "rng/mt19937.h"
 #include "util/error.h"
-#include "util/stats.h"
+#include "running_stats.h"
 
 namespace mpcgs {
 namespace {

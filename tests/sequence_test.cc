@@ -27,15 +27,6 @@ TEST(NucleotideTest, CharRoundTrip) {
     EXPECT_EQ(nucToChar(kNucUnknown), 'N');
 }
 
-TEST(NucleotideTest, PurinePyrimidineClasses) {
-    EXPECT_TRUE(isPurine(kNucA));
-    EXPECT_TRUE(isPurine(kNucG));
-    EXPECT_FALSE(isPurine(kNucC));
-    EXPECT_TRUE(isPyrimidine(kNucC));
-    EXPECT_TRUE(isPyrimidine(kNucT));
-    EXPECT_FALSE(isPyrimidine(kNucG));
-}
-
 TEST(SequenceTest, FromStringAndBack) {
     const auto s = Sequence::fromString("seq1", "ACGTNacgt");
     EXPECT_EQ(s.name(), "seq1");
@@ -60,30 +51,6 @@ TEST(SequenceTest, HammingThrowsOnLengthMismatch) {
     const auto a = Sequence::fromString("a", "ACGT");
     const auto b = Sequence::fromString("b", "ACG");
     EXPECT_THROW(a.hammingDistance(b), InvariantError);
-}
-
-TEST(PackedAlignmentTest, RoundTripsCodes) {
-    std::vector<Sequence> seqs{Sequence::fromString("a", "ACGTACGTACGTACGTACGTACGTACGTACGTACG"),
-                               Sequence::fromString("b", "TTTTGGGGCCCCAAAANNNNACGTACGTACGTACG")};
-    const PackedAlignment packed(seqs);
-    EXPECT_EQ(packed.sequenceCount(), 2u);
-    EXPECT_EQ(packed.length(), 35u);
-    for (std::size_t s = 0; s < 2; ++s)
-        for (std::size_t i = 0; i < 35; ++i) EXPECT_EQ(packed.at(s, i), seqs[s].at(i));
-}
-
-TEST(PackedAlignmentTest, WordLayoutPacksTwoBits) {
-    // 32 'C's = code 1 in every 2-bit slot = 0x5555...
-    std::vector<Sequence> seqs{Sequence::fromString("c", std::string(32, 'C'))};
-    const PackedAlignment packed(seqs);
-    EXPECT_EQ(packed.wordsPerSequence(), 1u);
-    EXPECT_EQ(packed.word(0, 0), 0x5555555555555555ull);
-}
-
-TEST(PackedAlignmentTest, RejectsRaggedInput) {
-    std::vector<Sequence> seqs{Sequence::fromString("a", "ACGT"),
-                               Sequence::fromString("b", "AC")};
-    EXPECT_THROW(PackedAlignment{seqs}, InvariantError);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "running_stats.h"
+
 namespace mpcgs {
 namespace {
 
@@ -184,25 +186,6 @@ TEST(EffectiveSampleSize, CorrelatedIsMuchSmaller) {
         x = v;
     }
     EXPECT_LT(effectiveSampleSize(xs), 1000.0);
-}
-
-TEST(HistogramTest, BinsAndTotal) {
-    Histogram h(0.0, 1.0, 4);
-    h.add(0.1);
-    h.add(0.3);
-    h.add(0.31);
-    h.add(0.99);
-    h.add(1.5);   // outside, ignored
-    h.add(-0.1);  // outside, ignored
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_EQ(h.bins[0], 1u);
-    EXPECT_EQ(h.bins[1], 2u);
-    EXPECT_EQ(h.bins[3], 1u);
-}
-
-TEST(HistogramTest, RejectsBadConstruction) {
-    EXPECT_THROW(Histogram(0.0, 0.0, 4), std::invalid_argument);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
 }  // namespace

@@ -20,21 +20,30 @@
 #include "util/failpoint.h"
 #include "util/options.h"
 
+namespace {
+
+/// Every flag mscoal reads. Any other flag exits 2 before anything runs.
+constexpr const char* kFlags[] = {"metrics-out", "print-config", "reps",
+                                  "seed",        "theta",        "trace-out"};
+
+}  // namespace
+
 int main(int argc, char** argv) {
     using namespace mpcgs;
     const Options opts = Options::parse(argc, argv);
-    if (opts.has("print-config")) {
-        std::fputs(buildConfigSummary().c_str(), stdout);
-        return 0;
-    }
-    if (opts.positional().empty()) {
-        std::fprintf(stderr,
-                     "usage: %s <nTips> [--theta T] [--seed S] [--reps R]\n"
-                     "       [--metrics-out FILE] [--trace-out FILE]\n",
-                     argv[0]);
-        return 2;
-    }
     try {
+        opts.requireKnown(kFlags);
+        if (opts.has("print-config")) {
+            std::fputs(buildConfigSummary().c_str(), stdout);
+            return 0;
+        }
+        if (opts.positional().empty()) {
+            std::fprintf(stderr,
+                         "usage: %s <nTips> [--theta T] [--seed S] [--reps R]\n"
+                         "       [--metrics-out FILE] [--trace-out FILE]\n",
+                         argv[0]);
+            return 2;
+        }
         failpoint::configureFromEnv();
         // Shared observability surface (src/obs/): same flags, taxonomy and
         // obs.emit fault semantics as mpcgs, emitted on clean exit.
@@ -52,11 +61,11 @@ int main(int argc, char** argv) {
                               std::to_string(std::numeric_limits<int>::max()) + " tips, got '" +
                               opts.positional()[0] + "'");
         const double theta = opts.getDouble("theta", 1.0);
-        const auto reps = opts.getInt("reps", 1);
+        const std::size_t reps = opts.getCount("reps", 1);
         Mt19937 rng(static_cast<std::uint32_t>(opts.getInt("seed", 42)));
         {
             const obs::TraceSpan span("mscoal_simulate", "sim");
-            for (long long r = 0; r < reps; ++r) {
+            for (std::size_t r = 0; r < reps; ++r) {
                 const Genealogy g = simulateCoalescent(static_cast<int>(n), theta, rng);
                 std::cout << toNewick(g) << "\n";
             }

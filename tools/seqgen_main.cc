@@ -145,16 +145,23 @@ int runTwoDeme(const mpcgs::Options& opts, const mpcgs::SubstModel& model,
     return 0;
 }
 
+/// Every flag seqgen reads. Any other flag exits 2 before any file is
+/// written.
+constexpr const char* kFlags[] = {
+    "demes", "kappa", "length", "loci", "metrics-out", "mig", "model", "out",
+    "print-config", "scale", "seed", "theta", "thetas", "tips", "trace-out"};
+
 }  // namespace
 
 int main(int argc, char** argv) {
     using namespace mpcgs;
     const Options opts = Options::parse(argc, argv);
-    if (opts.has("print-config")) {
-        std::fputs(buildConfigSummary().c_str(), stdout);
-        return 0;
-    }
     try {
+        opts.requireKnown(kFlags);
+        if (opts.has("print-config")) {
+            std::fputs(buildConfigSummary().c_str(), stdout);
+            return 0;
+        }
         failpoint::configureFromEnv();
         // Shared observability surface (src/obs/): same flags, taxonomy and
         // obs.emit fault semantics as mpcgs, emitted on clean exit.
