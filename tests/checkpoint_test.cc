@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -580,6 +581,115 @@ TEST(SnapshotLayoutTest, FingerprintsKeepTheirFieldOrder) {
         EXPECT_EQ(r.str(), o.substModel);
         expectLocusRoster(r, ds);
         EXPECT_EQ(r.remaining(), 0u);
+        removeSnapshot(o.checkpointPath);
+    }
+}
+
+/// Walks every section of the snapshot at `path` and returns their names.
+/// The context section goes to `readContext`, which must consume it whole.
+std::vector<std::string> walkSections(const std::string& path,
+                                      const std::function<void(CheckpointReader&)>& readContext) {
+    CheckpointReader r(path);
+    std::vector<std::string> names;
+    for (std::string name = r.nextSection(); !name.empty(); name = r.nextSection()) {
+        names.push_back(name);
+        if (name != "context") continue;
+        readContext(r);
+        EXPECT_EQ(r.remaining(), 0u);
+    }
+    return names;
+}
+
+/// The phase-end snapshot of one EM iteration (one PMMH phase) of each run
+/// kind: the context the estimator writes, closed by the phase's progress
+/// words (burn ticks done; per slot, sampling ticks done and the stopped
+/// latch), then the sampler, sink and monitor sections grouped by kind.
+/// Snapshots written by earlier builds resume only while this holds.
+TEST(SnapshotLayoutTest, PhaseEndSnapshotsKeepTheirSections) {
+    Dataset ds;
+    ds.add(Locus{"alpha", simulateData(6, 1.0, 90, 51), 1.0, {}});
+    ds.add(Locus{"beta", simulateData(6, 1.0, 70, 52), 0.5, {}});
+    // 60 samples: 30 ticks of 2 chains, after ceil(60 * 100 / 1000) burn ticks.
+    const std::uint64_t burnTicks = 6, capTicks = 30;
+
+    {
+        SCOPED_TRACE("estimateTheta, 2 loci");
+        MpcgsOptions o;
+        o.theta0 = 0.6;
+        o.emIterations = 1;
+        o.samplesPerIteration = 60;
+        o.strategy = Strategy::MultiChain;
+        o.chains = 2;
+        o.seed = 5;
+        o.checkpointPath = tempPath("phase_mcmc.ckpt");
+        o.checkpointIntervalTicks = 7;
+        estimateTheta(ds, o);
+        const auto names = walkSections(o.checkpointPath, [&](CheckpointReader& r) {
+            EXPECT_EQ(r.u64(), 0u);        // EM index
+            EXPECT_EQ(r.f64(), o.theta0);  // driving theta
+            EXPECT_EQ(r.u64(), 0u);        // history records
+            for (const Locus& locus : ds.loci())  // warm starts
+                EXPECT_EQ(readGenealogy(r),
+                          initialGenealogy(locus.alignment, o.theta0 * locus.mutationScale));
+            EXPECT_EQ(r.u32(), 1u);  // mid-iteration
+            EXPECT_EQ(r.u64(), burnTicks);
+            for (std::size_t l = 0; l < ds.locusCount(); ++l) {
+                EXPECT_EQ(r.u64(), capTicks);
+                EXPECT_EQ(r.u32(), 0u);  // stopped latch
+            }
+        });
+        EXPECT_EQ(names, (std::vector<std::string>{"fingerprint", "context", "sampler.0",
+                                                   "sampler.1", "sink.0", "sink.1",
+                                                   "monitor.0", "monitor.1"}));
+        removeSnapshot(o.checkpointPath);
+    }
+    {
+        SCOPED_TRACE("estimateStructured");
+        const std::vector<int> demes{0, 0, 0, 1, 1, 1};
+        StructuredOptions o;
+        o.init = MigrationModel(2, 0.7, 0.9);
+        o.emIterations = 1;
+        o.samplesPerIteration = 60;
+        o.chains = 2;
+        o.seed = 6;
+        o.checkpointPath = tempPath("phase_structured.ckpt");
+        o.checkpointIntervalTicks = 7;
+        estimateStructured(ds.locus(0).alignment, demes, o);
+        const auto names = walkSections(o.checkpointPath, [&](CheckpointReader& r) {
+            EXPECT_EQ(r.u64(), 0u);  // EM index
+            EXPECT_EQ(r.doubles(), o.init.theta);
+            EXPECT_EQ(r.doubles(), o.init.mig);
+            EXPECT_EQ(r.u64(), 0u);  // history records
+            EXPECT_EQ(readStructuredGenealogy(r, 2).tree().tipCount(), 6);  // warm start
+            EXPECT_EQ(r.u32(), 1u);  // mid-iteration
+            EXPECT_EQ(r.u64(), burnTicks);
+            EXPECT_EQ(r.u64(), capTicks);
+            EXPECT_EQ(r.u32(), 0u);  // stopped latch
+        });
+        EXPECT_EQ(names, (std::vector<std::string>{"fingerprint", "context", "sampler", "sink",
+                                                   "monitor"}));
+        removeSnapshot(o.checkpointPath);
+    }
+    {
+        SCOPED_TRACE("runPmmh");
+        PmmhEstimateOptions o;
+        o.theta0 = 0.6;
+        o.samples = 8;  // 4 ticks of 2 chains, after ceil(4 * 100 / 1000) burn ticks
+        o.pmmh.chains = 2;
+        o.pmmh.seed = 7;
+        o.pmmh.smc.particles = 16;
+        o.checkpointPath = tempPath("phase_pmmh.ckpt");
+        o.checkpointIntervalTicks = 3;
+        runPmmh(ds, o);
+        const auto names = walkSections(o.checkpointPath, [&](CheckpointReader& r) {
+            EXPECT_EQ(r.remaining(), 28u);
+            EXPECT_EQ(r.u64(), 1u);  // frozen burn geometry
+            EXPECT_EQ(r.u64(), 1u);  // burn ticks done
+            EXPECT_EQ(r.u64(), 4u);
+            EXPECT_EQ(r.u32(), 0u);  // stopped latch
+        });
+        EXPECT_EQ(names, (std::vector<std::string>{"fingerprint", "context", "sampler",
+                                                   "monitor"}));
         removeSnapshot(o.checkpointPath);
     }
 }
