@@ -69,13 +69,12 @@ std::uint64_t emSeed(const MpcgsOptions& opts, std::size_t em) {
 
 // --- checkpoint layout -------------------------------------------------
 // fingerprint | emIndex theta | history | per-locus warm genealogies |
-// phase (0 = iteration start, 1 = mid-iteration: burn progress, per-locus
-// sampling progress/stopped latches, then per-locus sampler + sink +
-// monitor payloads).
+// phase (0 = iteration start, 1 = mid-iteration: the E-step's SamplerRun
+// with one slot per locus, suffix ".<l>", as SamplerRun::save writes it).
 //
 // v2 stamps the locus roster (names, shapes, mutation scales) into the
-// fingerprint and repeats every per-locus section L times; v1 files are
-// the single-locus layout (no roster, one genealogy, one payload) and are
+// fingerprint and repeats every per-locus payload L times; v1 files are
+// the single-locus layout (no roster, one genealogy, one slot) and are
 // read back as L = 1. Left out of the fingerprint on purpose: the EM
 // iteration count (a resumed run may extend the EM horizon of the
 // interrupted one), the checkpoint interval and the supervisor.
@@ -266,13 +265,9 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
                                            opts.theta0 * dataset.locus(l).mutationScale));
     std::size_t emStart = 0;
 
-    // Mid-iteration resume payload stays open until the iteration's
-    // samplers and sinks exist to load into.
+    // A mid-iteration snapshot stays open at its phase until the
+    // iteration's run exists to load into.
     std::unique_ptr<CheckpointReader> resumeReader;
-    bool resumeMidIteration = false;
-    std::size_t resumeBurnDone = 0;
-    std::vector<std::uint64_t> resumeSampleDone(L, 0);
-    std::vector<std::uint8_t> resumeStopped(L, 0);
 
     if (opts.resume) {
         // Any CheckpointError while READING the snapshot context becomes a
@@ -294,16 +289,7 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
             for (const EmIterationRecord& h : result.history)
                 result.samplingSeconds += h.seconds;
             for (std::size_t l = 0; l < L; ++l) current[l] = readGenealogy(*resumeReader);
-            if (resumeReader->u32() == 1) {
-                resumeMidIteration = true;
-                resumeBurnDone = resumeReader->u64();
-                for (std::size_t l = 0; l < L; ++l) {
-                    resumeSampleDone[l] = resumeReader->u64();
-                    resumeStopped[l] = resumeReader->u32() != 0 ? 1 : 0;
-                }
-            } else {
-                resumeReader.reset();
-            }
+            if (resumeReader->u32() != 1) resumeReader.reset();  // iteration boundary
         } catch (const CheckpointError& e) {
             throw ResumeError(e.what());
         }
@@ -313,6 +299,24 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
 
     const RunGeometry geom = geometryFor(opts);
     std::vector<LocusFinal> finals(L);
+
+    // Every snapshot: the context, then the phase word and, mid-iteration
+    // (`run` set), the E-step's phase.
+    const auto snapshot = [&](std::size_t em, double drivingTheta,
+                              const std::vector<Genealogy>& warmStarts, const SamplerRun* run) {
+        withCheckpointRetry(opts.supervisor, [&] {
+            CheckpointWriter w(opts.checkpointPath);
+            w.fingerprint(fingerprint(opts, dataset));
+            w.beginSection("context");
+            w.u64(em);
+            w.f64(drivingTheta);
+            writeHistory(w, result.history);
+            for (const Genealogy& g : warmStarts) writeGenealogy(w, g);
+            w.u32(run ? 1 : 0);
+            if (run) run->save(w);
+            w.commit();
+        });
+    };
 
     for (std::size_t em = emStart; em < opts.emIterations; ++em) {
         // EM-boundary stop check: a signal that lands during the M-step is
@@ -358,70 +362,17 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
         cfg.numeric.theta = theta;
         cfg.numeric.seed = seed;
         cfg.numeric.phase = "estimateTheta E-step (EM iteration " + std::to_string(em) + ")";
-        if (!opts.checkpointPath.empty()) {
-            cfg.checkpoint = [&, em](std::size_t burnDone,
-                                     std::span<const std::uint64_t> sampleDone,
-                                     std::span<const std::uint8_t> stopped) {
-                withCheckpointRetry(opts.supervisor, [&] {
-                    CheckpointWriter w(opts.checkpointPath);
-                    w.fingerprint(fingerprint(opts, dataset));
-                    w.beginSection("context");
-                    w.u64(em);
-                    w.f64(rec.thetaBefore);
-                    writeHistory(w, result.history);
-                    for (const Genealogy& g : emInit) writeGenealogy(w, g);
-                    w.u32(1);  // mid-iteration
-                    w.u64(burnDone);
-                    for (std::size_t l = 0; l < L; ++l) {
-                        w.u64(sampleDone[l]);
-                        w.u32(stopped[l] ? 1 : 0);
-                    }
-                    for (std::size_t l = 0; l < L; ++l) {
-                        w.beginSection("sampler." + std::to_string(l));
-                        samplers[l]->save(w);
-                    }
-                    for (std::size_t l = 0; l < L; ++l) {
-                        w.beginSection("sink." + std::to_string(l));
-                        sinks[l].save(w);
-                    }
-                    for (std::size_t l = 0; l < L; ++l) {
-                        w.beginSection("monitor." + std::to_string(l));
-                        monitors[l].save(w);
-                    }
-                    w.commit();
-                });
+        if (!opts.checkpointPath.empty())
+            cfg.checkpoint = [&, em](const SamplerRun& run) {
+                snapshot(em, rec.thetaBefore, emInit, &run);
             };
-        }
 
         std::vector<RunSlot> slots(L);
         for (std::size_t l = 0; l < L; ++l)
-            slots[l] = RunSlot{samplers[l].get(), &sinks[l], &monitors[l]};
+            slots[l] = RunSlot{samplers[l].get(), &sinks[l], &monitors[l], "." + std::to_string(l)};
         SamplerRun run(std::move(slots), cfg);
-        if (resumeMidIteration && em == emStart) {
-            try {
-                if (resumeReader->version() >= 2) {
-                    for (std::size_t l = 0; l < L; ++l) {
-                        resumeReader->enterSection("sampler." + std::to_string(l));
-                        samplers[l]->load(*resumeReader);
-                    }
-                    for (std::size_t l = 0; l < L; ++l) {
-                        resumeReader->enterSection("sink." + std::to_string(l));
-                        sinks[l].load(*resumeReader);
-                    }
-                    for (std::size_t l = 0; l < L; ++l) {
-                        resumeReader->enterSection("monitor." + std::to_string(l));
-                        monitors[l].load(*resumeReader);
-                    }
-                } else {
-                    // v1 interleaves nothing: one sampler, one sink, one monitor.
-                    samplers[0]->load(*resumeReader);
-                    sinks[0].load(*resumeReader);
-                    monitors[0].load(*resumeReader);
-                }
-            } catch (const CheckpointError& e) {
-                throw ResumeError(e.what());
-            }
-            run.restoreProgress(resumeBurnDone, resumeSampleDone, resumeStopped);
+        if (resumeReader) {  // only ever the first iteration's
+            run.load(*resumeReader);
             resumeReader.reset();
         }
 
@@ -475,19 +426,8 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
 
         // EM-boundary snapshot: the next iteration restarts cleanly from
         // here even if the process dies during the M-step bookkeeping.
-        if (!opts.checkpointPath.empty() && em + 1 < opts.emIterations) {
-            withCheckpointRetry(opts.supervisor, [&] {
-                CheckpointWriter w(opts.checkpointPath);
-                w.fingerprint(fingerprint(opts, dataset));
-                w.beginSection("context");
-                w.u64(em + 1);
-                w.f64(theta);
-                writeHistory(w, result.history);
-                for (const Genealogy& g : current) writeGenealogy(w, g);
-                w.u32(0);  // iteration boundary
-                w.commit();
-            });
-        }
+        if (!opts.checkpointPath.empty() && em + 1 < opts.emIterations)
+            snapshot(em + 1, theta, current, nullptr);
     }
 
     result.theta = theta;

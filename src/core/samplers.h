@@ -63,8 +63,8 @@ class SummarySink final : public SampleSink {
     std::size_t total() const;
     std::vector<IntervalSummary> chainMajor() const;
 
-    void save(CheckpointWriter& w) const;
-    void load(CheckpointReader& r);
+    void save(CheckpointWriter& w) const override;
+    void load(CheckpointReader& r) override;
 
   private:
     std::vector<std::vector<IntervalSummary>> perChain_;

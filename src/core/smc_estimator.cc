@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -16,13 +17,6 @@
 
 namespace mpcgs {
 namespace {
-
-/// Swallow the genealogy stream: PMMH's posterior lives in the theta
-/// traces (kept by the sampler) and the convergence monitor.
-class DiscardSink final : public SampleSink {
-  public:
-    void consume(const Genealogy&, const SampleTag&) override {}
-};
 
 PooledSmcLikelihood::LocusTerm termFor(const Dataset& ds, const LocusLikelihoods& liks,
                                        std::size_t l) {
@@ -38,11 +32,11 @@ std::vector<PooledSmcLikelihood::LocusTerm> allTerms(const Dataset& ds,
 }
 
 // --- PMMH checkpoint layout -------------------------------------------
-// fingerprint ('PSMC' tag + run configuration + locus roster) | burnTicks
-// burnDone sampleDone stopped | sampler payload | monitor payload. Left out
-// of the fingerprint on purpose: the sample cap (a resumed run may extend
-// the horizon), the checkpoint interval and the supervisor. It also lacks
-// the stopping thresholds, which only a new format version can add.
+// fingerprint ('PSMC' tag + run configuration + locus roster) | burnTicks |
+// the run's phase: one slot without a sink, as SamplerRun::save writes it.
+// Left out of the fingerprint on purpose: the sample cap (a resumed run may
+// extend the horizon), the checkpoint interval and the supervisor. It also
+// lacks the stopping thresholds, which only a new format version can add.
 
 CheckpointEncoder fingerprint(const PmmhEstimateOptions& opts, const Dataset& ds) {
     CheckpointEncoder f;
@@ -256,26 +250,19 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
     // burn ticks into the middle of an already-sampling chain.
     std::size_t burnTicks = (capTicks * opts.burnInFraction1000 + 999) / 1000;
 
+    // PMMH's posterior lives in the theta traces (kept by the sampler) and
+    // the convergence monitor; the genealogy stream goes to no sink.
     ConvergenceMonitor monitor;
-    DiscardSink sink;
-    std::size_t resumeBurnDone = 0;
-    std::uint64_t resumeSampleDone = 0;
-    std::uint8_t resumeStopped = 0;
+    std::unique_ptr<CheckpointReader> resumeReader;
     if (opts.resume) {
         try {
-            CheckpointReader r(pickResumeSnapshot(opts.checkpointPath));
-            if (!r.fingerprintMatches(fingerprint(opts, dataset)))
+            resumeReader = std::make_unique<CheckpointReader>(
+                pickResumeSnapshot(opts.checkpointPath));
+            if (!resumeReader->fingerprintMatches(fingerprint(opts, dataset)))
                 throw ConfigError(
                     "resume: PMMH checkpoint was written by an incompatible run configuration");
-            r.enterSection("context");
-            burnTicks = r.u64();
-            resumeBurnDone = r.u64();
-            resumeSampleDone = r.u64();
-            resumeStopped = r.u32() != 0 ? 1 : 0;
-            r.enterSection("sampler");
-            sampler.load(r);
-            r.enterSection("monitor");
-            monitor.load(r);
+            resumeReader->enterSection("context");
+            burnTicks = resumeReader->u64();
         } catch (const CheckpointError& e) {
             throw ResumeError(e.what());
         }
@@ -293,29 +280,20 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
     cfg.numeric.seed = opts.pmmh.seed;
     cfg.numeric.phase = "runPmmh sampling";
     if (!opts.checkpointPath.empty()) {
-        cfg.checkpoint = [&, burnTicks](std::size_t burnDone,
-                                        std::span<const std::uint64_t> sampleDone,
-                                        std::span<const std::uint8_t> stopped) {
+        cfg.checkpoint = [&, burnTicks](const SamplerRun& run) {
             withCheckpointRetry(opts.supervisor, [&] {
                 CheckpointWriter w(opts.checkpointPath);
                 w.fingerprint(fingerprint(opts, dataset));
                 w.beginSection("context");
                 w.u64(burnTicks);  // freeze the burn geometry for resumes
-                w.u64(burnDone);
-                w.u64(sampleDone[0]);
-                w.u32(stopped[0] ? 1 : 0);
-                w.beginSection("sampler");
-                sampler.save(w);
-                w.beginSection("monitor");
-                monitor.save(w);
+                run.save(w);
                 w.commit();
             });
         };
     }
 
-    SamplerRun run({{&sampler, &sink, &monitor}}, cfg);
-    if (opts.resume)
-        run.restoreProgress(resumeBurnDone, {&resumeSampleDone, 1}, {&resumeStopped, 1});
+    SamplerRun run({{&sampler, nullptr, &monitor}}, cfg);
+    if (resumeReader) run.load(*resumeReader);
 
     const SamplerRunReport report = run.execute().front();
 

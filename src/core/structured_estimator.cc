@@ -141,11 +141,9 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
     current.tree().setTipNames(aln.names());
 
     std::size_t emStart = 0;
+    // A mid-iteration snapshot stays open at its phase until the
+    // iteration's run exists to load into.
     std::unique_ptr<CheckpointReader> resumeReader;
-    bool resumeMidIteration = false;
-    std::size_t resumeBurnDone = 0;
-    std::uint64_t resumeSampleDone = 0;
-    std::uint8_t resumeStopped = 0;
 
     if (opts.resume) {
         // Snapshot READ failures become ResumeError so callers can fall
@@ -167,14 +165,7 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
             for (const StructuredEmRecord& h : result.history)
                 result.samplingSeconds += h.seconds;
             current = readStructuredGenealogy(*resumeReader, K);
-            if (resumeReader->u32() == 1) {
-                resumeMidIteration = true;
-                resumeBurnDone = resumeReader->u64();
-                resumeSampleDone = resumeReader->u64();
-                resumeStopped = resumeReader->u32() != 0 ? 1 : 0;
-            } else {
-                resumeReader.reset();
-            }
+            if (resumeReader->u32() != 1) resumeReader.reset();  // iteration boundary
         } catch (const CheckpointError& e) {
             throw ResumeError(e.what());
         }
@@ -189,6 +180,24 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
         (opts.samplesPerIteration + opts.chains - 1) / opts.chains;
     const std::size_t burnTicks =
         (opts.samplesPerIteration * opts.burnInFraction1000 + 999) / 1000;
+
+    // Every snapshot: the context, then the phase word and, mid-iteration
+    // (`run` set), the E-step's phase.
+    const auto snapshot = [&](std::size_t em, const MigrationModel& model,
+                              const StructuredGenealogy& warmStart, const SamplerRun* run) {
+        withCheckpointRetry(opts.supervisor, [&] {
+            CheckpointWriter w(opts.checkpointPath);
+            w.fingerprint(fingerprint(opts, aln, tipDemes));
+            w.beginSection("context");
+            w.u64(em);
+            writeModel(w, model);
+            writeHistory(w, result.history);
+            writeStructuredGenealogy(w, warmStart);
+            w.u32(run ? 1 : 0);
+            if (run) run->save(w);
+            w.commit();
+        });
+    };
 
     for (std::size_t em = emStart; em < opts.emIterations; ++em) {
         // EM-boundary stop check, mirroring estimateTheta.
@@ -220,46 +229,14 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
         cfg.numeric.seed = opts.seed;
         cfg.numeric.phase =
             "estimateStructured E-step (EM iteration " + std::to_string(em) + ")";
-        if (!opts.checkpointPath.empty()) {
-            cfg.checkpoint = [&, em](std::size_t burnDone,
-                                     std::span<const std::uint64_t> sampleDone,
-                                     std::span<const std::uint8_t> stopped) {
-                withCheckpointRetry(opts.supervisor, [&] {
-                    CheckpointWriter w(opts.checkpointPath);
-                    w.fingerprint(fingerprint(opts, aln, tipDemes));
-                    w.beginSection("context");
-                    w.u64(em);
-                    writeModel(w, rec.before);
-                    writeHistory(w, result.history);
-                    writeStructuredGenealogy(w, emInit);
-                    w.u32(1);  // mid-iteration
-                    w.u64(burnDone);
-                    w.u64(sampleDone[0]);
-                    w.u32(stopped[0] ? 1 : 0);
-                    w.beginSection("sampler");
-                    sampler.save(w);
-                    w.beginSection("sink");
-                    sink.save(w);
-                    w.beginSection("monitor");
-                    monitor.save(w);
-                    w.commit();
-                });
+        if (!opts.checkpointPath.empty())
+            cfg.checkpoint = [&, em](const SamplerRun& run) {
+                snapshot(em, rec.before, emInit, &run);
             };
-        }
 
         SamplerRun run({{&sampler, &sink, &monitor}}, cfg);
-        if (resumeMidIteration && em == emStart) {
-            try {
-                resumeReader->enterSection("sampler");
-                sampler.load(*resumeReader);
-                resumeReader->enterSection("sink");
-                sink.load(*resumeReader);
-                resumeReader->enterSection("monitor");
-                monitor.load(*resumeReader);
-            } catch (const CheckpointError& e) {
-                throw ResumeError(e.what());
-            }
-            run.restoreProgress(resumeBurnDone, {&resumeSampleDone, 1}, {&resumeStopped, 1});
+        if (resumeReader) {  // only ever the first iteration's
+            run.load(*resumeReader);
             resumeReader.reset();
         }
 
@@ -284,19 +261,8 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
         rec.logLAtMax = mle.logL;
         result.history.push_back(rec);
 
-        if (!opts.checkpointPath.empty() && em + 1 < opts.emIterations) {
-            withCheckpointRetry(opts.supervisor, [&] {
-                CheckpointWriter w(opts.checkpointPath);
-                w.fingerprint(fingerprint(opts, aln, tipDemes));
-                w.beginSection("context");
-                w.u64(em + 1);
-                writeModel(w, driving);
-                writeHistory(w, result.history);
-                writeStructuredGenealogy(w, current);
-                w.u32(0);  // iteration boundary
-                w.commit();
-            });
-        }
+        if (!opts.checkpointPath.empty() && em + 1 < opts.emIterations)
+            snapshot(em + 1, driving, current, nullptr);
     }
 
     result.estimate = driving;

@@ -41,8 +41,8 @@ class StructuredSummarySink final : public SampleSink {
     std::size_t total() const;
     std::vector<StructuredSummary> chainMajor() const;
 
-    void save(CheckpointWriter& w) const;
-    void load(CheckpointReader& r);
+    void save(CheckpointWriter& w) const override;
+    void load(CheckpointReader& r) override;
 
   private:
     int demeCount_;

@@ -47,6 +47,16 @@ void guardTickLogPosts(const SamplerNumericGuard& guard, const Sampler& sampler,
     }
 }
 
+/// Calls f(section name, participant) for every snapshot section of the
+/// slots, in snapshot order: the samplers, the sinks, the monitors.
+template <class F>
+void forEachSection(const std::vector<RunSlot>& slots, F&& f) {
+    for (const RunSlot& s : slots) f("sampler" + s.suffix, *s.sampler);
+    for (const RunSlot& s : slots)
+        if (s.sink) f("sink" + s.suffix, *s.sink);
+    for (const RunSlot& s : slots) f("monitor" + s.suffix, *s.monitor);
+}
+
 }  // namespace
 
 void SampleSink::consume(const StructuredGenealogy& g, const SampleTag& tag) {
@@ -148,28 +158,43 @@ SamplerRun::SamplerRun(std::vector<RunSlot> slots, Config cfg)
     : slots_(std::move(slots)), cfg_(std::move(cfg)) {
     require(!slots_.empty(), "SamplerRun: no slots");
     for (const RunSlot& s : slots_)
-        require(s.sampler && s.sink && s.monitor,
-                "SamplerRun: every slot needs a sampler, sink and monitor");
+        require(s.sampler && s.monitor, "SamplerRun: every slot needs a sampler and a monitor");
     sampleDone_.assign(slots_.size(), 0);
     stopped_.assign(slots_.size(), 0);
 }
 
-void SamplerRun::restoreProgress(std::size_t burnTicksDone,
-                                 std::span<const std::uint64_t> sampleTicksDone,
-                                 std::span<const std::uint8_t> stopped) {
-    require(sampleTicksDone.size() == slots_.size() && stopped.size() == slots_.size(),
-            "SamplerRun: restored progress has the wrong slot count");
-    burnDone_ = std::min(burnTicksDone, cfg_.burnInTicks);
+void SamplerRun::save(CheckpointWriter& w) const {
+    w.u64(burnDone_);
     for (std::size_t s = 0; s < slots_.size(); ++s) {
-        sampleDone_[s] = std::min<std::uint64_t>(sampleTicksDone[s], cfg_.sampleTicks);
-        stopped_[s] = stopped[s] ? 1 : 0;
+        w.u64(sampleDone_[s]);
+        w.u32(stopped_[s]);
+    }
+    forEachSection(slots_, [&](const std::string& name, const auto& part) {
+        w.beginSection(name);
+        part.save(w);
+    });
+}
+
+void SamplerRun::load(CheckpointReader& r) {
+    try {
+        burnDone_ = std::min<std::size_t>(r.u64(), cfg_.burnInTicks);
+        for (std::size_t s = 0; s < slots_.size(); ++s) {
+            sampleDone_[s] = std::min<std::uint64_t>(r.u64(), cfg_.sampleTicks);
+            stopped_[s] = r.u32() != 0 ? 1 : 0;
+        }
+        forEachSection(slots_, [&](const std::string& name, auto& part) {
+            r.enterSection(name);
+            part.load(r);
+        });
+    } catch (const CheckpointError& e) {
+        throw ResumeError(e.what());
     }
 }
 
 std::vector<SamplerRunReport> SamplerRun::execute() {
     const std::size_t n = slots_.size();
 
-    // Per-slot sink pipelines: summary sink + convergence monitor.
+    // Per-slot sink pipelines: the slot's sink (if any) + convergence monitor.
     std::vector<FanoutSink> fanouts(n);
     for (std::size_t s = 0; s < n; ++s) {
         fanouts[s].add(slots_[s].sink);
@@ -188,7 +213,7 @@ std::vector<SamplerRunReport> SamplerRun::execute() {
         if (!cfg_.checkpoint) return;
         if (!force && ++sinceCkpt < ckptEvery) return;
         sinceCkpt = 0;
-        cfg_.checkpoint(burnDone_, sampleDone_, stopped_);
+        cfg_.checkpoint(*this);
     };
     // Cooperative stop: polled at every tick boundary, in the serial
     // section between rounds, so an interrupt always lands on a consistent

@@ -14,7 +14,8 @@
 //   SamplerRun                one or more samplers (slots) in lockstep:
 //                             burn-in -> sampling rounds -> per-slot
 //                             StoppingRule checks -> periodic checkpoint
-//                             callbacks
+//                             callbacks; save()/load() write and read the
+//                             phase's part of every snapshot
 //
 // Sink concurrency contract: for a fixed chain id, consume() calls arrive
 // in index order and never concurrently; calls for *different* chains may
@@ -30,7 +31,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -69,6 +69,11 @@ class SampleSink {
     /// label-agnostic sinks (convergence monitors, trace writers) work on
     /// structured runs unchanged; label-aware sinks override this.
     virtual void consume(const StructuredGenealogy& g, const SampleTag& tag);
+
+    /// What the sink has collected so far, for a resumed phase to continue
+    /// from. The default keeps nothing (fan-outs, trace writers).
+    virtual void save(CheckpointWriter& w) const { (void)w; }
+    virtual void load(CheckpointReader& r) { (void)r; }
 };
 
 /// Fans every sample out to several sinks (not owned).
@@ -122,8 +127,8 @@ class ConvergenceMonitor final : public SampleSink {
     /// keep accumulating ESS while the estimate stays O(window) to compute.
     double pooledEss() const;
 
-    void save(CheckpointWriter& w) const;
-    void load(CheckpointReader& r);
+    void save(CheckpointWriter& w) const override;
+    void load(CheckpointReader& r) override;
 
   private:
     std::vector<std::vector<double>> traces_;
@@ -202,8 +207,9 @@ struct SamplerNumericGuard {
 /// never mix into another slot's summaries.
 struct RunSlot {
     Sampler* sampler = nullptr;
-    SampleSink* sink = nullptr;
+    SampleSink* sink = nullptr;  ///< null: the samples feed the monitor only
     ConvergenceMonitor* monitor = nullptr;
+    std::string suffix;  ///< ends the slot's snapshot section names (".0")
 };
 
 /// What one slot did during a sampling phase.
@@ -222,9 +228,9 @@ struct SamplerRunReport {
 /// through each slot's sink and monitor. Each slot's stopping rule is
 /// checked at a fixed tick cadence; a converged slot freezes while the
 /// rest keep sampling, and the phase ends when every slot is stopped or
-/// capped. A periodic checkpoint callback carries every slot's progress,
-/// and the counters are restorable, so an interrupted phase resumes
-/// exactly where the last snapshot left it.
+/// capped. A periodic checkpoint callback hands the run to its owner,
+/// whose snapshot holds the run's save(), so an interrupted phase resumes
+/// through load() exactly where the last snapshot left it.
 ///
 /// Scheduling: a round is one launchChains over the slots. A single slot
 /// runs on the calling thread without claiming the pool, so its sampler's
@@ -240,12 +246,9 @@ class SamplerRun {
         std::size_t sampleTicks = 0;  ///< cap on sampling ticks per slot
         StoppingRule stopping;        ///< applied to every slot independently
         /// Invoked every `checkpointInterval` rounds (and at the end of
-        /// burn-in and of the phase) with the burn progress and the
-        /// per-slot sampling progress and stopped latches (a stopped slot's
-        /// rule already ended its sampling). Empty = no checkpointing.
-        std::function<void(std::size_t burnDone, std::span<const std::uint64_t> sampleDone,
-                           std::span<const std::uint8_t> stopped)>
-            checkpoint;
+        /// burn-in and of the phase) with this run, for the owner to write
+        /// a snapshot around its save(). Empty = no checkpointing.
+        std::function<void(const SamplerRun&)> checkpoint;
         std::size_t checkpointInterval = 0;  ///< rounds between snapshots (0 = auto)
         ThreadPool* pool = nullptr;          ///< runs the slots of a round
         /// Polled at every tick boundary, in the serial section
@@ -259,12 +262,19 @@ class SamplerRun {
 
     SamplerRun(std::vector<RunSlot> slots, Config cfg);
 
-    /// Resume progress bookkeeping from a snapshot (samplers, sinks and
-    /// monitors are restored separately by the owner). A slot whose
-    /// snapshot was taken after its stopping rule fired resumes as already
-    /// complete — no extra ticks.
-    void restoreProgress(std::size_t burnTicksDone, std::span<const std::uint64_t> sampleTicksDone,
-                         std::span<const std::uint8_t> stopped);
+    /// Write the phase: into the caller's open section, the burn ticks
+    /// done and, per slot, the sampling ticks done (u64) and the stopped
+    /// latch (u32); then one section per slot and kind, grouped by kind:
+    /// "sampler" + suffix for every slot, "sink" + suffix for every slot
+    /// with a sink, "monitor" + suffix for every slot.
+    void save(CheckpointWriter& w) const;
+
+    /// Read what save() wrote into this run's samplers, sinks and monitors,
+    /// and resume its progress, clamped to the configured caps. A slot
+    /// whose snapshot was taken after its stopping rule fired resumes as
+    /// already complete — no extra ticks. Pre-v5 files read in the same
+    /// order, unframed. Throws ResumeError on an unreadable snapshot.
+    void load(CheckpointReader& r);
 
     /// Run to completion (every slot at its cap or stopped); one report
     /// per slot.
@@ -275,7 +285,7 @@ class SamplerRun {
     Config cfg_;
     std::size_t burnDone_ = 0;
     std::vector<std::uint64_t> sampleDone_;
-    std::vector<std::uint8_t> stopped_;  ///< per-slot latch (u8: serialized + span-able)
+    std::vector<std::uint8_t> stopped_;  ///< per-slot latch
 };
 
 }  // namespace mpcgs

@@ -245,14 +245,9 @@ TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
         cfg.burnInTicks = burnTicks;
         cfg.sampleTicks = killTicks;
         cfg.checkpointInterval = 1;
-        cfg.checkpoint = [&](std::size_t burnDone, std::span<const std::uint64_t> sampleDone,
-                             std::span<const std::uint8_t>) {
+        cfg.checkpoint = [&](const SamplerRun& run) {
             CheckpointWriter w(path);
-            w.u64(burnDone);
-            w.u64(sampleDone[0]);
-            sampler->save(w);
-            sink.save(w);
-            monitor.save(w);
+            run.save(w);
             w.commit();
         };
         SamplerRun run({{sampler.get(), &sink, &monitor}}, cfg);
@@ -262,23 +257,18 @@ TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
     // Resume from the snapshot and run out the remaining ticks.
     RunArtifacts resumed;
     {
+        CheckpointReader progress(path);
+        EXPECT_EQ(progress.u64(), burnTicks);  // burn ticks done
+        EXPECT_EQ(progress.u64(), killTicks);  // sampling ticks done
         auto sampler = makeFresh();
         SummarySink sink;
         ConvergenceMonitor monitor;
-        CheckpointReader r(path);
-        const std::size_t burnDone = r.u64();
-        const std::uint64_t sampleDone = r.u64();
-        EXPECT_EQ(burnDone, burnTicks);
-        EXPECT_EQ(sampleDone, killTicks);
-        sampler->load(r);
-        sink.load(r);
-        monitor.load(r);
         SamplerRun::Config cfg;
         cfg.burnInTicks = burnTicks;
         cfg.sampleTicks = capTicks;
         SamplerRun run({{sampler.get(), &sink, &monitor}}, cfg);
-        const std::uint8_t stopped = 0;
-        run.restoreProgress(burnDone, {&sampleDone, 1}, {&stopped, 1});
+        CheckpointReader r(path);
+        run.load(r);
         run.execute();
         resumed = RunArtifacts{sink.chainMajor(), sampler->continuation(), sampler->stats(),
                                tracesOf(monitor)};

@@ -300,17 +300,9 @@ TEST(MultiLocusCheckpointTest, MidSamplingKillAndResumeIsBitwiseIdentical) {
         cfg.burnInTicks = burnTicks;
         cfg.sampleTicks = killTicks;  // "crash" mid-phase
         cfg.checkpointInterval = 1;
-        cfg.checkpoint = [&](std::size_t burnDone, std::span<const std::uint64_t> sampleDone,
-                             std::span<const std::uint8_t> stopped) {
+        cfg.checkpoint = [&](const SamplerRun& run) {
             CheckpointWriter w(path);
-            w.u64(burnDone);
-            for (std::size_t l = 0; l < 3; ++l) {
-                w.u64(sampleDone[l]);
-                w.u32(stopped[l]);
-            }
-            for (const auto& s : samplers) s->save(w);
-            for (const SummarySink& s : sinks) s.save(w);
-            for (const ConvergenceMonitor& m : monitors) m.save(w);
+            run.save(w);
             w.commit();
         };
         SamplerRun run(std::move(slots), cfg);
@@ -319,21 +311,15 @@ TEST(MultiLocusCheckpointTest, MidSamplingKillAndResumeIsBitwiseIdentical) {
 
     std::vector<IntervalSummary> resumed;
     {
+        CheckpointReader progress(path);
+        progress.u64();  // burn ticks done
+        for (std::size_t l = 0; l < 3; ++l) {
+            EXPECT_EQ(progress.u64(), killTicks);  // sampling ticks done
+            progress.u32();                        // stopped latch
+        }
         auto samplers = makeSamplers();
         std::vector<SummarySink> sinks(3);
         std::vector<ConvergenceMonitor> monitors(3);
-        CheckpointReader r(path);
-        const std::size_t burnDone = r.u64();
-        std::vector<std::uint64_t> sampleDone(3);
-        std::vector<std::uint8_t> stopped(3);
-        for (std::size_t l = 0; l < 3; ++l) {
-            sampleDone[l] = r.u64();
-            stopped[l] = r.u32() != 0 ? 1 : 0;
-            EXPECT_EQ(sampleDone[l], killTicks);
-        }
-        for (auto& s : samplers) s->load(r);
-        for (SummarySink& s : sinks) s.load(r);
-        for (ConvergenceMonitor& m : monitors) m.load(r);
         std::vector<RunSlot> slots(3);
         for (std::size_t l = 0; l < 3; ++l)
             slots[l] = RunSlot{samplers[l].get(), &sinks[l], &monitors[l]};
@@ -341,7 +327,8 @@ TEST(MultiLocusCheckpointTest, MidSamplingKillAndResumeIsBitwiseIdentical) {
         cfg.burnInTicks = burnTicks;
         cfg.sampleTicks = capTicks;
         SamplerRun run(std::move(slots), cfg);
-        run.restoreProgress(burnDone, sampleDone, stopped);
+        CheckpointReader r(path);
+        run.load(r);
         run.execute();
         resumed = collect(sinks);
     }

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,6 +13,7 @@
 
 #include "coalescent/simulator.h"
 #include "core/driver.h"
+#include "mcmc/checkpoint.h"
 #include "mcmc/mh.h"
 #include "par/kernel.h"
 #include "par/thread_pool.h"
@@ -312,15 +314,25 @@ TEST(SamplerRuntimeTest, StopThatEndsThePhaseSnapshotsOnce) {
         }
         using Progress = std::pair<std::vector<std::uint64_t>, std::vector<std::uint8_t>>;
         std::vector<Progress> snapshots;
+        const std::string path = ::testing::TempDir() + "/stop_once.ckpt";
         SamplerRun::Config cfg;
         cfg.sampleTicks = 4000;
         cfg.stopping.rhatBelow = 3.0;
         cfg.stopping.essAtLeast = 5.0;
         cfg.checkpointInterval = 1;
-        cfg.checkpoint = [&](std::size_t, std::span<const std::uint64_t> sampleDone,
-                             std::span<const std::uint8_t> stopped) {
-            snapshots.emplace_back(std::vector<std::uint64_t>(sampleDone.begin(), sampleDone.end()),
-                                   std::vector<std::uint8_t>(stopped.begin(), stopped.end()));
+        cfg.checkpoint = [&](const SamplerRun& run) {
+            {
+                CheckpointWriter w(path);
+                run.save(w);
+                w.commit();
+            }
+            CheckpointReader r(path);
+            r.u64();  // burn ticks done
+            Progress& p = snapshots.emplace_back();
+            for (std::size_t s = 0; s < slotCount; ++s) {
+                p.first.push_back(r.u64());                // sampling ticks done
+                p.second.push_back(r.u32() != 0 ? 1 : 0);  // stopped latch
+            }
         };
         for (const SamplerRunReport& r : SamplerRun(std::move(slots), cfg).execute())
             ASSERT_TRUE(r.stoppedEarly);
