@@ -65,8 +65,6 @@ class PooledGrowthRelativeLikelihood {
 
     double logL(const GrowthParams& p, ThreadPool* pool = nullptr) const;
 
-    std::size_t locusCount() const { return loci_.size(); }
-
   private:
     std::vector<LocusTerm> loci_;
 };

@@ -46,8 +46,6 @@ class PooledRelativeLikelihood final : public ThetaLikelihood {
     /// sum_l log L_l(mu_l * theta).
     double logL(double theta, ThreadPool* pool = nullptr) const override;
 
-    std::size_t locusCount() const { return loci_.size(); }
-
     /// Samples summed over loci.
     std::size_t sampleCount() const;
 

@@ -49,7 +49,6 @@ class DataLikelihood {
     double logLikelihood(const Genealogy& g, ThreadPool* pool = nullptr) const;
 
     std::size_t patternCount() const { return patterns_.patternCount(); }
-    std::size_t siteCount() const { return patterns_.siteCount(); }
     /// Pattern data — the SMC slot arena (lik/slot_arena.h) builds its
     /// per-slot vectors over the same compressed patterns.
     const SitePatterns& patterns() const { return patterns_; }

@@ -8,14 +8,14 @@ namespace mpcgs {
 
 SitePatterns::SitePatterns(const Alignment& aln, bool compress) {
     nSeq_ = aln.sequenceCount();
-    nSites_ = aln.length();
-    require(nSeq_ > 0 && nSites_ > 0, "SitePatterns: empty alignment");
+    const std::size_t nSites = aln.length();
+    require(nSeq_ > 0 && nSites > 0, "SitePatterns: empty alignment");
     names_ = aln.names();
 
     if (!compress) {
-        codes_.resize(nSites_ * nSeq_);
-        weights_.assign(nSites_, 1.0);
-        for (std::size_t site = 0; site < nSites_; ++site)
+        codes_.resize(nSites * nSeq_);
+        weights_.assign(nSites, 1.0);
+        for (std::size_t site = 0; site < nSites; ++site)
             for (std::size_t s = 0; s < nSeq_; ++s)
                 codes_[site * nSeq_ + s] = aln.sequence(s).at(site);
         return;
@@ -23,7 +23,7 @@ SitePatterns::SitePatterns(const Alignment& aln, bool compress) {
 
     std::map<std::vector<NucCode>, std::size_t> seen;
     std::vector<NucCode> col(nSeq_);
-    for (std::size_t site = 0; site < nSites_; ++site) {
+    for (std::size_t site = 0; site < nSites; ++site) {
         for (std::size_t s = 0; s < nSeq_; ++s) col[s] = aln.sequence(s).at(site);
         const auto it = seen.find(col);
         if (it == seen.end()) {

@@ -22,7 +22,6 @@ class SitePatterns {
 
     std::size_t patternCount() const { return weights_.size(); }
     std::size_t sequenceCount() const { return nSeq_; }
-    std::size_t siteCount() const { return nSites_; }
 
     /// Sequence names in tip order, captured from the alignment — the SMC
     /// cloud labels its genealogies with these so sampled trees are
@@ -38,7 +37,6 @@ class SitePatterns {
 
   private:
     std::size_t nSeq_ = 0;
-    std::size_t nSites_ = 0;
     std::vector<NucCode> codes_;     // patternCount x nSeq
     std::vector<double> weights_;
     std::vector<std::string> names_;

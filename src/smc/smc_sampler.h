@@ -152,8 +152,6 @@ class PooledSmcLikelihood final : public ThetaLikelihood {
 
     double logL(double theta, ThreadPool* pool = nullptr) const override;
 
-    std::size_t locusCount() const { return loci_.size(); }
-
     /// Full per-locus pass results at one theta (pooled logZ = sum, plus
     /// each locus's sampled genealogy) — the PMMH inner evaluation.
     std::vector<SmcPassResult> passes(double theta, std::uint64_t passSeed,

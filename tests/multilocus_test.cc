@@ -104,7 +104,6 @@ TEST(PooledLikelihoodTest, PooledLogLIsSumOfScaledLocusCurves) {
     for (const double theta : {0.3, 0.8, 1.1, 2.7})
         EXPECT_DOUBLE_EQ(pooled.logL(theta), rl1.logL(theta) + rl2.logL(2.0 * theta));
     EXPECT_EQ(pooled.sampleCount(), 5u);
-    EXPECT_EQ(pooled.locusCount(), 2u);
 }
 
 TEST(PooledLikelihoodTest, SingleLocusPoolReducesToPlainCurve) {
