@@ -173,9 +173,9 @@ struct AlgoFlag {
 };
 
 constexpr AlgoFlag kAlgoFlags[] = {
-    {"particles", "smc pmmh"},
-    {"resampling", "smc pmmh"},
-    {"ess-threshold", "smc pmmh"},
+    {"particles", "smc pmmh online-init"},
+    {"resampling", "smc pmmh online-init serve"},
+    {"ess-threshold", "smc pmmh online-init serve"},
     {"pmmh-sigma", "pmmh"},
     {"strategy", "mcmc"},
     {"proposals", "mcmc"},

@@ -6,6 +6,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -524,6 +526,21 @@ TEST(OptionValidationTest, AlgoMismatchedFlagsAreHardRejected) {
         EXPECT_NE(what.find("--ess-threshold"), std::string::npos) << what;
         EXPECT_NE(what.find("smc"), std::string::npos) << what;
         EXPECT_NE(what.find("pmmh"), std::string::npos) << what;
+    }
+    // The message names every mode that reads the flag, subcommands too.
+    const std::pair<const char*, const char*> readers[] = {
+        {"--particles", "smc | pmmh | online-init"},
+        {"--resampling", "smc | pmmh | online-init | serve"},
+        {"--ess-threshold", "smc | pmmh | online-init | serve"}};
+    for (const auto& [flag, modes] : readers) {
+        try {
+            validateAlgoFlags(parse({flag, "1"}), "mcmc");
+            ADD_FAILURE() << flag << " was not rejected";
+        } catch (const ConfigError& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(std::string("(applicable: ") + modes + ")"), std::string::npos)
+                << what;
+        }
     }
 }
 
