@@ -151,6 +151,17 @@ constexpr const char* kFlags[] = {
     "demes", "kappa", "length", "loci", "metrics-out", "mig", "model", "out",
     "print-config", "scale", "seed", "theta", "thetas", "tips", "trace-out"};
 
+/// The flags each mode reads: the tree mode only the shared ones, the
+/// other two theirs as well. A flag of another mode exits 2 just as early.
+constexpr const char* kTreeFlags[] = {"kappa", "length", "metrics-out", "model",
+                                      "print-config", "scale", "seed", "trace-out"};
+constexpr const char* kLociFlags[] = {"kappa", "length", "metrics-out", "model",
+                                      "print-config", "scale", "seed", "trace-out",
+                                      "loci", "out", "theta", "tips"};
+constexpr const char* kDemesFlags[] = {"kappa", "length", "metrics-out", "model",
+                                       "print-config", "scale", "seed", "trace-out",
+                                       "demes", "mig", "out", "theta", "thetas"};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -158,6 +169,12 @@ int main(int argc, char** argv) {
     const Options opts = Options::parse(argc, argv);
     try {
         opts.requireKnown(kFlags);
+        if (opts.has("demes"))
+            opts.requireKnown(kDemesFlags, "--demes mode");
+        else if (opts.has("loci"))
+            opts.requireKnown(kLociFlags, "--loci mode");
+        else
+            opts.requireKnown(kTreeFlags, "the tree mode (trees on stdin)");
         if (opts.has("print-config")) {
             std::fputs(buildConfigSummary().c_str(), stdout);
             return 0;
