@@ -14,8 +14,7 @@
 //   SamplerRun                one or more samplers (slots) in lockstep:
 //                             burn-in -> sampling rounds -> per-slot
 //                             StoppingRule checks -> periodic checkpoint
-//                             callbacks; save()/load() write and read the
-//                             phase's part of every snapshot
+//                             callbacks handing the run to its owner
 //
 // Sink concurrency contract: for a fixed chain id, consume() calls arrive
 // in index order and never concurrently; calls for *different* chains may
@@ -27,6 +26,11 @@
 // (splitMix64At(seed, chain)), so results are bitwise invariant to the
 // thread count, and serialized RNG states make checkpointed runs continue
 // bitwise-identically.
+//
+// Snapshots: SamplerRun is the one place that writes and reads a phase —
+// its progress words inside the owner's context section, then every
+// slot's sampler, sink and monitor sections. An estimator's snapshot is
+// its fingerprint and context around SamplerRun::save().
 #pragma once
 
 #include <cstdint>
