@@ -268,9 +268,10 @@ class SamplerRun {
 
     /// Write the phase: into the caller's open section, the burn ticks
     /// done and, per slot, the sampling ticks done (u64) and the stopped
-    /// latch (u32); then one section per slot and kind, grouped by kind:
-    /// "sampler" + suffix for every slot, "sink" + suffix for every slot
-    /// with a sink, "monitor" + suffix for every slot.
+    /// latch (u32); then one section per slot and kind, grouped by kind
+    /// (every sampler, every sink, every monitor; a slot without a sink
+    /// has no sink section), each named for its kind plus the slot's
+    /// suffix.
     void save(CheckpointWriter& w) const;
 
     /// Read what save() wrote into this run's samplers, sinks and monitors,

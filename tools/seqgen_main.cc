@@ -215,8 +215,9 @@ int main(int argc, char** argv) {
 
         if (opts.has("demes")) return finishObs(runTwoDeme(opts, *model, so, seed));
 
-        const std::size_t loci = opts.getCount("loci", 0);
-        if (loci > 0) {
+        if (opts.has("loci")) {
+            const std::size_t loci = opts.getCount("loci", 0);
+            if (loci == 0) throw ConfigError("--loci must be positive");
             const int tips = static_cast<int>(opts.getCount("tips", 0, 1000000));
             const double theta = opts.getDouble("theta", 0.0);
             if (tips < 2 || theta <= 0.0) {
