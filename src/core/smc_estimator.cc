@@ -292,7 +292,7 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
         };
     }
 
-    SamplerRun run({{&sampler, nullptr, &monitor}}, cfg);
+    SamplerRun run({{&sampler, nullptr, &monitor, ""}}, cfg);
     if (resumeReader) run.load(*resumeReader);
 
     const SamplerRunReport report = run.execute().front();

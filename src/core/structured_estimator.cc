@@ -234,7 +234,7 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
                 snapshot(em, rec.before, emInit, &run);
             };
 
-        SamplerRun run({{&sampler, &sink, &monitor}}, cfg);
+        SamplerRun run({{&sampler, &sink, &monitor, ""}}, cfg);
         if (resumeReader) {  // only ever the first iteration's
             run.load(*resumeReader);
             resumeReader.reset();

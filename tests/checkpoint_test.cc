@@ -229,7 +229,7 @@ TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
         SamplerRun::Config cfg;
         cfg.burnInTicks = burnTicks;
         cfg.sampleTicks = capTicks;
-        SamplerRun run({{sampler.get(), &sink, &monitor}}, cfg);
+        SamplerRun run({{sampler.get(), &sink, &monitor, ""}}, cfg);
         run.execute();
         full = RunArtifacts{sink.chainMajor(), sampler->continuation(), sampler->stats(),
                             tracesOf(monitor)};
@@ -250,7 +250,7 @@ TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
             run.save(w);
             w.commit();
         };
-        SamplerRun run({{sampler.get(), &sink, &monitor}}, cfg);
+        SamplerRun run({{sampler.get(), &sink, &monitor, ""}}, cfg);
         run.execute();
     }
 
@@ -266,7 +266,7 @@ TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
         SamplerRun::Config cfg;
         cfg.burnInTicks = burnTicks;
         cfg.sampleTicks = capTicks;
-        SamplerRun run({{sampler.get(), &sink, &monitor}}, cfg);
+        SamplerRun run({{sampler.get(), &sink, &monitor, ""}}, cfg);
         CheckpointReader r(path);
         run.load(r);
         run.execute();
@@ -300,7 +300,7 @@ void runAndSave(Sampler& sampler, ConvergenceMonitor& monitor, std::size_t burnT
     SamplerRun::Config cfg;
     cfg.burnInTicks = burnTicks;
     cfg.sampleTicks = sampleTicks;
-    SamplerRun({{&sampler, &sink, &monitor}}, cfg).execute();
+    SamplerRun({{&sampler, &sink, &monitor, ""}}, cfg).execute();
     CheckpointWriter w(path);
     w.beginSection("sampler");
     sampler.save(w);

@@ -280,7 +280,7 @@ TEST(MultiLocusCheckpointTest, MidSamplingKillAndResumeIsBitwiseIdentical) {
         std::vector<ConvergenceMonitor> monitors(3);
         std::vector<RunSlot> slots(3);
         for (std::size_t l = 0; l < 3; ++l)
-            slots[l] = RunSlot{samplers[l].get(), &sinks[l], &monitors[l]};
+            slots[l] = RunSlot{samplers[l].get(), &sinks[l], &monitors[l], "." + std::to_string(l)};
         SamplerRun::Config cfg;
         cfg.burnInTicks = burnTicks;
         cfg.sampleTicks = capTicks;
@@ -296,7 +296,7 @@ TEST(MultiLocusCheckpointTest, MidSamplingKillAndResumeIsBitwiseIdentical) {
         std::vector<ConvergenceMonitor> monitors(3);
         std::vector<RunSlot> slots(3);
         for (std::size_t l = 0; l < 3; ++l)
-            slots[l] = RunSlot{samplers[l].get(), &sinks[l], &monitors[l]};
+            slots[l] = RunSlot{samplers[l].get(), &sinks[l], &monitors[l], "." + std::to_string(l)};
         SamplerRun::Config cfg;
         cfg.burnInTicks = burnTicks;
         cfg.sampleTicks = killTicks;  // "crash" mid-phase
@@ -323,7 +323,7 @@ TEST(MultiLocusCheckpointTest, MidSamplingKillAndResumeIsBitwiseIdentical) {
         std::vector<ConvergenceMonitor> monitors(3);
         std::vector<RunSlot> slots(3);
         for (std::size_t l = 0; l < 3; ++l)
-            slots[l] = RunSlot{samplers[l].get(), &sinks[l], &monitors[l]};
+            slots[l] = RunSlot{samplers[l].get(), &sinks[l], &monitors[l], "." + std::to_string(l)};
         SamplerRun::Config cfg;
         cfg.burnInTicks = burnTicks;
         cfg.sampleTicks = capTicks;

@@ -310,7 +310,7 @@ TEST(SamplerRuntimeTest, StopThatEndsThePhaseSnapshotsOnce) {
             spec.strategy = Strategy::SerialMh;
             spec.seed = 40 + s;
             samplers.push_back(makeSampler(spec, lik, 1.0, initialGenealogy(aln, 1.0)));
-            slots.push_back({samplers.back().get(), &sinks[s], &monitors[s]});
+            slots.push_back({samplers.back().get(), &sinks[s], &monitors[s], ""});
         }
         using Progress = std::pair<std::vector<std::uint64_t>, std::vector<std::uint8_t>>;
         std::vector<Progress> snapshots;
@@ -379,7 +379,7 @@ TEST(SamplerRuntimeTest, MakeSamplerBuildsEveryStrategy) {
         SamplerRun::Config cfg;
         cfg.burnInTicks = 5;
         cfg.sampleTicks = 10;
-        SamplerRun run({{sampler.get(), &sink, &monitor}}, cfg);
+        SamplerRun run({{sampler.get(), &sink, &monitor, ""}}, cfg);
         const SamplerRunReport report = run.execute().front();
         EXPECT_EQ(report.ticks, 10u);
         EXPECT_EQ(report.samples, 10u * sampler->samplesPerTick());
