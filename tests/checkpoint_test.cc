@@ -2,7 +2,8 @@
 // bitwise-identical continuation of interrupted runs for every strategy —
 // both at the SamplerRun level (mid-sampling kill) and through
 // estimateTheta (EM-boundary resume) — plus each run kind's fingerprint:
-// its field order, and the refusal of a changed or foreign snapshot.
+// its field order, and the refusal of a changed or foreign snapshot — and
+// the sections of each run kind's phase-end snapshot.
 #include "mcmc/checkpoint.h"
 
 #include <cmath>
